@@ -16,9 +16,10 @@
 # FDIP beats next-line on coverage and shrinks the cold-miss bucket.
 # `make trace-golden` pins the sim-time trace exporter: byte-identical
 # Chrome trace-event JSON on a fixed seed, zero counter perturbation.
-# `make corpus-smoke` pins the disk-backed trace corpus: corpus-replayed
+# `make corpus-smoke` pins the disk-backed trace corpus: corpus-streamed
 # sweep rows byte-identical to generate-fresh, with stale or corrupt
-# corpus files degrading to regeneration.
+# corpus files degrading to regeneration, and a streamed replay's live
+# heap bounded by chunk size rather than trace length.
 
 GO ?= go
 
@@ -133,11 +134,14 @@ smoke-serve:
 	$(GO) run ./cmd/nlsserve -smoke
 
 # The trace-corpus round-trip gate (DESIGN.md §16): one run writes the
-# content-keyed corpus, a fresh runner replays it from disk, and the sweep
-# rows must be byte-identical to generate-fresh; stale (wrong insns) and
-# corrupt corpus files must degrade to regeneration, never to wrong rows.
+# content-keyed corpus, a fresh runner streams it from disk chunk by chunk,
+# and the rows of every executor entry point must be byte-identical to
+# generate-fresh; stale (wrong insns), corrupt, mid-stream-broken and
+# header-mismatched corpus files must degrade to regeneration, never to
+# wrong rows; and a 20M-instruction streamed replay must keep its live
+# heap under 32MB.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling' \
 		./internal/experiments
 
 # pprof smoke run: a small figure sweep under both profilers, then the

@@ -82,32 +82,31 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			progCells := cells[i*cpp : (i+1)*cpp]
-			ct, err := r.ChunkedOne(i)
+			_, err := r.replayProgram(i, runLineBytes(progCells), func(src replaySource) (int64, error) {
+				engines := make([]fetch.Engine, len(progCells))
+				atts := make([]*obs.Attribution, len(progCells))
+				for j, c := range progCells {
+					e, err := c.Spec.Build()
+					if err != nil {
+						return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
+					}
+					pa, ok := e.(fetch.ProbeAttacher)
+					if !ok {
+						return 0, fmt.Errorf("cell %s/%s: engine %T accepts no probe", c.Prog.Name, c.Arm, e)
+					}
+					atts[j] = obs.NewAttribution()
+					pa.AttachProbe(atts[j])
+					engines[j] = e
+				}
+				n := fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
+				// reports slots are disjoint per program; no lock needed.
+				for j, c := range progCells {
+					reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
+				}
+				return n, nil
+			})
 			if err != nil {
 				fail(err)
-				return
-			}
-			engines := make([]fetch.Engine, len(progCells))
-			atts := make([]*obs.Attribution, len(progCells))
-			for j, c := range progCells {
-				e, err := c.Spec.Build()
-				if err != nil {
-					fail(fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err))
-					return
-				}
-				pa, ok := e.(fetch.ProbeAttacher)
-				if !ok {
-					fail(fmt.Errorf("cell %s/%s: engine %T accepts no probe", c.Prog.Name, c.Arm, e))
-					return
-				}
-				atts[j] = obs.NewAttribution()
-				pa.AttachProbe(atts[j])
-				engines[j] = e
-			}
-			fetch.BroadcastWorkers(cellSource(ct, progCells), perProg, engines...)
-			// reports slots are disjoint per program; no lock needed.
-			for j, c := range progCells {
-				reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
 			}
 		}(i)
 	}

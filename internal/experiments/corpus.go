@@ -52,7 +52,8 @@ func CorpusPath(dir string, cfg Config) string {
 // first when it is missing, stale, or corrupt: a build generates every
 // program trace (memoizing them for this run) and streams them through a
 // trace.CorpusWriter. On a hit the corpus is opened (memory-mapped where
-// supported) and genOne decodes programs from it instead of generating.
+// supported): replay then streams programs from it (Runner.source) and
+// whole-trace callers decode them (genOne) instead of generating.
 // The returned duration is the wall time spent on corpus work — the
 // "gen-corpus" stage: generation plus serialization on a build, open and
 // validation on a hit.
@@ -136,7 +137,8 @@ func (r *Runner) attachedCorpus() *trace.Corpus {
 
 // CloseCorpus detaches and closes the attached corpus (releasing its
 // mapping); traces already decoded stay valid (decoding copies records out
-// of the mapped bytes).
+// of the mapped bytes). Close between runs only: a replay in flight
+// streams straight from the mapping.
 func (r *Runner) CloseCorpus() error {
 	r.corpusMu.Lock()
 	defer r.corpusMu.Unlock()

@@ -45,9 +45,11 @@ type Executor struct {
 type StageSpan struct {
 	// Stage is one of "gather" (cell enumeration and store probing),
 	// "gen-corpus" (trace corpus build or open, 0 when no CorpusDir is
-	// set or no trace was needed), "trace-gen" (workload trace
-	// generation/chunking — decode, on a corpus hit), "replay" (the
-	// broadcast replay itself), "store-save" (persisting rows).
+	// set or no trace was needed), "trace-gen" (trace acquisition:
+	// workload generation and chunking, or — on a program streamed from
+	// the corpus — opening and validating the stream), "replay" (the
+	// broadcast replay itself, including a streamed program's decode),
+	// "store-save" (persisting rows).
 	Stage   string  `json:"stage"`
 	Seconds float64 `json:"seconds"`
 }
@@ -247,7 +249,7 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 	}
 
 	// Traces are about to be needed: attach (building if absent) the
-	// content-keyed corpus, so genOne decodes instead of generating. A
+	// content-keyed corpus, so replay streams instead of generating. A
 	// fully store-served run skips this — it needs no trace, so it should
 	// not build a corpus either.
 	var corpusDur time.Duration
@@ -295,64 +297,72 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			w := work[i]
-			tgStart := time.Now()
-			ct, err := r.ChunkedOne(i)
+			var (
+				engines []fetch.Engine
+				durs    []*time.Duration
+				sc      *trace.StatsCollector
+				bcs     []*multiissue.BlockCounter
+				name    string
+				n       int64
+			)
+			acquire, err := r.replayProgram(i, runLineBytes(w.cells), func(src replaySource) (int64, error) {
+				name = src.Name
+				engines = make([]fetch.Engine, len(w.cells))
+				durs = make([]*time.Duration, len(w.cells))
+				for j, c := range w.cells {
+					e, err := c.Spec.Build()
+					if err != nil {
+						return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
+					}
+					engines[j], durs[j] = timeEngine(e)
+				}
+
+				// Tee the single replay read into the statistics collectors.
+				in := src.Chunks
+				sc, bcs = nil, nil
+				if w.needInfo {
+					sc = trace.NewStatsCollector(src.Name, src.StaticCondSites)
+					for _, width := range FetchWidths() {
+						bc, err := multiissue.NewBlockCounter(multiissue.Config{
+							Width: width, LineBytes: LineBytes,
+						})
+						if err != nil {
+							return 0, err
+						}
+						bcs = append(bcs, bc)
+					}
+					in = trace.TeeChunks(in, func(recs []trace.Record) {
+						sc.Add(recs)
+						for _, bc := range bcs {
+							bc.Add(recs)
+						}
+					})
+				}
+
+				replayStart := time.Now()
+				n = 0
+				if len(engines) > 0 {
+					n = fetch.BroadcastWorkers(in, perProg, engines...)
+				} else {
+					// Info-only replay: every cell was served by the store
+					// but the statistics were not; drain the trace through
+					// the tee.
+					for blk := in.NextChunk(); len(blk) > 0; blk = in.NextChunk() {
+						n += int64(len(blk))
+					}
+				}
+				mu.Lock()
+				replayDur += time.Since(replayStart)
+				mu.Unlock()
+				return n, nil
+			})
 			mu.Lock()
-			traceGenDur += time.Since(tgStart)
+			traceGenDur += acquire
 			mu.Unlock()
 			if err != nil {
 				fail(err)
 				return
 			}
-			engines := make([]fetch.Engine, len(w.cells))
-			durs := make([]*time.Duration, len(w.cells))
-			for j, c := range w.cells {
-				e, err := c.Spec.Build()
-				if err != nil {
-					fail(fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err))
-					return
-				}
-				engines[j], durs[j] = timeEngine(e)
-			}
-			src := cellSource(ct, w.cells)
-
-			// Tee the single replay read into the statistics collectors.
-			var sc *trace.StatsCollector
-			var bcs []*multiissue.BlockCounter
-			if w.needInfo {
-				sc = trace.NewStatsCollector(ct.Name, ct.StaticCondSites)
-				for _, width := range FetchWidths() {
-					bc, err := multiissue.NewBlockCounter(multiissue.Config{
-						Width: width, LineBytes: LineBytes,
-					})
-					if err != nil {
-						fail(err)
-						return
-					}
-					bcs = append(bcs, bc)
-				}
-				src = trace.TeeChunks(src, func(recs []trace.Record) {
-					sc.Add(recs)
-					for _, bc := range bcs {
-						bc.Add(recs)
-					}
-				})
-			}
-
-			replayStart := time.Now()
-			var n int64
-			if len(engines) > 0 {
-				n = fetch.BroadcastWorkers(src, perProg, engines...)
-			} else {
-				// Info-only replay: every cell was served by the store but
-				// the statistics were not; drain the trace through the tee.
-				for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
-					n += int64(len(blk))
-				}
-			}
-			mu.Lock()
-			replayDur += time.Since(replayStart)
-			mu.Unlock()
 
 			rows := make([]Row, len(w.cells))
 			timings := make([]CellTiming, len(w.cells))
@@ -368,7 +378,7 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 				for _, bc := range bcs {
 					blocks[bc.Width()] = bc.Blocks()
 				}
-				info = &ProgramInfo{Program: ct.Name, Insns: cfg.Insns,
+				info = &ProgramInfo{Program: name, Insns: cfg.Insns,
 					Stats: sc.Stats(), FetchBlocks: blocks}
 			}
 
@@ -379,7 +389,7 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 			rs.Timings = append(rs.Timings, timings...)
 			rs.Simulated += len(rows)
 			if info != nil {
-				rs.infos[ct.Name] = info
+				rs.infos[name] = info
 			}
 			rs.Replays++
 			mu.Unlock()
@@ -533,24 +543,24 @@ func timeEngine(e fetch.Engine) (fetch.Engine, *time.Duration) {
 	return te, &te.dur
 }
 
-// cellSource picks the chunk source for one program's broadcast: when
-// every pending cell shares one line size (always true for the paper's
-// 32-byte-line matrix), the blocks carry the trace's memoized same-line
-// run annotations (trace.Chunked.RunLens), so the run-boundary scan
-// happens once per chunk instead of once per engine. Mixed line sizes fall
-// back to plain blocks and per-engine scanning; an info-only replay uses
-// plain blocks (no engine consumes annotations).
-func cellSource(ct *trace.Chunked, cells []Cell) trace.ChunkSource {
+// runLineBytes picks the run annotation for one program's broadcast
+// (Runner.source): when every pending cell shares one line size (always
+// true for the paper's 32-byte-line matrix), the blocks carry their
+// same-line run annotations for it, so the run-boundary scan happens once
+// per chunk instead of once per engine. Mixed line sizes fall back to
+// plain blocks and per-engine scanning (0), as does an info-only replay
+// (no engine consumes annotations).
+func runLineBytes(cells []Cell) int {
 	if len(cells) == 0 {
-		return ct.Chunks()
+		return 0
 	}
 	lb := cells[0].Spec.Cache.LineBytes
 	for _, c := range cells[1:] {
 		if c.Spec.Cache.LineBytes != lb {
-			return ct.Chunks()
+			return 0
 		}
 	}
-	return ct.ChunksRuns(lb)
+	return lb
 }
 
 // RenderContext is everything a figure renderer may consume: the resolved

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -170,9 +171,13 @@ type Runner struct {
 	stats   SweepStats
 }
 
-// progTrace is one program's lazily generated trace.
+// progTrace is one program's lazily generated (or corpus-decoded) whole
+// trace.
 type progTrace struct {
 	once sync.Once
+	// held is set once t, ct and err are filled, so source can tell
+	// whether the runner already holds the trace without filling it.
+	held atomic.Bool
 	t    *trace.Trace
 	ct   *trace.Chunked
 	err  error
@@ -183,15 +188,22 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{Cfg: cfg, progs: make([]progTrace, len(cfg.Programs))}
 }
 
-// genOne generates (once) program i's trace and its chunked form. With a
-// corpus attached (UseCorpus), the trace is decoded from the corpus
+// genOne materializes (once) program i's whole trace and its chunked form
+// for the whole-trace callers (TraceOne, Traces, Chunked, sweepPerCell).
+// With a corpus attached (UseCorpus), the trace is decoded from the corpus
 // instead; a corpus whose entry is unusable falls back to generation — the
 // corpus is a cache, so corruption degrades to recomputation, never to an
 // error.
-func (r *Runner) genOne(i int) *progTrace {
+func (r *Runner) genOne(i int) *progTrace { return r.load(i, true) }
+
+// load fills program i's progTrace once: decoded from the attached corpus
+// when fromCorpus is set and the entry is usable, generated otherwise.
+// Whichever call comes first decides; later calls return its result.
+func (r *Runner) load(i int, fromCorpus bool) *progTrace {
 	pt := &r.progs[i]
 	pt.once.Do(func() {
-		if c := r.attachedCorpus(); c != nil {
+		defer pt.held.Store(true)
+		if c := r.attachedCorpus(); fromCorpus && c != nil {
 			if t, err := c.Trace(r.Cfg.Programs[i].Name); err == nil && len(t.Records) == r.Cfg.Insns {
 				pt.t = t
 				pt.ct = trace.Chunk(t, trace.DefaultChunkRecords)
@@ -206,16 +218,98 @@ func (r *Runner) genOne(i int) *progTrace {
 	return pt
 }
 
+// replaySource is one program's replay input, as acquired by
+// Runner.source.
+type replaySource struct {
+	// Chunks yields the blocks (a trace.RunChunkSource when annotated).
+	Chunks trace.ChunkSource
+	// Name and StaticCondSites describe the program's trace (its
+	// Table-1 header).
+	Name            string
+	StaticCondSites int
+	// stream is the corpus decoder behind a streamed source, nil when
+	// the source walks a trace the runner holds.
+	stream *trace.PayloadChunks
+}
+
+// source is the runner's single trace-acquisition function for replay;
+// RunGrids and RunAttribution both draw their programs through
+// replayProgram, which calls it. When the runner already holds program
+// i's trace (it generated it, or built the corpus this run), the source
+// walks the memoized chunked trace. Otherwise, with a corpus attached, it
+// streams the program's payload in DefaultChunkRecords chunks — the same
+// blocks trace.Chunk cuts — decoding each as it is drawn, so replay never
+// materializes the trace; before handing the stream out it checks the
+// payload checksum and that the payload header names the program at
+// Cfg.Insns records. Failing that, the trace is generated and memoized.
+// lineBytes > 0 annotates every block with its same-line runs for that
+// line size (see runLineBytes); 0 yields plain blocks.
+func (r *Runner) source(i, lineBytes int) (replaySource, error) {
+	if c := r.attachedCorpus(); c != nil && !r.progs[i].held.Load() {
+		name := r.Cfg.Programs[i].Name
+		d, err := c.ChunkSource(name, trace.DefaultChunkRecords)
+		if err == nil && d.Name == name && d.Len() == r.Cfg.Insns {
+			src := replaySource{Chunks: d, Name: d.Name,
+				StaticCondSites: d.StaticCondSites, stream: d}
+			if lineBytes > 0 {
+				src.Chunks = trace.AnnotateRuns(d, lineBytes)
+			}
+			return src, nil
+		}
+	}
+	return r.memoized(i, lineBytes)
+}
+
+// memoized returns a source over program i's whole trace, generating it
+// first if the runner does not hold it yet.
+func (r *Runner) memoized(i, lineBytes int) (replaySource, error) {
+	pt := r.load(i, false)
+	if pt.err != nil {
+		return replaySource{}, pt.err
+	}
+	src := replaySource{Chunks: pt.ct.Chunks(), Name: pt.ct.Name,
+		StaticCondSites: pt.ct.StaticCondSites}
+	if lineBytes > 0 {
+		src.Chunks = pt.ct.ChunksRuns(lineBytes)
+	}
+	return src, nil
+}
+
+// replayProgram acquires program i's trace through source and calls
+// replay over it; replay builds its consumers (engines, probes,
+// collectors) afresh on every call and returns how many records it drew.
+// A streamed source is confirmed after replay: the decoder must report no
+// error and replay must have drawn exactly Cfg.Insns records. If not, the
+// first replay's results are discarded — replay is called again over a
+// freshly generated trace — so a bad corpus degrades to recomputation,
+// never to an error or a wrong row. The returned duration is the time
+// spent acquiring (the "trace-gen" stage): opening and validating a
+// stream, or generating; a stream's decoding happens inside replay.
+func (r *Runner) replayProgram(i, lineBytes int, replay func(src replaySource) (int64, error)) (time.Duration, error) {
+	start := time.Now()
+	src, err := r.source(i, lineBytes)
+	acquire := time.Since(start)
+	if err != nil {
+		return acquire, err
+	}
+	n, err := replay(src)
+	if err != nil || src.stream == nil || (src.stream.Err() == nil && n == int64(r.Cfg.Insns)) {
+		return acquire, err
+	}
+	start = time.Now()
+	src, err = r.memoized(i, lineBytes)
+	acquire += time.Since(start)
+	if err != nil {
+		return acquire, err
+	}
+	_, err = replay(src)
+	return acquire, err
+}
+
 // TraceOne returns program i's trace, generating it on first use.
 func (r *Runner) TraceOne(i int) (*trace.Trace, error) {
 	pt := r.genOne(i)
 	return pt.t, pt.err
-}
-
-// ChunkedOne returns program i's chunked trace, generating it on first use.
-func (r *Runner) ChunkedOne(i int) (*trace.Chunked, error) {
-	pt := r.genOne(i)
-	return pt.ct, pt.err
 }
 
 // Traces generates (in parallel, once each) and returns all per-program

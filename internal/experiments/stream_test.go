@@ -1,0 +1,374 @@
+package experiments
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// buildTestCorpus writes cfg's corpus under dir from a throwaway runner, so a
+// fresh runner afterwards holds no trace and must stream every program.
+func buildTestCorpus(t *testing.T, cfg Config, dir string) string {
+	t.Helper()
+	path := CorpusPath(dir, cfg)
+	r := NewRunner(cfg)
+	if _, err := r.UseCorpus(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CloseCorpus(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// heldPrograms lists the programs whose whole trace r materialized.
+func heldPrograms(r *Runner) []string {
+	var held []string
+	for i := range r.progs {
+		if r.progs[i].held.Load() {
+			held = append(held, r.Cfg.Programs[i].Name)
+		}
+	}
+	return held
+}
+
+// streamJob is one executor entry point, rendered to bytes for a
+// byte-identical comparison.
+type streamJob struct {
+	name string
+	run  func(t *testing.T, x *Executor) []byte
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// figuresJob runs figs in one pass and renders every grid's rows and
+// every program's info.
+func figuresJob(figs ...Figure) func(t *testing.T, x *Executor) []byte {
+	return func(t *testing.T, x *Executor) []byte {
+		t.Helper()
+		rs, err := x.Run(figs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []any
+		for _, f := range figs {
+			out = append(out, rs.Rows(f.Grid))
+		}
+		for _, p := range x.R.Cfg.Programs {
+			out = append(out, rs.Info(p.Name))
+		}
+		return mustJSON(t, out)
+	}
+}
+
+func streamJobs() []streamJob {
+	// Two line sizes in one grid: blocks go unannotated, every engine
+	// scans its own run boundaries.
+	mixed := Grid{Name: "mixed-lines", Arms: []Arm{
+		{Name: "nls", Spec: NLSTableFactory(512).Spec, Caches: []cache.Geometry{
+			cache.MustGeometry(8*1024, LineBytes, 1),
+			cache.MustGeometry(8*1024, 64, 1),
+		}},
+	}}
+	return []streamJob{
+		// Annotated replay with ProgramInfo teed off the stream, plus the
+		// private (pollution) and decoupled (prefetch) replay paths.
+		{"figures", figuresJob(table1Figure(), widthFigure(), pollutionFigure(), prefetchFigure())},
+		// Info-only replay: no cell, the stream drains through the tee.
+		{"info-only", figuresJob(table1Figure())},
+		{"mixed-lines", func(t *testing.T, x *Executor) []byte {
+			rs, err := x.RunGrids(false, mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mustJSON(t, rs.Rows(mixed))
+		}},
+		{"attribution", func(t *testing.T, x *Executor) []byte {
+			reports, err := x.RunAttribution(AttributionGrid(), AttributionTopN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mustJSON(t, reports)
+		}},
+	}
+}
+
+// TestStreamedReplayMatchesGenerated: a fresh runner over a pre-built
+// corpus streams every program chunk by chunk (it never materializes a
+// trace), and every executor entry point must produce byte-identical
+// output to fresh generation, at GOMAXPROCS 1 and 2.
+func TestStreamedReplayMatchesGenerated(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	buildTestCorpus(t, cfg, dir)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, job := range streamJobs() {
+			want := job.run(t, &Executor{R: NewRunner(cfg)})
+			// RunGrids attaches CorpusDir itself; RunAttribution draws
+			// from whatever corpus the runner has, so attach it up front.
+			x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+			if _, err := x.R.UseCorpus(CorpusPath(dir, cfg)); err != nil {
+				t.Fatal(err)
+			}
+			got := job.run(t, x)
+			if held := heldPrograms(x.R); len(held) > 0 {
+				t.Errorf("procs=%d %s: streamed run materialized %v", procs, job.name, held)
+			}
+			x.R.CloseCorpus()
+			if string(got) != string(want) {
+				t.Errorf("procs=%d %s: streamed output differs from generated\n got %s\nwant %s",
+					procs, job.name, got, want)
+			}
+		}
+	}
+}
+
+// rewriteCorpusPayload edits one program's payload in the corpus file at
+// path in place (edit must keep its length), then recomputes the payload
+// CRC and the index CRC, so the file passes every checksum and fails, if
+// at all, only while decoding. It walks the nls-corpus/v1 layout
+// (trace/corpus.go) directly.
+func rewriteCorpusPayload(t *testing.T, path, program string, edit func(payload []byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := data[len(data)-20:]
+	idx := data[binary.LittleEndian.Uint64(footer[4:12]) : len(data)-20]
+	p := 0
+	uvarint := func() int {
+		v, n := binary.Uvarint(idx[p:])
+		if n <= 0 {
+			t.Fatalf("corpus index unreadable at %d", p)
+		}
+		p += n
+		return int(v)
+	}
+	for count := uvarint(); count > 0; count-- {
+		nameLen := uvarint()
+		name := string(idx[p : p+nameLen])
+		p += nameLen
+		uvarint() // record count
+		off, length := uvarint(), uvarint()
+		crcAt := p
+		p += 4
+		if name != program {
+			continue
+		}
+		payload := data[off : off+length]
+		edit(payload)
+		binary.LittleEndian.PutUint32(idx[crcAt:], crc32.ChecksumIEEE(payload))
+		binary.LittleEndian.PutUint32(footer[0:4], crc32.ChecksumIEEE(idx))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("corpus has no program %q", program)
+}
+
+// checkFallback runs the corpus smoke sweep and the attribution replay
+// over the (damaged) corpus in dir and requires output equal to fresh
+// generation, with exactly the damaged program regenerated.
+func checkFallback(t *testing.T, cfg Config, dir, damaged string) {
+	t.Helper()
+	want := corpusSweep(t, &Executor{R: NewRunner(cfg)})
+	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+	got := corpusSweep(t, x)
+	defer x.R.CloseCorpus()
+	if x.R.attachedCorpus() == nil {
+		t.Fatal("damaged program made the whole corpus miss; want a per-program fallback")
+	}
+	if string(mustJSON(t, got)) != string(mustJSON(t, want)) {
+		t.Errorf("rows over the damaged corpus differ from generated\n got %+v\nwant %+v", got, want)
+	}
+	if held := heldPrograms(x.R); len(held) != 1 || held[0] != damaged {
+		t.Errorf("regenerated %v, want exactly [%s]", held, damaged)
+	}
+
+	wantAtt, err := (&Executor{R: NewRunner(cfg)}).RunAttribution(AttributionGrid(), AttributionTopN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xa := &Executor{R: NewRunner(cfg)}
+	if _, err := xa.R.UseCorpus(CorpusPath(dir, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	defer xa.R.CloseCorpus()
+	gotAtt, err := xa.RunAttribution(AttributionGrid(), AttributionTopN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := heldPrograms(xa.R); len(held) != 1 || held[0] != damaged {
+		t.Errorf("attribution regenerated %v, want exactly [%s]", held, damaged)
+	}
+	if string(mustJSON(t, gotAtt)) != string(mustJSON(t, wantAtt)) {
+		t.Error("attribution over the damaged corpus differs from generated")
+	}
+}
+
+// TestCorpusStreamFailureFallsBack: a payload whose checksums are valid
+// but whose record stream breaks partway passes every pre-replay check,
+// so the failure surfaces only mid-replay. The program must be
+// regenerated and replayed again from fresh engines: rows equal to fresh
+// generation, no error.
+func TestCorpusStreamFailureFallsBack(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	path := buildTestCorpus(t, cfg, dir)
+	damaged := cfg.Programs[0].Name
+	rewriteCorpusPayload(t, path, damaged, func(payload []byte) {
+		// 0xFF is never a valid record head (kind 7) and never ends a
+		// varint, so decoding must fail wherever it enters this tail.
+		for i := len(payload) / 2; i < len(payload); i++ {
+			payload[i] = 0xFF
+		}
+	})
+
+	// The premise: the stream opens, yields a first chunk, then fails.
+	c, err := trace.OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.ChunkSource(damaged, trace.DefaultChunkRecords)
+	if err != nil {
+		t.Fatalf("damaged payload rejected before decoding: %v", err)
+	}
+	if d.Len() != cfg.Insns || len(d.NextChunk()) == 0 {
+		t.Fatal("damaged payload fails before its first chunk")
+	}
+	for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+	}
+	if d.Err() == nil {
+		t.Fatal("damaged payload decodes cleanly")
+	}
+	c.Close()
+
+	checkFallback(t, cfg, dir, damaged)
+}
+
+// TestCorpusHeaderCountFallsBack: a payload whose own header declares a
+// record count other than Cfg.Insns (the index still agrees with the
+// budget, so the corpus opens) is rejected before replay and the program
+// is regenerated.
+func TestCorpusHeaderCountFallsBack(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	path := buildTestCorpus(t, cfg, dir)
+	damaged := cfg.Programs[1].Name
+	rewriteCorpusPayload(t, path, damaged, func(payload []byte) {
+		// NLST header: magic, version, name, static sites, count.
+		p := 5
+		nameLen, n := binary.Uvarint(payload[p:])
+		p += n + int(nameLen)
+		_, n = binary.Uvarint(payload[p:])
+		p += n
+		count, n := binary.Uvarint(payload[p:])
+		if int(count) != cfg.Insns {
+			t.Fatalf("header count %d, want %d", count, cfg.Insns)
+		}
+		if binary.PutUvarint(payload[p:p+n], count-1) != n {
+			t.Fatal("count-1 changes the header length")
+		}
+	})
+
+	// The mismatch is caught before replay, not only by the post-replay
+	// record count.
+	r := NewRunner(cfg)
+	if _, err := r.UseCorpus(path); err != nil {
+		t.Fatal(err)
+	}
+	src, err := r.source(1, LineBytes)
+	r.CloseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.stream != nil {
+		t.Fatal("payload header disagreeing with Insns was handed out for streaming")
+	}
+
+	checkFallback(t, cfg, dir, damaged)
+}
+
+// TestStreamedReplayHeapCeiling pins DESIGN.md §7's O(chunk) promise on
+// the production path: replaying one 20M-instruction program (240MB of
+// records) from the corpus through two cells must keep the live heap —
+// sampled after a forced GC every 20ms throughout RunGrids — under 32MB.
+// A whole-trace decode peaks at ~250MB here.
+func TestStreamedReplayHeapCeiling(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
+	}
+	const ceiling = 32 << 20
+	cfg := DefaultConfig(20_000_000)
+	cfg.Programs = []workload.Spec{workload.Li()}
+	dir := t.TempDir()
+	buildTestCorpus(t, cfg, dir)
+	g := Grid{Name: "heap", Arms: []Arm{
+		{Name: "nls", Spec: NLSTableFactory(1024).Spec, Caches: cache16KDirect()},
+		{Name: "btb", Spec: BTBFactory(BTBConfigs()[0]).Spec, Caches: cache16KDirect()},
+	}}
+	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+	defer x.R.CloseCorpus()
+
+	var ms runtime.MemStats
+	sample := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := sample()
+	stop := make(chan struct{})
+	var peak uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, sample())
+			}
+		}
+	}()
+	rs, err := x.RunGrids(false, g)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Simulated != 2 {
+		t.Fatalf("simulated %d cells, want 2", rs.Simulated)
+	}
+	if held := heldPrograms(x.R); len(held) > 0 {
+		t.Fatalf("replay materialized %v instead of streaming", held)
+	}
+	t.Logf("live heap: %.1f MB before, %.1f MB peak during RunGrids", float64(base)/(1<<20), float64(peak)/(1<<20))
+	if peak >= ceiling {
+		t.Errorf("peak live heap %.1f MB during a streamed replay, ceiling %d MB",
+			float64(peak)/(1<<20), ceiling>>20)
+	}
+}

@@ -13,8 +13,8 @@ import (
 // instead of a fully materialized record slice, and a block that is hot in
 // cache can be fanned out to many engines before the next one is touched.
 
-// DefaultChunkRecords is the default records-per-chunk. At 16 bytes per
-// Record a chunk is 64KB — small enough to stay resident in a per-core L2
+// DefaultChunkRecords is the default records-per-chunk. At 12 bytes per
+// Record a chunk is 48KB — small enough to stay resident in a per-core L2
 // while every engine of a sweep cell replays it, large enough that the
 // per-chunk dispatch overhead (one channel send and one dynamic call per
 // engine) is amortized over thousands of records.
@@ -136,26 +136,9 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	if r, ok := c.runsBy[lineBytes]; ok {
 		return r
 	}
-	mask := ^isa.Addr(lineBytes - 1)
 	all := make([][]uint8, len(c.blocks))
 	for bi, blk := range c.blocks {
-		runs := make([]uint8, len(blk))
-		for i := len(blk) - 2; i >= 0; i-- {
-			r := blk[i]
-			if r.IsBreak() {
-				continue
-			}
-			nxt := blk[i+1]
-			if nxt.Kind != isa.NonBranch || nxt.PC&mask != r.PC&mask {
-				continue
-			}
-			if n := runs[i+1]; n < 255 {
-				runs[i] = n + 1
-			} else {
-				runs[i] = 255
-			}
-		}
-		all[bi] = runs
+		all[bi] = blockRuns(blk, lineBytes)
 	}
 	if c.runsBy == nil {
 		c.runsBy = make(map[int][][]uint8, 1)
@@ -163,6 +146,62 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	c.runsBy[lineBytes] = all
 	return all
 }
+
+// blockRuns computes one block's run annotation for lineBytes-sized lines
+// (see RunLens): the single annotation loop behind both the memoized
+// per-trace form and the per-chunk AnnotateRuns wrapper.
+func blockRuns(blk []Record, lineBytes int) []uint8 {
+	mask := ^isa.Addr(lineBytes - 1)
+	runs := make([]uint8, len(blk))
+	for i := len(blk) - 2; i >= 0; i-- {
+		r := blk[i]
+		if r.IsBreak() {
+			continue
+		}
+		nxt := blk[i+1]
+		if nxt.Kind != isa.NonBranch || nxt.PC&mask != r.PC&mask {
+			continue
+		}
+		if n := runs[i+1]; n < 255 {
+			runs[i] = n + 1
+		} else {
+			runs[i] = 255
+		}
+	}
+	return runs
+}
+
+// AnnotateRuns makes any chunk source a RunChunkSource: each block drawn
+// through NextChunkRuns is annotated with its run lengths for
+// lineBytes-sized lines as it is drawn, exactly as RunLens annotates a
+// Chunked trace block by block. This is how a streamed source (a corpus
+// payload decoded chunk by chunk) feeds the broadcaster's shared-run fast
+// path without ever holding the whole trace. Each annotation is freshly
+// allocated, so it stays valid as long as its block. lineBytes must be a
+// power of two.
+func AnnotateRuns(src ChunkSource, lineBytes int) RunChunkSource {
+	return &runAnnotator{src: src, lineBytes: lineBytes}
+}
+
+type runAnnotator struct {
+	src       ChunkSource
+	lineBytes int
+}
+
+// NextChunk implements ChunkSource (the block without its annotation).
+func (a *runAnnotator) NextChunk() []Record { return a.src.NextChunk() }
+
+// NextChunkRuns implements RunChunkSource.
+func (a *runAnnotator) NextChunkRuns() (recs []Record, runs []uint8) {
+	recs = a.src.NextChunk()
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	return recs, blockRuns(recs, a.lineBytes)
+}
+
+// RunLineBytes implements RunChunkSource.
+func (a *runAnnotator) RunLineBytes() int { return a.lineBytes }
 
 // Chunks returns a fresh iterator over the blocks. The iterator implements
 // both ChunkSource and Source, so a chunked trace can drive anything a flat

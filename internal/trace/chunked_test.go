@@ -201,6 +201,34 @@ func TestRunLens(t *testing.T) {
 	}
 }
 
+// TestAnnotateRunsMatchesRunLens: annotating a streamed source block by
+// block yields exactly the memoized per-trace annotation, and NextChunk
+// passes blocks through unannotated.
+func TestAnnotateRunsMatchesRunLens(t *testing.T) {
+	tr := syntheticTrace(203)
+	c := Chunk(tr, 17)
+	for _, lineBytes := range []int{16, 32, 64} {
+		want := c.RunLens(lineBytes)
+		src := AnnotateRuns(c.Chunks(), lineBytes)
+		if src.RunLineBytes() != lineBytes {
+			t.Fatalf("RunLineBytes = %d, want %d", src.RunLineBytes(), lineBytes)
+		}
+		bi := 0
+		for recs, runs := src.NextChunkRuns(); len(recs) > 0; recs, runs = src.NextChunkRuns() {
+			if &recs[0] != &c.Block(bi)[0] || string(runs) != string(want[bi]) {
+				t.Fatalf("line %dB block %d: annotation differs from RunLens", lineBytes, bi)
+			}
+			bi++
+		}
+		if bi != c.NumChunks() {
+			t.Fatalf("line %dB: %d blocks, want %d", lineBytes, bi, c.NumChunks())
+		}
+	}
+	if blk := AnnotateRuns(c.Chunks(), 32).NextChunk(); len(blk) != 17 {
+		t.Fatalf("NextChunk passed %d records, want 17", len(blk))
+	}
+}
+
 func TestSourceChunksMatchesSource(t *testing.T) {
 	tr := syntheticTrace(100)
 	for _, total := range []int{0, 1, 7, 99, 100, 250} {

@@ -289,34 +289,38 @@ func (c *Corpus) parseIndex() error {
 // Programs lists the corpus's index entries.
 func (c *Corpus) Programs() []CorpusProgram { return c.progs }
 
-// Trace decodes the named program's payload, verifying its checksum
-// first.
+// Trace decodes the named program's whole payload, verifying its checksum
+// first, into a record slice pre-sized from the index's record count
+// (which parseIndex bounded by the payload length). It is for callers that
+// need the materialized trace; a replay streams through ChunkSource
+// instead.
 func (c *Corpus) Trace(name string) (*Trace, error) {
-	i, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("trace: corpus has no program %q", name)
-	}
-	e := c.progs[i]
-	payload := c.data[e.off : e.off+e.length]
-	if crc32.ChecksumIEEE(payload) != e.crc {
-		return nil, fmt.Errorf("%w: program %q payload checksum mismatch", errBadCorpus, name)
-	}
-	t, err := Read(bytes.NewReader(payload))
+	d, err := c.ChunkSource(name, DefaultChunkRecords)
 	if err != nil {
-		return nil, fmt.Errorf("trace: corpus program %q: %w", name, err)
+		return nil, err
 	}
-	if t.Name != e.Name || len(t.Records) != e.Records {
+	e := c.progs[c.byName[name]]
+	if d.Name != e.Name || d.Len() != e.Records {
 		return nil, fmt.Errorf("%w: program %q payload disagrees with index", errBadCorpus, name)
+	}
+	t := &Trace{Name: d.Name, StaticCondSites: d.StaticCondSites}
+	t.Records = d.drain(make([]Record, 0, e.Records))
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("trace: corpus program %q: %w", name, err)
 	}
 	return t, nil
 }
 
 // ChunkSource returns a sequential decoder over the named program's
-// payload, yielding chunks of at most chunkSize records directly off the
-// (mapped or loaded) corpus bytes without materializing the whole trace.
-// Each returned chunk is freshly allocated, so callers may hold chunks
-// across further NextChunk calls (the broadcast pipelines require it).
-func (c *Corpus) ChunkSource(name string, chunkSize int) (ChunkSource, error) {
+// payload, verifying its checksum first and yielding chunks of at most
+// chunkSize records directly off the (mapped or loaded) corpus bytes
+// without materializing the whole trace. Each returned chunk is freshly
+// allocated, so callers may hold chunks across further NextChunk calls
+// (the broadcast pipelines require it). The decoder's Name and Len come
+// from the payload's own header; a caller that needs them to agree with
+// the index or an expected budget checks them before replay, and checks
+// Err after it.
+func (c *Corpus) ChunkSource(name string, chunkSize int) (*PayloadChunks, error) {
 	i, ok := c.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("trace: corpus has no program %q", name)

@@ -97,7 +97,21 @@ func (p *PayloadChunks) NextChunk() []Record {
 	if k > p.remaining {
 		k = p.remaining
 	}
-	recs := make([]Record, 0, k)
+	return p.decode(make([]Record, 0, k), k)
+}
+
+// drain decodes every remaining record onto recs (the whole-trace form of
+// NextChunk, used by Corpus.Trace so one loop serves both read shapes).
+func (p *PayloadChunks) drain(recs []Record) []Record {
+	if p.err == nil && p.remaining > 0 {
+		recs = p.decode(recs, p.remaining)
+	}
+	return recs
+}
+
+// decode appends the next k records to recs. On a decode error it
+// records the error and returns nil.
+func (p *PayloadChunks) decode(recs []Record, k uint64) []Record {
 	for i := uint64(0); i < k; i++ {
 		head, err := p.r.ReadByte()
 		if err != nil {

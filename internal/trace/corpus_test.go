@@ -112,7 +112,7 @@ func TestCorpusChunkSource(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ChunkSource(chunk=%d): %v", chunk, err)
 		}
-		p := src.(*PayloadChunks)
+		p := src
 		if p.Name != tr.Name || p.StaticCondSites != tr.StaticCondSites || p.Len() != len(tr.Records) {
 			t.Errorf("chunk=%d: header %q/%d/%d, want %q/%d/%d", chunk,
 				p.Name, p.StaticCondSites, p.Len(),
@@ -277,7 +277,7 @@ func FuzzCorpusRead(f *testing.F) {
 					i++
 				}
 			}
-			if err := src.(*PayloadChunks).Err(); err != nil {
+			if err := src.Err(); err != nil {
 				t.Fatalf("Trace accepted %q but streaming decode failed: %v", p.Name, err)
 			}
 			if i != len(tr.Records) {
