@@ -18,8 +18,9 @@
 # Chrome trace-event JSON on a fixed seed, zero counter perturbation.
 # `make corpus-smoke` pins the disk-backed trace corpus: corpus-streamed
 # sweep rows byte-identical to generate-fresh, with stale or corrupt
-# corpus files degrading to regeneration, and a streamed replay's live
-# heap bounded by chunk size rather than trace length.
+# corpus files degrading to regeneration, a streamed replay's live heap
+# bounded by chunk size rather than trace length, and its allocation
+# bounded by recycled chunk buffers rather than the decoded trace.
 
 GO ?= go
 
@@ -40,6 +41,7 @@ race:
 	$(GO) test -race ./...
 
 # Adversarial concurrency tier: the randomized broadcast fan-out sweep,
+# recycled chunk buffers poisoned on release (TestStressReleasedBlockPoisoned),
 # store readers racing a writer (atomic-rename visibility + corrupt-cell
 # degradation), and the sweep service single-flight hammer (100 identical
 # concurrent jobs -> exactly one simulation, byte-identical bodies).
@@ -138,10 +140,11 @@ smoke-serve:
 # and the rows of every executor entry point must be byte-identical to
 # generate-fresh; stale (wrong insns), corrupt, mid-stream-broken and
 # header-mismatched corpus files must degrade to regeneration, never to
-# wrong rows; and a 20M-instruction streamed replay must keep its live
-# heap under 32MB.
+# wrong rows; a 20M-instruction streamed replay must keep its live heap
+# under 32MB; and a 2M-instruction paper-matrix replay must allocate less
+# than an eighth of its decoded trace.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestStreamedReplayAllocBounded' \
 		./internal/experiments
 
 # pprof smoke run: a small figure sweep under both profilers, then the

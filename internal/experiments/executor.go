@@ -349,6 +349,7 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 					// the tee.
 					for blk := in.NextChunk(); len(blk) > 0; blk = in.NextChunk() {
 						n += int64(len(blk))
+						in.Release(blk)
 					}
 				}
 				mu.Lock()
@@ -475,7 +476,6 @@ type runFastPath interface {
 // wrapped engines would silently lose oracle grouping and re-simulate
 // their i-caches privately.
 type oracleFastPath interface {
-	StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8)
 	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
 	OracleGroup() (cache.Geometry, bool)
 }
@@ -495,12 +495,6 @@ func (t *timedRunEngine) StepBlockRuns(recs []trace.Record, runs []uint8) {
 }
 
 func (t *timedRunEngine) ICache() *cache.Cache { return t.fast.ICache() }
-
-func (t *timedRunEngine) StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8) {
-	start := time.Now()
-	t.orc.StepBlockAnnotated(recs, ann, runs)
-	t.dur += time.Since(start)
-}
 
 func (t *timedRunEngine) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	start := time.Now()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -370,5 +371,52 @@ func TestStreamedReplayHeapCeiling(t *testing.T) {
 	if peak >= ceiling {
 		t.Errorf("peak live heap %.1f MB during a streamed replay, ceiling %d MB",
 			float64(peak)/(1<<20), ceiling>>20)
+	}
+}
+
+// TestStreamedReplayAllocBounded pins chunk recycling on the production
+// path: a warm-corpus RunGrids of one 2M-instruction program through the
+// paper matrix (24 cells) must allocate less than an eighth of the decoded
+// trace (2M records × 12 B). Decoding every chunk and run annotation into
+// fresh storage allocates more than the whole trace; recycling released
+// blocks leaves engine construction as the dominant allocation.
+func TestStreamedReplayAllocBounded(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("2M-instruction paper-matrix replay; skipped in -short and -race runs")
+	}
+	const insns = 2_000_000
+	cfg := DefaultConfig(insns)
+	cfg.Programs = []workload.Spec{workload.Gcc()}
+	dir := t.TempDir()
+	buildTestCorpus(t, cfg, dir)
+	g := Grid{Name: "paper", Arms: []Arm{
+		{Name: "NLS-cache", Spec: arch.NLSCache(NLSPerLine), Caches: PaperCaches()},
+		{Name: "1024 NLS-table", Spec: arch.NLSTable(1024), Caches: PaperCaches()},
+		{Name: "128-entry direct BTB", Spec: arch.BTB(128, 1), Caches: PaperCaches()},
+		{Name: "Johnson 1-bit", Spec: arch.Johnson(), Caches: PaperCaches()},
+	}}
+	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+	defer x.R.CloseCorpus()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rs, err := x.RunGrids(false, g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Simulated != 24 {
+		t.Fatalf("simulated %d cells, want 24", rs.Simulated)
+	}
+	if held := heldPrograms(x.R); len(held) > 0 {
+		t.Fatalf("replay materialized %v instead of streaming", held)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(insns * 12 / 8)
+	t.Logf("RunGrids allocated %.2f MB (limit %.2f MB)", float64(alloc)/(1<<20), float64(limit)/(1<<20))
+	if alloc >= limit {
+		t.Errorf("streamed replay allocated %.2f MB, want under an eighth of the %.1f MB trace",
+			float64(alloc)/(1<<20), float64(insns*12)/(1<<20))
 	}
 }

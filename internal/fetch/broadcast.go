@@ -9,10 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
-// broadcastDepth is the per-worker channel capacity of the fan-out. Live
-// memory of one broadcast is bounded by (workers*(broadcastDepth+1)+1)
-// blocks regardless of trace length, which is what lets a streamed sweep
-// run in O(chunk) memory.
+// broadcastDepth is the capacity of each channel of the parallel fan-out
+// (per-group gin, per-worker wch). It bounds the blocks one broadcast holds
+// outstanding — drawn from the source and not yet released — regardless
+// of trace length, worker count or group count, which is what lets a
+// streamed sweep run in O(chunk) memory: one inline; three pipelined (one
+// replaying, one annotated and queued, one drawn and waiting for a parity
+// buffer); and 2*broadcastDepth+3 on the parallel path. There, every
+// outstanding block lies between the oldest one still held and the newest
+// drawn, and the main goroutine cannot run further ahead of the oldest
+// than the longest chain it feeds: main (1) → gin (depth) → group
+// goroutine (1) → wch (depth) → worker (1).
 const broadcastDepth = 4
 
 // Broadcast replays a trace ONCE through every engine: each block drawn
@@ -42,13 +49,12 @@ type runStepper interface {
 }
 
 // annStepper is the optional interface an engine satisfies to replay from
-// a shared fetch oracle's access annotations instead of simulating its own
-// i-cache (Frontend implements it; see DESIGN.md §11). OracleGroup gates
+// a shared fetch oracle's event list instead of simulating its own i-cache
+// (Frontend implements it; see DESIGN.md §11). OracleGroup gates
 // eligibility: engines whose cache state is not a pure function of the
 // trace — wrong-path pollution on, or a probe attached — report ok=false
 // and keep the private-cache path.
 type annStepper interface {
-	StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8)
 	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
 	OracleGroup() (cache.Geometry, bool)
 }
@@ -221,8 +227,9 @@ func releaseDirShares(plans []dirSharePlan) {
 var broadcastPipeline = runtime.GOMAXPROCS(0) > 1
 
 // broadcastSequentialInline annotates and replays each chunk in one
-// goroutine: annotate every group, replay every member, repeat.
-func broadcastSequentialInline(next func() annotated, private []func(annotated), groups []*oracleGroup) int64 {
+// goroutine: annotate every group, replay every member, release the chunk,
+// repeat.
+func broadcastSequentialInline(next func() annotated, release func([]trace.Record), private []func(annotated), groups []*oracleGroup) int64 {
 	var n int64
 	for blk := next(); len(blk.recs) > 0; blk = next() {
 		for _, g := range groups {
@@ -237,6 +244,7 @@ func broadcastSequentialInline(next func() annotated, private []func(annotated),
 			s(blk)
 		}
 		n += int64(len(blk.recs))
+		release(blk.recs)
 	}
 	return n
 }
@@ -250,7 +258,8 @@ func broadcastSequentialInline(next func() annotated, private []func(annotated),
 // never annotated over until its chunk has fully replayed. Replay stays in
 // the main goroutine in the exact order of the inline path, which keeps
 // counters — and the shared direction-bit streams — bit-identical to it.
-func broadcastSequentialPipelined(next func() annotated, private []func(annotated), groups []*oracleGroup) int64 {
+// A chunk is released as its parity token is handed back.
+func broadcastSequentialPipelined(next func() annotated, release func([]trace.Record), private []func(annotated), groups []*oracleGroup) int64 {
 	type slot struct {
 		blk annotated
 		par int
@@ -288,6 +297,7 @@ func broadcastSequentialPipelined(next func() annotated, private []func(annotate
 			p(s.blk)
 		}
 		n += int64(len(s.blk.recs))
+		release(s.blk.recs)
 		free <- s.par
 	}
 	return n
@@ -306,7 +316,7 @@ func replayGroup(g *oracleGroup, blk annotated, ann *cache.AccessAnnotations) {
 // replayPlan resolves how blocks are drawn and how each engine replays
 // them. Eligible engines (annStepper with OracleGroup ok) sharing a cache
 // geometry with at least one other eligible engine form an oracleGroup and
-// replay via StepBlockAnnotated from the group's shared oracle. Every
+// replay via StepBlockEvents from the group's shared oracle. Every
 // other engine — pollution-on, probed, non-Frontend, or alone in its
 // geometry (an oracle for one engine is pure overhead) — replays privately:
 // via StepBlockRuns when src annotates blocks for its line size, else via
@@ -374,20 +384,35 @@ type sharedAnn struct {
 	refs atomic.Int32
 }
 
+// sharedBlock is one block fanned out by the parallel broadcast. Its
+// reference count is fixed before it is sent: one per group target (one
+// for a group whose members were all echoed away) plus one per worker
+// owning private engines. The last reader releases it to the source.
+type sharedBlock struct {
+	annotated
+	refs atomic.Int32
+}
+
+func (b *sharedBlock) done(src trace.ChunkSource) {
+	if b.refs.Add(-1) == 0 {
+		src.Release(b.recs)
+	}
+}
+
 // workItem is one unit handed to a parallel broadcast worker: a block for
 // the worker's private engines (ann nil) or an annotated block for the
 // worker's members of group gid.
 type workItem struct {
-	recs []trace.Record
-	runs []uint8
-	gid  int
-	ann  *sharedAnn
+	blk *sharedBlock
+	gid int
+	ann *sharedAnn
 }
 
 // BroadcastWorkers is Broadcast with an explicit worker bound. Each engine
 // is owned by exactly one worker for the whole replay, so every engine
 // consumes blocks strictly in trace order with no per-record locking.
-// workers <= 1 replays on the calling goroutine.
+// workers <= 1 replays on the calling goroutine. Every drawn block is
+// released to src exactly once, after its last reader.
 func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int64 {
 	if len(engines) == 0 {
 		return 0
@@ -408,9 +433,9 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 		shares := extractDirShares(groups)
 		var n int64
 		if broadcastPipeline && len(groups) > 0 {
-			n = broadcastSequentialPipelined(next, private, groups)
+			n = broadcastSequentialPipelined(next, src.Release, private, groups)
 		} else {
-			n = broadcastSequentialInline(next, private, groups)
+			n = broadcastSequentialInline(next, src.Release, private, groups)
 		}
 		for _, g := range groups {
 			g.ann[0].Release()
@@ -446,6 +471,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 		ownPrivate[w] = append(ownPrivate[w], s)
 	}
 	groupWorkers := make([][]int, len(groups))
+	var refs int32
 	for gi, g := range groups {
 		seen := make(map[int]bool, workers)
 		for _, m := range g.members {
@@ -456,6 +482,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 				groupWorkers[gi] = append(groupWorkers[gi], w)
 			}
 		}
+		refs += int32(max(len(groupWorkers[gi]), 1))
 	}
 
 	var wwg sync.WaitGroup
@@ -466,24 +493,25 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 			for it := range wch[w] {
 				if it.ann == nil {
 					for _, s := range ownPrivate[w] {
-						s(annotated{it.recs, it.runs})
+						s(it.blk.annotated)
 					}
-					continue
+				} else {
+					for _, m := range ownGrouped[w][it.gid] {
+						m.as.StepBlockEvents(it.blk.recs, &it.ann.AccessAnnotations)
+					}
+					if it.ann.refs.Add(-1) == 0 {
+						it.ann.Release()
+					}
 				}
-				for _, m := range ownGrouped[w][it.gid] {
-					m.as.StepBlockEvents(it.recs, &it.ann.AccessAnnotations)
-				}
-				if it.ann.refs.Add(-1) == 0 {
-					it.ann.Release()
-				}
+				it.blk.done(src)
 			}
 		}(w)
 	}
 
 	var gwg sync.WaitGroup
-	gin := make([]chan annotated, len(groups))
+	gin := make([]chan *sharedBlock, len(groups))
 	for gi, g := range groups {
-		gin[gi] = make(chan annotated, broadcastDepth)
+		gin[gi] = make(chan *sharedBlock, broadcastDepth)
 		targets := groupWorkers[gi]
 		gwg.Add(1)
 		go func(gi int, g *oracleGroup, targets []int) {
@@ -505,11 +533,12 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 					// Every member of this geometry was echoed away; the
 					// annotation existed only for the credit above.
 					ann.Release()
+					blk.done(src)
 					continue
 				}
 				ann.refs.Store(int32(len(targets)))
 				for _, w := range targets {
-					wch[w] <- workItem{recs: blk.recs, runs: runs, gid: gi, ann: ann}
+					wch[w] <- workItem{blk: blk, gid: gi, ann: ann}
 				}
 			}
 		}(gi, g, targets)
@@ -518,16 +547,21 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 	anyPrivate := make([]bool, workers)
 	for w := range anyPrivate {
 		anyPrivate[w] = len(ownPrivate[w]) > 0
+		if anyPrivate[w] {
+			refs++
+		}
 	}
 	var n int64
-	for blk := next(); len(blk.recs) > 0; blk = next() {
-		n += int64(len(blk.recs))
+	for a := next(); len(a.recs) > 0; a = next() {
+		n += int64(len(a.recs))
+		blk := &sharedBlock{annotated: a}
+		blk.refs.Store(refs)
 		for gi := range gin {
 			gin[gi] <- blk
 		}
 		for w, own := range anyPrivate {
 			if own {
-				wch[w] <- workItem{recs: blk.recs, runs: blk.runs, gid: -1}
+				wch[w] <- workItem{blk: blk, gid: -1}
 			}
 		}
 	}

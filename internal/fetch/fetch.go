@@ -56,11 +56,12 @@ func Run(e Engine, t *trace.Trace) *metrics.Counters {
 	return e.Counters()
 }
 
-// RunChunks drives every record of a chunk source through the engine and
-// returns its counters.
+// RunChunks drives every record of a chunk source through the engine,
+// releasing each block once stepped, and returns its counters.
 func RunChunks(e Engine, src trace.ChunkSource) *metrics.Counters {
 	for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
 		e.StepBlock(blk)
+		src.Release(blk)
 	}
 	return e.Counters()
 }

@@ -378,7 +378,7 @@ func (f *Frontend) fetchOne(recs []trace.Record, i int) {
 // break incurred (the decoupled fetch stage redirects the BPU on any wrong
 // break). It is the post-fetch half of Step, shared verbatim by the
 // private-cache path (Step), the decoupled path (fetchOne), and the
-// annotated oracle path (StepBlockAnnotated), so every replay classifies
+// oracle event-list path (StepBlockEvents), so every replay classifies
 // breaks through literally the same code.
 func (f *Frontend) stepBreak(rec trace.Record, way int) PenaltyClass {
 	return f.stepBreakAt(rec, way, f.geom.SetIndex(rec.PC))
@@ -662,12 +662,19 @@ func (f *Frontend) echoCredit(n int, ann *cache.AccessAnnotations) {
 // Counters() re-syncs them from this engine's own (bulk-credited) i-cache.
 func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 
-// StepBlockAnnotated replays one block from a shared fetch oracle's access
-// annotation instead of accessing the private i-cache per record
-// (DESIGN.md §11). ann must come from an Oracle of this engine's geometry
-// fed the identical block sequence, and runs must be the same run
-// annotation (nil for the scanning path) the oracle consumed, so both
-// sides agree on which records are run leaders.
+// StepBlockEvents replays one block from a shared fetch oracle's access
+// annotation (DESIGN.md §11) instead of accessing the private i-cache per
+// record, by walking the oracle's packed event list (fills, breaks, and
+// the post-break resolution points) instead of visiting every record. ann
+// must come from an Oracle of this engine's geometry fed the identical
+// block sequence. Every action the private path takes that couples to
+// predictor state happens at an event position: fills happen only at
+// missing run leaders (EvtFill), break accounting only at breaks
+// (EvtBreak), and a deferred predictor update can only be pending at the
+// record after a break or the first record of a block — exactly the
+// EvtPost positions. Hitting non-break leaders and all same-line
+// followers need no per-record work, so the replay cost scales with the
+// block's break + miss density rather than its record count.
 //
 // The private cache is kept as a tag mirror: annotated misses apply their
 // fill (tags, valid bit, onReplace — everything predictor state couples
@@ -675,72 +682,7 @@ func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 // predictor (NLS PointsTo/HoldsAt, LineCoupled's Probe) see exactly the
 // state the private path would. LRU bookkeeping is skipped — the oracle
 // owns replacement decisions — and the access/miss counters are credited
-// in bulk per block, which is where the replay's speedup comes from.
-func (f *Frontend) StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8) {
-	slots := ann.Slots
-	ic := f.icache
-	g := f.geom
-	for i := 0; i < len(recs); {
-		r := recs[i]
-		s := slots[i]
-		way := int(s & cache.AnnWayMask)
-		if s&cache.AnnHit == 0 {
-			ic.ApplyFill(r.PC, way)
-		}
-		if f.pending.active {
-			if f.pending.rec.Next() == r.PC {
-				f.bpu.tp.Resolve(f.pending.rec, way)
-			}
-			f.pending.active = false
-		}
-		i++
-		if r.IsBreak() {
-			f.stepBreak(r, way)
-			continue
-		}
-		// Same-line followers always hit the leader's line: no fill, no
-		// pending update possible — skip them wholesale, exactly as the
-		// private path batches them into one AccessRun.
-		if runs != nil {
-			if n := runs[i-1]; n > 0 {
-				i += int(n)
-			}
-			for i < len(recs) && recs[i].Kind == isa.NonBranch {
-				if s := slots[i]; s&cache.AnnHit == 0 {
-					ic.ApplyFill(recs[i].PC, int(s&cache.AnnWayMask))
-				}
-				i++
-				if n := runs[i-1]; n > 0 {
-					i += int(n)
-				}
-			}
-		} else {
-			i = skipSameLine(g, recs, i, g.LineAddr(r.PC))
-			for i < len(recs) && recs[i].Kind == isa.NonBranch {
-				if s := slots[i]; s&cache.AnnHit == 0 {
-					ic.ApplyFill(recs[i].PC, int(s&cache.AnnWayMask))
-				}
-				i++
-				i = skipSameLine(g, recs, i, g.LineAddr(recs[i-1].PC))
-			}
-		}
-	}
-	f.m.Instructions += uint64(len(recs))
-	ic.AddAccesses(uint64(len(recs)), ann.Misses)
-	ic.AddColdMisses(ann.ColdMisses)
-}
-
-// StepBlockEvents is StepBlockAnnotated without the scan: it replays one
-// block by walking the oracle's packed event list (fills, breaks, and the
-// post-break resolution points) instead of visiting every record. The two
-// are equivalent because every action the annotated scan takes happens at
-// an event position: fills happen only at missing run leaders (EvtFill),
-// break accounting only at breaks (EvtBreak), and a deferred predictor
-// update can only be pending at the record after a break or the first
-// record of a block — exactly the EvtPost positions. Hitting non-break
-// leaders and all same-line followers need no per-record work (their
-// counters are credited in bulk below), so the replay cost scales with the
-// block's break + miss density rather than its record count.
+// in bulk per block.
 func (f *Frontend) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	if ds := f.dirShare; ds != nil {
 		// A new chunk begins: the owner starts a fresh bit stream, each
@@ -787,14 +729,4 @@ func (f *Frontend) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotat
 	f.m.Instructions += uint64(len(recs))
 	ic.AddAccesses(uint64(len(recs)), ann.Misses)
 	ic.AddColdMisses(ann.ColdMisses)
-}
-
-// skipSameLine returns the index after the same-line non-branch run
-// starting at i (the stateless mirror of base.sameLineTail, for replays
-// whose cache effects the oracle already applied).
-func skipSameLine(g cache.Geometry, recs []trace.Record, i int, line uint32) int {
-	for i < len(recs) && recs[i].Kind == isa.NonBranch && g.LineAddr(recs[i].PC) == line {
-		i++
-	}
-	return i
 }

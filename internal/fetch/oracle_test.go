@@ -146,11 +146,12 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 	}
 }
 
-// TestStepBlockAnnotatedLongRun: a straight-line run longer than the uint8
-// RunLens cap (255) continues under a new leader; the oracle-annotated
-// replay must agree with the per-record path across that boundary. 2048-byte
-// lines hold 512 instructions, so one line spans two run segments.
-func TestStepBlockAnnotatedLongRun(t *testing.T) {
+// TestStepBlockEventsLongRun: a straight-line run longer than the uint8
+// RunLens cap (255) continues under a new leader; the oracle event-list
+// replay must agree with the per-record path across that boundary, with
+// and without the shared run annotation. 2048-byte lines hold 512
+// instructions, so one line spans two run segments.
+func TestStepBlockEventsLongRun(t *testing.T) {
 	g := cache.MustGeometry(8*1024, 2048, 1)
 	b := newTB(0x4000)
 	for i := 0; i < 3; i++ {
@@ -167,17 +168,29 @@ func TestStepBlockAnnotatedLongRun(t *testing.T) {
 			NewJohnsonEngine(g),
 		}
 	}
-	for name, src := range map[string]trace.ChunkSource{
-		"plain": chunked.Chunks(),
-		"runs":  chunked.ChunksRuns(2048),
+	for name, runs := range map[string][][]uint8{
+		"plain": nil,
+		"runs":  chunked.RunLens(2048),
 	} {
-		bcast, oracle := mk(), mk()
-		BroadcastWorkers(src, 1, bcast...)
+		events, oracle := mk(), mk()
+		orc := cache.NewOracle(g)
+		var ann cache.AccessAnnotations
+		for bi := 0; bi < chunked.NumChunks(); bi++ {
+			var blkRuns []uint8
+			if runs != nil {
+				blkRuns = runs[bi]
+			}
+			orc.Annotate(chunked.Block(bi), blkRuns, &ann)
+			for _, e := range events {
+				e.(annStepper).StepBlockEvents(chunked.Block(bi), &ann)
+			}
+		}
+		ann.Release()
 		for i, e := range oracle {
 			want := *Run(e, tr)
-			if got := *bcast[i].Counters(); got != want {
+			if got := *events[i].Counters(); got != want {
 				t.Errorf("%s engine %s: counters diverge across 255-run boundary\n got %+v\nwant %+v",
-					name, bcast[i].Name(), got, want)
+					name, events[i].Name(), got, want)
 			}
 		}
 	}

@@ -26,9 +26,16 @@ const DefaultChunkRecords = 4096
 type ChunkSource interface {
 	// NextChunk returns the next block of records, or an empty slice
 	// when the source is exhausted. The returned slice must not be
-	// modified and remains valid after further NextChunk calls, so
-	// blocks can be handed to concurrent consumers without copying.
+	// modified and remains valid — across further NextChunk calls, so
+	// blocks can be handed to concurrent consumers without copying —
+	// until it is passed to Release.
 	NextChunk() []Record
+	// Release hands a non-empty block back once no reader will touch it
+	// (or its run annotation, for a RunChunkSource) again, so the source
+	// may reuse its storage for a later block. Each block is released at
+	// most once. Not releasing is always safe — the source then simply
+	// allocates — and Release is safe to call from any goroutine.
+	Release(recs []Record)
 }
 
 // A RunChunkSource additionally annotates each block with its
@@ -138,7 +145,7 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	}
 	all := make([][]uint8, len(c.blocks))
 	for bi, blk := range c.blocks {
-		all[bi] = blockRuns(blk, lineBytes)
+		all[bi] = blockRuns(make([]uint8, len(blk)), blk, lineBytes)
 	}
 	if c.runsBy == nil {
 		c.runsBy = make(map[int][][]uint8, 1)
@@ -148,25 +155,27 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 }
 
 // blockRuns computes one block's run annotation for lineBytes-sized lines
-// (see RunLens): the single annotation loop behind both the memoized
-// per-trace form and the per-chunk AnnotateRuns wrapper.
-func blockRuns(blk []Record, lineBytes int) []uint8 {
+// (see RunLens) into runs, whose capacity must cover the block, and
+// returns it resliced to the block's length: the single annotation loop
+// behind both the memoized per-trace form and the per-chunk AnnotateRuns
+// wrapper. Every entry is written, so runs may hold a recycled buffer.
+func blockRuns(runs []uint8, blk []Record, lineBytes int) []uint8 {
 	mask := ^isa.Addr(lineBytes - 1)
-	runs := make([]uint8, len(blk))
+	runs = runs[:len(blk)]
+	if len(blk) == 0 {
+		return runs
+	}
+	runs[len(blk)-1] = 0
 	for i := len(blk) - 2; i >= 0; i-- {
-		r := blk[i]
-		if r.IsBreak() {
-			continue
+		r, nxt := blk[i], blk[i+1]
+		var n uint8
+		if !r.IsBreak() && nxt.Kind == isa.NonBranch && nxt.PC&mask == r.PC&mask {
+			n = 255
+			if m := runs[i+1]; m < 255 {
+				n = m + 1
+			}
 		}
-		nxt := blk[i+1]
-		if nxt.Kind != isa.NonBranch || nxt.PC&mask != r.PC&mask {
-			continue
-		}
-		if n := runs[i+1]; n < 255 {
-			runs[i] = n + 1
-		} else {
-			runs[i] = 255
-		}
+		runs[i] = n
 	}
 	return runs
 }
@@ -176,16 +185,20 @@ func blockRuns(blk []Record, lineBytes int) []uint8 {
 // lineBytes-sized lines as it is drawn, exactly as RunLens annotates a
 // Chunked trace block by block. This is how a streamed source (a corpus
 // payload decoded chunk by chunk) feeds the broadcaster's shared-run fast
-// path without ever holding the whole trace. Each annotation is freshly
-// allocated, so it stays valid as long as its block. lineBytes must be a
-// power of two.
+// path without ever holding the whole trace. An annotation stays valid as
+// long as its block: releasing the block recycles both. lineBytes must be
+// a power of two.
 func AnnotateRuns(src ChunkSource, lineBytes int) RunChunkSource {
-	return &runAnnotator{src: src, lineBytes: lineBytes}
+	return &runAnnotator{src: src, lineBytes: lineBytes, runsOf: make(map[*Record][]uint8)}
 }
 
 type runAnnotator struct {
 	src       ChunkSource
 	lineBytes int
+	free      freeList[uint8]
+
+	mu     sync.Mutex
+	runsOf map[*Record][]uint8 // outstanding annotations, by block
 }
 
 // NextChunk implements ChunkSource (the block without its annotation).
@@ -197,7 +210,27 @@ func (a *runAnnotator) NextChunkRuns() (recs []Record, runs []uint8) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	return recs, blockRuns(recs, a.lineBytes)
+	runs = blockRuns(a.free.get(len(recs)), recs, a.lineBytes)
+	a.mu.Lock()
+	a.runsOf[&recs[0]] = runs
+	a.mu.Unlock()
+	return recs, runs
+}
+
+// Release implements ChunkSource: it recycles the block's annotation, if
+// NextChunkRuns made one, and releases the block to the wrapped source.
+func (a *runAnnotator) Release(recs []Record) {
+	if len(recs) == 0 {
+		return
+	}
+	a.mu.Lock()
+	runs, ok := a.runsOf[&recs[0]]
+	delete(a.runsOf, &recs[0])
+	a.mu.Unlock()
+	if ok {
+		a.free.put(runs)
+	}
+	a.src.Release(recs)
 }
 
 // RunLineBytes implements RunChunkSource.
@@ -239,6 +272,10 @@ func (it *ChunkIter) NextChunk() []Record {
 	it.off = 0
 	return blk
 }
+
+// Release implements ChunkSource. It is a no-op: the blocks alias the
+// chunked trace, which outlives every replay of it.
+func (it *ChunkIter) Release([]Record) {}
 
 // Run implements Source: it emits up to n records from the cursor.
 func (it *ChunkIter) Run(n int, emit func(Record)) int {
@@ -285,14 +322,15 @@ func (it *ChunkIter) Reset() { it.block, it.off = 0, 0 }
 
 // SourceChunks adapts any Source (for example an exec.Executor walking a
 // synthetic program) into a ChunkSource bounded to a total record budget.
-// Each NextChunk call draws up to chunkSize records into a freshly
-// allocated block, so at any moment only the blocks still referenced by
-// consumers are live: a streamed 2M-record run needs O(chunk) memory, not
-// O(trace).
+// Each NextChunk call draws up to chunkSize records into a released block
+// when one is free, else into a fresh one, so at any moment only the
+// blocks still held by consumers are live: a streamed 2M-record run needs
+// O(chunk) memory, not O(trace).
 type SourceChunks struct {
 	src       Source
 	remaining int
 	chunkSize int
+	free      freeList[Record]
 }
 
 // NewSourceChunks bounds src to total records in blocks of chunkSize
@@ -313,12 +351,54 @@ func (s *SourceChunks) NextChunk() []Record {
 	if k > s.remaining {
 		k = s.remaining
 	}
-	blk := make([]Record, 0, k)
+	blk := s.free.get(s.chunkSize)
 	got := s.src.Run(k, func(r Record) { blk = append(blk, r) })
 	s.remaining -= k
 	if got == 0 {
 		s.remaining = 0 // source exhausted early
+		s.free.put(blk)
 		return nil
 	}
 	return blk
+}
+
+// Release implements ChunkSource: the block's storage is drawn into again.
+func (s *SourceChunks) Release(recs []Record) { s.free.put(recs) }
+
+// freeList is the free list behind every recycling chunk source
+// (PayloadChunks, SourceChunks, and the run annotator): a buffer its
+// consumer released is filled again instead of a fresh one allocated. It
+// holds no fixed number of buffers — its length is the peak number of
+// blocks outstanding at once, which the consumer bounds (see the
+// broadcast's bound in DESIGN.md §16) — and it is safe for concurrent
+// use, since a block may be released from any replay goroutine.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	bufs [][]T
+}
+
+// get returns an empty buffer with capacity for at least n elements: a
+// released one when available, else a fresh one.
+func (f *freeList[T]) get(n int) []T {
+	f.mu.Lock()
+	var b []T
+	if k := len(f.bufs); k > 0 {
+		b = f.bufs[k-1]
+		f.bufs = f.bufs[:k-1]
+	}
+	f.mu.Unlock()
+	if cap(b) < n {
+		return make([]T, 0, n)
+	}
+	return b[:0]
+}
+
+// put makes b available to a later get.
+func (f *freeList[T]) put(b []T) {
+	if cap(b) == 0 {
+		return
+	}
+	f.mu.Lock()
+	f.bufs = append(f.bufs, b)
+	f.mu.Unlock()
 }

@@ -314,12 +314,12 @@ func (c *Corpus) Trace(name string) (*Trace, error) {
 // ChunkSource returns a sequential decoder over the named program's
 // payload, verifying its checksum first and yielding chunks of at most
 // chunkSize records directly off the (mapped or loaded) corpus bytes
-// without materializing the whole trace. Each returned chunk is freshly
-// allocated, so callers may hold chunks across further NextChunk calls
-// (the broadcast pipelines require it). The decoder's Name and Len come
-// from the payload's own header; a caller that needs them to agree with
-// the index or an expected budget checks them before replay, and checks
-// Err after it.
+// without materializing the whole trace. A returned chunk stays valid
+// across further NextChunk calls (the broadcast pipelines require it)
+// until the caller releases it, after which its storage may carry a later
+// chunk. The decoder's Name and Len come from the payload's own header; a
+// caller that needs them to agree with the index or an expected budget
+// checks them before replay, and checks Err after it.
 func (c *Corpus) ChunkSource(name string, chunkSize int) (*PayloadChunks, error) {
 	i, ok := c.byName[name]
 	if !ok {

@@ -13,15 +13,17 @@ import (
 // bytes: it decodes the NLST varint stream chunk by chunk instead of
 // materializing the whole record slice, so a corpus-driven sweep touches
 // the mapped file sequentially and keeps O(chunk) decoded state live.
-// It implements ChunkSource.
+// It implements ChunkSource, decoding into released chunks when it can.
 type PayloadChunks struct {
 	// Name and StaticCondSites mirror the payload's trace header.
 	Name            string
 	StaticCondSites int
 
 	r         *bytes.Reader
+	count     uint64 // records the header declares
 	remaining uint64
 	chunkSize int
+	free      freeList[Record]
 	// Delta-decoder state carried across chunks.
 	prevPCWord, prevNextWord uint32
 	err                      error
@@ -75,20 +77,23 @@ func newPayloadDecoder(payload []byte, chunkSize int) (*PayloadChunks, error) {
 		Name:            string(name),
 		StaticCondSites: int(static),
 		r:               r,
+		count:           count,
 		remaining:       count,
 		chunkSize:       chunkSize,
 	}, nil
 }
 
-// Len returns the number of records the payload header declares.
-func (p *PayloadChunks) Len() int { return int(p.remaining + p.rec) }
+// Len returns the number of records the payload header declares, before
+// and after any decode error.
+func (p *PayloadChunks) Len() int { return int(p.count) }
 
 // Err reports the first decode error, if any; NextChunk returns nil both
 // at clean exhaustion and on error.
 func (p *PayloadChunks) Err() error { return p.err }
 
-// NextChunk implements ChunkSource. Each chunk is freshly allocated and
-// stays valid across further calls.
+// NextChunk implements ChunkSource. Each chunk is decoded into a released
+// chunk's storage when one is free, else into a fresh one, and stays
+// valid until it is released.
 func (p *PayloadChunks) NextChunk() []Record {
 	if p.err != nil || p.remaining == 0 {
 		return nil
@@ -97,8 +102,11 @@ func (p *PayloadChunks) NextChunk() []Record {
 	if k > p.remaining {
 		k = p.remaining
 	}
-	return p.decode(make([]Record, 0, k), k)
+	return p.decode(p.free.get(p.chunkSize), k)
 }
+
+// Release implements ChunkSource: the chunk's storage is decoded into again.
+func (p *PayloadChunks) Release(recs []Record) { p.free.put(recs) }
 
 // drain decodes every remaining record onto recs (the whole-trace form of
 // NextChunk, used by Corpus.Trace so one loop serves both read shapes).

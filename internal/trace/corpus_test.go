@@ -286,3 +286,102 @@ func FuzzCorpusRead(f *testing.F) {
 		}
 	})
 }
+
+// TestPayloadChunksLenAfterError: Len reports the header's declared record
+// count before decoding, and still after a mid-stream decode error.
+func TestPayloadChunksLenAfterError(t *testing.T) {
+	tr := corpusTrace("broken", 3000, 5)
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	// 0xFF is never a valid record head (kind 7) and never ends a varint,
+	// so decoding fails wherever it enters this tail.
+	for i := len(payload) / 2; i < len(payload); i++ {
+		payload[i] = 0xFF
+	}
+	d, err := newPayloadDecoder(payload, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != len(tr.Records) {
+		t.Fatalf("Len before decoding = %d, want %d", d.Len(), len(tr.Records))
+	}
+	n := 0
+	for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+		n += len(blk)
+	}
+	if d.Err() == nil || n == 0 || n >= len(tr.Records) {
+		t.Fatalf("decoded %d of %d records, err %v; want a mid-stream error", n, len(tr.Records), d.Err())
+	}
+	if d.Len() != len(tr.Records) {
+		t.Fatalf("Len after a decode error = %d, want the declared %d", d.Len(), len(tr.Records))
+	}
+}
+
+// TestChunkSourcesRecycleReleased: the streamed sources decode, draw and
+// annotate into the storage of released blocks, and a recycled block
+// carries exactly its own records and run annotation.
+func TestChunkSourcesRecycleReleased(t *testing.T) {
+	const chunk = 256
+	tr := corpusTrace("recycle", 3000, 6)
+	path := filepath.Join(t.TempDir(), "recycle.nlsc")
+	writeTestCorpus(t, path, []*Trace{tr})
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want := Chunk(tr, chunk)
+	runsWant := want.RunLens(32)
+
+	sources := map[string]func() RunChunkSource{
+		"payload": func() RunChunkSource {
+			d, err := c.ChunkSource("recycle", chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return AnnotateRuns(d, 32)
+		},
+		"source": func() RunChunkSource {
+			return AnnotateRuns(NewSourceChunks(&SliceSource{Records: tr.Records}, len(tr.Records), chunk), 32)
+		},
+	}
+	for name, mk := range sources {
+		src := mk()
+		// Hold two blocks at a time, so a block is reused only once
+		// released and never while the next one is still held.
+		var held [][]Record
+		seen := map[*Record]bool{}
+		bi := 0
+		for recs, runs := src.NextChunkRuns(); len(recs) > 0; recs, runs = src.NextChunkRuns() {
+			for _, h := range held {
+				if &h[0] == &recs[0] {
+					t.Fatalf("%s block %d: storage of a held block reused", name, bi)
+				}
+			}
+			if string(runs) != string(runsWant[bi]) {
+				t.Fatalf("%s block %d: annotation differs from RunLens", name, bi)
+			}
+			for i, r := range recs {
+				if r != want.Block(bi)[i] {
+					t.Fatalf("%s block %d: record %d differs", name, bi, i)
+				}
+			}
+			seen[&recs[0]] = true
+			held = append(held, recs)
+			if len(held) == 2 {
+				src.Release(held[0])
+				held = held[1:]
+			}
+			bi++
+		}
+		if bi != want.NumChunks() {
+			t.Fatalf("%s: %d blocks, want %d", name, bi, want.NumChunks())
+		}
+		if len(seen) > 3 {
+			t.Errorf("%s: %d distinct block buffers for 2 held at a time; released storage is not reused", name, len(seen))
+		}
+	}
+}

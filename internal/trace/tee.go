@@ -32,6 +32,10 @@ func (t *teeChunks) NextChunk() []Record {
 	return blk
 }
 
+// Release implements ChunkSource by forwarding to the wrapped source (the
+// observer is done with a block before its consumer ever sees it).
+func (t *teeChunks) Release(recs []Record) { t.src.Release(recs) }
+
 type teeRunChunks struct {
 	teeChunks
 	rs RunChunkSource
