@@ -19,8 +19,9 @@
 # `make corpus-smoke` pins the disk-backed trace corpus: corpus-streamed
 # sweep rows byte-identical to generate-fresh, with stale or corrupt
 # corpus files degrading to regeneration, a streamed replay's live heap
-# bounded by chunk size rather than trace length, and its allocation
-# bounded by recycled chunk buffers rather than the decoded trace.
+# bounded by chunk size rather than trace length (on a cold, corpus-
+# building run too), its allocation bounded by recycled chunk buffers
+# rather than the decoded trace, and racing corpus builders all succeeding.
 
 GO ?= go
 
@@ -141,10 +142,13 @@ smoke-serve:
 # generate-fresh; stale (wrong insns), corrupt, mid-stream-broken and
 # header-mismatched corpus files must degrade to regeneration, never to
 # wrong rows; a 20M-instruction streamed replay must keep its live heap
-# under 32MB; and a 2M-instruction paper-matrix replay must allocate less
-# than an eighth of its decoded trace.
+# under 32MB, and so must a cold run that generates the 20M-instruction
+# corpus block by block and then replays it; a 2M-instruction
+# paper-matrix replay must allocate less than an eighth of its decoded
+# trace; and concurrent runners building one corpus must all succeed and
+# leave a valid file.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestStreamedReplayAllocBounded' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestStreamedReplayAllocBounded|TestCorpusConcurrentBuilders' \
 		./internal/experiments
 
 # pprof smoke run: a small figure sweep under both profilers, then the

@@ -313,7 +313,9 @@ func BenchmarkSweepCorpusReplay(b *testing.B) {
 }
 
 // BenchmarkCorpusDecode measures the streaming corpus decoder against
-// BenchmarkTraceGeneration: the replay-many side of generate-once.
+// BenchmarkTraceGeneration: the replay-many side of generate-once. Each
+// block is released once counted, as replay releases it, so the decoder
+// recycles its buffers exactly as on the production path.
 func BenchmarkCorpusDecode(b *testing.B) {
 	cfg := experiments.DefaultConfig(benchInsns)
 	cfg.Programs = []workload.Spec{workload.Gcc()}
@@ -328,6 +330,7 @@ func BenchmarkCorpusDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, err := c.ChunkSource(workload.Gcc().Name, trace.DefaultChunkRecords)
@@ -337,6 +340,7 @@ func BenchmarkCorpusDecode(b *testing.B) {
 		n := 0
 		for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
 			n += len(blk)
+			src.Release(blk)
 		}
 		if n != benchInsns {
 			b.Fatalf("decoded %d records, want %d", n, benchInsns)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -49,39 +50,45 @@ func CorpusPath(dir string, cfg Config) string {
 }
 
 // UseCorpus attaches the corpus at path to the runner, building the file
-// first when it is missing, stale, or corrupt: a build generates every
-// program trace (memoizing them for this run) and streams them through a
-// trace.CorpusWriter. On a hit the corpus is opened (memory-mapped where
-// supported): replay then streams programs from it (Runner.source) and
-// whole-trace callers decode them (genOne) instead of generating.
-// The returned duration is the wall time spent on corpus work — the
-// "gen-corpus" stage: generation plus serialization on a build, open and
-// validation on a hit.
+// first when it is missing, stale, or corrupt: a build streams every
+// program from its generator into a trace.CorpusWriter (buildCorpus) and
+// then attaches the file it wrote, exactly as a hit does. Replay then
+// streams programs from the corpus (Runner.source), the run that built it
+// included, and whole-trace callers decode them (genOne) instead of
+// generating. The returned duration is the wall time spent on corpus work
+// — the "gen-corpus" stage: generation plus serialization on a build,
+// open and validation in every case.
 func (r *Runner) UseCorpus(path string) (time.Duration, error) {
 	start := time.Now()
-	r.corpusMu.Lock()
-	if r.corpus != nil {
-		r.corpusMu.Unlock()
+	if r.attachedCorpus() != nil {
 		return time.Since(start), nil
 	}
-	if c, err := trace.OpenCorpus(path); err == nil {
-		if r.corpusMatches(c) {
-			r.corpus = c
-			r.corpusMu.Unlock()
-			return time.Since(start), nil
-		}
+	c, _ := trace.OpenCorpus(path)
+	if c != nil && !r.corpusMatches(c) {
 		// The content-keyed name makes a mismatch effectively mean the
 		// file was written under a different key scheme or tampered with
 		// below the checksums' notice; either way it is a miss.
 		c.Close()
+		c = nil
 	}
-	// Build outside the lock: generation goes through genOne, which reads
-	// the (still nil) corpus under corpusMu. Two racing callers at worst
-	// build the same file twice; the atomic rename keeps it consistent.
+	if c == nil {
+		// Racing builders (two runners, or two processes) each spool to
+		// their own temp files; the atomic rename keeps the file whole.
+		if err := r.buildCorpus(path); err != nil {
+			return time.Since(start), err
+		}
+		var err error
+		if c, err = trace.OpenCorpus(path); err != nil {
+			return time.Since(start), fmt.Errorf("experiments: corpus %s: %w", path, err)
+		}
+	}
+	r.corpusMu.Lock()
+	if r.corpus == nil {
+		r.corpus = c
+	} else {
+		c.Close() // a concurrent caller attached first
+	}
 	r.corpusMu.Unlock()
-	if err := r.buildCorpus(path); err != nil {
-		return time.Since(start), err
-	}
 	return time.Since(start), nil
 }
 
@@ -101,29 +108,76 @@ func (r *Runner) corpusMatches(c *trace.Corpus) bool {
 	return true
 }
 
-// buildCorpus generates all traces and writes them to path. The traces
-// stay memoized in the runner, so the run that builds a corpus never
-// decodes it back.
+// buildCorpus streams every program from its generator into a corpus at
+// path, generating the programs in parallel. No program's trace is ever
+// held: each is drawn block by block and spooled to disk as it is encoded.
 func (r *Runner) buildCorpus(path string) error {
-	traces, err := r.Traces()
-	if err != nil {
+	streams := make([]*workload.Stream, len(r.Cfg.Programs))
+	if err := forEachProgram(len(streams), func(i int) (err error) {
+		streams[i], err = r.Cfg.Programs[i].Stream(r.Cfg.Insns)
+		return err
+	}); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
+	if err := writeCorpus(path, r.Cfg.Insns, streams); err != nil {
+		return fmt.Errorf("experiments: corpus %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeCorpus encodes each stream, in parallel, into its own section of a
+// corpus at path declaring insns records per program. A stream that
+// yields fewer records fails the write, and a failed write leaves no file
+// behind. Each block is released back to its stream once encoded, so a
+// program's encode holds one block however long its trace.
+func writeCorpus(path string, insns int, streams []*workload.Stream) error {
 	w, err := trace.CreateCorpus(path)
 	if err != nil {
 		return err
 	}
-	for _, t := range traces {
-		if err := w.Add(t); err != nil {
+	sections := make([]*trace.CorpusSection, len(streams))
+	for i, s := range streams {
+		if sections[i], err = w.Section(s.Name, s.StaticCondSites, insns); err != nil {
 			w.Abort()
-			return fmt.Errorf("experiments: corpus %s: %w", path, err)
+			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return fmt.Errorf("experiments: corpus %s: %w", path, err)
+	if err := forEachProgram(len(streams), func(i int) error {
+		src, sec := streams[i], sections[i]
+		for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
+			if err := sec.Write(blk); err != nil {
+				return err
+			}
+			src.Release(blk)
+		}
+		return sec.Close()
+	}); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
+}
+
+// forEachProgram runs f(0..n-1) concurrently, one goroutine per program,
+// and returns the first error in index order.
+func forEachProgram(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

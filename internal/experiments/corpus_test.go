@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -173,5 +177,125 @@ func TestCorpusKeyStability(t *testing.T) {
 	}
 	if filepath.Base(CorpusPath("d", cfg)) != "traces-"+k[:16]+".nlsc" {
 		t.Errorf("CorpusPath does not embed the content key: %s", CorpusPath("d", cfg))
+	}
+}
+
+// addCorpus writes cfg's corpus at path the whole-trace way: every
+// program materialized by Spec.Trace and handed to CorpusWriter.Add.
+func addCorpus(t *testing.T, cfg Config, path string) {
+	t.Helper()
+	w, err := trace.CreateCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cfg.Programs {
+		tr, err := p.Trace(cfg.Insns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamedBuildMatchesAdd: a cold build streams every program from
+// its generator, yet the file must be byte-identical to the whole-trace
+// corpus of the same config — so existing corpora stay valid and the
+// corpus schema need not change.
+func TestStreamedBuildMatchesAdd(t *testing.T) {
+	cfg := corpusTestConfig()
+	cfg.Insns = 3*trace.DefaultChunkRecords + 5 // a short final block
+	dir := t.TempDir()
+	streamed := buildTestCorpus(t, cfg, filepath.Join(dir, "streamed"))
+	added := filepath.Join(dir, "added.nlsc")
+	addCorpus(t, cfg, added)
+	a, err := os.ReadFile(added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("streamed corpus build differs from CorpusWriter.Add over Spec.Trace")
+	}
+}
+
+// TestStreamedBuildShortFails: a generator that yields fewer records than
+// the budget fails the build, and the build leaves no file behind.
+func TestStreamedBuildShortFails(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	streams := make([]*workload.Stream, len(cfg.Programs))
+	for i, p := range cfg.Programs {
+		n := cfg.Insns
+		if i == 1 {
+			n-- // this generator runs dry one record early
+		}
+		var err error
+		if streams[i], err = p.Stream(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeCorpus(CorpusPath(dir, cfg), cfg.Insns, streams); err == nil {
+		t.Fatal("corpus build accepted a short program")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("failed build left %d files behind", len(ents))
+	}
+}
+
+// TestCorpusConcurrentBuilders: runners that build one corpus at once (two
+// cold service jobs of one config) each spool to their own temp files, so
+// every UseCorpus succeeds and the file left behind opens with valid
+// checksums and the generated traces.
+func TestCorpusConcurrentBuilders(t *testing.T) {
+	cfg := corpusTestConfig()
+	cfg.Insns = 200_000
+	dir := t.TempDir()
+	path := CorpusPath(dir, cfg)
+	const builders = 4
+	var wg sync.WaitGroup
+	errs := make([]error, builders)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := NewRunner(cfg)
+			_, errs[i] = r.UseCorpus(path)
+			r.CloseCorpus()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("builder %d: %v", i, err)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("racing builds left %d files, want only the corpus", len(ents))
+	}
+	c, err := trace.OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, p := range cfg.Programs {
+		got, err := c.Trace(p.Name) // verifies the payload checksum
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Trace(cfg.Insns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Records, want.Records) {
+			t.Errorf("%s: corpus records differ from generation", p.Name)
+		}
 	}
 }

@@ -234,14 +234,16 @@ type replaySource struct {
 
 // source is the runner's single trace-acquisition function for replay;
 // RunGrids and RunAttribution both draw their programs through
-// replayProgram, which calls it. When the runner already holds program
-// i's trace (it generated it, or built the corpus this run), the source
-// walks the memoized chunked trace. Otherwise, with a corpus attached, it
-// streams the program's payload in DefaultChunkRecords chunks — the same
-// blocks trace.Chunk cuts — decoding each as it is drawn, so replay never
-// materializes the trace; before handing the stream out it checks the
-// payload checksum and that the payload header names the program at
-// Cfg.Insns records. Failing that, the trace is generated and memoized.
+// replayProgram, which calls it. With a corpus attached (a hit, or the
+// one UseCorpus just built) it streams the program's payload in
+// DefaultChunkRecords chunks — the same blocks trace.Chunk cuts —
+// decoding each as it is drawn, so replay never materializes the trace;
+// before handing the stream out it checks the payload checksum and that
+// the payload header names the program at Cfg.Insns records. It walks a
+// memoized whole trace instead only when the runner already holds one (a
+// whole-trace caller asked for it, or an earlier replay's stream broke
+// and it was regenerated), when the stream fails those checks (the trace
+// is then generated and memoized), or when no corpus is attached.
 // lineBytes > 0 annotates every block with its same-line runs for that
 // line size (see runLineBytes); 0 yields plain blocks.
 func (r *Runner) source(i, lineBytes int) (replaySource, error) {
@@ -315,21 +317,13 @@ func (r *Runner) TraceOne(i int) (*trace.Trace, error) {
 // Traces generates (in parallel, once each) and returns all per-program
 // traces.
 func (r *Runner) Traces() ([]*trace.Trace, error) {
-	var wg sync.WaitGroup
-	for i := range r.Cfg.Programs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.genOne(i)
-		}(i)
-	}
-	wg.Wait()
 	out := make([]*trace.Trace, len(r.progs))
-	for i := range r.progs {
-		if r.progs[i].err != nil {
-			return nil, r.progs[i].err
-		}
-		out[i] = r.progs[i].t
+	if err := forEachProgram(len(out), func(i int) error {
+		pt := r.genOne(i)
+		out[i] = pt.t
+		return pt.err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

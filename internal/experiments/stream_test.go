@@ -310,36 +310,29 @@ func TestCorpusHeaderCountFallsBack(t *testing.T) {
 	checkFallback(t, cfg, dir, damaged)
 }
 
-// TestStreamedReplayHeapCeiling pins DESIGN.md §7's O(chunk) promise on
-// the production path: replaying one 20M-instruction program (240MB of
-// records) from the corpus through two cells must keep the live heap —
-// sampled after a forced GC every 20ms throughout RunGrids — under 32MB.
-// A whole-trace decode peaks at ~250MB here.
-func TestStreamedReplayHeapCeiling(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
-	}
-	const ceiling = 32 << 20
-	cfg := DefaultConfig(20_000_000)
-	cfg.Programs = []workload.Spec{workload.Li()}
-	dir := t.TempDir()
-	buildTestCorpus(t, cfg, dir)
-	g := Grid{Name: "heap", Arms: []Arm{
+// heapCeiling is the live-heap bound of a streamed 20M-instruction run:
+// the trace itself is 240MB of records.
+const heapCeiling = 32 << 20
+
+// heapCeilingGrid is the two-cell grid the heap-ceiling tests replay.
+func heapCeilingGrid() Grid {
+	return Grid{Name: "heap", Arms: []Arm{
 		{Name: "nls", Spec: NLSTableFactory(1024).Spec, Caches: cache16KDirect()},
 		{Name: "btb", Spec: BTBFactory(BTBConfigs()[0]).Spec, Caches: cache16KDirect()},
 	}}
-	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
-	defer x.R.CloseCorpus()
+}
 
+// peakLiveHeap runs f while sampling the live heap after a forced GC
+// every 20ms, and returns the heap before f and the peak sample.
+func peakLiveHeap(f func()) (base, peak uint64) {
 	var ms runtime.MemStats
 	sample := func() uint64 {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	base := sample()
+	base = sample()
 	stop := make(chan struct{})
-	var peak uint64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -355,9 +348,20 @@ func TestStreamedReplayHeapCeiling(t *testing.T) {
 			}
 		}
 	}()
-	rs, err := x.RunGrids(false, g)
+	f()
 	close(stop)
 	wg.Wait()
+	return base, peak
+}
+
+// runHeapCeiling replays heapCeilingGrid through x under peakLiveHeap and
+// fails if the run materialized a trace or its live heap reached
+// heapCeiling.
+func runHeapCeiling(t *testing.T, x *Executor) {
+	t.Helper()
+	var rs *ResultSet
+	var err error
+	base, peak := peakLiveHeap(func() { rs, err = x.RunGrids(false, heapCeilingGrid()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +369,66 @@ func TestStreamedReplayHeapCeiling(t *testing.T) {
 		t.Fatalf("simulated %d cells, want 2", rs.Simulated)
 	}
 	if held := heldPrograms(x.R); len(held) > 0 {
-		t.Fatalf("replay materialized %v instead of streaming", held)
+		t.Fatalf("run materialized %v instead of streaming", held)
 	}
 	t.Logf("live heap: %.1f MB before, %.1f MB peak during RunGrids", float64(base)/(1<<20), float64(peak)/(1<<20))
-	if peak >= ceiling {
-		t.Errorf("peak live heap %.1f MB during a streamed replay, ceiling %d MB",
-			float64(peak)/(1<<20), ceiling>>20)
+	if peak >= heapCeiling {
+		t.Errorf("peak live heap %.1f MB during a streamed run, ceiling %d MB",
+			float64(peak)/(1<<20), heapCeiling>>20)
 	}
+}
+
+// TestStreamedReplayHeapCeiling pins DESIGN.md §7's O(chunk) promise on
+// the production path: replaying one 20M-instruction program (240MB of
+// records) from the corpus through two cells must keep the live heap —
+// sampled after a forced GC every 20ms throughout RunGrids — under 32MB.
+// A whole-trace decode peaks at ~250MB here.
+func TestStreamedReplayHeapCeiling(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
+	}
+	cfg := DefaultConfig(20_000_000)
+	cfg.Programs = []workload.Spec{workload.Li()}
+	dir := t.TempDir()
+	buildTestCorpus(t, cfg, dir)
+	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+	defer x.R.CloseCorpus()
+	runHeapCeiling(t, x)
+}
+
+// TestColdCorpusBuildHeapCeiling extends the ceiling to a first run: a
+// cold RunGrids with an empty CorpusDir generates the 20M-instruction
+// program block by block into the corpus and then replays it from there,
+// so neither the build nor the replay holds the trace. Materializing it
+// for the build alone peaks at ~230MB. At a small budget the same cold
+// path must give the rows of a corpus-less run.
+func TestColdCorpusBuildHeapCeiling(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
+	}
+	small := corpusTestConfig()
+	want, err := (&Executor{R: NewRunner(small)}).RunGrids(false, heapCeilingGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := &Executor{R: NewRunner(small), CorpusDir: t.TempDir()}
+	got, err := xs.RunGrids(false, heapCeilingGrid())
+	xs.R.CloseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := mustJSON(t, got.Rows(heapCeilingGrid())), mustJSON(t, want.Rows(heapCeilingGrid())); string(g) != string(w) {
+		t.Fatalf("cold corpus run rows differ from a corpus-less run\n got %s\nwant %s", g, w)
+	}
+	if held := heldPrograms(xs.R); len(held) > 0 {
+		t.Fatalf("cold corpus run materialized %v instead of streaming", held)
+	}
+
+	cfg := DefaultConfig(20_000_000)
+	cfg.Programs = []workload.Spec{workload.Li()}
+	x := &Executor{R: NewRunner(cfg), CorpusDir: t.TempDir()}
+	defer x.R.CloseCorpus()
+	runHeapCeiling(t, x)
 }
 
 // TestStreamedReplayAllocBounded pins chunk recycling on the production

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"sync"
 )
 
 // Disk-backed trace corpus: generate once, replay many.
@@ -66,21 +69,23 @@ type CorpusProgram struct {
 // footer are written by Close; until then the corpus is a temp file, so a
 // crashed or abandoned write never leaves a half-valid corpus behind.
 type CorpusWriter struct {
-	f       *os.File
-	path    string
-	off     int64
-	entries []CorpusProgram
-	err     error
+	f    *os.File
+	path string
+	tmp  string // f's name: unique per writer, so racing builders never collide
+	off  int64
+
+	mu       sync.Mutex
+	sections []*CorpusSection // in layout order
 }
 
-// CreateCorpus starts a new corpus at path (via an adjacent temp file,
-// renamed into place on Close).
+// CreateCorpus starts a new corpus at path (via a uniquely named temp file
+// in the same directory, renamed into place on Close).
 func CreateCorpus(path string) (*CorpusWriter, error) {
-	f, err := os.Create(path + ".tmp")
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return nil, err
 	}
-	w := &CorpusWriter{f: f, path: path}
+	w := &CorpusWriter{f: f, path: path, tmp: f.Name()}
 	if _, err := f.WriteString(corpusMagic); err != nil {
 		w.Abort()
 		return nil, err
@@ -91,40 +96,118 @@ func CreateCorpus(path string) (*CorpusWriter, error) {
 
 // Add appends one program trace as a payload section.
 func (w *CorpusWriter) Add(t *Trace) error {
-	if w.err != nil {
-		return w.err
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, t); err != nil {
-		w.err = err
+	s, err := w.Section(t.Name, t.StaticCondSites, len(t.Records))
+	if err != nil {
 		return err
 	}
-	payload := buf.Bytes()
-	if _, err := w.f.Write(payload); err != nil {
-		w.err = err
+	if err := s.Write(t.Records); err != nil {
 		return err
 	}
-	w.entries = append(w.entries, CorpusProgram{
-		Name:    t.Name,
-		Records: len(t.Records),
-		off:     w.off,
-		length:  int64(len(payload)),
-		crc:     crc32.ChecksumIEEE(payload),
-	})
-	w.off += int64(len(payload))
-	return nil
+	return s.Close()
 }
 
-// Close writes the index and footer, syncs, and renames the temp file into
-// place. The writer is unusable afterwards.
+// A CorpusSection streams one program's payload into its corpus block by
+// block, as the records are generated: each block is encoded and spooled
+// to a temp file beside the corpus, with the payload's length and CRC32
+// kept running, so a section holds O(buffer) memory however long the
+// trace. CorpusWriter.Close lays the spooled payloads out in the order
+// their sections were opened. Distinct sections may be written from
+// concurrent goroutines.
+type CorpusSection struct {
+	f     *os.File
+	sum   payloadSum
+	enc   *encoder
+	entry CorpusProgram
+	err   error
+	done  bool
+}
+
+// payloadSum forwards payload bytes to the spool file, tracking their
+// length and CRC32.
+type payloadSum struct {
+	f   *os.File
+	n   int64
+	crc uint32
+}
+
+func (p *payloadSum) Write(b []byte) (int, error) {
+	p.crc = crc32.Update(p.crc, crc32.IEEETable, b)
+	n, err := p.f.Write(b)
+	p.n += int64(n)
+	return n, err
+}
+
+// sectionBufBytes is the encode buffer between a section and its spool
+// file: large enough that spooling costs few write calls.
+const sectionBufBytes = 64 << 10
+
+// Section opens the next payload section, for a program named name with
+// the given static conditional-site count and exactly records records
+// (the payload header declares the count up front).
+func (w *CorpusWriter) Section(name string, staticCondSites, records int) (*CorpusSection, error) {
+	f, err := os.CreateTemp(filepath.Dir(w.path), filepath.Base(w.path)+".*.part")
+	if err != nil {
+		return nil, err
+	}
+	s := &CorpusSection{f: f, entry: CorpusProgram{Name: name, Records: records}}
+	s.sum.f = f
+	w.mu.Lock()
+	w.sections = append(w.sections, s)
+	w.mu.Unlock()
+	if s.enc, err = newEncoder(bufio.NewWriterSize(&s.sum, sectionBufBytes), name, staticCondSites, records); err != nil {
+		s.err = err
+		return nil, err
+	}
+	return s, nil
+}
+
+// Write encodes one block of the section's records. The block is not
+// retained, so the caller may reuse its storage at once.
+func (s *CorpusSection) Write(recs []Record) error {
+	if s.err == nil {
+		s.err = s.enc.write(recs)
+	}
+	return s.err
+}
+
+// Close finishes the section. It fails if fewer records were written than
+// the section declared; the writer then fails too.
+func (s *CorpusSection) Close() error {
+	if s.err == nil {
+		s.err = s.enc.close()
+	}
+	s.done = true
+	s.entry.length, s.entry.crc = s.sum.n, s.sum.crc
+	return s.err
+}
+
+// Close lays out every section's payload, writes the index and footer,
+// syncs, and renames the temp file into place. Every section must have
+// been closed without error. The writer is unusable afterwards.
 func (w *CorpusWriter) Close() error {
-	if w.err != nil {
-		w.Abort()
-		return w.err
+	defer w.Abort()
+	entries := make([]CorpusProgram, 0, len(w.sections))
+	for _, s := range w.sections {
+		if s.err != nil {
+			return s.err
+		}
+		if !s.done {
+			return fmt.Errorf("trace: corpus section %q not closed", s.entry.Name)
+		}
+		if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		if _, err := io.Copy(w.f, s.f); err != nil {
+			return err
+		}
+		e := s.entry
+		e.off = w.off
+		w.off += e.length
+		entries = append(entries, e)
 	}
 	var idx bytes.Buffer
-	putUvarint(&idx, uint64(len(w.entries)))
-	for _, e := range w.entries {
+	putUvarint(&idx, uint64(len(entries)))
+	for _, e := range entries {
 		putUvarint(&idx, uint64(len(e.Name)))
 		idx.WriteString(e.Name)
 		putUvarint(&idx, uint64(e.Records))
@@ -139,32 +222,37 @@ func (w *CorpusWriter) Close() error {
 	binary.LittleEndian.PutUint64(footer[4:12], uint64(w.off))
 	copy(footer[12:], corpusTail)
 	if _, err := w.f.Write(idx.Bytes()); err != nil {
-		w.Abort()
 		return err
 	}
 	if _, err := w.f.Write(footer[:]); err != nil {
-		w.Abort()
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
-		w.Abort()
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.path + ".tmp")
-		return err
-	}
+	err := w.f.Close()
 	w.f = nil
-	return os.Rename(w.path+".tmp", w.path)
+	if err == nil {
+		err = os.Rename(w.tmp, w.path)
+	}
+	return err
 }
 
-// Abort discards the partial corpus.
+// Abort discards the partial corpus and every section's spool file. It is
+// a no-op after Close.
 func (w *CorpusWriter) Abort() {
+	for _, s := range w.sections {
+		if s.f != nil {
+			s.f.Close()
+			os.Remove(s.f.Name())
+			s.f = nil
+		}
+	}
 	if w.f != nil {
 		w.f.Close()
-		os.Remove(w.path + ".tmp")
 		w.f = nil
 	}
+	os.Remove(w.tmp)
 }
 
 // Corpus is a read-only open corpus: the raw file bytes (memory-mapped

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -207,19 +209,161 @@ func TestCorpusWriterAtomic(t *testing.T) {
 		t.Fatalf("corpus visible at final path before Close (stat err %v)", err)
 	}
 	w.Abort()
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("Abort left the temp file (stat err %v)", err)
+	if left := dirNames(t, dir); len(left) != 0 {
+		t.Fatalf("Abort left %v", left)
 	}
 
 	writeTestCorpus(t, path, []*Trace{corpusTrace("x", 32, 6)})
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("Close left the temp file (stat err %v)", err)
+	if left := dirNames(t, dir); len(left) != 1 || left[0] != "a.nlsc" {
+		t.Fatalf("Close left %v, want only the corpus", left)
 	}
 	c, err := OpenCorpus(path)
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
 	c.Close()
+}
+
+// dirNames lists the file names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestCorpusSectionsStreamed: sections written block by block, from
+// concurrent goroutines, lay out byte-identically to Add of the same
+// traces in section order.
+func TestCorpusSectionsStreamed(t *testing.T) {
+	traces := []*Trace{corpusTrace("a", 10_000, 11), corpusTrace("b", 4097, 12), {Name: "empty"}}
+	dir := t.TempDir()
+	want := filepath.Join(dir, "add.nlsc")
+	writeTestCorpus(t, want, traces)
+
+	got := filepath.Join(dir, "sections.nlsc")
+	w, err := CreateCorpus(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := make([]*CorpusSection, len(traces))
+	for i, tr := range traces {
+		if secs[i], err = w.Section(tr.Name, tr.StaticCondSites, tr.Len()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(traces))
+	for i, tr := range traces {
+		wg.Add(1)
+		go func(i int, recs []Record) {
+			defer wg.Done()
+			for len(recs) > 0 {
+				k := min(len(recs), 7)
+				if errs[i] = secs[i].Write(recs[:k]); errs[i] != nil {
+					return
+				}
+				recs = recs[k:]
+			}
+			errs[i] = secs[i].Close()
+		}(i, tr.Records)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(want)
+	b, _ := os.ReadFile(got)
+	if !bytes.Equal(a, b) {
+		t.Fatal("streamed sections differ from Add")
+	}
+	if left := dirNames(t, dir); len(left) != 2 {
+		t.Fatalf("sections left spool files behind: %v", left)
+	}
+}
+
+// TestCorpusSectionShortFails: a section given fewer records than it
+// declared fails, the writer refuses to close, and nothing is left in the
+// directory.
+func TestCorpusSectionShortFails(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "short.nlsc")
+	w, err := CreateCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(corpusTrace("ok", 100, 13)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := w.Section("short", 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(corpusTrace("short", 99, 14).Records); err != nil {
+		t.Fatal(err)
+	}
+	if s.Close() == nil {
+		t.Error("section closed 1 record short of its declared count")
+	}
+	if w.Close() == nil {
+		t.Error("writer closed over a failed section")
+	}
+	if left := dirNames(t, dir); len(left) != 0 {
+		t.Fatalf("failed write left %v", left)
+	}
+}
+
+// TestCorpusConcurrentWriters: writers racing to build one path each
+// spool to their own temp files, so every Close succeeds and the file
+// left behind is a valid corpus.
+func TestCorpusConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "race.nlsc")
+	tr := corpusTrace("x", 5000, 15)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w, err := CreateCorpus(path)
+			if err == nil {
+				if err = w.Add(tr); err == nil {
+					err = w.Close()
+				}
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d: %v", i, err)
+		}
+	}
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Trace("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Records, tr.Records) {
+		t.Error("racing writers left a corpus with different records")
+	}
 }
 
 // FuzzCorpusRead exercises the corpus header/index parser and both decode

@@ -36,29 +36,65 @@ const (
 // errBadFormat reports a malformed trace file.
 var errBadFormat = errors.New("trace: malformed trace file")
 
-// Write serializes the trace to w in the binary format.
+// Write serializes the trace to w in the binary format: a thin wrapper
+// over the streaming encoder, handing it the whole record slice as one
+// block.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(formatMagic); err != nil {
+	e, err := newEncoder(bufio.NewWriter(w), t.Name, t.StaticCondSites, len(t.Records))
+	if err != nil {
 		return err
+	}
+	if err := e.write(t.Records); err != nil {
+		return err
+	}
+	return e.close()
+}
+
+// encoder is the one NLST encoder: it writes the header up front (the
+// record count is declared there, so it must be known in advance) and
+// then records block by block, carrying the delta state across blocks,
+// so a trace can be serialized as it is generated without ever being
+// materialized. The bytes do not depend on how the records are split
+// into blocks.
+type encoder struct {
+	bw        *bufio.Writer
+	remaining int // records the header declared and write has not yet seen
+	first     bool
+	// Delta-encoder state carried across blocks.
+	prevPCWord, prevNextWord uint32
+}
+
+// newEncoder writes the header for a trace of count records to bw.
+func newEncoder(bw *bufio.Writer, name string, staticCondSites, count int) (*encoder, error) {
+	if _, err := bw.WriteString(formatMagic); err != nil {
+		return nil, err
 	}
 	if err := bw.WriteByte(formatVersion); err != nil {
-		return err
+		return nil, err
 	}
-	writeUvarint(bw, uint64(len(t.Name)))
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
+	writeUvarint(bw, uint64(len(name)))
+	if _, err := bw.WriteString(name); err != nil {
+		return nil, err
 	}
-	writeUvarint(bw, uint64(t.StaticCondSites))
-	writeUvarint(bw, uint64(len(t.Records)))
-	var prevNextWord uint32 // successor of the previous record, in words
-	var prevPCWord uint32
-	for i, r := range t.Records {
+	writeUvarint(bw, uint64(staticCondSites))
+	writeUvarint(bw, uint64(count))
+	return &encoder{bw: bw, remaining: count, first: true}, nil
+}
+
+// write appends a block of records. Writing more records than the header
+// declared is an error.
+func (e *encoder) write(recs []Record) error {
+	if len(recs) > e.remaining {
+		return fmt.Errorf("trace: encoder given %d records past the declared count", len(recs)-e.remaining)
+	}
+	e.remaining -= len(recs)
+	bw := e.bw
+	for _, r := range recs {
 		head := byte(r.Kind) & 0x7
 		if r.Taken {
 			head |= 1 << 3
 		}
-		seq := i > 0 && r.PC.Word() == prevNextWord
+		seq := !e.first && r.PC.Word() == e.prevNextWord
 		if seq {
 			head |= 1 << 4
 		}
@@ -66,15 +102,25 @@ func Write(w io.Writer, t *Trace) error {
 			return err
 		}
 		if !seq {
-			writeVarint(bw, int64(r.PC.Word())-int64(prevPCWord))
+			writeVarint(bw, int64(r.PC.Word())-int64(e.prevPCWord))
 		}
 		if r.Taken {
 			writeVarint(bw, int64(r.Target.Word())-int64(r.PC.Word()))
 		}
-		prevPCWord = r.PC.Word()
-		prevNextWord = r.Next().Word()
+		e.first = false
+		e.prevPCWord = r.PC.Word()
+		e.prevNextWord = r.Next().Word()
 	}
-	return bw.Flush()
+	return nil
+}
+
+// close flushes the encoded bytes. It fails if fewer records were written
+// than the header declared, since the payload would then be truncated.
+func (e *encoder) close() error {
+	if e.remaining != 0 {
+		return fmt.Errorf("trace: encoder closed %d records short of the declared count", e.remaining)
+	}
+	return e.bw.Flush()
 }
 
 // Read deserializes a trace written by Write.
@@ -160,14 +206,19 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// writeUvarint and writeVarint append straight into the writer's buffer
+// (flushing first when it cannot hold a maximal varint), so encoding a
+// record allocates nothing.
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	if w.Available() < binary.MaxVarintLen64 {
+		w.Flush()
+	}
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
+	if w.Available() < binary.MaxVarintLen64 {
+		w.Flush()
+	}
+	w.Write(binary.AppendVarint(w.AvailableBuffer(), v))
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,5 +130,74 @@ func TestCompression(t *testing.T) {
 	}
 	if perRec := float64(buf.Len()) / 10000; perRec > 1.5 {
 		t.Errorf("sequential trace encodes at %.2f bytes/record, want ~1", perRec)
+	}
+}
+
+// TestEncoderBlockSizeInvariant: encoding a trace block by block gives
+// exactly Write's bytes whatever the block size, including a short final
+// block — the delta state carries across blocks.
+func TestEncoderBlockSizeInvariant(t *testing.T) {
+	tr := corpusTrace("blocks", 10_000, 21) // a multiple of none of the sizes
+	var want bytes.Buffer
+	if err := Write(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 7, DefaultChunkRecords} {
+		var got bytes.Buffer
+		e, err := newEncoder(bufio.NewWriter(&got), tr.Name, tr.StaticCondSites, tr.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for recs := tr.Records; len(recs) > 0; {
+			n := min(len(recs), k)
+			if err := e.write(recs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			recs = recs[n:]
+		}
+		if err := e.close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("block size %d: encoding differs from Write", k)
+		}
+	}
+}
+
+// TestEncoderEnforcesCount: the header declares the record count, so
+// writing fewer or more records than declared is an error.
+func TestEncoderEnforcesCount(t *testing.T) {
+	recs := corpusTrace("n", 10, 22).Records
+	e, err := newEncoder(bufio.NewWriter(io.Discard), "n", 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.write(recs); err != nil {
+		t.Fatal(err)
+	}
+	if e.close() == nil {
+		t.Error("close accepted 10 of 11 declared records")
+	}
+	e, err = newEncoder(bufio.NewWriter(io.Discard), "n", 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.write(recs) == nil {
+		t.Error("write accepted 10 records against a declared 9")
+	}
+}
+
+// TestWriteAllocs pins the varint writers to the bufio buffer: encoding a
+// 100k-record trace allocates only the writer and encoder themselves, not
+// one buffer per varint.
+func TestWriteAllocs(t *testing.T) {
+	tr := corpusTrace("allocs", 100_000, 23)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := Write(io.Discard, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("Write of 100k records made %.0f allocations, want at most 4", allocs)
 	}
 }

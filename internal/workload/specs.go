@@ -49,6 +49,34 @@ func (s Spec) Source() (*exec.Executor, error) {
 	return exec.New(p, s.Seed^execSeedMix)
 }
 
+// Stream is one analogue's trace drawn block by block from its executor:
+// the records Trace(n) materializes, yielded in recycled blocks of
+// trace.DefaultChunkRecords, with the trace header alongside.
+type Stream struct {
+	*trace.SourceChunks
+	// Name and StaticCondSites are the header Trace would carry.
+	Name            string
+	StaticCondSites int
+}
+
+// Stream builds the program and returns a stream of its first n executed
+// instructions.
+func (s Spec) Stream(n int) (*Stream, error) {
+	p, err := s.Program()
+	if err != nil {
+		return nil, err
+	}
+	e, err := exec.New(p, s.Seed^execSeedMix)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{
+		SourceChunks:    trace.NewSourceChunks(e, n, trace.DefaultChunkRecords),
+		Name:            p.Name,
+		StaticCondSites: p.StaticCondSites(),
+	}, nil
+}
+
 // MustTrace is Trace that panics on error, for benchmarks and examples
 // using the built-in specs (which are tested to build).
 func (s Spec) MustTrace(n int) *trace.Trace {
