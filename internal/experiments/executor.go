@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -80,6 +81,9 @@ type ResultSet struct {
 	cfg   Config
 	rows  map[string]Row
 	infos map[string]*ProgramInfo
+	// keyed holds the run's grids with the cell keys derived at gather,
+	// which Rows reads back instead of deriving them again.
+	keyed []KeyedGrid
 
 	// Loaded counts cells served from the store, Simulated cells computed
 	// this run, Replays program traces actually replayed (0 on a fully
@@ -109,16 +113,31 @@ type CellTiming struct {
 // Rows resolves a grid against the result set: one Row per grid cell, in
 // cell order (program-major, arm-major, cache-minor), each labeled with
 // the grid's own program and arm names. Two grids sharing a cell each see
-// it under their own labels.
+// it under their own labels. A grid the run gathered reuses the keys
+// derived then; any other grid is keyed afresh.
 func (rs *ResultSet) Rows(g Grid) []Row {
-	cells := g.cells(rs.cfg.Programs)
-	rows := make([]Row, len(cells))
-	for i, c := range cells {
-		row := rs.rows[c.Key(rs.cfg)]
+	kg, ok := rs.gathered(g)
+	if !ok {
+		kg = g.Keyed(rs.cfg)
+	}
+	rows := make([]Row, len(kg.Cells))
+	for i, c := range kg.Cells {
+		row := rs.rows[kg.Keys[i]]
 		row.Program, row.Arch, row.Spec = c.Prog.Name, c.Arm, c.Spec
 		rows[i] = row
 	}
 	return rows
+}
+
+// gathered returns the run's keyed form of g, if g is one of the grids the
+// run gathered.
+func (rs *ResultSet) gathered(g Grid) (KeyedGrid, bool) {
+	for _, kg := range rs.keyed {
+		if reflect.DeepEqual(kg.Grid, g) {
+			return kg, true
+		}
+	}
+	return KeyedGrid{}, false
 }
 
 // Info returns a program's replay-derived info, or nil when the run did
@@ -162,12 +181,30 @@ type progWork struct {
 // RunGrids executes grids directly (Run without Figure metadata); needInfo
 // requests per-program replay statistics.
 func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
+	start := time.Now() // keying is part of the gather stage
+	keyed := make([]KeyedGrid, len(grids))
+	for i, g := range grids {
+		keyed[i] = g.Keyed(x.R.Cfg)
+	}
+	return x.run(start, needInfo, keyed)
+}
+
+// RunKeyed is RunGrids over grids already keyed under the executor's
+// Config (Grid.Keyed), for callers that derived the keys for their own use
+// first.
+func (x *Executor) RunKeyed(needInfo bool, grids ...KeyedGrid) (*ResultSet, error) {
+	return x.run(time.Now(), needInfo, grids)
+}
+
+// run executes keyed grids; gatherStart opens the gather stage span.
+func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) (*ResultSet, error) {
 	r := x.R
 	cfg := r.Cfg
 	rs := &ResultSet{
 		cfg:   cfg,
 		rows:  make(map[string]Row),
 		infos: make(map[string]*ProgramInfo),
+		keyed: grids,
 	}
 
 	progIdx := make(map[string]int, len(cfg.Programs))
@@ -177,7 +214,6 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 
 	// Per-stage wall-time accumulators. gather is single-threaded; the
 	// other three sum across the per-program goroutines under mu.
-	gatherStart := time.Now()
 	var traceGenDur, replayDur, saveDur time.Duration
 
 	// Gather the unique cells of the whole run, probing the store first.
@@ -185,8 +221,8 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 	seen := make(map[string]bool)
 	total := 0
 	for _, g := range grids {
-		for _, c := range g.cells(cfg.Programs) {
-			k := c.Key(cfg)
+		for ci, c := range g.Cells {
+			k := g.Keys[ci]
 			if seen[k] {
 				rs.Deduped++
 				continue

@@ -45,16 +45,53 @@ type Cell struct {
 }
 
 // Key returns the cell's content-addressed store key under the given
-// penalties and instruction budget.
+// penalties and instruction budget. It derives the key the way Grid.Keyed
+// does, for one cell; code keying a whole grid uses Keyed, which marshals
+// each program and arm point once.
 func (c Cell) Key(cfg Config) string {
-	return cellKey(c.Prog, cfg.Insns, c.Spec, cfg.Penalties)
+	k := newCellKeyer(cfg.Penalties)
+	k.program(mustMarshal(c.Prog), cfg.Insns)
+	return k.key(mustMarshal(c.Spec))
 }
 
-// Cells enumerates the grid's cells program-major; it is the exported view
-// the sweep service uses to content-address a job (every cell's Key is a
-// store key) without running anything.
+// Cells enumerates the grid's cells program-major without keying them.
 func (g Grid) Cells(programs []workload.Spec) []Cell {
 	return g.cells(programs)
+}
+
+// A KeyedGrid is a grid resolved under one Config: its cells in cell order
+// (program-major, arm-major, cache-minor) and each cell's store key,
+// parallel to Cells. It is what the executor gathers from and what
+// ResultSet.Rows reads back, so a run derives each key once; the sweep
+// service derives it when compiling a job (the flight key covers every
+// cell key) and hands it to the run.
+type KeyedGrid struct {
+	Grid  Grid
+	Cells []Cell
+	Keys  []string
+}
+
+// Keyed enumerates the grid's cells over cfg.Programs and derives their
+// store keys (Cell.Key). Each program's workload.Spec, each arm point's
+// arch.Spec and the penalties are marshaled once per call, not once per
+// cell (see cellKeyer).
+func (g Grid) Keyed(cfg Config) KeyedGrid {
+	cells := g.cells(cfg.Programs)
+	points := g.cellsPerProgram()
+	specs := make([][]byte, points) // every program has the same arm points
+	k := newCellKeyer(cfg.Penalties)
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		j := i % points
+		if j == 0 {
+			k.program(mustMarshal(c.Prog), cfg.Insns)
+		}
+		if i < points {
+			specs[j] = mustMarshal(c.Spec)
+		}
+		keys[i] = k.key(specs[j])
+	}
+	return KeyedGrid{Grid: g, Cells: cells, Keys: keys}
 }
 
 // cells enumerates the grid's cells program-major (all of one program's

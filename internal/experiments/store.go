@@ -2,14 +2,16 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"hash"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 
-	"repro/internal/arch"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -26,6 +28,23 @@ import (
 // encoding/json marshals struct fields in declaration order with
 // deterministic formatting, and a deliberate schema change must not
 // silently alias old cells — hence the version tag in each key document.
+//
+// A cell's key document is
+//
+//	{"schema":"nls-cell/v1","workload":W,"insns":N,"spec":S,"penalties":P}
+//
+// and it is never marshaled whole: W, S and P are marshaled on their own
+// and concatenated (cellKeyer), so a grid marshals each program, arm point
+// and penalty set once instead of once per cell (Grid.Keyed). The
+// concatenation is byte-identical to marshaling the document as one struct
+// because encoding/json writes a struct's fields in declaration order, in
+// compact form, each field's value exactly as it marshals alone. That holds
+// only while no type inside a key document gains a pointer-receiver
+// MarshalJSON (a value held in a struct field is not addressable, so such a
+// method would apply to a standalone marshal of a pointer but not to the
+// embedded field) and while key documents are not indented.
+// TestKeyedCellsMatchStructMarshal holds the derivation to a
+// whole-document marshal, and TestCellKeyGolden pins a stored key.
 
 // cellSchema versions the cell key derivation. Bump it when the meaning of
 // a stored cell changes without any key field changing (e.g. an engine
@@ -36,15 +55,48 @@ const cellSchema = "nls-cell/v1"
 // and fetch-block counts).
 const infoSchema = "nls-info/v1"
 
-// cellKey derives the store key of one simulation cell.
-func cellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
-	return hashDoc(struct {
-		Schema    string            `json:"schema"`
-		Workload  workload.Spec     `json:"workload"`
-		Insns     int               `json:"insns"`
-		Spec      arch.Spec         `json:"spec"`
-		Penalties metrics.Penalties `json:"penalties"`
-	}{cellSchema, w, insns, s, p})
+// cellDocHead opens every cell key document, up to the workload value.
+var cellDocHead = []byte(`{"schema":` + string(mustMarshal(cellSchema)) + `,"workload":`)
+
+// cellKeyer derives cell keys from pre-marshaled fragments: the penalties
+// once per keyer, the workload spec and budget once per program, and each
+// cell's spec. The SHA-256 state after the program's prefix is saved, so a
+// cell hashes only its spec and the penalties.
+type cellKeyer struct {
+	tail   []byte // `,"penalties":P}`
+	h      hash.Hash
+	prefix []byte // h's state after the current program's prefix
+	sum    [sha256.Size]byte
+}
+
+func newCellKeyer(p metrics.Penalties) *cellKeyer {
+	tail := append([]byte(`,"penalties":`), mustMarshal(p)...)
+	return &cellKeyer{tail: append(tail, '}'), h: sha256.New()}
+}
+
+// program starts the current program's key documents: w is its marshaled
+// workload.Spec, insns the budget.
+func (k *cellKeyer) program(w []byte, insns int) {
+	k.h.Reset()
+	k.h.Write(cellDocHead)
+	k.h.Write(w)
+	mid := strconv.AppendInt([]byte(`,"insns":`), int64(insns), 10)
+	k.h.Write(append(mid, `,"spec":`...))
+	var err error
+	if k.prefix, err = k.h.(encoding.BinaryMarshaler).MarshalBinary(); err != nil {
+		panic(err) // sha256 state always marshals
+	}
+}
+
+// key returns the store key of the current program's cell whose marshaled
+// arch.Spec is s.
+func (k *cellKeyer) key(s []byte) string {
+	if err := k.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.prefix); err != nil {
+		panic(err) // the state came from AppendBinary
+	}
+	k.h.Write(s)
+	k.h.Write(k.tail)
+	return hex.EncodeToString(k.h.Sum(k.sum[:0]))
 }
 
 // infoKey derives the store key of a program's replay-derived info.
@@ -61,14 +113,18 @@ func infoKey(w workload.Spec, insns int) string {
 // hashDoc returns the lowercase-hex SHA-256 of the document's canonical
 // JSON encoding.
 func hashDoc(doc any) string {
-	buf, err := json.Marshal(doc)
+	sum := sha256.Sum256(mustMarshal(doc))
+	return hex.EncodeToString(sum[:])
+}
+
+// mustMarshal returns v's JSON encoding. Key documents contain only
+// marshalable fields; a failure is a programming error.
+func mustMarshal(v any) []byte {
+	buf, err := json.Marshal(v)
 	if err != nil {
-		// Key documents contain only marshalable fields; reaching this is
-		// a programming error.
 		panic(err)
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	return buf
 }
 
 // DefaultStoreDir is where the CLIs keep the results store, relative to
@@ -99,9 +155,10 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// Load reads the document stored under key into v. A missing or unreadable
-// document reports (false, nil): the store is a cache, so corruption
-// degrades to recomputation, never to an error.
+// Load reads the document stored under key into v. A missing or corrupt
+// (undecodable) document reports (false, nil): the store is a cache, so
+// corruption degrades to recomputation, never to an error. Any other read
+// error — permissions, I/O — is returned.
 func (s *Store) Load(key string, v any) (bool, error) {
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {

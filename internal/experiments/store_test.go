@@ -16,13 +16,19 @@ func testCell() (workload.Spec, arch.Spec) {
 	return workload.Li(), spec
 }
 
+// testCellKey is the store key of one (workload, budget, spec, penalties)
+// cell.
+func testCellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
+	return Cell{Prog: w, Spec: s}.Key(Config{Insns: insns, Penalties: p})
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, spec := testCell()
-	key := cellKey(w, 100_000, spec, metrics.Default())
+	key := testCellKey(w, 100_000, spec, metrics.Default())
 
 	var missing Row
 	if ok, err := s.Load(key, &missing); err != nil || ok {
@@ -51,7 +57,7 @@ func TestStoreCorruptCellIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, spec := testCell()
-	key := cellKey(w, 100_000, spec, metrics.Default())
+	key := testCellKey(w, 100_000, spec, metrics.Default())
 	if err := s.Save(key, Row{Program: w.Name}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,37 +79,37 @@ func TestStoreCorruptCellIsAMiss(t *testing.T) {
 func TestCellKeyInvalidation(t *testing.T) {
 	w, spec := testCell()
 	p := metrics.Default()
-	base := cellKey(w, 100_000, spec, p)
+	base := testCellKey(w, 100_000, spec, p)
 
-	if k := cellKey(w, 100_000, spec, p); k != base {
+	if k := testCellKey(w, 100_000, spec, p); k != base {
 		t.Error("identical inputs produced different keys")
 	}
 
 	mutations := map[string]string{}
-	mutations["insns"] = cellKey(w, 200_000, spec, p)
+	mutations["insns"] = testCellKey(w, 200_000, spec, p)
 
 	w2 := w
 	w2.Seed = w.Seed + 1
-	mutations["workload seed"] = cellKey(w2, 100_000, spec, p)
+	mutations["workload seed"] = testCellKey(w2, 100_000, spec, p)
 
 	s2 := spec.WithGeometry(cache.MustGeometry(32*1024, LineBytes, 1))
-	mutations["cache geometry"] = cellKey(w, 100_000, s2, p)
+	mutations["cache geometry"] = testCellKey(w, 100_000, s2, p)
 
 	s3 := spec
 	s3.Predictor.Entries = 512
-	mutations["predictor size"] = cellKey(w, 100_000, s3, p)
+	mutations["predictor size"] = testCellKey(w, 100_000, s3, p)
 
 	s4 := spec
 	s4.Pollution = true
-	mutations["pollution flag"] = cellKey(w, 100_000, s4, p)
+	mutations["pollution flag"] = testCellKey(w, 100_000, s4, p)
 
 	s5 := spec
 	s5.PHT = arch.PHTSpec{Kind: "bimodal", Entries: PHTEntries}
-	mutations["direction predictor"] = cellKey(w, 100_000, s5, p)
+	mutations["direction predictor"] = testCellKey(w, 100_000, s5, p)
 
 	p2 := p
 	p2.Mispredict = 6
-	mutations["penalties"] = cellKey(w, 100_000, spec, p2)
+	mutations["penalties"] = testCellKey(w, 100_000, spec, p2)
 
 	seen := map[string]string{base: "base"}
 	for name, k := range mutations {
@@ -121,7 +127,7 @@ func TestCellKeyInvalidation(t *testing.T) {
 // never collide, and info keys must track their own inputs.
 func TestInfoKeySeparateNamespace(t *testing.T) {
 	w, spec := testCell()
-	if infoKey(w, 100_000) == cellKey(w, 100_000, spec, metrics.Default()) {
+	if infoKey(w, 100_000) == testCellKey(w, 100_000, spec, metrics.Default()) {
 		t.Error("info and cell key namespaces collide")
 	}
 	if infoKey(w, 100_000) == infoKey(w, 200_000) {

@@ -1,9 +1,34 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/metrics"
+	"repro/internal/workload"
 )
+
+// refCellKey is the reference cell key derivation: the SHA-256 of one
+// json.Marshal of the whole nls-cell/v1 key document (the store's
+// documented layout), which Grid.Keyed must reproduce from fragments.
+func refCellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
+	buf, err := json.Marshal(struct {
+		Schema    string            `json:"schema"`
+		Workload  workload.Spec     `json:"workload"`
+		Insns     int               `json:"insns"`
+		Spec      arch.Spec         `json:"spec"`
+		Penalties metrics.Penalties `json:"penalties"`
+	}{"nls-cell/v1", w, insns, s, p})
+	if err != nil {
+		panic(err)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
 
 // FuzzJobDecode exercises the job decoder — the service's untrusted-input
 // surface — with arbitrary bytes: it must never panic or size an allocation
@@ -18,6 +43,8 @@ func FuzzJobDecode(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"insns": 1, "grid": {"name": "g", "arms": []}}`)
 	f.Add(validJob[:len(validJob)/2])                                       // truncated mid-document
+	f.Add(validJob + `}`)                                                   // stray closing brace after the document
+	f.Add(validJob + ` ]]]`)                                                // stray closing brackets after the document
 	f.Add(strings.Replace(validJob, `"entries": 512`, `"entries": 513`, 1)) // non-pow2 table
 	f.Add(strings.Replace(validJob, `"entries": 512`, `"entries": 4611686018427387904`, 1))
 	f.Add(strings.Replace(validJob, `"entries": 512`, `"entries": -8`, 1))
@@ -87,6 +114,16 @@ func FuzzJobDecode(f *testing.F) {
 			}
 			for _, g := range a.Caches {
 				a.Spec.WithGeometry(g).MustBuild()
+			}
+		}
+		// ...derive every cell key exactly as the whole-document marshal
+		// does...
+		if len(job.keyed.Cells) != job.Cells || len(job.keyed.Keys) != job.Cells {
+			t.Fatalf("job keyed %d cells and %d keys, want %d", len(job.keyed.Cells), len(job.keyed.Keys), job.Cells)
+		}
+		for i, c := range job.keyed.Cells {
+			if want := refCellKey(c.Prog, job.Cfg.Insns, c.Spec, job.Cfg.Penalties); job.keyed.Keys[i] != want {
+				t.Fatalf("cell %s/%s keyed %s, struct marshal %s", c.Prog.Name, c.Arm, job.keyed.Keys[i], want)
 			}
 		}
 		// ...and key deterministically.

@@ -87,6 +87,9 @@ type CompiledJob struct {
 	Key string
 	// Cells is the number of grid cells the job resolves to.
 	Cells int
+	// keyed is the grid's cells with the store keys the flight key was
+	// derived from; the run gathers from them instead of keying again.
+	keyed experiments.KeyedGrid
 }
 
 // Result is the response document of POST /v1/jobs. It is deliberately a
@@ -124,7 +127,9 @@ func DecodeJob(r io.Reader, lim Limits) (*CompiledJob, error) {
 	if err := dec.Decode(&j); err != nil {
 		return nil, fmt.Errorf("serve: bad job document: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the document. dec.More would miss a stray
+	// closing bracket, which it treats as the end of an enclosing value.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("serve: trailing data after the job document")
 	}
 	return CompileJob(j, lim)
@@ -192,12 +197,13 @@ func CompileJob(j Job, lim Limits) (*CompiledJob, error) {
 	}
 
 	cfg := experiments.Config{Insns: j.Insns, Programs: programs, Penalties: pen}
-	cells := j.Grid.Cells(programs)
+	kg := j.Grid.Keyed(cfg)
 	return &CompiledJob{
 		Cfg:   cfg,
 		Grid:  j.Grid,
-		Key:   jobKey(cfg, cells),
-		Cells: len(cells),
+		Key:   jobKey(cfg.Insns, kg),
+		Cells: len(kg.Cells),
+		keyed: kg,
 	}, nil
 }
 
@@ -225,27 +231,27 @@ func resolvePrograms(names []string) ([]workload.Spec, error) {
 }
 
 // jobKey derives the single-flight key of a compiled job from the content
-// keys of its cells. Each cell key is the content-addressed store key —
-// the SHA-256 over workload, budget, complete spec, and penalties — so the
-// flight key covers exactly what the response body depends on: the cell
-// contents plus the (program, arm) labels the rows are presented under, in
-// grid order. A one-cell job's flight key is therefore a pure function of
+// keys of its cells (Grid.Keyed). Each cell key is the content-addressed
+// store key — the SHA-256 over workload, budget, complete spec, and
+// penalties — so the flight key covers exactly what the response body
+// depends on: the cell contents plus the (program, arm) labels the rows are
+// presented under, in grid order. A one-cell job's flight key is therefore a pure function of
 // that cell's content hash and its labels.
-func jobKey(cfg experiments.Config, cells []experiments.Cell) string {
+func jobKey(insns int, kg experiments.KeyedGrid) string {
 	type cellDoc struct {
 		Program string `json:"program"`
 		Arm     string `json:"arm"`
 		Key     string `json:"key"`
 	}
-	docs := make([]cellDoc, len(cells))
-	for i, c := range cells {
-		docs[i] = cellDoc{Program: c.Prog.Name, Arm: c.Arm, Key: c.Key(cfg)}
+	docs := make([]cellDoc, len(kg.Cells))
+	for i, c := range kg.Cells {
+		docs[i] = cellDoc{Program: c.Prog.Name, Arm: c.Arm, Key: kg.Keys[i]}
 	}
 	doc := struct {
 		Schema string    `json:"schema"`
 		Insns  int       `json:"insns"`
 		Cells  []cellDoc `json:"cells"`
-	}{flightSchema, cfg.Insns, docs}
+	}{flightSchema, insns, docs}
 	buf, err := json.Marshal(doc)
 	if err != nil {
 		// The document contains only strings and ints; reaching this is a

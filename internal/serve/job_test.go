@@ -90,6 +90,14 @@ func TestDecodeJobKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecodeJobTrailingWhitespace: whitespace after the document is not
+// trailing data.
+func TestDecodeJobTrailingWhitespace(t *testing.T) {
+	if _, err := DecodeJob(strings.NewReader(validJob+" \n\t\r\n"), Limits{}); err != nil {
+		t.Errorf("DecodeJob rejected trailing whitespace: %v", err)
+	}
+}
+
 func TestDecodeJobDefaultsToAllPrograms(t *testing.T) {
 	doc := strings.Replace(validJob, `"programs": ["li", "gcc"],`, ``, 1)
 	job, err := DecodeJob(strings.NewReader(doc), Limits{})
@@ -107,14 +115,17 @@ func TestDecodeJobRejects(t *testing.T) {
 		lim  Limits
 		want string // substring of the error
 	}{
-		"empty":          {doc: ``, want: "bad job document"},
-		"not json":       {doc: `nope`, want: "bad job document"},
-		"trailing data":  {doc: validJob + `{"x":1}`, want: "trailing data"},
-		"unknown field":  {doc: strings.Replace(validJob, `"insns"`, `"bogus": 1, "insns"`, 1), want: "bogus"},
-		"bad schema":     {doc: strings.Replace(validJob, "nls-job/v1", "nls-job/v9", 1), want: `want "nls-job/v1"`},
-		"zero insns":     {doc: strings.Replace(validJob, `"insns": 40000`, `"insns": 0`, 1), want: "out of range"},
-		"negative insns": {doc: strings.Replace(validJob, `"insns": 40000`, `"insns": -5`, 1), want: "out of range"},
-		"insns over cap": {doc: validJob, lim: Limits{MaxInsns: 1000}, want: "out of range"},
+		"empty":             {doc: ``, want: "bad job document"},
+		"not json":          {doc: `nope`, want: "bad job document"},
+		"trailing data":     {doc: validJob + `{"x":1}`, want: "trailing data"},
+		"trailing word":     {doc: validJob + ` x`, want: "trailing data"},
+		"trailing brace":    {doc: validJob + `}`, want: "trailing data"},
+		"trailing brackets": {doc: validJob + ` ]]]`, want: "trailing data"},
+		"unknown field":     {doc: strings.Replace(validJob, `"insns"`, `"bogus": 1, "insns"`, 1), want: "bogus"},
+		"bad schema":        {doc: strings.Replace(validJob, "nls-job/v1", "nls-job/v9", 1), want: `want "nls-job/v1"`},
+		"zero insns":        {doc: strings.Replace(validJob, `"insns": 40000`, `"insns": 0`, 1), want: "out of range"},
+		"negative insns":    {doc: strings.Replace(validJob, `"insns": 40000`, `"insns": -5`, 1), want: "out of range"},
+		"insns over cap":    {doc: validJob, lim: Limits{MaxInsns: 1000}, want: "out of range"},
 		"unknown program": {
 			doc:  strings.Replace(validJob, `["li", "gcc"]`, `["li", "quake"]`, 1),
 			want: `unknown program "quake"`,
@@ -172,5 +183,41 @@ func TestLimitsWithDefaults(t *testing.T) {
 	custom := Limits{MaxBodyBytes: 99, MaxInsns: 7, MaxCells: 3}
 	if got := custom.withDefaults(); got != custom {
 		t.Errorf("explicit Limits were overridden: %+v", got)
+	}
+}
+
+// exampleJob is the "Serving sweeps" example job of EXPERIMENTS.md,
+// verbatim.
+const exampleJob = `{
+  "schema": "nls-job/v1",
+  "insns": 2000000,
+  "programs": ["li", "gcc"],
+  "grid": {
+    "name": "table-vs-btb",
+    "arms": [
+      {"name": "1024 NLS-table", "spec": {
+        "predictor": {"kind": "nls-table", "entries": 1024},
+        "cache": {"size_bytes": 16384, "line_bytes": 32, "assoc": 1},
+        "pht": {"kind": "gshare", "entries": 4096, "history_bits": 6}}},
+      {"name": "256 BTB", "spec": {
+        "predictor": {"kind": "btb", "entries": 256, "assoc": 4},
+        "cache": {"size_bytes": 16384, "line_bytes": 32, "assoc": 1},
+        "pht": {"kind": "gshare", "entries": 4096, "history_bits": 6}}}
+    ]
+  }
+}`
+
+// TestFlightKeyGolden pins the flight key (the X-NLS-Job header) of the
+// documented example job. The flight key hashes every cell's store key, so
+// this also guards the cell key derivation: a change here would strand
+// every stored cell and every client that recorded a job key.
+func TestFlightKeyGolden(t *testing.T) {
+	job, err := DecodeJob(strings.NewReader(exampleJob), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "a2366b431b06f0719d5b1350630dba109ecc010a9a4ad9b76651a290c7787051"
+	if job.Key != want {
+		t.Errorf("flight key = %s, want %s", job.Key, want)
 	}
 }

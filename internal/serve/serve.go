@@ -146,14 +146,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // serving unchanged cells from the store, then the deterministic response
 // document. Each job gets its own Runner (trace caches are per-run;
 // cross-job reuse happens at the cell store, which is keyed by content).
-// Executor stage spans feed the registry's stage histograms.
+// The run reuses the cell keys CompileJob derived for the flight key, so
+// a job keys each cell once. Executor stage spans feed the registry's
+// stage histograms.
 func (s *Server) runJob(job *CompiledJob, progress func(experiments.SweepStats)) ([]byte, Accounting, error) {
 	r := experiments.NewRunner(job.Cfg)
 	r.Progress = progress
 	defer r.CloseCorpus() // release the mapping when the job attached one
 	x := &experiments.Executor{R: r, Store: s.store, CorpusDir: s.corpusDir,
 		Observer: func(sp experiments.StageSpan) { s.stats.ObserveStage(sp.Stage, sp.Seconds) }}
-	rs, err := x.RunGrids(false, job.Grid)
+	rs, err := x.RunKeyed(false, job.keyed)
 	if err != nil {
 		return nil, Accounting{}, err
 	}
