@@ -22,12 +22,15 @@
 # bounded by chunk size rather than trace length (on a cold, corpus-
 # building run too), its allocation bounded by recycled chunk buffers
 # rather than the decoded trace, and racing corpus builders all succeeding.
+# `make prodbench` builds and tests the nested prodbench module, which the
+# root `go build ./...` skips although it imports the executor and fetch
+# APIs.
 
 GO ?= go
 
 .PHONY: build vet test race stress fuzz bench bench-check verify figures \
 	grid-golden smoke smoke-serve corpus-smoke attribution-golden \
-	h2p-golden prefetch-golden trace-golden profile
+	h2p-golden prefetch-golden trace-golden prodbench profile
 
 build:
 	$(GO) build ./...
@@ -151,6 +154,11 @@ corpus-smoke:
 	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestStreamedReplayAllocBounded|TestCorpusConcurrentBuilders' \
 		./internal/experiments
 
+# The nested benchmark module (its own go.mod, so the root build and test
+# skip it): vet and test it against this checkout's packages.
+prodbench:
+	cd prodbench && $(GO) vet . && $(GO) test .
+
 # pprof smoke run: a small figure sweep under both profilers, then the
 # hottest frames. Profiles land in cpu.prof / mem.prof (gitignored).
 profile:
@@ -158,4 +166,4 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof >/dev/null
 	$(GO) tool pprof -top -nodecount=8 cpu.prof
 
-verify: build vet test race stress grid-golden corpus-smoke attribution-golden h2p-golden prefetch-golden trace-golden smoke smoke-serve
+verify: build vet test race stress grid-golden corpus-smoke attribution-golden h2p-golden prefetch-golden trace-golden smoke smoke-serve prodbench

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -37,11 +36,10 @@ func AttributionGrid() Grid {
 // for every cell of the grid and returns one attribution report per cell,
 // in cell order (program-major, arm-major). Unlike RunGrids, results never
 // come from or go to the store: attribution is an event-stream product, not
-// a counter row, and the store only holds counters. The replay shares the
-// executor's scheduling shape — one bounded goroutine per program, the
-// leftover parallelism going to each broadcast's worker pool — and engines
-// are owned by exactly one broadcast worker, so the per-engine Attribution
-// collectors need no locking.
+// a counter row, and the store only holds counters. The replay runs on
+// the executor's program pool (forPrograms), and engines are owned by
+// exactly one broadcast worker, so the per-engine Attribution collectors
+// need no locking.
 func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	r := x.R
 	cfg := r.Cfg
@@ -49,70 +47,39 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	cpp := g.cellsPerProgram()
 	reports := make([]obs.Report, len(cells))
 
-	budget := maxParallel()
-	progPar := len(cfg.Programs)
-	if progPar > budget {
-		progPar = budget
+	progs := make([]int, len(cfg.Programs))
+	for i := range progs {
+		progs[i] = i
 	}
-	if progPar < 1 {
-		progPar = 1
-	}
-	perProg := budget / progPar
-	if perProg < 1 {
-		perProg = 1
-	}
-
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, progPar)
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for i := range cfg.Programs {
-		wg.Add(1)
-		sem <- struct{}{} // bound concurrency before spawning
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			progCells := cells[i*cpp : (i+1)*cpp]
-			_, err := r.replayProgram(i, runLineBytes(progCells), func(src replaySource) (int64, error) {
-				engines := make([]fetch.Engine, len(progCells))
-				atts := make([]*obs.Attribution, len(progCells))
-				for j, c := range progCells {
-					e, err := c.Spec.Build()
-					if err != nil {
-						return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
-					}
-					pa, ok := e.(fetch.ProbeAttacher)
-					if !ok {
-						return 0, fmt.Errorf("cell %s/%s: engine %T accepts no probe", c.Prog.Name, c.Arm, e)
-					}
-					atts[j] = obs.NewAttribution()
-					pa.AttachProbe(atts[j])
-					engines[j] = e
+	err := forPrograms(progs, func(i, perProg int) error {
+		progCells := cells[i*cpp : (i+1)*cpp]
+		_, err := r.replayProgram(i, runLineBytes(progCells), func(src replaySource) (int64, error) {
+			engines := make([]fetch.Engine, len(progCells))
+			atts := make([]*obs.Attribution, len(progCells))
+			for j, c := range progCells {
+				e, err := c.Spec.Build()
+				if err != nil {
+					return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
 				}
-				n := fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
-				// reports slots are disjoint per program; no lock needed.
-				for j, c := range progCells {
-					reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
+				pa, ok := e.(fetch.ProbeAttacher)
+				if !ok {
+					return 0, fmt.Errorf("cell %s/%s: engine %T accepts no probe", c.Prog.Name, c.Arm, e)
 				}
-				return n, nil
-			})
-			if err != nil {
-				fail(err)
+				atts[j] = obs.NewAttribution()
+				pa.AttachProbe(atts[j])
+				engines[j] = e
 			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			n := fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
+			// reports slots are disjoint per program; no lock needed.
+			for j, c := range progCells {
+				reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
+			}
+			return n, nil
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return reports, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/multiissue"
 	"repro/internal/trace"
@@ -102,7 +101,8 @@ type ResultSet struct {
 }
 
 // CellTiming is the wall time one cell's engine spent replaying its
-// program, measured inside the broadcast worker that owned the engine.
+// program, as the broadcaster measured it (fetch.ReplayTime): 0 for a cell
+// whose break metrics the broadcast echoed from an equal-invariant cell.
 type CellTiming struct {
 	Program string  `json:"program"`
 	Arch    string  `json:"arch"`
@@ -297,176 +297,137 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		corpusDur = d
 	}
 
-	// Same bounded-pool shape as the PR1 scheduler: at most progPar
-	// program goroutines, the leftover parallelism budget going to each
-	// broadcast's worker pool.
-	budget := maxParallel()
-	progPar := len(active)
-	if progPar > budget {
-		progPar = budget
-	}
-	if progPar < 1 {
-		progPar = 1
-	}
-	perProg := budget / progPar
-	if perProg < 1 {
-		perProg = 1
-	}
-
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, progPar)
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for _, i := range active {
-		wg.Add(1)
-		sem <- struct{}{} // bound concurrency before spawning
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			w := work[i]
-			var (
-				engines []fetch.Engine
-				durs    []*time.Duration
-				sc      *trace.StatsCollector
-				bcs     []*multiissue.BlockCounter
-				name    string
-				n       int64
-			)
-			acquire, err := r.replayProgram(i, runLineBytes(w.cells), func(src replaySource) (int64, error) {
-				name = src.Name
-				engines = make([]fetch.Engine, len(w.cells))
-				durs = make([]*time.Duration, len(w.cells))
-				for j, c := range w.cells {
-					e, err := c.Spec.Build()
-					if err != nil {
-						return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
-					}
-					engines[j], durs[j] = timeEngine(e)
-				}
-
-				// Tee the single replay read into the statistics collectors.
-				in := src.Chunks
-				sc, bcs = nil, nil
-				if w.needInfo {
-					sc = trace.NewStatsCollector(src.Name, src.StaticCondSites)
-					for _, width := range FetchWidths() {
-						bc, err := multiissue.NewBlockCounter(multiissue.Config{
-							Width: width, LineBytes: LineBytes,
-						})
-						if err != nil {
-							return 0, err
-						}
-						bcs = append(bcs, bc)
-					}
-					in = trace.TeeChunks(in, func(recs []trace.Record) {
-						sc.Add(recs)
-						for _, bc := range bcs {
-							bc.Add(recs)
-						}
-					})
-				}
-
-				replayStart := time.Now()
-				n = 0
-				if len(engines) > 0 {
-					n = fetch.BroadcastWorkers(in, perProg, engines...)
-				} else {
-					// Info-only replay: every cell was served by the store
-					// but the statistics were not; drain the trace through
-					// the tee.
-					for blk := in.NextChunk(); len(blk) > 0; blk = in.NextChunk() {
-						n += int64(len(blk))
-						in.Release(blk)
-					}
-				}
-				mu.Lock()
-				replayDur += time.Since(replayStart)
-				mu.Unlock()
-				return n, nil
-			})
-			mu.Lock()
-			traceGenDur += acquire
-			mu.Unlock()
-			if err != nil {
-				fail(err)
-				return
-			}
-
-			rows := make([]Row, len(w.cells))
-			timings := make([]CellTiming, len(w.cells))
+	var mu sync.Mutex // guards rs and the stage accumulators
+	err := forPrograms(active, func(i, perProg int) error {
+		w := work[i]
+		var (
+			engines []fetch.Engine
+			sc      *trace.StatsCollector
+			bcs     []*multiissue.BlockCounter
+			name    string
+			n       int64
+		)
+		acquire, err := r.replayProgram(i, runLineBytes(w.cells), func(src replaySource) (int64, error) {
+			name = src.Name
+			engines = make([]fetch.Engine, len(w.cells))
 			for j, c := range w.cells {
-				rows[j] = Row{Program: c.Prog.Name, Arch: c.Arm, Spec: c.Spec,
-					M: *engines[j].Counters()}
-				timings[j] = CellTiming{Program: c.Prog.Name, Arch: c.Arm,
-					Cache: rows[j].Cache().String(), Seconds: durs[j].Seconds()}
+				e, err := c.Spec.Build()
+				if err != nil {
+					return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
+				}
+				engines[j] = e
 			}
-			var info *ProgramInfo
+
+			// Tee the single replay read into the statistics collectors.
+			in := src.Chunks
+			sc, bcs = nil, nil
 			if w.needInfo {
-				blocks := make(map[int]uint64, len(bcs))
-				for _, bc := range bcs {
-					blocks[bc.Width()] = bc.Blocks()
+				sc = trace.NewStatsCollector(src.Name, src.StaticCondSites)
+				for _, width := range FetchWidths() {
+					bc, err := multiissue.NewBlockCounter(multiissue.Config{
+						Width: width, LineBytes: LineBytes,
+					})
+					if err != nil {
+						return 0, err
+					}
+					bcs = append(bcs, bc)
 				}
-				info = &ProgramInfo{Program: name, Insns: cfg.Insns,
-					Stats: sc.Stats(), FetchBlocks: blocks}
+				in = trace.TeeChunks(in, func(recs []trace.Record) {
+					sc.Add(recs)
+					for _, bc := range bcs {
+						bc.Add(recs)
+					}
+				})
 			}
 
+			replayStart := time.Now()
+			n = 0
+			if len(engines) > 0 {
+				n = fetch.BroadcastWorkers(in, perProg, engines...)
+			} else {
+				// Info-only replay: every cell was served by the store
+				// but the statistics were not; drain the trace through
+				// the tee.
+				for blk := in.NextChunk(); len(blk) > 0; blk = in.NextChunk() {
+					n += int64(len(blk))
+					in.Release(blk)
+				}
+			}
 			mu.Lock()
-			for j := range rows {
-				rs.rows[w.keys[j]] = rows[j]
-			}
-			rs.Timings = append(rs.Timings, timings...)
-			rs.Simulated += len(rows)
-			if info != nil {
-				rs.infos[name] = info
-			}
-			rs.Replays++
+			replayDur += time.Since(replayStart)
 			mu.Unlock()
+			return n, nil
+		})
+		mu.Lock()
+		traceGenDur += acquire
+		mu.Unlock()
+		if err != nil {
+			return err
+		}
 
-			if x.Store != nil {
-				saveStart := time.Now()
-				for j := range rows {
-					if err := x.Store.Save(w.keys[j], rows[j]); err != nil {
-						fail(err)
-						return
-					}
-				}
-				if info != nil {
-					if err := x.Store.Save(infoKey(cfg.Programs[i], cfg.Insns), info); err != nil {
-						fail(err)
-						return
-					}
-				}
-				mu.Lock()
-				saveDur += time.Since(saveStart)
-				mu.Unlock()
+		rows := make([]Row, len(w.cells))
+		timings := make([]CellTiming, len(w.cells))
+		for j, c := range w.cells {
+			rows[j] = Row{Program: c.Prog.Name, Arch: c.Arm, Spec: c.Spec,
+				M: *engines[j].Counters()}
+			timings[j] = CellTiming{Program: c.Prog.Name, Arch: c.Arm,
+				Cache: rows[j].Cache().String(), Seconds: fetch.ReplayTime(engines[j]).Seconds()}
+		}
+		var info *ProgramInfo
+		if w.needInfo {
+			blocks := make(map[int]uint64, len(bcs))
+			for _, bc := range bcs {
+				blocks[bc.Width()] = bc.Blocks()
 			}
+			info = &ProgramInfo{Program: name, Insns: cfg.Insns,
+				Stats: sc.Stats(), FetchBlocks: blocks}
+		}
 
-			r.statsMu.Lock()
-			r.stats.Cells += len(w.cells)
-			r.stats.Records += n
-			r.stats.Replays++
-			r.stats.Elapsed = time.Since(start)
-			if r.Progress != nil {
-				r.Progress(r.stats) // statsMu held: calls are serialized
+		mu.Lock()
+		for j := range rows {
+			rs.rows[w.keys[j]] = rows[j]
+		}
+		rs.Timings = append(rs.Timings, timings...)
+		rs.Simulated += len(rows)
+		if info != nil {
+			rs.infos[name] = info
+		}
+		rs.Replays++
+		mu.Unlock()
+
+		if x.Store != nil {
+			saveStart := time.Now()
+			for j := range rows {
+				if err := x.Store.Save(w.keys[j], rows[j]); err != nil {
+					return err
+				}
 			}
-			r.statsMu.Unlock()
-		}(i)
-	}
-	wg.Wait()
+			if info != nil {
+				if err := x.Store.Save(infoKey(cfg.Programs[i], cfg.Insns), info); err != nil {
+					return err
+				}
+			}
+			mu.Lock()
+			saveDur += time.Since(saveStart)
+			mu.Unlock()
+		}
+
+		r.statsMu.Lock()
+		r.stats.Cells += len(w.cells)
+		r.stats.Records += n
+		r.stats.Replays++
+		r.stats.Elapsed = time.Since(start)
+		if r.Progress != nil {
+			r.Progress(r.stats) // statsMu held: calls are serialized
+		}
+		r.statsMu.Unlock()
+		return nil
+	})
 	r.statsMu.Lock()
 	r.stats.Elapsed = time.Since(start)
 	r.statsMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	rs.Stages = []StageSpan{
 		{Stage: "gather", Seconds: gatherDur.Seconds()},
@@ -483,94 +444,38 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 	return rs, nil
 }
 
-// timedEngine wraps a cell's engine to meter the wall time spent stepping
-// it. An engine is owned by exactly one worker for a whole replay
-// (fetch.BroadcastWorkers), so dur needs no locking; time.Now is taken once
-// per block (tens of thousands of records), so the meter is invisible next
-// to the replay itself.
-type timedEngine struct {
-	fetch.Engine
-	dur time.Duration
-}
-
-func (t *timedEngine) StepBlock(recs []trace.Record) {
-	start := time.Now()
-	t.Engine.StepBlock(recs)
-	t.dur += time.Since(start)
-}
-
-// runFastPath mirrors the broadcaster's optional shared-run-annotation
-// interface; the timing wrapper must forward it, or wrapping would silently
-// demote every engine to the per-engine boundary-scan path.
-type runFastPath interface {
-	StepBlockRuns(recs []trace.Record, runs []uint8)
-	ICache() *cache.Cache
-}
-
-// oracleFastPath mirrors the broadcaster's shared-fetch-oracle interface
-// (DESIGN.md §11); like runFastPath, the timing wrapper must forward it or
-// wrapped engines would silently lose oracle grouping and re-simulate
-// their i-caches privately.
-type oracleFastPath interface {
-	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
-	OracleGroup() (cache.Geometry, bool)
-}
-
-// timedRunEngine is timedEngine for engines that consume shared run
-// annotations (all the built-in engines).
-type timedRunEngine struct {
-	timedEngine
-	fast runFastPath
-	orc  oracleFastPath // nil when the engine has no annotated path
-}
-
-func (t *timedRunEngine) StepBlockRuns(recs []trace.Record, runs []uint8) {
-	start := time.Now()
-	t.fast.StepBlockRuns(recs, runs)
-	t.dur += time.Since(start)
-}
-
-func (t *timedRunEngine) ICache() *cache.Cache { return t.fast.ICache() }
-
-func (t *timedRunEngine) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
-	start := time.Now()
-	t.orc.StepBlockEvents(recs, ann)
-	t.dur += time.Since(start)
-}
-
-// EchoFrontend forwards the broadcaster's echo-dedup hook (like
-// runFastPath/oracleFastPath, the wrapper must forward it or wrapped
-// engines would silently lose cross-geometry echoing); nil means the
-// wrapped engine has no Frontend to echo.
-func (t *timedRunEngine) EchoFrontend() *fetch.Frontend {
-	if es, ok := t.Engine.(interface{ EchoFrontend() *fetch.Frontend }); ok {
-		return es.EchoFrontend()
+// forPrograms runs f for every program index in idx on the executor's
+// bounded program pool: at most min(len(idx), maxParallel()) programs at a
+// time, each handed the leftover parallelism budget as perProg — the
+// worker bound for its broadcast. It returns the first error any call
+// returned, once every call has finished.
+func forPrograms(idx []int, f func(i, perProg int) error) error {
+	budget := maxParallel()
+	progPar := max(min(len(idx), budget), 1)
+	perProg := max(budget/progPar, 1)
+	var (
+		wg       sync.WaitGroup
+		sem      = make(chan struct{}, progPar)
+		mu       sync.Mutex
+		firstErr error
+	)
+	for _, i := range idx {
+		wg.Add(1)
+		sem <- struct{}{} // bound concurrency before spawning
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := f(i, perProg); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}(i)
 	}
-	return nil
-}
-
-// OracleGroup forwards the wrapped engine's grouping key; an engine with
-// no annotated path is simply never eligible. The meter only times the
-// member-side annotated replay — the shared oracle's own simulation is
-// broadcast overhead, attributed to no single cell.
-func (t *timedRunEngine) OracleGroup() (cache.Geometry, bool) {
-	if t.orc == nil {
-		return cache.Geometry{}, false
-	}
-	return t.orc.OracleGroup()
-}
-
-// timeEngine wraps e with the timing meter matching its capabilities and
-// returns the wrapped engine plus a pointer to its accumulated duration
-// (valid to read once the replay's broadcast has returned).
-func timeEngine(e fetch.Engine) (fetch.Engine, *time.Duration) {
-	if f, ok := e.(runFastPath); ok {
-		te := &timedRunEngine{timedEngine: timedEngine{Engine: e}, fast: f}
-		te.orc, _ = e.(oracleFastPath)
-		return te, &te.dur
-	}
-	te := &timedEngine{Engine: e}
-	return te, &te.dur
+	wg.Wait()
+	return firstErr
 }
 
 // runLineBytes picks the run annotation for one program's broadcast

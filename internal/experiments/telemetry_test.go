@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/workload"
 )
@@ -110,7 +111,9 @@ func TestAttributionFigureRenders(t *testing.T) {
 
 // TestCellTimingsAndDedup checks the executor's telemetry accounting:
 // every simulated cell gets a wall-time entry, store-served cells get
-// none, and cross-grid duplicate requests are counted.
+// none, and cross-grid duplicate requests are counted. Every replay path is
+// timed: a grouped or private cell reports a nonzero replay time, and only
+// a cell whose break metrics the broadcast echoed reports exactly 0.
 func TestCellTimingsAndDedup(t *testing.T) {
 	cfg := Config{Insns: 40_000, Programs: []workload.Spec{workload.Li()},
 		Penalties: DefaultConfig(0).Penalties}
@@ -135,9 +138,60 @@ func TestCellTimingsAndDedup(t *testing.T) {
 		t.Fatalf("%d timings for %d simulated cells", len(rs.Timings), rs.Simulated)
 	}
 	for _, ct := range rs.Timings {
-		if ct.Program == "" || ct.Arch == "" || ct.Cache == "" || ct.Seconds < 0 {
+		if ct.Program == "" || ct.Arch == "" || ct.Cache == "" || ct.Seconds <= 0 {
 			t.Errorf("malformed timing entry: %+v", ct)
 		}
+	}
+
+	// Every registered arch plus a polluted and a prefetching BTB, on two
+	// geometries: grouped, private (pollution, prefetch) and echoed cells
+	// in one replay. Groups form in first-seen geometry order, so each
+	// clean BTB cell on the second geometry echoes its twin on the first.
+	caches := []cache.Geometry{
+		cache.MustGeometry(16*1024, LineBytes, 1),
+		cache.MustGeometry(8*1024, LineBytes, 2),
+	}
+	paths := Grid{Name: "paths"}
+	for _, name := range arch.Names() {
+		s, _ := arch.Lookup(name)
+		paths.Arms = append(paths.Arms, Arm{Name: name, Spec: s, Caches: caches})
+	}
+	polluted := arch.BTB(128, 1)
+	polluted.Pollution = true
+	fdip := arch.BTB(128, 1)
+	fdip.Prefetch = &arch.PrefetchSpec{Kind: arch.PrefKindFDIP, FTQDepth: 8}
+	paths.Arms = append(paths.Arms,
+		Arm{Name: "btb-128 polluted", Spec: polluted, Caches: caches},
+		Arm{Name: "btb-128 fdip", Spec: fdip, Caches: caches})
+	specs := make(map[string]arch.Spec)
+	for _, a := range paths.Arms {
+		specs[a.Name] = a.Spec
+	}
+	prs, err := (&Executor{R: NewRunner(cfg)}).RunGrids(false, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prs.Timings) != prs.Simulated || prs.Simulated != len(paths.Arms)*len(caches) {
+		t.Fatalf("%d timings for %d simulated cells of %d", len(prs.Timings), prs.Simulated,
+			len(paths.Arms)*len(caches))
+	}
+	echoed := 0
+	for _, ct := range prs.Timings {
+		s := specs[ct.Arch]
+		if s.Predictor.Kind == arch.KindBTB && !s.Pollution && s.Prefetch == nil &&
+			ct.Cache == caches[1].String() {
+			echoed++
+			if ct.Seconds != 0 {
+				t.Errorf("echoed cell %s/%s timed %gs, want 0", ct.Arch, ct.Cache, ct.Seconds)
+			}
+			continue
+		}
+		if ct.Seconds <= 0 {
+			t.Errorf("replayed cell %s/%s timed %gs, want > 0", ct.Arch, ct.Cache, ct.Seconds)
+		}
+	}
+	if echoed == 0 {
+		t.Error("no echoed BTB cell in the grid")
 	}
 
 	// Warm run: everything store-served, so no timings.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -40,30 +41,11 @@ type annotated struct {
 	runs []uint8
 }
 
-// runStepper is the optional fast-path interface an engine satisfies to
-// consume a RunChunkSource's shared annotations (all four built-in engines
-// do, via base).
-type runStepper interface {
-	StepBlockRuns(recs []trace.Record, runs []uint8)
-	ICache() *cache.Cache
-}
-
-// annStepper is the optional interface an engine satisfies to replay from
-// a shared fetch oracle's event list instead of simulating its own i-cache
-// (Frontend implements it; see DESIGN.md §11). OracleGroup gates
-// eligibility: engines whose cache state is not a pure function of the
-// trace — wrong-path pollution on, or a probe attached — report ok=false
-// and keep the private-cache path.
-type annStepper interface {
-	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
-	OracleGroup() (cache.Geometry, bool)
-}
-
 // groupMember is one grouped engine: its broadcast index (for worker
-// assignment) and its annotated-replay view.
+// assignment) and its Frontend.
 type groupMember struct {
 	idx int
-	as  annStepper
+	fr  *Frontend
 }
 
 // oracleGroup shares one fetch oracle among the eligible engines of equal
@@ -74,7 +56,7 @@ type oracleGroup struct {
 	members []groupMember
 	// echoes are the engines of this geometry whose break metrics are
 	// echoed from an equal-invariant leader in another group (see
-	// Frontend.EchoInvariant): they skip replay entirely and only receive
+	// Frontend.echoInvariant): they skip replay entirely and only receive
 	// this group's per-block i-cache bulk credits.
 	echoes []*Frontend
 	// runsOK records that the source's shared run annotation was computed
@@ -97,29 +79,25 @@ type echoPair struct {
 
 // extractEchoes implements the cross-geometry echo dedup over a resolved
 // group plan: among all grouped members, engines reporting equal
-// EchoInvariant keys produce bit-identical break metrics from the same
+// echoInvariant keys produce bit-identical break metrics from the same
 // trace regardless of their cache geometry, so the first one found (the
 // plan is deterministic: groups in first-seen geometry order, members in
 // engine order) replays for real and every later one is demoted to an
 // echo — removed from its group's member list, bulk-credited from its
 // group's annotation each block, and patched with the leader's metrics at
-// the end. Wrapped engines opt in by forwarding EchoFrontend.
+// the end.
 func extractEchoes(groups []*oracleGroup) (pairs []echoPair) {
 	leaders := make(map[string]*Frontend)
 	for _, g := range groups {
 		kept := g.members[:0]
 		for _, m := range g.members {
-			if es, ok := m.as.(interface{ EchoFrontend() *Frontend }); ok {
-				if fr := es.EchoFrontend(); fr != nil {
-					if key, ok := fr.EchoInvariant(); ok {
-						if lead := leaders[key]; lead != nil {
-							g.echoes = append(g.echoes, fr)
-							pairs = append(pairs, echoPair{echo: fr, leader: lead})
-							continue
-						}
-						leaders[key] = fr
-					}
+			if key, ok := m.fr.echoInvariant(); ok {
+				if lead := leaders[key]; lead != nil {
+					g.echoes = append(g.echoes, m.fr)
+					pairs = append(pairs, echoPair{echo: m.fr, leader: lead})
+					continue
 				}
+				leaders[key] = m.fr
 			}
 			kept = append(kept, m)
 		}
@@ -159,7 +137,7 @@ type dirSharePlan struct {
 }
 
 // extractDirShares groups the replaying members by direction-predictor
-// configuration (Frontend.DirShareKey) and attaches each group with two or
+// configuration (Frontend.dirShareKey) and attaches each group with two or
 // more engines to a shared bit stream; the first member in replay order
 // becomes the owner, so its bits are always recorded before any follower
 // consumes them. Only the sequential broadcast path may use this —
@@ -170,23 +148,15 @@ func extractDirShares(groups []*oracleGroup) []dirSharePlan {
 	owners := make(map[string]int)
 	for _, g := range groups {
 		for _, m := range g.members {
-			es, ok := m.as.(interface{ EchoFrontend() *Frontend })
-			if !ok {
-				continue
-			}
-			fr := es.EchoFrontend()
-			if fr == nil {
-				continue
-			}
-			key, ok := fr.DirShareKey()
+			key, ok := m.fr.dirShareKey()
 			if !ok {
 				continue
 			}
 			if pi, seen := owners[key]; seen {
-				plans[pi].followers = append(plans[pi].followers, fr)
+				plans[pi].followers = append(plans[pi].followers, m.fr)
 			} else {
 				owners[key] = len(plans)
-				plans = append(plans, dirSharePlan{owner: fr})
+				plans = append(plans, dirSharePlan{owner: m.fr})
 			}
 		}
 	}
@@ -305,23 +275,36 @@ func broadcastSequentialPipelined(next func() annotated, release func([]trace.Re
 
 // replayGroup feeds one annotated chunk to a group's members and echoes.
 func replayGroup(g *oracleGroup, blk annotated, ann *cache.AccessAnnotations) {
-	for _, m := range g.members {
-		m.as.StepBlockEvents(blk.recs, ann)
-	}
+	replayMembers(g.members, blk.recs, ann)
 	for _, ef := range g.echoes {
 		ef.echoCredit(len(blk.recs), ann)
 	}
 }
 
+// replayMembers steps grouped members through one annotated chunk,
+// charging each member's replay time with its own share of the wall time
+// (one clock read per member).
+func replayMembers(members []groupMember, recs []trace.Record, ann *cache.AccessAnnotations) {
+	start := time.Now()
+	for _, m := range members {
+		m.fr.replayEvents(recs, ann)
+		end := time.Now()
+		m.fr.replayTime += end.Sub(start)
+		start = end
+	}
+}
+
 // replayPlan resolves how blocks are drawn and how each engine replays
-// them. Eligible engines (annStepper with OracleGroup ok) sharing a cache
-// geometry with at least one other eligible engine form an oracleGroup and
-// replay via StepBlockEvents from the group's shared oracle. Every
-// other engine — pollution-on, probed, non-Frontend, or alone in its
-// geometry (an oracle for one engine is pure overhead) — replays privately:
-// via StepBlockRuns when src annotates blocks for its line size, else via
-// StepBlock. private holds the private replay closures; groups the oracle
-// groups (singletons already demoted).
+// them. Each engine is resolved to its Frontend once, here. Eligible
+// Frontends (oracleEligible) sharing a cache geometry with at least one
+// other eligible Frontend form an oracleGroup and replay via replayEvents
+// from the group's shared oracle. Every other engine — pollution-on,
+// probed, prefetching, or alone in its geometry (an oracle for one engine
+// is pure overhead) — replays privately: via replayRuns when src annotates
+// blocks for its line size, else via StepBlock; an engine without a
+// Frontend always replays via StepBlock. Frontends are timed on every path
+// (ReplayTime). private holds the private replay closures; groups the
+// oracle groups (singletons already demoted).
 func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated, private []func(annotated), groups []*oracleGroup) {
 	rs, _ := src.(trace.RunChunkSource)
 	if rs != nil && rs.RunLineBytes() > 0 {
@@ -334,41 +317,49 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 		next = func() annotated { return annotated{recs: src.NextChunk()} }
 	}
 
-	privateStep := func(e Engine) func(annotated) {
-		if re, ok := e.(runStepper); ok && rs != nil &&
-			re.ICache().Geometry().LineBytes() == rs.RunLineBytes() {
-			return func(b annotated) { re.StepBlockRuns(b.recs, b.runs) }
+	privateStep := func(e Engine, f *Frontend) func(annotated) {
+		if f == nil {
+			return func(b annotated) { e.StepBlock(b.recs) }
 		}
-		return func(b annotated) { e.StepBlock(b.recs) }
+		runsOK := rs != nil && f.geom.LineBytes() == rs.RunLineBytes()
+		return func(b annotated) {
+			runs := b.runs
+			if !runsOK {
+				runs = nil
+			}
+			start := time.Now()
+			f.replayRuns(b.recs, runs)
+			f.replayTime += time.Since(start)
+		}
 	}
 
 	// Tentatively group every eligible engine by geometry, in engine order
 	// (map only for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		if as, ok := e.(annStepper); ok {
-			if geom, eligible := as.OracleGroup(); eligible {
-				g := groupOf[geom]
-				if g == nil {
-					g = &oracleGroup{
-						oracle: cache.NewOracle(geom),
-						runsOK: rs != nil && geom.LineBytes() == rs.RunLineBytes(),
-					}
-					groupOf[geom] = g
-					groups = append(groups, g)
-				}
-				g.members = append(g.members, groupMember{idx: i, as: as})
-				continue
-			}
+		f := asFrontend(e)
+		if f == nil || !f.oracleEligible() {
+			private = append(private, privateStep(e, f))
+			continue
 		}
-		private = append(private, privateStep(e))
+		geom := f.geom
+		g := groupOf[geom]
+		if g == nil {
+			g = &oracleGroup{
+				oracle: cache.NewOracle(geom),
+				runsOK: rs != nil && geom.LineBytes() == rs.RunLineBytes(),
+			}
+			groupOf[geom] = g
+			groups = append(groups, g)
+		}
+		g.members = append(g.members, groupMember{idx: i, fr: f})
 	}
 	// Demote singleton groups: simulating an oracle plus one mirror is
 	// strictly more work than one private cache.
 	kept := groups[:0]
 	for _, g := range groups {
 		if len(g.members) < 2 {
-			private = append(private, privateStep(engines[g.members[0].idx]))
+			private = append(private, privateStep(engines[g.members[0].idx], g.members[0].fr))
 			continue
 		}
 		kept = append(kept, g)
@@ -496,9 +487,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 						s(it.blk.annotated)
 					}
 				} else {
-					for _, m := range ownGrouped[w][it.gid] {
-						m.as.StepBlockEvents(it.blk.recs, &it.ann.AccessAnnotations)
-					}
+					replayMembers(ownGrouped[w][it.gid], it.blk.recs, &it.ann.AccessAnnotations)
 					if it.ann.refs.Add(-1) == 0 {
 						it.ann.Release()
 					}

@@ -52,7 +52,7 @@ func TestBroadcastMatchesRun(t *testing.T) {
 
 // TestBroadcastRunsAnnotated: a ChunksRuns source (shared precomputed run
 // annotations) is bit-identical to the plain replay at any worker count —
-// the broadcaster routes matching-line-size engines through StepBlockRuns.
+// the broadcaster routes matching-line-size engines through replayRuns.
 func TestBroadcastRunsAnnotated(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1024)
@@ -83,22 +83,20 @@ func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 
 	bcast, oracle := broadcastEngines()
 	for i := range bcast {
-		re, ok := bcast[i].(interface {
-			StepBlockRuns(recs []trace.Record, runs []uint8)
-		})
-		if !ok {
-			t.Fatalf("engine %s does not implement StepBlockRuns", bcast[i].Name())
+		f := asFrontend(bcast[i])
+		if f == nil {
+			t.Fatalf("engine %s has no Frontend", bcast[i].Name())
 		}
 		for bi := 0; bi < chunked.NumChunks(); bi++ {
 			if bi%2 == 0 {
-				re.StepBlockRuns(chunked.Block(bi), runs[bi])
+				f.replayRuns(chunked.Block(bi), runs[bi])
 			} else {
-				re.StepBlockRuns(chunked.Block(bi), nil) // fallback path
+				f.replayRuns(chunked.Block(bi), nil) // fallback path
 			}
 		}
 		want := *Run(oracle[i], tr)
 		if got := *bcast[i].Counters(); got != want {
-			t.Errorf("engine %s: StepBlockRuns diverges from Step", bcast[i].Name())
+			t.Errorf("engine %s: replayRuns diverges from Step", bcast[i].Name())
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (p *btbPredictor) WrongPath(rec trace.Record) (isa.Addr, bool) {
 }
 
 // invariantKey implements the broadcast echo dedup's eligibility probe
-// (see Frontend.EchoInvariant): the BTB's break accounting never reads the
+// (see Frontend.echoInvariant): the BTB's break accounting never reads the
 // i-cache — correctness is pure address comparison against full stored
 // targets plus the RAS — and Update never defers on the successor's cache
 // way, so from a cold buffer the predictor's entire evolution is a function

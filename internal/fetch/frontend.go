@@ -2,6 +2,7 @@ package fetch
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -176,6 +177,39 @@ type Frontend struct {
 	dirShare *dirShare
 	dirOwner bool
 	dirPos   int
+
+	// replayTime is the wall time the broadcaster spent stepping this
+	// engine since its last Reset (see ReplayTime).
+	replayTime time.Duration
+}
+
+// replayer is the broadcaster's one replay interface: every built-in
+// engine embeds a Frontend and so satisfies it, and the unexported method
+// keeps wrappers outside the package from claiming it. BroadcastWorkers
+// resolves each engine through it once; an engine without it replays via
+// StepBlock alone.
+type replayer interface{ frontend() *Frontend }
+
+func (f *Frontend) frontend() *Frontend { return f }
+
+// asFrontend returns e's Frontend, or nil when e has none.
+func asFrontend(e Engine) *Frontend {
+	if r, ok := e.(replayer); ok {
+		return r.frontend()
+	}
+	return nil
+}
+
+// ReplayTime returns the wall time broadcasts spent stepping e's blocks
+// since its last Reset, whichever replay path each broadcast chose. It is
+// 0 for an engine whose break metrics a broadcast echoed from another
+// engine (it steps nothing) and for an engine without a Frontend (the
+// broadcaster cannot time it).
+func ReplayTime(e Engine) time.Duration {
+	if f := asFrontend(e); f != nil {
+		return f.replayTime
+	}
+	return 0
 }
 
 // newFrontend builds the architecture-independent half; bind attaches the
@@ -239,6 +273,7 @@ func (f *Frontend) Reset() {
 	}
 	f.fetchLineValid = false
 	f.pending.active = false
+	f.replayTime = 0
 }
 
 // StepBlock implements Engine, batching same-line sequential fetch runs
@@ -251,17 +286,12 @@ func (f *Frontend) StepBlock(recs []trace.Record) {
 	f.stepBlock(recs, f.Step)
 }
 
-// StepBlockRuns is StepBlock with the run boundaries precomputed for this
-// engine's line size (see base.stepBlockRuns); nil runs falls back to the
-// scanning path. The decoupled pipeline steps per record and ignores the
-// annotation.
-func (f *Frontend) StepBlockRuns(recs []trace.Record, runs []uint8) {
-	if f.decoupled() {
-		f.stepBlockDecoupled(recs)
-		return
-	}
-	if runs == nil {
-		f.stepBlock(recs, f.Step)
+// replayRuns is StepBlock with the run boundaries precomputed for this
+// engine's line size (see base.stepBlockRuns); nil runs is StepBlock. The
+// decoupled pipeline steps per record and ignores the annotation.
+func (f *Frontend) replayRuns(recs []trace.Record, runs []uint8) {
+	if runs == nil || f.decoupled() {
+		f.StepBlock(recs)
 		return
 	}
 	f.stepBlockRuns(recs, runs, f.Step)
@@ -378,7 +408,7 @@ func (f *Frontend) fetchOne(recs []trace.Record, i int) {
 // break incurred (the decoupled fetch stage redirects the BPU on any wrong
 // break). It is the post-fetch half of Step, shared verbatim by the
 // private-cache path (Step), the decoupled path (fetchOne), and the
-// oracle event-list path (StepBlockEvents), so every replay classifies
+// oracle event-list path (replayEvents), so every replay classifies
 // breaks through literally the same code.
 func (f *Frontend) stepBreak(rec trace.Record, way int) PenaltyClass {
 	return f.stepBreakAt(rec, way, f.geom.SetIndex(rec.PC))
@@ -542,24 +572,19 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	return penalty
 }
 
-// OracleGroup reports the geometry under which this engine may share a
-// broadcast fetch oracle, and whether sharing is currently sound. Sharing
-// requires the engine's i-cache accesses to be a pure function of the
+// oracleEligible reports whether this engine may currently share a
+// broadcast fetch oracle with the other engines of its cache geometry.
+// Sharing requires the engine's i-cache accesses to be a pure function of the
 // trace: wrong-path pollution forks the cache state per architecture
 // (different engines touch different wrong-path lines), a probed run
 // may want per-engine access behaviour observable in isolation, and a
 // decoupled (prefetching) frontend injects prefetch fills no shared oracle
 // models — all three keep the private-cache path (DESIGN.md §11, §14).
-func (f *Frontend) OracleGroup() (cache.Geometry, bool) {
-	return f.icache.Geometry(), !f.pollution.enabled && f.probe == nil && !f.decoupled()
+func (f *Frontend) oracleEligible() bool {
+	return !f.pollution.enabled && f.probe == nil && !f.decoupled()
 }
 
-// EchoFrontend exposes the Frontend for the broadcast echo dedup; timing
-// or instrumentation wrappers forward it (returning nil when the wrapped
-// engine has no Frontend).
-func (f *Frontend) EchoFrontend() *Frontend { return f }
-
-// EchoInvariant reports a key identifying everything this engine's break
+// echoInvariant reports a key identifying everything this engine's break
 // accounting depends on besides the trace itself, and whether the engine
 // currently qualifies for break-metric echoing. Echoing is the broadcast's
 // cross-geometry dedup (DESIGN.md §16): when a target predictor's break
@@ -576,12 +601,12 @@ func (f *Frontend) EchoFrontend() *Frontend { return f }
 // including history width), an empty RAS, zero counters, no in-flight
 // deferred update, and oracle eligibility (no pollution, probe, or
 // prefetching — each forks per-engine state the echo would miss).
-func (f *Frontend) EchoInvariant() (string, bool) {
+func (f *Frontend) echoInvariant() (string, bool) {
 	inv, ok := f.bpu.tp.(interface{ invariantKey() (string, bool) })
 	if !ok {
 		return "", false
 	}
-	if _, eligible := f.OracleGroup(); !eligible {
+	if !f.oracleEligible() {
 		return "", false
 	}
 	if f.m != (metrics.Counters{}) || f.pending.active || f.rstack.Depth() != 0 {
@@ -602,14 +627,14 @@ func (f *Frontend) EchoInvariant() (string, bool) {
 	return fmt.Sprintf("%s|%s|ras%d", tkey, dkey, f.rstack.Cap()), true
 }
 
-// DirShareKey reports the configuration key under which this engine may
+// dirShareKey reports the configuration key under which this engine may
 // share a broadcast direction-bit stream, and whether sharing is currently
 // sound. Sharing requires a decoupled, deterministic direction predictor
 // in its cold state (so identically keyed engines hold identical state
 // throughout the replay), no wrong-path excursions feeding it, no probe
 // observing it, and the ability to adopt the owner's trained state when
 // the broadcast ends (AdoptState) so sharing stays invisible afterwards.
-func (f *Frontend) DirShareKey() (string, bool) {
+func (f *Frontend) dirShareKey() (string, bool) {
 	if f.bpu.traits.CoupledDirection || f.pollution.enabled || f.probe != nil {
 		return "", false
 	}
@@ -662,7 +687,7 @@ func (f *Frontend) echoCredit(n int, ann *cache.AccessAnnotations) {
 // Counters() re-syncs them from this engine's own (bulk-credited) i-cache.
 func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 
-// StepBlockEvents replays one block from a shared fetch oracle's access
+// replayEvents replays one block from a shared fetch oracle's access
 // annotation (DESIGN.md §11) instead of accessing the private i-cache per
 // record, by walking the oracle's packed event list (fills, breaks, and
 // the post-break resolution points) instead of visiting every record. ann
@@ -683,7 +708,7 @@ func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 // state the private path would. LRU bookkeeping is skipped — the oracle
 // owns replacement decisions — and the access/miss counters are credited
 // in bulk per block.
-func (f *Frontend) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
+func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	if ds := f.dirShare; ds != nil {
 		// A new chunk begins: the owner starts a fresh bit stream, each
 		// follower rewinds its cursor (the owner always replays first).

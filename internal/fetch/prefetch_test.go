@@ -181,25 +181,25 @@ func TestNextLineStepEqualsStepBlock(t *testing.T) {
 // oracle grouping; a detached depth-0 engine stays eligible.
 func TestPrefetchOracleIneligibility(t *testing.T) {
 	e := mkNLS()
-	if _, ok := e.OracleGroup(); !ok {
+	if !e.oracleEligible() {
 		t.Fatalf("plain engine ineligible for oracle sharing")
 	}
 	e.SetFTQDepth(4)
-	if _, ok := e.OracleGroup(); ok {
+	if e.oracleEligible() {
 		t.Fatalf("FTQ-decoupled engine still oracle-eligible")
 	}
 	e.SetFTQDepth(0)
-	if _, ok := e.OracleGroup(); !ok {
+	if !e.oracleEligible() {
 		t.Fatalf("depth-0 engine did not regain eligibility")
 	}
 	ic := e.ICache()
 	ic.EnablePrefetch(8, 20)
 	e.AttachPrefetcher(NewNextLinePrefetcher(ic, 1))
-	if _, ok := e.OracleGroup(); ok {
+	if e.oracleEligible() {
 		t.Fatalf("prefetching engine still oracle-eligible")
 	}
 	e.AttachPrefetcher(nil)
-	if _, ok := e.OracleGroup(); !ok {
+	if !e.oracleEligible() {
 		t.Fatalf("detached engine did not regain eligibility")
 	}
 }
