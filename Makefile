@@ -1,7 +1,7 @@
 # Verification tiers. `make verify` is the full pre-merge gate; tier-1 is
 # `make build test` (the seed gate from ROADMAP.md), and `make race` is the
-# concurrency tier covering the grid executor, Runner.Traces, and the
-# trace generators. `make stress` is the adversarial concurrency tier:
+# concurrency tier covering the grid executor, the streamed trace sources,
+# and the trace generators. `make stress` is the adversarial concurrency tier:
 # randomized broadcast worker counts, store readers racing writers, and
 # the sweep service's 100-goroutine single-flight hammer, all under -race.
 # `make grid-golden` + `make smoke` pin the grid pipeline: bit-identical
@@ -20,8 +20,9 @@
 # sweep rows byte-identical to generate-fresh, with stale or corrupt
 # corpus files degrading to regeneration, a streamed replay's live heap
 # bounded by chunk size rather than trace length (on a cold, corpus-
-# building run too), its allocation bounded by recycled chunk buffers
-# rather than the decoded trace, and racing corpus builders all succeeding.
+# building run and a corpus-less run too), its allocation bounded by
+# recycled chunk buffers rather than the decoded trace, RunAttribution
+# attaching the corpus, and racing corpus builders all succeeding.
 # `make prodbench` builds and tests the nested prodbench module, which the
 # root `go build ./...` skips although it imports the executor and fetch
 # APIs.
@@ -66,9 +67,10 @@ fuzz:
 # machine-readably in BENCH_sweep.json (schema nls-bench/v1, committed as
 # the throughput baseline; see EXPERIMENTS.md "Benchmark JSON"). The JSON
 # is deterministic; the run's timestamp goes to a manifest under
-# results/runs/ (gitignored).
+# results/runs/ (gitignored). -cpu 1 pins GOMAXPROCS so the rows are named
+# SweepBroadcast, not SweepBroadcast-N, whatever the host's CPU count.
 bench:
-	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell|CorpusReplay)$$' -benchmem . \
+	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell|CorpusReplay)$$' -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json -manifest results/runs
 
 # Re-run the sweep benchmarks and gate three ways, without touching
@@ -85,9 +87,10 @@ bench:
 # is recorded by `make bench` but deliberately not re-run here: a cold
 # process's Mstep/s moves >2x with GC and page-cache state, so gating it
 # at 10% would only add flakes (benchjson reports it as missing, which
-# never fails the comparison).
+# never fails the comparison). -cpu 1 as in `make bench`, so the row names
+# match the committed procs=1 files.
 bench-check:
-	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell)$$' -benchmem . \
+	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell)$$' -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/benchjson -o '' -compare BENCH_sweep.json \
 			-require-ratio 'SweepBroadcast/SweepPerCell Mstep/s 2.0' \
 			-require-improvement 'Mstep/s 20' -improve-over BENCH_baseline.json
@@ -146,12 +149,13 @@ smoke-serve:
 # header-mismatched corpus files must degrade to regeneration, never to
 # wrong rows; a 20M-instruction streamed replay must keep its live heap
 # under 32MB, and so must a cold run that generates the 20M-instruction
-# corpus block by block and then replays it; a 2M-instruction
-# paper-matrix replay must allocate less than an eighth of its decoded
-# trace; and concurrent runners building one corpus must all succeed and
-# leave a valid file.
+# corpus block by block and then replays it, and a corpus-less run that
+# replays straight from the generator; a 2M-instruction paper-matrix
+# replay must allocate less than an eighth of its decoded trace;
+# RunAttribution must attach the corpus under CorpusDir; and concurrent
+# runners building one corpus must all succeed and leave a valid file.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestStreamedReplayAllocBounded|TestCorpusConcurrentBuilders' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestGeneratorReplayHeapCeiling|TestStreamedReplayAllocBounded|TestRunAttributionAttachesCorpus|TestCorpusConcurrentBuilders' \
 		./internal/experiments
 
 # The nested benchmark module (its own go.mod, so the root build and test

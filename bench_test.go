@@ -17,6 +17,7 @@ package repro_test
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -173,8 +174,11 @@ func BenchmarkEngines(b *testing.B) {
 // broadcaster behind Runner.Sweep) vs BenchmarkSweepPerCell (the legacy
 // scheduler: one full trace replay per cell). Both run the same
 // 6-program × 4-architecture × 6-cache matrix on traces of sweepBenchInsns
-// instructions, pre-generated once outside the timers, and report replayed
-// engine-steps as Mstep/s. Names are benchstat-friendly:
+// instructions and report replayed engine-steps as Mstep/s. The inputs are
+// prepared once, outside the timers: Broadcast replays the matrix corpus
+// attached to a shared runner, so it times the production warm path —
+// corpus decode, per-chunk run annotation and replay — while PerCell steps
+// whole traces generated up front. Names are benchstat-friendly:
 //
 //	go test -run='^$' -bench='BenchmarkSweep(Broadcast|PerCell)$' -benchmem .
 const sweepBenchInsns = 2_000_000
@@ -182,20 +186,22 @@ const sweepBenchInsns = 2_000_000
 var (
 	sweepOnce   sync.Once
 	sweepRunner *experiments.Runner
+	sweepErr    error
+
+	perCellOnce   sync.Once
+	perCellTraces []*trace.Trace
+	perCellErr    error
 )
 
-// sweepBench returns the shared pre-generated runner and sweep matrix.
+// sweepBench returns the shared runner, its matrix corpus attached, and
+// the sweep matrix.
 func sweepBench(b *testing.B) (*experiments.Runner, []experiments.Factory, []cache.Geometry) {
 	b.Helper()
 	sweepOnce.Do(func() {
-		sweepRunner = experiments.NewRunner(experiments.DefaultConfig(sweepBenchInsns))
+		sweepRunner, sweepErr = corpusRunner(experiments.DefaultConfig(sweepBenchInsns))
 	})
-	chunked, err := sweepRunner.Chunked() // generates + chunks the traces
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ct := range chunked {
-		ct.RunLens(experiments.LineBytes) // pre-warm the memoized annotations
+	if sweepErr != nil {
+		b.Fatal(sweepErr)
 	}
 	factories := []experiments.Factory{
 		experiments.NLSCacheFactory(experiments.NLSPerLine),
@@ -204,6 +210,23 @@ func sweepBench(b *testing.B) (*experiments.Runner, []experiments.Factory, []cac
 		experiments.JohnsonFactory(),
 	}
 	return sweepRunner, factories, experiments.PaperCaches()
+}
+
+// corpusRunner returns a runner over cfg with cfg's corpus built in a
+// temporary directory and attached. The directory is removed before
+// returning: attaching loads the corpus whole (mapped or read), so it
+// outlives its file.
+func corpusRunner(cfg experiments.Config) (*experiments.Runner, error) {
+	dir, err := os.MkdirTemp("", "nls-bench-corpus-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	r := experiments.NewRunner(cfg)
+	if _, err := r.UseCorpus(experiments.CorpusPath(dir, cfg)); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // reportSweepRate reports simulation throughput: every cell steps its full
@@ -233,10 +256,18 @@ func BenchmarkSweepBroadcast(b *testing.B) {
 
 func BenchmarkSweepPerCell(b *testing.B) {
 	r, factories, caches := sweepBench(b)
-	traces, err := r.Traces()
-	if err != nil {
-		b.Fatal(err)
+	perCellOnce.Do(func() {
+		perCellTraces = make([]*trace.Trace, len(r.Cfg.Programs))
+		for i, p := range r.Cfg.Programs {
+			if perCellTraces[i], perCellErr = p.Trace(r.Cfg.Insns); perCellErr != nil {
+				return
+			}
+		}
+	})
+	if perCellErr != nil {
+		b.Fatal(perCellErr)
 	}
+	traces := perCellTraces
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int
@@ -274,12 +305,11 @@ func BenchmarkSweepPerCell(b *testing.B) {
 
 // BenchmarkSweepCorpusReplay is BenchmarkSweepBroadcast for a fresh
 // process replaying from the disk-backed trace corpus: every iteration
-// starts a brand-new Runner (no memoized traces, no pre-warmed run
-// annotations) that attaches a pre-built corpus and decodes its traces
-// instead of re-walking the CFG. Against a fresh Runner *without* the
-// corpus, the difference is the generate-once/replay-many win; against
-// BenchmarkSweepBroadcast, the delta is the whole cold-process overhead a
-// corpus leaves behind (decode + annotation warmup).
+// starts a brand-new Runner that opens a pre-built corpus and decodes its
+// traces instead of re-walking the CFG. Against a fresh Runner *without*
+// the corpus, the difference is the generate-once/replay-many win; against
+// BenchmarkSweepBroadcast, which replays an already attached corpus, the
+// delta is the cost of opening and validating the corpus per run.
 func BenchmarkSweepCorpusReplay(b *testing.B) {
 	_, factories, caches := sweepBench(b)
 	cfg := experiments.DefaultConfig(sweepBenchInsns)

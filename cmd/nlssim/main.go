@@ -18,15 +18,15 @@
 //	nlssim -workload gcc -arch nls-cache -attribute   # per-branch penalty causes
 //	nlssim -workload espresso -h2p        # dir-wrong recovery, gshare vs TAGE-lite
 //	nlssim -workload gcc -pht tage        # equal-cost TAGE-lite direction predictor
-//	nlssim -workload gcc -n 50000000 -stream    # O(chunk) memory, no materialized trace
 //	nlssim -workload li -trace-events out.json  # sim-time pipeline trace (Perfetto)
 //
-// The non-streaming path runs through the experiments pipeline as a
-// single-cell grid: the result is keyed and stored in the same
-// content-addressed store cmd/nlstables uses, so repeating a run (or
-// re-running a figure that contains the same cell) loads it instead of
-// re-simulating. -force re-simulates; -store "" disables the store; the
-// -stream path always simulates (it exists to avoid materializing state).
+// The run goes through the experiments pipeline as a single-cell grid:
+// the result is keyed and stored in the same content-addressed store
+// cmd/nlstables uses, so repeating a run (or re-running a figure that
+// contains the same cell) loads it instead of re-simulating. -force
+// re-simulates; -store "" disables the store. A simulated run streams the
+// workload from its generator chunk by chunk, so memory stays bounded by
+// the chunk size however large -n is.
 //
 // -attribute attaches the fetch frontend's probe and replays the workload
 // once more (attribution is an event-stream product the counter store
@@ -51,7 +51,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -69,7 +68,6 @@ func main() {
 		breakdown   = flag.Bool("breakdown", false, "print per-branch-kind misfetch/mispredict breakdown")
 		attribute   = flag.Bool("attribute", false, "attach the fetch probe and report per-branch penalty attribution")
 		h2p         = flag.Bool("h2p", false, "rank hard-to-predict branches: per-PC dir-wrong under the paper gshare vs the equal-cost TAGE-lite, on the selected architecture")
-		stream      = flag.Bool("stream", false, "stream records straight from the executor in O(chunk) memory instead of materializing the trace")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON on stdout")
 		list        = flag.Bool("list", false, "list registered architecture specs and exit")
 		force       = flag.Bool("force", false, "re-simulate even when the results store has the cell")
@@ -125,20 +123,9 @@ func main() {
 		fail(err)
 	}
 
-	var m *metrics.Counters
-	if *stream {
-		// Drive the engine chunk by chunk from the executor: the same
-		// records Trace(n) would materialize, never all resident.
-		src, err := spec.Source()
-		if err != nil {
-			fail(err)
-		}
-		m = fetch.RunChunks(engine, trace.NewSourceChunks(src, *n, trace.DefaultChunkRecords))
-	} else {
-		m, err = runCell(spec, s, *n, *storeDir, *force)
-		if err != nil {
-			fail(err)
-		}
+	m, err := runCell(spec, s, *n, *storeDir, *force)
+	if err != nil {
+		fail(err)
 	}
 	p := metrics.Default()
 
@@ -261,11 +248,11 @@ func writeTraceEvents(w workload.Spec, s arch.Spec, insns int, path string, samp
 	if err := rec.Attach(engine); err != nil {
 		return err
 	}
-	src, err := w.Source()
+	src, err := w.Stream(insns)
 	if err != nil {
 		return err
 	}
-	fetch.RunChunks(engine, trace.NewSourceChunks(src, insns, trace.DefaultChunkRecords))
+	fetch.RunChunks(engine, src)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -36,13 +36,17 @@ func AttributionGrid() Grid {
 // for every cell of the grid and returns one attribution report per cell,
 // in cell order (program-major, arm-major). Unlike RunGrids, results never
 // come from or go to the store: attribution is an event-stream product, not
-// a counter row, and the store only holds counters. The replay runs on
-// the executor's program pool (forPrograms), and engines are owned by
-// exactly one broadcast worker, so the per-engine Attribution collectors
-// need no locking.
+// a counter row, and the store only holds counters. Traces do come from
+// the corpus under CorpusDir, attached as RunGrids attaches it. The replay
+// runs on the executor's program pool (forPrograms), and engines are owned
+// by exactly one broadcast worker, so the per-engine Attribution
+// collectors need no locking.
 func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	r := x.R
 	cfg := r.Cfg
+	if _, err := x.attachCorpus(); err != nil {
+		return nil, err
+	}
 	cells := g.cells(cfg.Programs)
 	cpp := g.cellsPerProgram()
 	reports := make([]obs.Report, len(cells))

@@ -54,10 +54,9 @@ func CorpusPath(dir string, cfg Config) string {
 // program from its generator into a trace.CorpusWriter (buildCorpus) and
 // then attaches the file it wrote, exactly as a hit does. Replay then
 // streams programs from the corpus (Runner.source), the run that built it
-// included, and whole-trace callers decode them (genOne) instead of
-// generating. The returned duration is the wall time spent on corpus work
-// — the "gen-corpus" stage: generation plus serialization on a build,
-// open and validation in every case.
+// included, instead of generating. The returned duration is the wall time
+// spent on corpus work — the "gen-corpus" stage: generation plus
+// serialization on a build, open and validation in every case.
 func (r *Runner) UseCorpus(path string) (time.Duration, error) {
 	start := time.Now()
 	if r.attachedCorpus() != nil {
@@ -190,9 +189,8 @@ func (r *Runner) attachedCorpus() *trace.Corpus {
 }
 
 // CloseCorpus detaches and closes the attached corpus (releasing its
-// mapping); traces already decoded stay valid (decoding copies records out
-// of the mapped bytes). Close between runs only: a replay in flight
-// streams straight from the mapping.
+// mapping). Close between runs only: a replay in flight streams straight
+// from the mapping.
 func (r *Runner) CloseCorpus() error {
 	r.corpusMu.Lock()
 	defer r.corpusMu.Unlock()

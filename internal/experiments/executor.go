@@ -19,7 +19,7 @@ import (
 // `nlstables` regeneration reads each trace one time no matter how many
 // figures request overlapping cells.
 type Executor struct {
-	// R supplies the configuration and the lazily generated traces.
+	// R supplies the configuration and the per-program trace streams.
 	R *Runner
 	// Store, when non-nil, serves unchanged cells and persists new ones.
 	Store *Store
@@ -46,10 +46,10 @@ type StageSpan struct {
 	// Stage is one of "gather" (cell enumeration and store probing),
 	// "gen-corpus" (trace corpus build or open, 0 when no CorpusDir is
 	// set or no trace was needed), "trace-gen" (trace acquisition:
-	// workload generation and chunking, or — on a program streamed from
-	// the corpus — opening and validating the stream), "replay" (the
-	// broadcast replay itself, including a streamed program's decode),
-	// "store-save" (persisting rows).
+	// opening and validating a corpus stream, or building the program a
+	// generator stream walks), "replay" (the broadcast replay itself,
+	// including drawing the blocks: a corpus stream's decode or a
+	// generator stream's generation), "store-save" (persisting rows).
 	Stage   string  `json:"stage"`
 	Seconds float64 `json:"seconds"`
 }
@@ -284,13 +284,12 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		}
 	}
 
-	// Traces are about to be needed: attach (building if absent) the
-	// content-keyed corpus, so replay streams instead of generating. A
-	// fully store-served run skips this — it needs no trace, so it should
-	// not build a corpus either.
+	// Traces are about to be needed: attach the corpus. A fully
+	// store-served run skips this — it needs no trace, so it should not
+	// build a corpus either.
 	var corpusDur time.Duration
-	if x.CorpusDir != "" && len(active) > 0 {
-		d, err := r.UseCorpus(CorpusPath(x.CorpusDir, cfg))
+	if len(active) > 0 {
+		d, err := x.attachCorpus()
 		if err != nil {
 			return nil, err
 		}
@@ -442,6 +441,17 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		}
 	}
 	return rs, nil
+}
+
+// attachCorpus attaches (building if absent) the content-keyed corpus
+// under CorpusDir, so replay decodes traces instead of generating them.
+// It returns the "gen-corpus" stage's time, and does nothing without a
+// CorpusDir.
+func (x *Executor) attachCorpus() (time.Duration, error) {
+	if x.CorpusDir == "" {
+		return 0, nil
+	}
+	return x.R.UseCorpus(CorpusPath(x.CorpusDir, x.R.Cfg))
 }
 
 // forPrograms runs f for every program index in idx on the executor's

@@ -149,9 +149,11 @@ func DefaultConfig(insns int) Config {
 	}
 }
 
-// Runner generates and caches the per-program traces, lazily and
+// Runner acquires the per-program traces for replay, lazily and
 // independently per program: a warm-store run that needs no cell of some
-// program never pays that program's trace generation.
+// program never touches that program's trace. It never holds a whole
+// trace: every replay streams its program chunk by chunk, from the
+// attached corpus or from the workload's generator (Runner.source).
 type Runner struct {
 	Cfg Config
 
@@ -160,62 +162,22 @@ type Runner struct {
 	// the callback must not invoke the Runner.
 	Progress func(SweepStats)
 
-	progs []progTrace
-
 	// corpus, when attached by UseCorpus, serves program traces by
 	// decoding instead of generating (corpus.go).
 	corpusMu sync.Mutex
 	corpus   *trace.Corpus
+	// regenerated marks, per program, that its corpus entry failed
+	// validation or broke mid-replay, so the program was generated
+	// instead and later replays skip the entry.
+	regenerated []atomic.Bool
 
 	statsMu sync.Mutex
 	stats   SweepStats
 }
 
-// progTrace is one program's lazily generated (or corpus-decoded) whole
-// trace.
-type progTrace struct {
-	once sync.Once
-	// held is set once t, ct and err are filled, so source can tell
-	// whether the runner already holds the trace without filling it.
-	held atomic.Bool
-	t    *trace.Trace
-	ct   *trace.Chunked
-	err  error
-}
-
 // NewRunner builds a runner.
 func NewRunner(cfg Config) *Runner {
-	return &Runner{Cfg: cfg, progs: make([]progTrace, len(cfg.Programs))}
-}
-
-// genOne materializes (once) program i's whole trace and its chunked form
-// for the whole-trace callers (TraceOne, Traces, Chunked, sweepPerCell).
-// With a corpus attached (UseCorpus), the trace is decoded from the corpus
-// instead; a corpus whose entry is unusable falls back to generation — the
-// corpus is a cache, so corruption degrades to recomputation, never to an
-// error.
-func (r *Runner) genOne(i int) *progTrace { return r.load(i, true) }
-
-// load fills program i's progTrace once: decoded from the attached corpus
-// when fromCorpus is set and the entry is usable, generated otherwise.
-// Whichever call comes first decides; later calls return its result.
-func (r *Runner) load(i int, fromCorpus bool) *progTrace {
-	pt := &r.progs[i]
-	pt.once.Do(func() {
-		defer pt.held.Store(true)
-		if c := r.attachedCorpus(); fromCorpus && c != nil {
-			if t, err := c.Trace(r.Cfg.Programs[i].Name); err == nil && len(t.Records) == r.Cfg.Insns {
-				pt.t = t
-				pt.ct = trace.Chunk(t, trace.DefaultChunkRecords)
-				return
-			}
-		}
-		pt.t, pt.err = r.Cfg.Programs[i].Trace(r.Cfg.Insns)
-		if pt.err == nil {
-			pt.ct = trace.Chunk(pt.t, trace.DefaultChunkRecords)
-		}
-	})
-	return pt
+	return &Runner{Cfg: cfg, regenerated: make([]atomic.Bool, len(cfg.Programs))}
 }
 
 // replaySource is one program's replay input, as acquired by
@@ -227,52 +189,45 @@ type replaySource struct {
 	// Table-1 header).
 	Name            string
 	StaticCondSites int
-	// stream is the corpus decoder behind a streamed source, nil when
-	// the source walks a trace the runner holds.
+	// stream is the corpus decoder behind a corpus source, nil when the
+	// source draws from the generator.
 	stream *trace.PayloadChunks
 }
 
 // source is the runner's single trace-acquisition function for replay;
 // RunGrids and RunAttribution both draw their programs through
-// replayProgram, which calls it. With a corpus attached (a hit, or the
-// one UseCorpus just built) it streams the program's payload in
-// DefaultChunkRecords chunks — the same blocks trace.Chunk cuts —
-// decoding each as it is drawn, so replay never materializes the trace;
-// before handing the stream out it checks the payload checksum and that
-// the payload header names the program at Cfg.Insns records. It walks a
-// memoized whole trace instead only when the runner already holds one (a
-// whole-trace caller asked for it, or an earlier replay's stream broke
-// and it was regenerated), when the stream fails those checks (the trace
-// is then generated and memoized), or when no corpus is attached.
-// lineBytes > 0 annotates every block with its same-line runs for that
-// line size (see runLineBytes); 0 yields plain blocks.
+// replayProgram, which calls it. Either way the program arrives in
+// DefaultChunkRecords blocks, recycled once released, so replay holds
+// O(chunk) records however long the trace. With a corpus attached (a hit,
+// or the one UseCorpus just built) it streams the program's payload,
+// decoding each block as it is drawn; before handing the stream out it
+// checks the payload checksum and that the payload header names the
+// program at Cfg.Insns records. Without a corpus, or when the entry fails
+// those checks or broke in an earlier replay, it streams the program from
+// its generator (workload.Spec.Stream). lineBytes > 0 annotates every
+// block with its same-line runs for that line size (see runLineBytes); 0
+// yields plain blocks.
 func (r *Runner) source(i, lineBytes int) (replaySource, error) {
-	if c := r.attachedCorpus(); c != nil && !r.progs[i].held.Load() {
+	var src replaySource
+	if c := r.attachedCorpus(); c != nil && !r.regenerated[i].Load() {
 		name := r.Cfg.Programs[i].Name
 		d, err := c.ChunkSource(name, trace.DefaultChunkRecords)
 		if err == nil && d.Name == name && d.Len() == r.Cfg.Insns {
-			src := replaySource{Chunks: d, Name: d.Name,
+			src = replaySource{Chunks: d, Name: d.Name,
 				StaticCondSites: d.StaticCondSites, stream: d}
-			if lineBytes > 0 {
-				src.Chunks = trace.AnnotateRuns(d, lineBytes)
-			}
-			return src, nil
+		} else {
+			r.regenerated[i].Store(true)
 		}
 	}
-	return r.memoized(i, lineBytes)
-}
-
-// memoized returns a source over program i's whole trace, generating it
-// first if the runner does not hold it yet.
-func (r *Runner) memoized(i, lineBytes int) (replaySource, error) {
-	pt := r.load(i, false)
-	if pt.err != nil {
-		return replaySource{}, pt.err
+	if src.Chunks == nil {
+		s, err := r.Cfg.Programs[i].Stream(r.Cfg.Insns)
+		if err != nil {
+			return replaySource{}, err
+		}
+		src = replaySource{Chunks: s, Name: s.Name, StaticCondSites: s.StaticCondSites}
 	}
-	src := replaySource{Chunks: pt.ct.Chunks(), Name: pt.ct.Name,
-		StaticCondSites: pt.ct.StaticCondSites}
 	if lineBytes > 0 {
-		src.Chunks = pt.ct.ChunksRuns(lineBytes)
+		src.Chunks = trace.AnnotateRuns(src.Chunks, lineBytes)
 	}
 	return src, nil
 }
@@ -280,13 +235,14 @@ func (r *Runner) memoized(i, lineBytes int) (replaySource, error) {
 // replayProgram acquires program i's trace through source and calls
 // replay over it; replay builds its consumers (engines, probes,
 // collectors) afresh on every call and returns how many records it drew.
-// A streamed source is confirmed after replay: the decoder must report no
+// A corpus source is confirmed after replay: the decoder must report no
 // error and replay must have drawn exactly Cfg.Insns records. If not, the
 // first replay's results are discarded — replay is called again over a
-// freshly generated trace — so a bad corpus degrades to recomputation,
-// never to an error or a wrong row. The returned duration is the time
-// spent acquiring (the "trace-gen" stage): opening and validating a
-// stream, or generating; a stream's decoding happens inside replay.
+// generator stream — so a bad corpus degrades to recomputation, never to
+// an error or a wrong row. The returned duration is the time spent
+// acquiring (the "trace-gen" stage): opening and validating a corpus
+// stream, or building the program a generator stream walks; drawing the
+// blocks — decoding or generating them — happens inside replay.
 func (r *Runner) replayProgram(i, lineBytes int, replay func(src replaySource) (int64, error)) (time.Duration, error) {
 	start := time.Now()
 	src, err := r.source(i, lineBytes)
@@ -298,46 +254,15 @@ func (r *Runner) replayProgram(i, lineBytes int, replay func(src replaySource) (
 	if err != nil || src.stream == nil || (src.stream.Err() == nil && n == int64(r.Cfg.Insns)) {
 		return acquire, err
 	}
+	r.regenerated[i].Store(true)
 	start = time.Now()
-	src, err = r.memoized(i, lineBytes)
+	src, err = r.source(i, lineBytes)
 	acquire += time.Since(start)
 	if err != nil {
 		return acquire, err
 	}
 	_, err = replay(src)
 	return acquire, err
-}
-
-// TraceOne returns program i's trace, generating it on first use.
-func (r *Runner) TraceOne(i int) (*trace.Trace, error) {
-	pt := r.genOne(i)
-	return pt.t, pt.err
-}
-
-// Traces generates (in parallel, once each) and returns all per-program
-// traces.
-func (r *Runner) Traces() ([]*trace.Trace, error) {
-	out := make([]*trace.Trace, len(r.progs))
-	if err := forEachProgram(len(out), func(i int) error {
-		pt := r.genOne(i)
-		out[i] = pt.t
-		return pt.err
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Chunked returns all per-program traces in chunked form.
-func (r *Runner) Chunked() ([]*trace.Chunked, error) {
-	if _, err := r.Traces(); err != nil {
-		return nil, err
-	}
-	out := make([]*trace.Chunked, len(r.progs))
-	for i := range r.progs {
-		out[i] = r.progs[i].ct
-	}
-	return out, nil
 }
 
 // Row is the single result type of the pipeline: the outcome of one
@@ -407,41 +332,6 @@ func (r *Runner) Sweep(factories []Factory, caches []cache.Geometry) ([]Row, err
 		return nil, err
 	}
 	return rs.Rows(g), nil
-}
-
-// sweepPerCell is the legacy scheduler: every (program × factory × cache)
-// cell replays the full materialized trace independently through fetch.Run.
-// It is kept, unexported, as the differential-test oracle for the grid
-// executor and as the baseline the root-level BenchmarkSweepPerCell
-// measures against.
-func (r *Runner) sweepPerCell(factories []Factory, caches []cache.Geometry) ([]Row, error) {
-	traces, err := r.Traces()
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Row, len(traces)*len(factories)*len(caches))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	idx := 0
-	for _, t := range traces {
-		for _, f := range factories {
-			for _, g := range caches {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(slot int, t *trace.Trace, f Factory, g cache.Geometry) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					e := f.New(g)
-					m := fetch.Run(e, t)
-					results[slot] = Row{Program: t.Name, Arch: f.Name,
-						Spec: f.Spec.WithGeometry(g), M: *m}
-				}(idx, t, f, g)
-				idx++
-			}
-		}
-	}
-	wg.Wait()
-	return results, nil
 }
 
 func maxParallel() int {

@@ -46,11 +46,10 @@ func TestGridGolden(t *testing.T) {
 
 	// Per-cell oracle: every unique cell of every grid, replayed
 	// independently on the materialized trace.
-	traces := map[string]int{}
-	for i, p := range cfg.Programs {
-		traces[p.Name] = i
+	traces := map[string]*trace.Trace{}
+	for _, tr := range programTraces(t, cfg) {
+		traces[tr.Name] = tr
 	}
-	r := NewRunner(cfg)
 	checked := map[string]bool{}
 	for _, f := range figs {
 		rows := cold.Rows(f.Grid)
@@ -60,10 +59,7 @@ func TestGridGolden(t *testing.T) {
 				continue
 			}
 			checked[k] = true
-			tr, err := r.TraceOne(traces[c.Prog.Name])
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := traces[c.Prog.Name]
 			var want *metrics.Counters
 			if c.Spec.Prefetch != nil {
 				// A decoupled (prefetching) frontend's FTQ run-ahead is
@@ -211,5 +207,29 @@ func TestCellDedupAcrossGrids(t *testing.T) {
 	}
 	if ra[0].M != rb[0].M {
 		t.Error("aliased cells returned different counters")
+	}
+}
+
+// TestExecutorNonPositiveInsns: a corpus-less run with a zero or negative
+// instruction budget (nlssim -n 0 or -n -5) streams no records and
+// returns all-zero rows, not an error.
+func TestExecutorNonPositiveInsns(t *testing.T) {
+	for _, insns := range []int{0, -1} {
+		cfg := DefaultConfig(insns)
+		cfg.Programs = []workload.Spec{workload.Li()}
+		g := heapCeilingGrid()
+		rs, err := (&Executor{R: NewRunner(cfg)}).RunGrids(false, g)
+		if err != nil {
+			t.Fatalf("insns=%d: %v", insns, err)
+		}
+		rows := rs.Rows(g)
+		if rs.Simulated != len(rows) || len(rows) != 2 {
+			t.Fatalf("insns=%d: simulated %d of %d rows, want 2 of 2", insns, rs.Simulated, len(rows))
+		}
+		for _, row := range rows {
+			if row.M != (metrics.Counters{}) {
+				t.Errorf("insns=%d %s: counters %+v, want all zero", insns, row.Arch, row.M)
+			}
+		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 )
 
 // buildTestCorpus writes cfg's corpus under dir from a throwaway runner, so a
-// fresh runner afterwards holds no trace and must stream every program.
+// fresh runner afterwards finds it on disk and streams every program from
+// it.
 func buildTestCorpus(t *testing.T, cfg Config, dir string) string {
 	t.Helper()
 	path := CorpusPath(dir, cfg)
@@ -31,15 +32,16 @@ func buildTestCorpus(t *testing.T, cfg Config, dir string) string {
 	return path
 }
 
-// heldPrograms lists the programs whose whole trace r materialized.
-func heldPrograms(r *Runner) []string {
-	var held []string
-	for i := range r.progs {
-		if r.progs[i].held.Load() {
-			held = append(held, r.Cfg.Programs[i].Name)
+// regeneratedPrograms lists the programs r generated because their corpus
+// entry was unusable.
+func regeneratedPrograms(r *Runner) []string {
+	var regen []string
+	for i := range r.regenerated {
+		if r.regenerated[i].Load() {
+			regen = append(regen, r.Cfg.Programs[i].Name)
 		}
 	}
-	return held
+	return regen
 }
 
 // streamJob is one executor entry point, rendered to bytes for a
@@ -111,9 +113,9 @@ func streamJobs() []streamJob {
 }
 
 // TestStreamedReplayMatchesGenerated: a fresh runner over a pre-built
-// corpus streams every program chunk by chunk (it never materializes a
-// trace), and every executor entry point must produce byte-identical
-// output to fresh generation, at GOMAXPROCS 1 and 2.
+// corpus streams every program from it chunk by chunk, and every executor
+// entry point must produce byte-identical output to a corpus-less runner
+// streaming from the generator, at GOMAXPROCS 1 and 2.
 func TestStreamedReplayMatchesGenerated(t *testing.T) {
 	cfg := corpusTestConfig()
 	dir := t.TempDir()
@@ -123,15 +125,10 @@ func TestStreamedReplayMatchesGenerated(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, job := range streamJobs() {
 			want := job.run(t, &Executor{R: NewRunner(cfg)})
-			// RunGrids attaches CorpusDir itself; RunAttribution draws
-			// from whatever corpus the runner has, so attach it up front.
 			x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
-			if _, err := x.R.UseCorpus(CorpusPath(dir, cfg)); err != nil {
-				t.Fatal(err)
-			}
 			got := job.run(t, x)
-			if held := heldPrograms(x.R); len(held) > 0 {
-				t.Errorf("procs=%d %s: streamed run materialized %v", procs, job.name, held)
+			if regen := regeneratedPrograms(x.R); len(regen) > 0 {
+				t.Errorf("procs=%d %s: intact corpus entries regenerated: %v", procs, job.name, regen)
 			}
 			x.R.CloseCorpus()
 			if string(got) != string(want) {
@@ -202,25 +199,22 @@ func checkFallback(t *testing.T, cfg Config, dir, damaged string) {
 	if string(mustJSON(t, got)) != string(mustJSON(t, want)) {
 		t.Errorf("rows over the damaged corpus differ from generated\n got %+v\nwant %+v", got, want)
 	}
-	if held := heldPrograms(x.R); len(held) != 1 || held[0] != damaged {
-		t.Errorf("regenerated %v, want exactly [%s]", held, damaged)
+	if regen := regeneratedPrograms(x.R); len(regen) != 1 || regen[0] != damaged {
+		t.Errorf("regenerated %v, want exactly [%s]", regen, damaged)
 	}
 
 	wantAtt, err := (&Executor{R: NewRunner(cfg)}).RunAttribution(AttributionGrid(), AttributionTopN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xa := &Executor{R: NewRunner(cfg)}
-	if _, err := xa.R.UseCorpus(CorpusPath(dir, cfg)); err != nil {
-		t.Fatal(err)
-	}
-	defer xa.R.CloseCorpus()
+	xa := &Executor{R: NewRunner(cfg), CorpusDir: dir}
 	gotAtt, err := xa.RunAttribution(AttributionGrid(), AttributionTopN)
+	defer xa.R.CloseCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held := heldPrograms(xa.R); len(held) != 1 || held[0] != damaged {
-		t.Errorf("attribution regenerated %v, want exactly [%s]", held, damaged)
+	if regen := regeneratedPrograms(xa.R); len(regen) != 1 || regen[0] != damaged {
+		t.Errorf("attribution regenerated %v, want exactly [%s]", regen, damaged)
 	}
 	if string(mustJSON(t, gotAtt)) != string(mustJSON(t, wantAtt)) {
 		t.Error("attribution over the damaged corpus differs from generated")
@@ -355,8 +349,7 @@ func peakLiveHeap(f func()) (base, peak uint64) {
 }
 
 // runHeapCeiling replays heapCeilingGrid through x under peakLiveHeap and
-// fails if the run materialized a trace or its live heap reached
-// heapCeiling.
+// fails if its live heap reached heapCeiling.
 func runHeapCeiling(t *testing.T, x *Executor) {
 	t.Helper()
 	var rs *ResultSet
@@ -367,9 +360,6 @@ func runHeapCeiling(t *testing.T, x *Executor) {
 	}
 	if rs.Simulated != 2 {
 		t.Fatalf("simulated %d cells, want 2", rs.Simulated)
-	}
-	if held := heldPrograms(x.R); len(held) > 0 {
-		t.Fatalf("run materialized %v instead of streaming", held)
 	}
 	t.Logf("live heap: %.1f MB before, %.1f MB peak during RunGrids", float64(base)/(1<<20), float64(peak)/(1<<20))
 	if peak >= heapCeiling {
@@ -420,15 +410,47 @@ func TestColdCorpusBuildHeapCeiling(t *testing.T) {
 	if g, w := mustJSON(t, got.Rows(heapCeilingGrid())), mustJSON(t, want.Rows(heapCeilingGrid())); string(g) != string(w) {
 		t.Fatalf("cold corpus run rows differ from a corpus-less run\n got %s\nwant %s", g, w)
 	}
-	if held := heldPrograms(xs.R); len(held) > 0 {
-		t.Fatalf("cold corpus run materialized %v instead of streaming", held)
-	}
 
 	cfg := DefaultConfig(20_000_000)
 	cfg.Programs = []workload.Spec{workload.Li()}
 	x := &Executor{R: NewRunner(cfg), CorpusDir: t.TempDir()}
 	defer x.R.CloseCorpus()
 	runHeapCeiling(t, x)
+}
+
+// TestGeneratorReplayHeapCeiling extends the ceiling to a corpus-less
+// run: without a CorpusDir, RunGrids streams the 20M-instruction program
+// from its generator block by block, so the live heap stays under 32MB
+// just as it does over a corpus. Materializing the trace peaks at
+// ~240MB.
+func TestGeneratorReplayHeapCeiling(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
+	}
+	cfg := DefaultConfig(20_000_000)
+	cfg.Programs = []workload.Spec{workload.Li()}
+	runHeapCeiling(t, &Executor{R: NewRunner(cfg)})
+}
+
+// TestRunAttributionAttachesCorpus: RunAttribution attaches the corpus
+// under CorpusDir as RunGrids does, so a probed figure on a warm store —
+// where RunGrids simulates nothing and attaches nothing — still decodes
+// its traces instead of generating them.
+func TestRunAttributionAttachesCorpus(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	buildTestCorpus(t, cfg, dir)
+	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
+	if _, err := x.RunAttribution(AttributionGrid(), AttributionTopN); err != nil {
+		t.Fatal(err)
+	}
+	defer x.R.CloseCorpus()
+	if x.R.attachedCorpus() == nil {
+		t.Fatal("RunAttribution left the corpus under CorpusDir unattached")
+	}
+	if regen := regeneratedPrograms(x.R); len(regen) > 0 {
+		t.Errorf("intact corpus entries regenerated: %v", regen)
+	}
 }
 
 // TestStreamedReplayAllocBounded pins chunk recycling on the production
@@ -465,9 +487,6 @@ func TestStreamedReplayAllocBounded(t *testing.T) {
 	}
 	if rs.Simulated != 24 {
 		t.Fatalf("simulated %d cells, want 24", rs.Simulated)
-	}
-	if held := heldPrograms(x.R); len(held) > 0 {
-		t.Fatalf("replay materialized %v instead of streaming", held)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
 	limit := uint64(insns * 12 / 8)

@@ -2,11 +2,59 @@ package experiments
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/btb"
 	"repro/internal/cache"
+	"repro/internal/fetch"
+	"repro/internal/trace"
 )
+
+// programTraces generates every configured program's whole trace, in
+// parallel: the materialized input of the per-cell oracles. Production
+// code never holds a whole trace (Runner.source streams).
+func programTraces(t testing.TB, cfg Config) []*trace.Trace {
+	t.Helper()
+	traces := make([]*trace.Trace, len(cfg.Programs))
+	if err := forEachProgram(len(traces), func(i int) (err error) {
+		traces[i], err = cfg.Programs[i].Trace(cfg.Insns)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return traces
+}
+
+// sweepPerCell is the legacy scheduler: every (program × factory × cache)
+// cell replays the full materialized trace independently through
+// fetch.Run, under a bounded worker pool. It is the differential-test
+// oracle for the grid executor; rows come back in Sweep's order.
+func sweepPerCell(t testing.TB, cfg Config, factories []Factory, caches []cache.Geometry) []Row {
+	traces := programTraces(t, cfg)
+	results := make([]Row, len(traces)*len(factories)*len(caches))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, maxParallel())
+	idx := 0
+	for _, tr := range traces {
+		for _, f := range factories {
+			for _, g := range caches {
+				wg.Add(1)
+				sem <- struct{}{}
+				go func(slot int, tr *trace.Trace, f Factory, g cache.Geometry) {
+					defer wg.Done()
+					defer func() { <-sem }()
+					m := fetch.Run(f.New(g), tr)
+					results[slot] = Row{Program: tr.Name, Arch: f.Name,
+						Spec: f.Spec.WithGeometry(g), M: *m}
+				}(idx, tr, f, g)
+				idx++
+			}
+		}
+	}
+	wg.Wait()
+	return results
+}
 
 // sweepMatrix is the architecture axis used by the scheduler tests: one
 // factory per engine family, so the differential covers every Step path.
@@ -33,10 +81,7 @@ func TestSweepMatchesPerCellOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.sweepPerCell(factories, caches)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sweepPerCell(t, r.Cfg, factories, caches)
 	if len(got) != len(want) {
 		t.Fatalf("Sweep returned %d cells, oracle %d", len(got), len(want))
 	}
@@ -107,10 +152,7 @@ func TestSweepPropertyRandomMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := r.sweepPerCell(factories, caches)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sweepPerCell(t, r.Cfg, factories, caches)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: Sweep returned %d cells, oracle %d", trial, len(got), len(want))
 		}

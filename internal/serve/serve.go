@@ -144,8 +144,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // runJob is the default execFunc: one executor run over the job's grid,
 // serving unchanged cells from the store, then the deterministic response
-// document. Each job gets its own Runner (trace caches are per-run;
-// cross-job reuse happens at the cell store, which is keyed by content).
+// document. Each job gets its own Runner (a runner holds no trace;
+// cross-job reuse happens at the cell store and the trace corpus, both
+// keyed by content).
 // The run reuses the cell keys CompileJob derived for the flight key, so
 // a job keys each cell once. Executor stage spans feed the registry's
 // stage histograms.

@@ -7,8 +7,8 @@ import (
 )
 
 // TestSourceStreamsSameTrace: Spec.Source is seeded identically to
-// Spec.Trace, so drawing the records chunk by chunk (as cmd/nlssim -stream
-// and the broadcast sweeps do) yields exactly the materialized trace.
+// Spec.Trace, so drawing the records chunk by chunk (as Spec.Stream does
+// for every corpus-less replay) yields exactly the materialized trace.
 func TestSourceStreamsSameTrace(t *testing.T) {
 	const n = 40_000
 	for _, spec := range All() {
