@@ -7,30 +7,36 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/isa"
+	"repro/internal/pht"
 	"repro/internal/trace"
 )
 
-// broadcastDepth is the capacity of each channel of the parallel fan-out
-// (per-group gin, per-worker wch). It bounds the blocks one broadcast holds
+// broadcastDepth is the capacity of each channel of the fan-out (per-group
+// gin, per-worker wch). It bounds the blocks one broadcast holds
 // outstanding — drawn from the source and not yet released — regardless
 // of trace length, worker count or group count, which is what lets a
-// streamed sweep run in O(chunk) memory: one inline; three pipelined (one
-// replaying, one annotated and queued, one drawn and waiting for a parity
-// buffer); and 2*broadcastDepth+3 on the parallel path. There, every
-// outstanding block lies between the oldest one still held and the newest
-// drawn, and the main goroutine cannot run further ahead of the oldest
-// than the longest chain it feeds: main (1) → gin (depth) → group
-// goroutine (1) → wch (depth) → worker (1).
-const broadcastDepth = 4
+// streamed sweep run in O(chunk) memory. Every outstanding block lies
+// between the oldest one still held and the newest drawn, and the main
+// goroutine cannot run further ahead of the oldest than the longest chain
+// it feeds: main (1) → gin (depth) → group goroutine (1) → wch (depth) →
+// worker (1), which is broadcastBound. Unbuffered hand-offs measured as
+// fast as buffered ones for less memory (DESIGN.md §16): on one CPU they
+// replay each block group by group while it is cache-hot, and on more the
+// stages still overlap.
+const (
+	broadcastDepth = 0
+	broadcastBound = 2*broadcastDepth + 3
+)
 
 // Broadcast replays a trace ONCE through every engine: each block drawn
-// from src is fanned out to all engines before the next block is drawn, so
-// a sweep cell of E engines reads the records one time instead of E times
-// and each block is still cache-hot when the later engines replay it.
-// Engines see exactly the record sequence of src, in order, via StepBlock.
-// The worker pool is sized to min(GOMAXPROCS, len(engines)); use
-// BroadcastWorkers to bound it explicitly. Returns the number of records
-// replayed.
+// from src is fanned out to all engines, so a sweep cell of E engines reads
+// the records one time instead of E times and each block is still
+// cache-hot when the engines replay it. Engines see exactly the record
+// sequence of src, in order, each on the replay path replayPlan picks for
+// it, and end with the counters a per-record Run would leave. The worker
+// pool is sized to min(GOMAXPROCS, len(engines)); use BroadcastWorkers to
+// bound it explicitly. Returns the number of records replayed.
 func Broadcast(src trace.ChunkSource, engines ...Engine) int64 {
 	return BroadcastWorkers(src, runtime.GOMAXPROCS(0), engines...)
 }
@@ -41,11 +47,36 @@ type annotated struct {
 	runs []uint8
 }
 
-// groupMember is one grouped engine: its broadcast index (for worker
-// assignment) and its Frontend.
-type groupMember struct {
-	idx int
-	fr  *Frontend
+// member is one engine a broadcast worker replays.
+type member struct {
+	idx int       // broadcast index: worker idx mod workers replays it
+	e   Engine    // replays via StepBlock when fr is nil
+	fr  *Frontend // e's Frontend, resolved once
+	// runsOK records that the source's run annotation was computed for
+	// fr's line size (read on the private path; a group's oracle reads
+	// the annotation for its members).
+	runsOK bool
+	// dir is the slot of each block's direction annotation fr reads, or -1
+	// when fr predicts with its own predictor (see dirDriver).
+	dir int
+}
+
+// replayPrivate steps a private engine through one block on its own cache:
+// via replayRuns (nil runs scans the line boundaries), or via StepBlock for
+// an engine without a Frontend.
+func (m *member) replayPrivate(blk *sharedBlock) {
+	if m.fr == nil {
+		m.e.StepBlock(blk.recs)
+		return
+	}
+	runs := blk.runs
+	if !m.runsOK {
+		runs = nil
+	}
+	m.fr.readDirs(blk, m.dir)
+	start := time.Now()
+	m.fr.replayRuns(blk.recs, runs)
+	m.fr.replayTime += time.Since(start)
 }
 
 // oracleGroup shares one fetch oracle among the eligible engines of equal
@@ -53,7 +84,7 @@ type groupMember struct {
 // every member consumes the resulting annotation.
 type oracleGroup struct {
 	oracle  *cache.Oracle
-	members []groupMember
+	members []member
 	// echoes are the engines of this geometry whose break metrics are
 	// echoed from an equal-invariant leader in another group (see
 	// Frontend.echoInvariant): they skip replay entirely and only receive
@@ -64,11 +95,8 @@ type oracleGroup struct {
 	// scan line boundaries themselves, with runs forced nil so both sides
 	// agree on run-leader positions.
 	runsOK bool
-	// ann holds the group's reusable annotations on the sequential path:
-	// one buffer for inline annotation, two when the double-buffered
-	// pipeline annotates chunk k+1 while chunk k replays (the parity
-	// token names which buffer a chunk owns).
-	ann [2]cache.AccessAnnotations
+	// anns recycles the group's per-block annotations.
+	anns freeList[sharedAnn]
 }
 
 // echoPair records one echoed engine and the replayed leader whose break
@@ -106,19 +134,14 @@ func extractEchoes(groups []*oracleGroup) (pairs []echoPair) {
 	return pairs
 }
 
-// dirShare is one chunk's direction-prediction bit stream, recorded by
-// the owner engine and replayed by its followers (one bit per break, in
-// break order). Identically configured cold direction predictors fed the
-// identical break stream are bit-identical state machines, so the bits —
-// and every counter derived from them — match what each follower's own
-// predictor would have computed.
-type dirShare struct {
+// dirBits is one block's direction annotation for one predictor
+// configuration: the predicted direction of each break, in break order.
+type dirBits struct {
 	bits []uint64
 	n    int
 }
 
-func (d *dirShare) reset() { d.bits, d.n = d.bits[:0], 0 }
-func (d *dirShare) push(taken bool) {
+func (d *dirBits) push(taken bool) {
 	if d.n&63 == 0 {
 		d.bits = append(d.bits, 0)
 	}
@@ -127,167 +150,106 @@ func (d *dirShare) push(taken bool) {
 	}
 	d.n++
 }
-func (d *dirShare) at(i int) bool { return d.bits[i>>6]>>(i&63)&1 != 0 }
 
-// dirSharePlan pairs a stream's owner with its followers for the
-// end-of-broadcast state hand-off.
-type dirSharePlan struct {
-	owner     *Frontend
-	followers []*Frontend
+func (d *dirBits) at(i int) bool { return d.bits[i>>6]>>(i&63)&1 != 0 }
+
+// readDirs points f's direction cursor at the start of blk's annotation in
+// slot k; k < 0 leaves f predicting with its own predictor.
+func (f *Frontend) readDirs(blk *sharedBlock, k int) {
+	if k >= 0 {
+		f.dirIn, f.dirPos = &blk.dirs[k], 0
+	}
 }
 
-// extractDirShares groups the replaying members by direction-predictor
-// configuration (Frontend.dirShareKey) and attaches each group with two or
-// more engines to a shared bit stream; the first member in replay order
-// becomes the owner, so its bits are always recorded before any follower
-// consumes them. Only the sequential broadcast path may use this —
-// parallel fan-out replays groups concurrently, with no owner-first
-// ordering across them.
-func extractDirShares(groups []*oracleGroup) []dirSharePlan {
-	var plans []dirSharePlan
-	owners := make(map[string]int)
-	for _, g := range groups {
-		for _, m := range g.members {
-			key, ok := m.fr.dirShareKey()
-			if !ok {
-				continue
-			}
-			if pi, seen := owners[key]; seen {
-				plans[pi].followers = append(plans[pi].followers, m.fr)
-			} else {
-				owners[key] = len(plans)
-				plans = append(plans, dirSharePlan{owner: m.fr})
-			}
+// dirDriver computes one direction-annotation slot. Identically configured
+// cold direction predictors fed the identical break stream are bit-identical
+// state machines (Frontend.dirShareKey), so the main goroutine trains the
+// first reader's predictor through each drawn block's breaks, before the
+// block is fanned out, and every reader — the first included — reads the
+// bits instead of consulting or training its own predictor.
+type dirDriver struct {
+	readers []*Frontend
+}
+
+// annotate drives the predictor through recs' breaks exactly as
+// stepBreakAt does: Predict and Resolve for a conditional, Query for any
+// other break.
+func (d *dirDriver) annotate(recs []trace.Record, out *dirBits) {
+	dir := d.readers[0].bpu.dir
+	out.bits, out.n = out.bits[:0], 0
+	for _, r := range recs {
+		switch {
+		case r.Kind == isa.CondBranch:
+			taken, tok := dir.Predict(r.PC)
+			dir.Resolve(r.PC, tok, r.Taken)
+			out.push(taken)
+		case r.IsBreak():
+			out.push(dir.Query(r.PC))
 		}
 	}
-	kept := plans[:0]
-	for _, p := range plans {
-		if len(p.followers) == 0 {
+}
+
+// handOff detaches the readers and has every other reader adopt the driven
+// predictor's state, leaving each exactly as if it had trained its own.
+func (d *dirDriver) handOff() {
+	src := pht.Unwrap(d.readers[0].bpu.dir)
+	for i, f := range d.readers {
+		f.dirIn = nil
+		if i > 0 {
+			pht.Unwrap(f.bpu.dir).(interface{ AdoptState(pht.Predictor) bool }).AdoptState(src)
+		}
+	}
+}
+
+// planDirs gives a direction-annotation slot to every replaying engine whose
+// Frontend.dirShareKey at least one other replaying engine, grouped or
+// private, shares, and returns one driver per slot. Echoed engines replay
+// nothing and read nothing.
+func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
+	var all []*member
+	for _, g := range groups {
+		for i := range g.members {
+			all = append(all, &g.members[i])
+		}
+	}
+	for i := range private {
+		all = append(all, &private[i])
+	}
+	var keys []string
+	byKey := make(map[string][]*member)
+	for _, m := range all {
+		if m.fr == nil {
 			continue
 		}
-		ds := &dirShare{}
-		p.owner.setDirShare(ds, true)
-		for _, fr := range p.followers {
-			fr.setDirShare(ds, false)
-		}
-		kept = append(kept, p)
-	}
-	return kept
-}
-
-// releaseDirShares detaches every engine from its shared stream and hands
-// the owner's trained predictor state to the followers, leaving all of
-// them exactly as if each had trained its own predictor.
-func releaseDirShares(plans []dirSharePlan) {
-	for _, p := range plans {
-		src := p.owner.dirPredictor()
-		p.owner.clearDirShare()
-		for _, fr := range p.followers {
-			fr.clearDirShare()
-			fr.adoptDirState(src)
-		}
-	}
-}
-
-// broadcastPipeline gates the sequential path's double-buffered annotation
-// pipeline. With a single P the annotator goroutines cannot overlap the
-// replay and only add scheduling latency, so the pipeline engages exactly
-// when spare parallelism exists; tests toggle the gate to exercise both
-// paths on any machine.
-var broadcastPipeline = runtime.GOMAXPROCS(0) > 1
-
-// broadcastSequentialInline annotates and replays each chunk in one
-// goroutine: annotate every group, replay every member, release the chunk,
-// repeat.
-func broadcastSequentialInline(next func() annotated, release func([]trace.Record), private []func(annotated), groups []*oracleGroup) int64 {
-	var n int64
-	for blk := next(); len(blk.recs) > 0; blk = next() {
-		for _, g := range groups {
-			runs := blk.runs
-			if !g.runsOK {
-				runs = nil
+		if key, ok := m.fr.dirShareKey(); ok {
+			if byKey[key] == nil {
+				keys = append(keys, key)
 			}
-			g.oracle.Annotate(blk.recs, runs, &g.ann[0])
-			replayGroup(g, blk, &g.ann[0])
+			byKey[key] = append(byKey[key], m)
 		}
-		for _, s := range private {
-			s(blk)
-		}
-		n += int64(len(blk.recs))
-		release(blk.recs)
 	}
-	return n
-}
-
-// broadcastSequentialPipelined is broadcastSequentialInline with the
-// annotation stage running one chunk ahead: an annotator goroutine fills
-// the parity-p buffers of every group for chunk k+1 — each geometry
-// group's oracle pass in its own goroutine, they share no state — while
-// the main goroutine replays chunk k from the parity-(1-p) buffers. The
-// two parity tokens circulate through the free channel, so a buffer is
-// never annotated over until its chunk has fully replayed. Replay stays in
-// the main goroutine in the exact order of the inline path, which keeps
-// counters — and the shared direction-bit streams — bit-identical to it.
-// A chunk is released as its parity token is handed back.
-func broadcastSequentialPipelined(next func() annotated, release func([]trace.Record), private []func(annotated), groups []*oracleGroup) int64 {
-	type slot struct {
-		blk annotated
-		par int
-	}
-	ready := make(chan slot, 1)
-	free := make(chan int, 2)
-	free <- 0
-	free <- 1
-	go func() {
-		defer close(ready)
-		for blk := next(); len(blk.recs) > 0; blk = next() {
-			par := <-free
-			var wg sync.WaitGroup
-			for _, g := range groups {
-				wg.Add(1)
-				go func(g *oracleGroup) {
-					defer wg.Done()
-					runs := blk.runs
-					if !g.runsOK {
-						runs = nil
-					}
-					g.oracle.Annotate(blk.recs, runs, &g.ann[par])
-				}(g)
+	var drivers []*dirDriver
+	for _, key := range keys {
+		if ms := byKey[key]; len(ms) > 1 {
+			d := &dirDriver{}
+			for _, m := range ms {
+				m.dir = len(drivers)
+				d.readers = append(d.readers, m.fr)
 			}
-			wg.Wait()
-			ready <- slot{blk, par}
+			drivers = append(drivers, d)
 		}
-	}()
-	var n int64
-	for s := range ready {
-		for _, g := range groups {
-			replayGroup(g, s.blk, &g.ann[s.par])
-		}
-		for _, p := range private {
-			p(s.blk)
-		}
-		n += int64(len(s.blk.recs))
-		release(s.blk.recs)
-		free <- s.par
 	}
-	return n
+	return drivers
 }
 
-// replayGroup feeds one annotated chunk to a group's members and echoes.
-func replayGroup(g *oracleGroup, blk annotated, ann *cache.AccessAnnotations) {
-	replayMembers(g.members, blk.recs, ann)
-	for _, ef := range g.echoes {
-		ef.echoCredit(len(blk.recs), ann)
-	}
-}
-
-// replayMembers steps grouped members through one annotated chunk,
+// replayMembers steps grouped members through one annotated block,
 // charging each member's replay time with its own share of the wall time
 // (one clock read per member).
-func replayMembers(members []groupMember, recs []trace.Record, ann *cache.AccessAnnotations) {
+func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotations) {
 	start := time.Now()
 	for _, m := range members {
-		m.fr.replayEvents(recs, ann)
+		m.fr.readDirs(blk, m.dir)
+		m.fr.replayEvents(blk.recs, ann)
 		end := time.Now()
 		m.fr.replayTime += end.Sub(start)
 		start = end
@@ -300,12 +262,9 @@ func replayMembers(members []groupMember, recs []trace.Record, ann *cache.Access
 // other eligible Frontend form an oracleGroup and replay via replayEvents
 // from the group's shared oracle. Every other engine — pollution-on,
 // probed, prefetching, or alone in its geometry (an oracle for one engine
-// is pure overhead) — replays privately: via replayRuns when src annotates
-// blocks for its line size, else via StepBlock; an engine without a
-// Frontend always replays via StepBlock. Frontends are timed on every path
-// (ReplayTime). private holds the private replay closures; groups the
-// oracle groups (singletons already demoted).
-func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated, private []func(annotated), groups []*oracleGroup) {
+// is pure overhead) — replays privately (member.replayPrivate). Frontends
+// are timed on every path (ReplayTime).
+func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated, private []member, groups []*oracleGroup) {
 	rs, _ := src.(trace.RunChunkSource)
 	if rs != nil && rs.RunLineBytes() > 0 {
 		next = func() annotated {
@@ -316,50 +275,37 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 		rs = nil
 		next = func() annotated { return annotated{recs: src.NextChunk()} }
 	}
-
-	privateStep := func(e Engine, f *Frontend) func(annotated) {
-		if f == nil {
-			return func(b annotated) { e.StepBlock(b.recs) }
-		}
-		runsOK := rs != nil && f.geom.LineBytes() == rs.RunLineBytes()
-		return func(b annotated) {
-			runs := b.runs
-			if !runsOK {
-				runs = nil
-			}
-			start := time.Now()
-			f.replayRuns(b.recs, runs)
-			f.replayTime += time.Since(start)
-		}
-	}
+	runsOK := func(g cache.Geometry) bool { return rs != nil && g.LineBytes() == rs.RunLineBytes() }
 
 	// Tentatively group every eligible engine by geometry, in engine order
 	// (map only for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		f := asFrontend(e)
-		if f == nil || !f.oracleEligible() {
-			private = append(private, privateStep(e, f))
+		m := member{idx: i, e: e, fr: asFrontend(e), dir: -1}
+		m.runsOK = m.fr != nil && runsOK(m.fr.geom)
+		if m.fr == nil || !m.fr.oracleEligible() {
+			private = append(private, m)
 			continue
 		}
-		geom := f.geom
+		geom := m.fr.geom
 		g := groupOf[geom]
 		if g == nil {
 			g = &oracleGroup{
 				oracle: cache.NewOracle(geom),
-				runsOK: rs != nil && geom.LineBytes() == rs.RunLineBytes(),
+				runsOK: runsOK(geom),
+				anns:   make(freeList[sharedAnn], broadcastBound),
 			}
 			groupOf[geom] = g
 			groups = append(groups, g)
 		}
-		g.members = append(g.members, groupMember{idx: i, fr: f})
+		g.members = append(g.members, m)
 	}
 	// Demote singleton groups: simulating an oracle plus one mirror is
 	// strictly more work than one private cache.
 	kept := groups[:0]
 	for _, g := range groups {
 		if len(g.members) < 2 {
-			private = append(private, privateStep(engines[g.members[0].idx], g.members[0].fr))
+			private = append(private, g.members[0])
 			continue
 		}
 		kept = append(kept, g)
@@ -368,110 +314,107 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 	return next, private, groups
 }
 
+// freeList recycles the per-block structures of one broadcast, which never
+// holds more than broadcastBound of them outstanding.
+type freeList[T any] chan *T
+
+func (l freeList[T]) get() *T {
+	select {
+	case v := <-l:
+		return v
+	default:
+		return new(T)
+	}
+}
+
+func (l freeList[T]) put(v *T) {
+	select {
+	case l <- v:
+	default:
+	}
+}
+
 // sharedAnn is one block's access annotation fanned to the workers owning
-// a group's members; the last consumer recycles the slot buffer.
+// a group's members; the last consumer recycles it.
 type sharedAnn struct {
 	cache.AccessAnnotations
 	refs atomic.Int32
 }
 
-// sharedBlock is one block fanned out by the parallel broadcast. Its
-// reference count is fixed before it is sent: one per group target (one
-// for a group whose members were all echoed away) plus one per worker
-// owning private engines. The last reader releases it to the source.
+// sharedBlock is one block fanned out by the broadcast, with its direction
+// annotation (one slot per dirDriver). Its reference count is fixed before
+// it is sent: one per group target (one for a group whose members were all
+// echoed away) plus one per worker owning private engines. The last reader
+// releases it to the source and recycles it.
 type sharedBlock struct {
 	annotated
+	dirs []dirBits
 	refs atomic.Int32
 }
 
-func (b *sharedBlock) done(src trace.ChunkSource) {
-	if b.refs.Add(-1) == 0 {
-		src.Release(b.recs)
-	}
-}
-
-// workItem is one unit handed to a parallel broadcast worker: a block for
-// the worker's private engines (ann nil) or an annotated block for the
-// worker's members of group gid.
+// workItem is one unit handed to a broadcast worker: a block for the
+// worker's private engines (ann nil) or an annotated block for the worker's
+// members of group gid.
 type workItem struct {
 	blk *sharedBlock
 	gid int
 	ann *sharedAnn
 }
 
-// BroadcastWorkers is Broadcast with an explicit worker bound. Each engine
-// is owned by exactly one worker for the whole replay, so every engine
-// consumes blocks strictly in trace order with no per-record locking.
-// workers <= 1 replays on the calling goroutine. Every drawn block is
-// released to src exactly once, after its last reader.
+// BroadcastWorkers is Broadcast with an explicit worker bound (at least
+// one). Each engine is owned by exactly one worker for the whole replay, so
+// every engine consumes blocks strictly in trace order with no per-record
+// locking. Every drawn block is released to src exactly once, after its
+// last reader.
+//
+// The main goroutine draws each block and computes its direction
+// annotation (dirDriver). Engines keep a static round-robin worker
+// assignment (engine i → worker i mod workers); each worker drains its own
+// bounded channel. Grouped engines add one goroutine per group: it
+// annotates each block once and fans the shared annotation to exactly the
+// workers owning members of that group, refcounted so the last consumer
+// recycles it. The producer graph is acyclic (main → group oracles →
+// workers, main → workers), so the bounded channels cannot deadlock.
 func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int64 {
 	if len(engines) == 0 {
 		return 0
 	}
 	next, private, groups := replayPlan(src, engines)
 	echoes := extractEchoes(groups)
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-	if workers <= 1 {
-		// Sequential chunk-major replay: block k visits every engine
-		// while it is hot, then block k+1 is drawn. Each group's oracle
-		// annotates the block once into a reusable group buffer; its
-		// members then consume the annotation back to back and its echoes
-		// take only the bulk i-cache credit. Replay order is deterministic
-		// here, so engines with identical direction predictors
-		// additionally share one recorded bit stream per chunk.
-		shares := extractDirShares(groups)
-		var n int64
-		if broadcastPipeline && len(groups) > 0 {
-			n = broadcastSequentialPipelined(next, src.Release, private, groups)
-		} else {
-			n = broadcastSequentialInline(next, src.Release, private, groups)
+	drivers := planDirs(private, groups)
+	workers = max(1, min(workers, len(engines)))
+
+	blocks := make(freeList[sharedBlock], broadcastBound)
+	done := func(blk *sharedBlock) {
+		if blk.refs.Add(-1) == 0 {
+			src.Release(blk.recs)
+			blocks.put(blk)
 		}
-		for _, g := range groups {
-			g.ann[0].Release()
-			g.ann[1].Release()
-		}
-		for _, p := range echoes {
-			p.echo.adoptBreakMetrics(p.leader)
-		}
-		releaseDirShares(shares)
-		return n
 	}
 
-	// Parallel fan-out. Engines keep their static round-robin worker
-	// assignment (engine i → worker i mod workers); each worker drains its
-	// own bounded channel. Grouped engines add one producer goroutine per
-	// group: it annotates each block once and fans the shared annotation
-	// to exactly the workers owning members of that group, refcounted so
-	// the last consumer recycles the buffer. The producer graph is acyclic
-	// (main → group oracles → workers, main → workers), so the bounded
-	// channels cannot deadlock.
 	wch := make([]chan workItem, workers)
-	ownPrivate := make([][]func(annotated), workers)
-	ownGrouped := make([][][]groupMember, workers)
+	ownPrivate := make([][]member, workers)
+	ownGrouped := make([][][]member, workers)
 	for w := range wch {
 		wch[w] = make(chan workItem, broadcastDepth)
-		ownGrouped[w] = make([][]groupMember, len(groups))
+		ownGrouped[w] = make([][]member, len(groups))
 	}
-	// Private engines and group members round-robin onto workers by their
-	// original engine index; private closures round-robin by position
-	// (their engine indices are no longer needed).
-	for i, s := range private {
-		w := i % workers
-		ownPrivate[w] = append(ownPrivate[w], s)
+	var refs int32
+	for _, m := range private {
+		w := m.idx % workers
+		if len(ownPrivate[w]) == 0 {
+			refs++
+		}
+		ownPrivate[w] = append(ownPrivate[w], m)
 	}
 	groupWorkers := make([][]int, len(groups))
-	var refs int32
 	for gi, g := range groups {
-		seen := make(map[int]bool, workers)
 		for _, m := range g.members {
 			w := m.idx % workers
-			ownGrouped[w][gi] = append(ownGrouped[w][gi], m)
-			if !seen[w] {
-				seen[w] = true
+			if len(ownGrouped[w][gi]) == 0 {
 				groupWorkers[gi] = append(groupWorkers[gi], w)
 			}
+			ownGrouped[w][gi] = append(ownGrouped[w][gi], m)
 		}
 		refs += int32(max(len(groupWorkers[gi]), 1))
 	}
@@ -483,16 +426,16 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 			defer wwg.Done()
 			for it := range wch[w] {
 				if it.ann == nil {
-					for _, s := range ownPrivate[w] {
-						s(it.blk.annotated)
+					for i := range ownPrivate[w] {
+						ownPrivate[w][i].replayPrivate(it.blk)
 					}
 				} else {
-					replayMembers(ownGrouped[w][it.gid], it.blk.recs, &it.ann.AccessAnnotations)
+					replayMembers(ownGrouped[w][it.gid], it.blk, &it.ann.AccessAnnotations)
 					if it.ann.refs.Add(-1) == 0 {
-						it.ann.Release()
+						groups[it.gid].anns.put(it.ann)
 					}
 				}
-				it.blk.done(src)
+				done(it.blk)
 			}
 		}(w)
 	}
@@ -501,7 +444,6 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 	gin := make([]chan *sharedBlock, len(groups))
 	for gi, g := range groups {
 		gin[gi] = make(chan *sharedBlock, broadcastDepth)
-		targets := groupWorkers[gi]
 		gwg.Add(1)
 		go func(gi int, g *oracleGroup, targets []int) {
 			defer gwg.Done()
@@ -510,7 +452,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 				if !g.runsOK {
 					runs = nil
 				}
-				ann := &sharedAnn{}
+				ann := g.anns.get()
 				g.oracle.Annotate(blk.recs, runs, &ann.AccessAnnotations)
 				// The group's echoes are owned by this goroutine alone
 				// (they appear in no worker's member list), so their bulk
@@ -521,8 +463,8 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 				if len(targets) == 0 {
 					// Every member of this geometry was echoed away; the
 					// annotation existed only for the credit above.
-					ann.Release()
-					blk.done(src)
+					g.anns.put(ann)
+					done(blk)
 					continue
 				}
 				ann.refs.Store(int32(len(targets)))
@@ -530,26 +472,26 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 					wch[w] <- workItem{blk: blk, gid: gi, ann: ann}
 				}
 			}
-		}(gi, g, targets)
+		}(gi, g, groupWorkers[gi])
 	}
 
-	anyPrivate := make([]bool, workers)
-	for w := range anyPrivate {
-		anyPrivate[w] = len(ownPrivate[w]) > 0
-		if anyPrivate[w] {
-			refs++
-		}
-	}
 	var n int64
 	for a := next(); len(a.recs) > 0; a = next() {
 		n += int64(len(a.recs))
-		blk := &sharedBlock{annotated: a}
+		blk := blocks.get()
+		blk.annotated = a
+		if blk.dirs == nil {
+			blk.dirs = make([]dirBits, len(drivers))
+		}
+		for k, d := range drivers {
+			d.annotate(a.recs, &blk.dirs[k])
+		}
 		blk.refs.Store(refs)
 		for gi := range gin {
 			gin[gi] <- blk
 		}
-		for w, own := range anyPrivate {
-			if own {
+		for w, own := range ownPrivate {
+			if len(own) > 0 {
 				wch[w] <- workItem{blk: blk, gid: -1}
 			}
 		}
@@ -562,8 +504,16 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 		close(ch)
 	}
 	wwg.Wait()
+	for _, g := range groups {
+		for len(g.anns) > 0 {
+			(<-g.anns).Release()
+		}
+	}
 	for _, p := range echoes {
 		p.echo.adoptBreakMetrics(p.leader)
+	}
+	for _, d := range drivers {
+		d.handOff()
 	}
 	return n
 }

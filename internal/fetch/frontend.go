@@ -168,15 +168,12 @@ type Frontend struct {
 		rec    trace.Record
 	}
 
-	// dirShare, when non-nil, is the broadcast's shared direction-bit
-	// stream for this engine's direction-predictor configuration (see
-	// broadcast.go): identically configured cold predictors consuming the
-	// identical break stream compute identical bits, so one owner engine
-	// records them and the rest replay them. dirOwner marks the recorder;
-	// dirPos is a consumer's cursor within the current chunk.
-	dirShare *dirShare
-	dirOwner bool
-	dirPos   int
+	// dirIn, when non-nil, is the current block's direction annotation
+	// (see dirDriver in broadcast.go): stepBreakAt reads each break's
+	// predicted direction at cursor dirPos instead of consulting or
+	// training the engine's own predictor.
+	dirIn  *dirBits
+	dirPos int
 
 	// replayTime is the wall time the broadcaster spent stepping this
 	// engine since its last Reset (see ReplayTime).
@@ -431,24 +428,14 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	dirTaken := false
 	var dirTok pht.Token
 	isCond := rec.Kind == isa.CondBranch
-	// dirFollower marks a break whose direction bit came from the
-	// broadcast's shared stream: the engine's own predictor is neither
-	// consulted nor trained (the owner's identical predictor already
-	// computed this exact bit; the follower adopts its state when the
-	// broadcast ends).
-	dirFollower := false
 	if !f.bpu.traits.CoupledDirection {
-		if ds := f.dirShare; ds != nil && !f.dirOwner {
-			dirFollower = true
-			dirTaken = ds.at(f.dirPos)
+		if d := f.dirIn; d != nil {
+			dirTaken = d.at(f.dirPos)
 			f.dirPos++
 		} else if isCond {
 			dirTaken, dirTok = f.bpu.dir.Predict(rec.PC)
 		} else {
 			dirTaken = f.bpu.dir.Query(rec.PC)
-		}
-		if f.dirShare != nil && f.dirOwner {
-			f.dirShare.push(dirTaken)
 		}
 	}
 	out := f.bpu.tp.Lookup(rec, set, way, dirTaken)
@@ -558,8 +545,9 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	// report so recovery wipes the poison. For legacy predictors this is
 	// the same Update call the pre-protocol frontend made inside the
 	// conditional case — nothing between the two points reads their
-	// state, so the move is invisible to them.
-	if isCond && !f.bpu.traits.CoupledDirection && !dirFollower {
+	// state, so the move is invisible to them. An annotated break's
+	// predictor was trained by the broadcast's driver instead.
+	if isCond && !f.bpu.traits.CoupledDirection && f.dirIn == nil {
 		f.bpu.dir.Resolve(rec.PC, dirTok, rec.Taken)
 	}
 
@@ -628,12 +616,13 @@ func (f *Frontend) echoInvariant() (string, bool) {
 }
 
 // dirShareKey reports the configuration key under which this engine may
-// share a broadcast direction-bit stream, and whether sharing is currently
-// sound. Sharing requires a decoupled, deterministic direction predictor
-// in its cold state (so identically keyed engines hold identical state
-// throughout the replay), no wrong-path excursions feeding it, no probe
-// observing it, and the ability to adopt the owner's trained state when
-// the broadcast ends (AdoptState) so sharing stays invisible afterwards.
+// read a broadcast direction annotation, and whether reading one is
+// currently sound. It requires a decoupled, deterministic direction
+// predictor in its cold state (so identically keyed engines hold identical
+// state throughout the replay), no wrong-path excursions feeding it, no
+// probe observing it, and the ability to adopt the driven predictor's
+// trained state when the broadcast ends (AdoptState) so the annotation
+// stays invisible afterwards.
 func (f *Frontend) dirShareKey() (string, bool) {
 	if f.bpu.traits.CoupledDirection || f.pollution.enabled || f.probe != nil {
 		return "", false
@@ -646,31 +635,6 @@ func (f *Frontend) dirShareKey() (string, bool) {
 		return "", false
 	}
 	return p.StateKey()
-}
-
-// setDirShare attaches the engine to a shared direction-bit stream;
-// clearDirShare detaches it.
-func (f *Frontend) setDirShare(ds *dirShare, owner bool) {
-	f.dirShare, f.dirOwner, f.dirPos = ds, owner, 0
-}
-func (f *Frontend) clearDirShare() {
-	f.dirShare, f.dirOwner, f.dirPos = nil, false, 0
-}
-
-// dirPredictor exposes the unwrapped legacy direction predictor for the
-// teardown's state hand-off.
-func (f *Frontend) dirPredictor() pht.Predictor { return pht.Unwrap(f.bpu.dir) }
-
-// adoptDirState copies src's predictor state into this engine's direction
-// predictor, leaving a stream follower exactly as if it had trained its
-// own predictor through the broadcast.
-func (f *Frontend) adoptDirState(src pht.Predictor) {
-	if src == nil {
-		return
-	}
-	if dst, ok := pht.Unwrap(f.bpu.dir).(interface{ AdoptState(pht.Predictor) bool }); ok {
-		dst.AdoptState(src)
-	}
 }
 
 // echoCredit bulk-credits one block's i-cache counters from this engine's
@@ -709,15 +673,6 @@ func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 // owns replacement decisions — and the access/miss counters are credited
 // in bulk per block.
 func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
-	if ds := f.dirShare; ds != nil {
-		// A new chunk begins: the owner starts a fresh bit stream, each
-		// follower rewinds its cursor (the owner always replays first).
-		if f.dirOwner {
-			ds.reset()
-		} else {
-			f.dirPos = 0
-		}
-	}
 	slots := ann.Slots
 	ic := f.icache
 	for _, ev := range ann.Events {

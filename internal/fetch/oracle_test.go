@@ -87,9 +87,9 @@ func TestReplayPlanPartitioning(t *testing.T) {
 // wrong-path pollution, and attached probes — so grouped, fallback, and
 // singleton paths all run in one replay — is counter-for-counter identical
 // to the per-engine Run path, at any worker count, with and without shared
-// run annotations and the sequential pipeline. Every engine stepped on any
-// of those paths reports a nonzero ReplayTime: a path the broadcaster
-// forgot to time would leave the counters intact and fail only here.
+// run annotations. Every engine stepped on any of those paths reports a
+// nonzero ReplayTime: a path the broadcaster forgot to time would leave
+// the counters intact and fail only here.
 func TestBroadcastMixedEligibility(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
@@ -128,27 +128,22 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 		}
 		return *Run(e, tr)
 	}
-	defer func(old bool) { broadcastPipeline = old }(broadcastPipeline)
 	for name, mkSrc := range sources {
 		for _, workers := range []int{1, 3} {
-			for _, pipelined := range []bool{false, true} {
-				broadcastPipeline = pipelined
-				bcast, oracle := mkSet(), mkSet()
-				n := BroadcastWorkers(mkSrc(), workers, bcast...)
-				if n != int64(tr.Len()) {
-					t.Fatalf("%s workers=%d pipelined=%v: replayed %d records, want %d",
-						name, workers, pipelined, n, tr.Len())
+			bcast, oracle := mkSet(), mkSet()
+			n := BroadcastWorkers(mkSrc(), workers, bcast...)
+			if n != int64(tr.Len()) {
+				t.Fatalf("%s workers=%d: replayed %d records, want %d", name, workers, n, tr.Len())
+			}
+			for i, e := range oracle {
+				want := oracleRun(i, e)
+				if got := *bcast[i].Counters(); got != want {
+					t.Errorf("%s workers=%d engine %s: counters diverge\n got %+v\nwant %+v",
+						name, workers, bcast[i].Name(), got, want)
 				}
-				for i, e := range oracle {
-					want := oracleRun(i, e)
-					if got := *bcast[i].Counters(); got != want {
-						t.Errorf("%s workers=%d pipelined=%v engine %s: counters diverge\n got %+v\nwant %+v",
-							name, workers, pipelined, bcast[i].Name(), got, want)
-					}
-					if ReplayTime(bcast[i]) <= 0 {
-						t.Errorf("%s workers=%d pipelined=%v engine %s: stepped but ReplayTime = %v",
-							name, workers, pipelined, bcast[i].Name(), ReplayTime(bcast[i]))
-					}
+				if ReplayTime(bcast[i]) <= 0 {
+					t.Errorf("%s workers=%d engine %s: stepped but ReplayTime = %v",
+						name, workers, bcast[i].Name(), ReplayTime(bcast[i]))
 				}
 			}
 		}

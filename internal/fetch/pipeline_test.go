@@ -1,20 +1,21 @@
 package fetch
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/btb"
 	"repro/internal/cache"
+	"repro/internal/metrics"
 	"repro/internal/pht"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // pipelineEngines builds one engine set spanning several geometries, so
-// the pipelined annotator runs multiple per-geometry oracle passes
-// concurrently (one goroutine each) for every chunk.
+// the fan-out runs multiple per-geometry oracle goroutines for every block.
 func pipelineEngines() []Engine {
 	var engines []Engine
 	for _, g := range []cache.Geometry{
@@ -32,65 +33,63 @@ func pipelineEngines() []Engine {
 	return engines
 }
 
-// runSequential replays the chunked trace on a fresh engine set through the
-// workers=1 path with the pipeline gate forced to the given state, and
-// returns the engines for counter comparison.
-func runSequential(t *testing.T, chunked *trace.Chunked, pipelined bool, want int64) []Engine {
-	t.Helper()
-	defer func(old bool) { broadcastPipeline = old }(broadcastPipeline)
-	broadcastPipeline = pipelined
-	engines := pipelineEngines()
-	if n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), 1, engines...); n != want {
-		t.Fatalf("pipelined=%v replayed %d records, want %d", pipelined, n, want)
-	}
-	return engines
-}
-
 // LineBytesOf returns the engines' common line size for the shared run
 // annotation (all pipelineEngines geometries use one line size).
 func LineBytesOf(engines []Engine) int {
 	return engines[0].(interface{ ICache() *cache.Cache }).ICache().Geometry().LineBytes()
 }
 
-// TestPipelinedBroadcastMatchesInline forces the double-buffered
-// annotation pipeline on and checks the replay leaves every engine with
-// counters bit-identical to the inline sequential path, across workloads.
-func TestPipelinedBroadcastMatchesInline(t *testing.T) {
-	for _, spec := range workload.All() {
-		tr := spec.MustTrace(30_000)
-		chunked := trace.Chunk(tr, 1024)
-		want := int64(tr.Len())
-		inline := runSequential(t, chunked, false, want)
-		piped := runSequential(t, chunked, true, want)
-		for i := range inline {
-			if got, wantC := *piped[i].Counters(), *inline[i].Counters(); got != wantC {
-				t.Errorf("%s on %s: pipelined counters diverge from inline\n got %+v\nwant %+v",
-					piped[i].Name(), spec.Name, got, wantC)
+// pipelineReference returns the per-record Run counters of a fresh
+// pipelineEngines set over tr.
+func pipelineReference(tr *trace.Trace) []metrics.Counters {
+	var want []metrics.Counters
+	for _, e := range pipelineEngines() {
+		want = append(want, *Run(e, tr))
+	}
+	return want
+}
+
+// checkWorkers broadcasts the chunked trace (with the shared run
+// annotation) to a fresh pipelineEngines set at workers 1, 2 and 4 and
+// checks every engine's counters against the per-record reference.
+func checkWorkers(t *testing.T, label string, chunked *trace.Chunked, want []metrics.Counters) {
+	t.Helper()
+	for _, workers := range []int{1, 2, 4} {
+		engines := pipelineEngines()
+		if n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...); n != int64(chunked.Len()) {
+			t.Fatalf("%s workers=%d: replayed %d records, want %d", label, workers, n, chunked.Len())
+		}
+		for i, e := range engines {
+			if got := *e.Counters(); got != want[i] {
+				t.Errorf("%s workers=%d: %s diverges from Run\n got %+v\nwant %+v",
+					label, workers, e.Name(), got, want[i])
 			}
 		}
 	}
 }
 
-// BenchmarkBroadcastOraclePipeline compares the inline sequential replay
-// against the double-buffered annotation pipeline on a multi-geometry
-// engine set (three oracle groups annotating concurrently, one chunk
-// ahead of the replay). On a single-core host the two are expected to tie
-// — the pipeline buys wall time only when annotator goroutines can run
-// beside the replaying main goroutine.
+// TestBroadcastWorkersMatchRun: the fan-out leaves every engine of a
+// multi-geometry set with the per-record Run counters at every worker
+// count, across workloads.
+func TestBroadcastWorkersMatchRun(t *testing.T) {
+	for _, spec := range workload.All() {
+		tr := spec.MustTrace(30_000)
+		checkWorkers(t, spec.Name, trace.Chunk(tr, 1024), pipelineReference(tr))
+	}
+}
+
+// BenchmarkBroadcastOraclePipeline runs the fan-out over a multi-geometry
+// engine set (three oracle groups, twelve engines) on one program at
+// workers=1 and workers=2. The ratio of the two Mstep/s figures is the
+// fan-out's parallel speedup; on a single-core host they tie.
 func BenchmarkBroadcastOraclePipeline(b *testing.B) {
-	tr := workload.Gcc().MustTrace(300_000)
+	tr := workload.Gcc().MustTrace(1_000_000)
 	chunked := trace.Chunk(tr, trace.DefaultChunkRecords)
-	for _, mode := range []struct {
-		name      string
-		pipelined bool
-	}{{"inline", false}, {"pipelined", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer func(old bool) { broadcastPipeline = old }(broadcastPipeline)
-			broadcastPipeline = mode.pipelined
-			b.ResetTimer()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				engines := pipelineEngines()
-				n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), 1, engines...)
+				n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...)
 				if n != int64(tr.Len()) {
 					b.Fatalf("replayed %d records, want %d", n, tr.Len())
 				}
@@ -103,15 +102,15 @@ func BenchmarkBroadcastOraclePipeline(b *testing.B) {
 	}
 }
 
-// TestStressPipelinedAnnBufReuse hammers the double-buffered pipeline
-// under randomized workloads and chunk sizes while a churner goroutine
-// recycles trace annotation buffers through the shared pools as fast as it
-// can, poisoning every buffer it touches. If the pipeline ever released a
-// parity buffer still owned by an in-flight chunk — or handed two chunks
-// aliasing slots/events storage — the churner's poison (and, under -race
-// via `make stress`, the detector) exposes it; the counters must stay
-// bit-identical to the inline path regardless.
-func TestStressPipelinedAnnBufReuse(t *testing.T) {
+// TestStressBroadcastAnnBufReuse hammers the fan-out under randomized
+// workloads and chunk sizes while a churner goroutine recycles trace
+// annotation buffers through the shared pools as fast as it can, poisoning
+// every buffer it touches. If the fan-out ever recycled a group annotation
+// still read by a worker — or handed two blocks aliasing slots/events
+// storage — the churner's poison (and, under -race via `make stress`, the
+// detector) exposes it; the counters must stay equal to the per-record
+// reference regardless.
+func TestStressBroadcastAnnBufReuse(t *testing.T) {
 	const seed = 0x6e6c7333
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("seed %#x", seed)
@@ -150,15 +149,7 @@ func TestStressPipelinedAnnBufReuse(t *testing.T) {
 		insns := 20_000 + rng.Intn(30_000)
 		chunk := 256 << rng.Intn(4) // 256..2048
 		tr := spec.MustTrace(insns)
-		chunked := trace.Chunk(tr, chunk)
-		want := int64(tr.Len())
-		inline := runSequential(t, chunked, false, want)
-		piped := runSequential(t, chunked, true, want)
-		for i := range inline {
-			if got, wantC := *piped[i].Counters(), *inline[i].Counters(); got != wantC {
-				t.Errorf("round %d: %s on %s chunk=%d diverges under pipeline\n got %+v\nwant %+v",
-					round, piped[i].Name(), spec.Name, chunk, got, wantC)
-			}
-		}
+		label := fmt.Sprintf("round %d: %s chunk=%d", round, spec.Name, chunk)
+		checkWorkers(t, label, trace.Chunk(tr, chunk), pipelineReference(tr))
 	}
 }

@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -116,7 +117,7 @@ func (s *recyclingSource) checkReleased(t *testing.T, name string, bound int) {
 // broadcaster at once: oracle groups on three geometries (one with a line
 // size the shared run annotation does not cover), BTB engines echoed
 // across geometries — including a geometry whose every member is echoed
-// away — direction-shared gshare streams, TAGE, and the private paths
+// away — a shared gshare direction annotation, TAGE, and the private paths
 // (wrong-path pollution, an attached probe, a decoupled FDIP frontend).
 // fdip is the decoupled engine's index: its reference replays the same
 // chunking, since its lookahead horizon is the replay block.
@@ -138,7 +139,7 @@ func releaseEngines() (engines []Engine, fdip int) {
 	prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
 
 	engines = []Engine{
-		NewNLSTableEngine(g1, 512, gshare(), 32), // grouped, direction owner
+		NewNLSTableEngine(g1, 512, gshare(), 32), // grouped, drives the direction annotation
 		NewJohnsonEngine(g1),
 		NewBTBEngine(g1, bcfg, gshare(), 32), // echo leader
 		NewNLSTableEngine(g2, 512, gshare(), 32),
@@ -157,35 +158,20 @@ func releaseEngines() (engines []Engine, fdip int) {
 	return engines, len(engines) - 1
 }
 
-// TestBroadcastOutstandingBlocksBounded: on every scheduler path the
+// TestBroadcastOutstandingBlocksBounded: at every worker count the
 // broadcast releases each drawn block exactly once, and never holds more
-// blocks outstanding than its documented bound (broadcastDepth): one
-// inline, three pipelined, 2*broadcastDepth+3 on the parallel fan-out.
+// blocks outstanding than the fan-out's documented bound (broadcastBound).
 func TestBroadcastOutstandingBlocksBounded(t *testing.T) {
 	tr := workload.Gcc().MustTrace(40_000)
 	chunked := trace.Chunk(tr, 256)
-	for _, tc := range []struct {
-		name      string
-		workers   int
-		pipelined bool
-		bound     int
-	}{
-		{"inline", 1, false, 1},
-		{"pipelined", 1, true, 3},
-		{"parallel-2", 2, false, 2*broadcastDepth + 3},
-		{"parallel-4", 4, false, 2*broadcastDepth + 3},
-	} {
+	for _, workers := range []int{1, 2, 4} {
 		for _, lineBytes := range []int{0, 32} {
-			func() {
-				defer func(old bool) { broadcastPipeline = old }(broadcastPipeline)
-				broadcastPipeline = tc.pipelined
-				src := newRecyclingSource(t, chunked, lineBytes)
-				engines, _ := releaseEngines()
-				if n := BroadcastWorkers(src, tc.workers, engines...); n != int64(tr.Len()) {
-					t.Fatalf("%s: replayed %d records, want %d", tc.name, n, tr.Len())
-				}
-				src.checkReleased(t, tc.name, tc.bound)
-			}()
+			src := newRecyclingSource(t, chunked, lineBytes)
+			engines, _ := releaseEngines()
+			if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
+				t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
+			}
+			src.checkReleased(t, fmt.Sprintf("workers=%d lineBytes=%d", workers, lineBytes), broadcastBound)
 		}
 	}
 
@@ -196,27 +182,24 @@ func TestBroadcastOutstandingBlocksBounded(t *testing.T) {
 
 // TestStressReleasedBlockPoisoned replays the mixed engine set over a
 // source that poisons every block and run annotation as soon as it is
-// released and reuses the storage for later blocks, at workers 1, 2 and 4
-// with the annotation pipeline on and off, and repeats the matrix over the
-// recycling streamed sources of package trace. A block released before
-// its last reader would feed that reader garbage; every counter must
-// instead equal the per-record fetch.Run reference. Run under -race via
-// `make stress`.
+// released and reuses the storage for later blocks, at workers 1, 2 and 4,
+// and repeats the matrix over the recycling streamed sources of package
+// trace. A block released before its last reader would feed that reader
+// garbage; every counter must instead equal the per-record fetch.Run
+// reference. Run under -race via `make stress`.
 func TestStressReleasedBlockPoisoned(t *testing.T) {
 	tr := workload.Li().MustTrace(40_000)
 	chunked := trace.Chunk(tr, 1024)
 
-	// The set must actually exercise echoes and direction sharing.
+	// The set must actually exercise echoes and the direction annotation.
 	probe, _ := releaseEngines()
-	_, _, groups := replayPlan(chunked.ChunksRuns(32), probe)
+	_, private, groups := replayPlan(chunked.ChunksRuns(32), probe)
 	if len(extractEchoes(groups)) < 3 {
 		t.Fatal("engine set echoes fewer than three engines")
 	}
-	shares := extractDirShares(groups)
-	if len(shares) == 0 {
-		t.Fatal("engine set shares no direction stream")
+	if len(planDirs(private, groups)) == 0 {
+		t.Fatal("engine set shares no direction annotation")
 	}
-	releaseDirShares(shares)
 
 	ref, fdip := releaseEngines()
 	want := make([]metrics.Counters, len(ref))
@@ -244,32 +227,19 @@ func TestStressReleasedBlockPoisoned(t *testing.T) {
 		},
 	}
 	for name, mkSrc := range sources {
-		for _, pipelined := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4} {
-				for _, lineBytes := range []int{0, 32} {
-					func() {
-						defer func(old bool) { broadcastPipeline = old }(broadcastPipeline)
-						broadcastPipeline = pipelined
-						src, check := mkSrc(lineBytes)
-						engines, _ := releaseEngines()
-						if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
-							t.Fatalf("%s: replayed %d records, want %d", name, n, tr.Len())
-						}
-						bound := 2*broadcastDepth + 3
-						if workers == 1 {
-							bound = 1
-							if pipelined {
-								bound = 3
-							}
-						}
-						check(bound)
-						for i, e := range engines {
-							if got := *e.Counters(); got != want[i] {
-								t.Errorf("%s pipelined=%v workers=%d lineBytes=%d engine %d (%s): counters diverge over recycled blocks\n got %+v\nwant %+v",
-									name, pipelined, workers, lineBytes, i, e.Name(), got, want[i])
-							}
-						}
-					}()
+		for _, workers := range []int{1, 2, 4} {
+			for _, lineBytes := range []int{0, 32} {
+				src, check := mkSrc(lineBytes)
+				engines, _ := releaseEngines()
+				if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
+					t.Fatalf("%s: replayed %d records, want %d", name, n, tr.Len())
+				}
+				check(broadcastBound)
+				for i, e := range engines {
+					if got := *e.Counters(); got != want[i] {
+						t.Errorf("%s workers=%d lineBytes=%d engine %d (%s): counters diverge over recycled blocks\n got %+v\nwant %+v",
+							name, workers, lineBytes, i, e.Name(), got, want[i])
+					}
 				}
 			}
 		}

@@ -149,10 +149,11 @@ func (g *GShare) StateKey() (string, bool) {
 
 // AdoptState copies src's counter table and branch history into g when src
 // is a GShare of identical configuration, reporting whether the copy
-// happened. The broadcast replay uses this to hand a shared direction-bit
-// stream's trained state to the engines that consumed the stream instead
-// of training their own identical predictor (fetch.BroadcastWorkers), so
-// sharing stays invisible to anything that runs the engines afterwards.
+// happened. The broadcast replay trains one engine's predictor to compute
+// a direction annotation that every engine of the same configuration reads
+// instead of training its own (fetch.BroadcastWorkers); at the end the
+// other readers adopt the trained state, so the annotation stays invisible
+// to anything that runs the engines afterwards.
 func (g *GShare) AdoptState(src Predictor) bool {
 	s, ok := src.(*GShare)
 	if !ok || len(g.table) != len(s.table) || g.histBits != s.histBits {

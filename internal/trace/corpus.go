@@ -403,7 +403,7 @@ func (c *Corpus) Trace(name string) (*Trace, error) {
 // payload, verifying its checksum first and yielding chunks of at most
 // chunkSize records directly off the (mapped or loaded) corpus bytes
 // without materializing the whole trace. A returned chunk stays valid
-// across further NextChunk calls (the broadcast pipelines require it)
+// across further NextChunk calls (the broadcast fan-out requires it)
 // until the caller releases it, after which its storage may carry a later
 // chunk. The decoder's Name and Len come from the payload's own header; a
 // caller that needs them to agree with the index or an expected budget
