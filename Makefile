@@ -47,13 +47,15 @@ race:
 
 # Adversarial concurrency tier: the randomized broadcast fan-out sweep,
 # recycled chunk buffers poisoned on release (TestStressReleasedBlockPoisoned),
+# the per-line-size run annotation shared across workers
+# (TestBroadcastMixedLineSizes),
 # the shared direction annotation and its end-of-broadcast state hand-off
 # (the main goroutine trains the driven predictor while workers replay),
 # store readers racing a writer (atomic-rename visibility + corrupt-cell
 # degradation), and the sweep service single-flight hammer (100 identical
 # concurrent jobs -> exactly one simulation, byte-identical bodies).
 stress:
-	$(GO) test -race -run 'Stress|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention' \
+	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention' \
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the

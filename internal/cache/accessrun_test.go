@@ -57,7 +57,7 @@ func TestAccessRunMatchesAccessLoop(t *testing.T) {
 }
 
 // TestAccessRunAtRunCapBoundary: the replay layers cap run annotations at
-// 255 (trace.RunLens), so a longer straight-line stretch is applied as
+// 255 (trace.BlockRuns), so a longer straight-line stretch is applied as
 // Access + AccessRun(255) + Access + AccessRun(rest) — the second leader
 // re-deriving its slot from LastSlot after a 255-long batch. The split
 // replay must leave counters, LRU clock, and stamps exactly as the looped

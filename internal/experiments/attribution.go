@@ -57,7 +57,7 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	}
 	err := forPrograms(progs, func(i, perProg int) error {
 		progCells := cells[i*cpp : (i+1)*cpp]
-		_, err := r.replayProgram(i, runLineBytes(progCells), func(src replaySource) (int64, error) {
+		_, err := r.replayProgram(i, func(src replaySource) (int64, error) {
 			engines := make([]fetch.Engine, len(progCells))
 			atts := make([]*obs.Attribution, len(progCells))
 			for j, c := range progCells {

@@ -306,7 +306,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 			name    string
 			n       int64
 		)
-		acquire, err := r.replayProgram(i, runLineBytes(w.cells), func(src replaySource) (int64, error) {
+		acquire, err := r.replayProgram(i, func(src replaySource) (int64, error) {
 			name = src.Name
 			engines = make([]fetch.Engine, len(w.cells))
 			for j, c := range w.cells {
@@ -486,26 +486,6 @@ func forPrograms(idx []int, f func(i, perProg int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// runLineBytes picks the run annotation for one program's broadcast
-// (Runner.source): when every pending cell shares one line size (always
-// true for the paper's 32-byte-line matrix), the blocks carry their
-// same-line run annotations for it, so the run-boundary scan happens once
-// per chunk instead of once per engine. Mixed line sizes fall back to
-// plain blocks and per-engine scanning (0), as does an info-only replay
-// (no engine consumes annotations).
-func runLineBytes(cells []Cell) int {
-	if len(cells) == 0 {
-		return 0
-	}
-	lb := cells[0].Spec.Cache.LineBytes
-	for _, c := range cells[1:] {
-		if c.Spec.Cache.LineBytes != lb {
-			return 0
-		}
-	}
-	return lb
 }
 
 // RenderContext is everything a figure renderer may consume: the resolved

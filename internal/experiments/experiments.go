@@ -183,7 +183,7 @@ func NewRunner(cfg Config) *Runner {
 // replaySource is one program's replay input, as acquired by
 // Runner.source.
 type replaySource struct {
-	// Chunks yields the blocks (a trace.RunChunkSource when annotated).
+	// Chunks yields the blocks.
 	Chunks trace.ChunkSource
 	// Name and StaticCondSites describe the program's trace (its
 	// Table-1 header).
@@ -204,10 +204,8 @@ type replaySource struct {
 // checks the payload checksum and that the payload header names the
 // program at Cfg.Insns records. Without a corpus, or when the entry fails
 // those checks or broke in an earlier replay, it streams the program from
-// its generator (workload.Spec.Stream). lineBytes > 0 annotates every
-// block with its same-line runs for that line size (see runLineBytes); 0
-// yields plain blocks.
-func (r *Runner) source(i, lineBytes int) (replaySource, error) {
+// its generator (workload.Spec.Stream).
+func (r *Runner) source(i int) (replaySource, error) {
 	var src replaySource
 	if c := r.attachedCorpus(); c != nil && !r.regenerated[i].Load() {
 		name := r.Cfg.Programs[i].Name
@@ -226,9 +224,6 @@ func (r *Runner) source(i, lineBytes int) (replaySource, error) {
 		}
 		src = replaySource{Chunks: s, Name: s.Name, StaticCondSites: s.StaticCondSites}
 	}
-	if lineBytes > 0 {
-		src.Chunks = trace.AnnotateRuns(src.Chunks, lineBytes)
-	}
 	return src, nil
 }
 
@@ -243,9 +238,9 @@ func (r *Runner) source(i, lineBytes int) (replaySource, error) {
 // acquiring (the "trace-gen" stage): opening and validating a corpus
 // stream, or building the program a generator stream walks; drawing the
 // blocks — decoding or generating them — happens inside replay.
-func (r *Runner) replayProgram(i, lineBytes int, replay func(src replaySource) (int64, error)) (time.Duration, error) {
+func (r *Runner) replayProgram(i int, replay func(src replaySource) (int64, error)) (time.Duration, error) {
 	start := time.Now()
-	src, err := r.source(i, lineBytes)
+	src, err := r.source(i)
 	acquire := time.Since(start)
 	if err != nil {
 		return acquire, err
@@ -256,7 +251,7 @@ func (r *Runner) replayProgram(i, lineBytes int, replay func(src replaySource) (
 	}
 	r.regenerated[i].Store(true)
 	start = time.Now()
-	src, err = r.source(i, lineBytes)
+	src, err = r.source(i)
 	acquire += time.Since(start)
 	if err != nil {
 		return acquire, err

@@ -81,8 +81,8 @@ func figuresJob(figs ...Figure) func(t *testing.T, x *Executor) []byte {
 }
 
 func streamJobs() []streamJob {
-	// Two line sizes in one grid: blocks go unannotated, every engine
-	// scans its own run boundaries.
+	// Two line sizes in one grid: each block carries one run annotation
+	// per line size.
 	mixed := Grid{Name: "mixed-lines", Arms: []Arm{
 		{Name: "nls", Spec: NLSTableFactory(512).Spec, Caches: []cache.Geometry{
 			cache.MustGeometry(8*1024, LineBytes, 1),
@@ -90,7 +90,7 @@ func streamJobs() []streamJob {
 		}},
 	}}
 	return []streamJob{
-		// Annotated replay with ProgramInfo teed off the stream, plus the
+		// Grouped replay with ProgramInfo teed off the stream, plus the
 		// private (pollution) and decoupled (prefetch) replay paths.
 		{"figures", figuresJob(table1Figure(), widthFigure(), pollutionFigure(), prefetchFigure())},
 		// Info-only replay: no cell, the stream drains through the tee.
@@ -292,7 +292,7 @@ func TestCorpusHeaderCountFallsBack(t *testing.T) {
 	if _, err := r.UseCorpus(path); err != nil {
 		t.Fatal(err)
 	}
-	src, err := r.source(1, LineBytes)
+	src, err := r.source(1)
 	r.CloseCorpus()
 	if err != nil {
 		t.Fatal(err)
@@ -456,9 +456,9 @@ func TestRunAttributionAttachesCorpus(t *testing.T) {
 // TestStreamedReplayAllocBounded pins chunk recycling on the production
 // path: a warm-corpus RunGrids of one 2M-instruction program through the
 // paper matrix (24 cells) must allocate less than an eighth of the decoded
-// trace (2M records × 12 B). Decoding every chunk and run annotation into
-// fresh storage allocates more than the whole trace; recycling released
-// blocks leaves engine construction as the dominant allocation.
+// trace (2M records × 12 B). Decoding every chunk into fresh storage
+// allocates more than the whole trace; recycling released blocks leaves
+// engine construction as the dominant allocation.
 func TestStreamedReplayAllocBounded(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("2M-instruction paper-matrix replay; skipped in -short and -race runs")

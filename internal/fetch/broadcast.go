@@ -2,6 +2,7 @@ package fetch
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,37 +42,31 @@ func Broadcast(src trace.ChunkSource, engines ...Engine) int64 {
 	return BroadcastWorkers(src, runtime.GOMAXPROCS(0), engines...)
 }
 
-// annotated pairs a block with its optional shared run annotation.
-type annotated struct {
-	recs []trace.Record
-	runs []uint8
-}
-
 // member is one engine a broadcast worker replays.
 type member struct {
 	idx int       // broadcast index: worker idx mod workers replays it
 	e   Engine    // replays via StepBlock when fr is nil
 	fr  *Frontend // e's Frontend, resolved once
-	// runsOK records that the source's run annotation was computed for
-	// fr's line size (read on the private path; a group's oracle reads
-	// the annotation for its members).
-	runsOK bool
+	// runs is the slot of each block's run annotation a private fr
+	// replays, or -1 when it reads none (grouped, decoupled, or no
+	// Frontend; see planRuns).
+	runs int
 	// dir is the slot of each block's direction annotation fr reads, or -1
 	// when fr predicts with its own predictor (see dirDriver).
 	dir int
 }
 
 // replayPrivate steps a private engine through one block on its own cache:
-// via replayRuns (nil runs scans the line boundaries), or via StepBlock for
-// an engine without a Frontend.
+// via replayRuns over the block's run slot, or via StepBlock for an engine
+// without a Frontend.
 func (m *member) replayPrivate(blk *sharedBlock) {
 	if m.fr == nil {
 		m.e.StepBlock(blk.recs)
 		return
 	}
-	runs := blk.runs
-	if !m.runsOK {
-		runs = nil
+	var runs []uint8
+	if m.runs >= 0 {
+		runs = blk.runs[m.runs]
 	}
 	m.fr.readDirs(blk, m.dir)
 	start := time.Now()
@@ -90,11 +85,8 @@ type oracleGroup struct {
 	// Frontend.echoInvariant): they skip replay entirely and only receive
 	// this group's per-block i-cache bulk credits.
 	echoes []*Frontend
-	// runsOK records that the source's shared run annotation was computed
-	// for this geometry's line size; otherwise members (and the oracle)
-	// scan line boundaries themselves, with runs forced nil so both sides
-	// agree on run-leader positions.
-	runsOK bool
+	// runs is the slot of each block's run annotation the oracle reads.
+	runs int
 	// anns recycles the group's per-block annotations.
 	anns freeList[sharedAnn]
 }
@@ -256,33 +248,20 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 	}
 }
 
-// replayPlan resolves how blocks are drawn and how each engine replays
-// them. Each engine is resolved to its Frontend once, here. Eligible
-// Frontends (oracleEligible) sharing a cache geometry with at least one
-// other eligible Frontend form an oracleGroup and replay via replayEvents
-// from the group's shared oracle. Every other engine — pollution-on,
-// probed, prefetching, or alone in its geometry (an oracle for one engine
-// is pure overhead) — replays privately (member.replayPrivate). Frontends
-// are timed on every path (ReplayTime).
-func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated, private []member, groups []*oracleGroup) {
-	rs, _ := src.(trace.RunChunkSource)
-	if rs != nil && rs.RunLineBytes() > 0 {
-		next = func() annotated {
-			recs, runs := rs.NextChunkRuns()
-			return annotated{recs, runs}
-		}
-	} else {
-		rs = nil
-		next = func() annotated { return annotated{recs: src.NextChunk()} }
-	}
-	runsOK := func(g cache.Geometry) bool { return rs != nil && g.LineBytes() == rs.RunLineBytes() }
-
+// replayPlan resolves how each engine replays the drawn blocks. Each
+// engine is resolved to its Frontend once, here. Eligible Frontends
+// (oracleEligible) sharing a cache geometry with at least one other eligible
+// Frontend form an oracleGroup and replay via replayEvents from the group's
+// shared oracle. Every other engine — pollution-on, probed, prefetching, or
+// alone in its geometry (an oracle for one engine is pure overhead) —
+// replays privately (member.replayPrivate). Frontends are timed on every
+// path (ReplayTime).
+func replayPlan(engines []Engine) (private []member, groups []*oracleGroup) {
 	// Tentatively group every eligible engine by geometry, in engine order
 	// (map only for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		m := member{idx: i, e: e, fr: asFrontend(e), dir: -1}
-		m.runsOK = m.fr != nil && runsOK(m.fr.geom)
+		m := member{idx: i, e: e, fr: asFrontend(e), runs: -1, dir: -1}
 		if m.fr == nil || !m.fr.oracleEligible() {
 			private = append(private, m)
 			continue
@@ -292,7 +271,6 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 		if g == nil {
 			g = &oracleGroup{
 				oracle: cache.NewOracle(geom),
-				runsOK: runsOK(geom),
 				anns:   make(freeList[sharedAnn], broadcastBound),
 			}
 			groupOf[geom] = g
@@ -310,8 +288,31 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 		}
 		kept = append(kept, g)
 	}
-	groups = kept
-	return next, private, groups
+	return private, kept
+}
+
+// planRuns gives every group oracle, and every private engine that replays
+// through the fused pipeline, the run-annotation slot of its line size, and
+// returns the line size of each slot. A block's runs depend only on its
+// records and the line size (trace.BlockRuns), so the broadcast computes
+// each slot once per block, however many engines and oracles read it.
+func planRuns(private []member, groups []*oracleGroup) (lines []int) {
+	slot := func(lineBytes int) int {
+		if k := slices.Index(lines, lineBytes); k >= 0 {
+			return k
+		}
+		lines = append(lines, lineBytes)
+		return len(lines) - 1
+	}
+	for _, g := range groups {
+		g.runs = slot(g.oracle.Geometry().LineBytes())
+	}
+	for i := range private {
+		if m := &private[i]; m.fr != nil && !m.fr.decoupled() {
+			m.runs = slot(m.fr.geom.LineBytes())
+		}
+	}
+	return lines
 }
 
 // freeList recycles the per-block structures of one broadcast, which never
@@ -341,13 +342,15 @@ type sharedAnn struct {
 	refs atomic.Int32
 }
 
-// sharedBlock is one block fanned out by the broadcast, with its direction
+// sharedBlock is one block fanned out by the broadcast, with its run
+// annotation (one slot per line size, see planRuns) and its direction
 // annotation (one slot per dirDriver). Its reference count is fixed before
 // it is sent: one per group target (one for a group whose members were all
 // echoed away) plus one per worker owning private engines. The last reader
 // releases it to the source and recycles it.
 type sharedBlock struct {
-	annotated
+	recs []trace.Record
+	runs [][]uint8
 	dirs []dirBits
 	refs atomic.Int32
 }
@@ -367,8 +370,9 @@ type workItem struct {
 // locking. Every drawn block is released to src exactly once, after its
 // last reader.
 //
-// The main goroutine draws each block and computes its direction
-// annotation (dirDriver). Engines keep a static round-robin worker
+// The main goroutine draws each block and computes its run annotation, once
+// per line size a replaying engine or oracle needs (planRuns), and its
+// direction annotation (dirDriver). Engines keep a static round-robin worker
 // assignment (engine i → worker i mod workers); each worker drains its own
 // bounded channel. Grouped engines add one goroutine per group: it
 // annotates each block once and fans the shared annotation to exactly the
@@ -379,8 +383,9 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 	if len(engines) == 0 {
 		return 0
 	}
-	next, private, groups := replayPlan(src, engines)
+	private, groups := replayPlan(engines)
 	echoes := extractEchoes(groups)
+	lines := planRuns(private, groups)
 	drivers := planDirs(private, groups)
 	workers = max(1, min(workers, len(engines)))
 
@@ -448,12 +453,8 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 		go func(gi int, g *oracleGroup, targets []int) {
 			defer gwg.Done()
 			for blk := range gin[gi] {
-				runs := blk.runs
-				if !g.runsOK {
-					runs = nil
-				}
 				ann := g.anns.get()
-				g.oracle.Annotate(blk.recs, runs, &ann.AccessAnnotations)
+				g.oracle.Annotate(blk.recs, blk.runs[g.runs], &ann.AccessAnnotations)
 				// The group's echoes are owned by this goroutine alone
 				// (they appear in no worker's member list), so their bulk
 				// credit happens here, before the annotation is shared.
@@ -476,15 +477,19 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int
 	}
 
 	var n int64
-	for a := next(); len(a.recs) > 0; a = next() {
-		n += int64(len(a.recs))
+	for recs := src.NextChunk(); len(recs) > 0; recs = src.NextChunk() {
+		n += int64(len(recs))
 		blk := blocks.get()
-		blk.annotated = a
+		blk.recs = recs
 		if blk.dirs == nil {
+			blk.runs = make([][]uint8, len(lines))
 			blk.dirs = make([]dirBits, len(drivers))
 		}
+		for k, lb := range lines {
+			blk.runs[k] = trace.BlockRuns(blk.runs[k], recs, lb)
+		}
 		for k, d := range drivers {
-			d.annotate(a.recs, &blk.dirs[k])
+			d.annotate(recs, &blk.dirs[k])
 		}
 		blk.refs.Store(refs)
 		for gi := range gin {

@@ -85,7 +85,7 @@ func TestBroadcastSharesDirAnnotation(t *testing.T) {
 	}
 
 	probe, _ := dirShareEngines()
-	_, private, groups := replayPlan(chunked.ChunksRuns(32), probe)
+	private, groups := replayPlan(probe)
 	extractEchoes(groups)
 	if drivers := planDirs(private, groups); len(drivers) != 1 || len(drivers[0].readers) != len(probe) {
 		t.Fatalf("plan gives %d direction annotations, want one read by all %d engines", len(drivers), len(probe))
@@ -93,7 +93,7 @@ func TestBroadcastSharesDirAnnotation(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		engines, preds := dirShareEngines()
-		if n := BroadcastWorkers(chunked.ChunksRuns(32), workers, engines...); n != int64(tr.Len()) {
+		if n := BroadcastWorkers(chunked.Chunks(), workers, engines...); n != int64(tr.Len()) {
 			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
 		}
 		trained := 0
@@ -169,11 +169,11 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 			RunChunks(e, first.Chunks())
 			recs = rest
 		}
-		want[i] = *RunSource(e, &trace.SliceSource{Records: recs}, len(recs))
+		want[i] = *Run(e, &trace.Trace{Records: recs})
 	}
 
 	probe := handOffEngines()
-	_, private, groups := replayPlan(first.ChunksRuns(32), probe)
+	private, groups := replayPlan(probe)
 	echoes := extractEchoes(groups)
 	if drivers := planDirs(private, groups); len(echoes) != 1 || len(drivers) != 1 {
 		t.Fatalf("plan has %d echoes and %d direction annotations, want 1 and 1", len(echoes), len(drivers))
@@ -191,7 +191,7 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		engines := handOffEngines()
-		if n := BroadcastWorkers(first.ChunksRuns(32), workers, engines...); n != split {
+		if n := BroadcastWorkers(first.Chunks(), workers, engines...); n != split {
 			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, split)
 		}
 		for i, e := range engines {

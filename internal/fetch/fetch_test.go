@@ -572,13 +572,15 @@ func TestEngineInvariants(t *testing.T) {
 	}
 }
 
-func TestRunSource(t *testing.T) {
+// TestRunChunks: RunChunks steps exactly the records its source yields
+// (here a 10-record source bounded to 7, in blocks of 3).
+func TestRunChunks(t *testing.T) {
 	b := newTB(0x1000)
 	b.plain(10)
-	src := &trace.SliceSource{Records: b.recs}
+	src := trace.NewSourceChunks(&trace.SliceSource{Records: b.recs}, 7, 3)
 	e := NewBTBEngine(smallGeom(), btb.Config{Entries: 16, Assoc: 1}, pht.Static{}, 8)
-	m := RunSource(e, src, 7)
+	m := RunChunks(e, src)
 	if m.Instructions != 7 {
-		t.Errorf("RunSource processed %d, want 7", m.Instructions)
+		t.Errorf("RunChunks processed %d, want 7", m.Instructions)
 	}
 }

@@ -178,6 +178,9 @@ type Frontend struct {
 	// replayTime is the wall time the broadcaster spent stepping this
 	// engine since its last Reset (see ReplayTime).
 	replayTime time.Duration
+
+	// runs is StepBlock's scratch run annotation.
+	runs []uint8
 }
 
 // replayer is the broadcaster's one replay interface: every built-in
@@ -273,25 +276,75 @@ func (f *Frontend) Reset() {
 	f.replayTime = 0
 }
 
-// StepBlock implements Engine, batching same-line sequential fetch runs
-// (see base.stepBlock).
+// StepBlock implements Engine. The fused pipeline derives the block's
+// same-line runs (trace.BlockRuns) into engine scratch and replays them
+// with stepBlockRuns; the decoupled pipeline steps per record.
 func (f *Frontend) StepBlock(recs []trace.Record) {
 	if f.decoupled() {
 		f.stepBlockDecoupled(recs)
 		return
 	}
-	f.stepBlock(recs, f.Step)
+	f.runs = trace.BlockRuns(f.runs, recs, f.geom.LineBytes())
+	f.stepBlockRuns(recs, f.runs)
 }
 
-// replayRuns is StepBlock with the run boundaries precomputed for this
-// engine's line size (see base.stepBlockRuns); nil runs is StepBlock. The
-// decoupled pipeline steps per record and ignores the annotation.
+// replayRuns replays one block on the engine's private cache. runs is the
+// block's run annotation for this engine's line size (trace.BlockRuns),
+// which a broadcast computes once per block for all its engines; the
+// decoupled pipeline ignores it.
 func (f *Frontend) replayRuns(recs []trace.Record, runs []uint8) {
-	if runs == nil || f.decoupled() {
-		f.StepBlock(recs)
+	if f.decoupled() {
+		f.stepBlockDecoupled(recs)
 		return
 	}
-	f.stepBlockRuns(recs, runs, f.Step)
+	f.stepBlockRuns(recs, runs)
+}
+
+// stepBlockRuns is the fused pipeline's batched block replay. Run leaders
+// and breaks go through Step unchanged; the non-branch records that follow
+// a non-break within the same cache line (runs, parallel to recs) are pure
+// sequential fetches — for every architecture their Step reduces to
+// {count the instruction, hit the just-accessed line, refresh LRU} — so
+// each run is applied as one batched cache.AccessRun. State and counters
+// evolve bit-identically to stepping each record: deferred ("pending")
+// predictor updates are armed only by breaks and resolved by the next
+// Step()ed record, and batches never start until a Step()ed non-break has
+// cleared them. The shared fetch oracle walks blocks with the identical
+// traversal (cache.Oracle.Annotate).
+//
+// The batch target comes from cache.LastSlot rather than a fresh Probe:
+// Step on a non-break record performs exactly one i-cache Access — of its
+// PC, which fills the line on a miss — so afterwards that line is resident
+// at LastSlot by construction.
+func (f *Frontend) stepBlockRuns(recs []trace.Record, runs []uint8) {
+	for i := 0; i < len(recs); {
+		r := recs[i]
+		f.Step(r)
+		i++
+		if r.IsBreak() {
+			continue // next record must resolve any pending update
+		}
+		if n := uint64(runs[i-1]); n > 0 {
+			set, way := f.icache.LastSlot()
+			f.icache.AccessRun(set, way, n)
+			f.m.Instructions += n
+			i += int(n)
+		}
+		// Straight-line stretch: until the next branch record no deferred
+		// update can be armed, so each line leader reduces to exactly the
+		// non-branch Step body — count it and access its line.
+		for i < len(recs) && recs[i].Kind == isa.NonBranch {
+			f.m.Instructions++
+			f.icache.Access(recs[i].PC)
+			i++
+			if n := uint64(runs[i-1]); n > 0 {
+				set, way := f.icache.LastSlot()
+				f.icache.AccessRun(set, way, n)
+				f.m.Instructions += n
+				i += int(n)
+			}
+		}
+	}
 }
 
 // Step implements Engine, applying the accounting rules of DESIGN.md §6.

@@ -51,8 +51,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	}
 
 	engines := []Engine{eligibleA, polluted, eligibleB, probed, lone, prefetched}
-	src := trace.Chunk(workload.Li().MustTrace(1_000), 256)
-	_, private, groups := replayPlan(src.Chunks(), engines)
+	private, groups := replayPlan(engines)
 
 	if len(groups) != 1 {
 		t.Fatalf("got %d oracle groups, want 1", len(groups))
@@ -76,7 +75,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	probed.AttachProbe(nil)
 	prefetched.AttachPrefetcher(nil)
 	prefetched.SetFTQDepth(0)
-	_, private, groups = replayPlan(src.Chunks(), engines)
+	private, groups = replayPlan(engines)
 	if len(groups) != 1 || len(groups[0].members) != 5 || len(private) != 1 {
 		t.Errorf("after detach: %d groups / %d members / %d private, want 1/5/1",
 			len(groups), len(groups[0].members), len(private))
@@ -86,8 +85,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 // TestBroadcastMixedEligibility: a broadcast over engines mixing geometries,
 // wrong-path pollution, and attached probes — so grouped, fallback, and
 // singleton paths all run in one replay — is counter-for-counter identical
-// to the per-engine Run path, at any worker count, with and without shared
-// run annotations. Every engine stepped on any of those paths reports a
+// to the per-engine Run path, at any worker count. Every engine stepped on any of those paths reports a
 // nonzero ReplayTime: a path the broadcaster forgot to time would leave
 // the counters intact and fail only here.
 func TestBroadcastMixedEligibility(t *testing.T) {
@@ -115,10 +113,6 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1024)
-	sources := map[string]func() trace.ChunkSource{
-		"plain": func() trace.ChunkSource { return chunked.Chunks() },
-		"runs":  func() trace.ChunkSource { return chunked.ChunksRuns(32) },
-	}
 	// The prefetched engine's independent oracle replays the identical
 	// chunking (its FTQ lookahead is bounded by the replay block, so
 	// per-record Step is a different — also correct — configuration).
@@ -128,33 +122,31 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 		}
 		return *Run(e, tr)
 	}
-	for name, mkSrc := range sources {
-		for _, workers := range []int{1, 3} {
-			bcast, oracle := mkSet(), mkSet()
-			n := BroadcastWorkers(mkSrc(), workers, bcast...)
-			if n != int64(tr.Len()) {
-				t.Fatalf("%s workers=%d: replayed %d records, want %d", name, workers, n, tr.Len())
+	for _, workers := range []int{1, 3} {
+		bcast, oracle := mkSet(), mkSet()
+		n := BroadcastWorkers(chunked.Chunks(), workers, bcast...)
+		if n != int64(tr.Len()) {
+			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
+		}
+		for i, e := range oracle {
+			want := oracleRun(i, e)
+			if got := *bcast[i].Counters(); got != want {
+				t.Errorf("workers=%d engine %s: counters diverge\n got %+v\nwant %+v",
+					workers, bcast[i].Name(), got, want)
 			}
-			for i, e := range oracle {
-				want := oracleRun(i, e)
-				if got := *bcast[i].Counters(); got != want {
-					t.Errorf("%s workers=%d engine %s: counters diverge\n got %+v\nwant %+v",
-						name, workers, bcast[i].Name(), got, want)
-				}
-				if ReplayTime(bcast[i]) <= 0 {
-					t.Errorf("%s workers=%d engine %s: stepped but ReplayTime = %v",
-						name, workers, bcast[i].Name(), ReplayTime(bcast[i]))
-				}
+			if ReplayTime(bcast[i]) <= 0 {
+				t.Errorf("workers=%d engine %s: stepped but ReplayTime = %v",
+					workers, bcast[i].Name(), ReplayTime(bcast[i]))
 			}
 		}
 	}
 }
 
 // TestStepBlockEventsLongRun: a straight-line run longer than the uint8
-// RunLens cap (255) continues under a new leader; the oracle event-list
-// replay must agree with the per-record path across that boundary, with
-// and without the shared run annotation. 2048-byte lines hold 512
-// instructions, so one line spans two run segments.
+// run-annotation cap (255) continues under a new leader; the oracle
+// event-list replay must agree with the per-record path across that
+// boundary. 2048-byte lines hold 512 instructions, so one line spans two
+// run segments. The oracle is passed no runs, so it derives them itself.
 func TestStepBlockEventsLongRun(t *testing.T) {
 	g := cache.MustGeometry(8*1024, 2048, 1)
 	b := newTB(0x4000)
@@ -172,30 +164,21 @@ func TestStepBlockEventsLongRun(t *testing.T) {
 			NewJohnsonEngine(g),
 		}
 	}
-	for name, runs := range map[string][][]uint8{
-		"plain": nil,
-		"runs":  chunked.RunLens(2048),
-	} {
-		events, oracle := mk(), mk()
-		orc := cache.NewOracle(g)
-		var ann cache.AccessAnnotations
-		for bi := 0; bi < chunked.NumChunks(); bi++ {
-			var blkRuns []uint8
-			if runs != nil {
-				blkRuns = runs[bi]
-			}
-			orc.Annotate(chunked.Block(bi), blkRuns, &ann)
-			for _, e := range events {
-				asFrontend(e).replayEvents(chunked.Block(bi), &ann)
-			}
+	events, oracle := mk(), mk()
+	orc := cache.NewOracle(g)
+	var ann cache.AccessAnnotations
+	for bi := 0; bi < chunked.NumChunks(); bi++ {
+		orc.Annotate(chunked.Block(bi), nil, &ann)
+		for _, e := range events {
+			asFrontend(e).replayEvents(chunked.Block(bi), &ann)
 		}
-		ann.Release()
-		for i, e := range oracle {
-			want := *Run(e, tr)
-			if got := *events[i].Counters(); got != want {
-				t.Errorf("%s engine %s: counters diverge across 255-run boundary\n got %+v\nwant %+v",
-					name, events[i].Name(), got, want)
-			}
+	}
+	ann.Release()
+	for i, e := range oracle {
+		want := *Run(e, tr)
+		if got := *events[i].Counters(); got != want {
+			t.Errorf("engine %s: counters diverge across 255-run boundary\n got %+v\nwant %+v",
+				events[i].Name(), got, want)
 		}
 	}
 }

@@ -33,12 +33,6 @@ func pipelineEngines() []Engine {
 	return engines
 }
 
-// LineBytesOf returns the engines' common line size for the shared run
-// annotation (all pipelineEngines geometries use one line size).
-func LineBytesOf(engines []Engine) int {
-	return engines[0].(interface{ ICache() *cache.Cache }).ICache().Geometry().LineBytes()
-}
-
 // pipelineReference returns the per-record Run counters of a fresh
 // pipelineEngines set over tr.
 func pipelineReference(tr *trace.Trace) []metrics.Counters {
@@ -49,14 +43,13 @@ func pipelineReference(tr *trace.Trace) []metrics.Counters {
 	return want
 }
 
-// checkWorkers broadcasts the chunked trace (with the shared run
-// annotation) to a fresh pipelineEngines set at workers 1, 2 and 4 and
+// checkWorkers broadcasts the chunked trace to a fresh pipelineEngines set at workers 1, 2 and 4 and
 // checks every engine's counters against the per-record reference.
 func checkWorkers(t *testing.T, label string, chunked *trace.Chunked, want []metrics.Counters) {
 	t.Helper()
 	for _, workers := range []int{1, 2, 4} {
 		engines := pipelineEngines()
-		if n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...); n != int64(chunked.Len()) {
+		if n := BroadcastWorkers(chunked.Chunks(), workers, engines...); n != int64(chunked.Len()) {
 			t.Fatalf("%s workers=%d: replayed %d records, want %d", label, workers, n, chunked.Len())
 		}
 		for i, e := range engines {
@@ -89,7 +82,7 @@ func BenchmarkBroadcastOraclePipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				engines := pipelineEngines()
-				n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...)
+				n := BroadcastWorkers(chunked.Chunks(), workers, engines...)
 				if n != int64(tr.Len()) {
 					b.Fatalf("replayed %d records, want %d", n, tr.Len())
 				}

@@ -14,70 +14,52 @@ import (
 	"repro/internal/workload"
 )
 
-// recyclingSource is a RunChunkSource over a chunked trace that copies
-// every block (and, when lineBytes > 0, its run annotation) into recycled
-// storage, and overwrites both with garbage the moment they are released.
-// A consumer that reads a block after releasing it — or a broadcaster that
-// releases it before its last reader — sees the garbage (and, under -race,
-// the detector sees the unsynchronized write). It also counts outstanding
-// blocks and flags any block released twice or never drawn.
+// recyclingSource is a ChunkSource over a chunked trace that copies every
+// block into recycled storage and overwrites it with garbage the moment it
+// is released. A consumer that reads a block after releasing it — or a
+// broadcaster that releases it before its last reader — sees the garbage
+// (and, under -race, the detector sees the unsynchronized write). It also
+// counts outstanding blocks and flags any block released twice or never
+// drawn.
 type recyclingSource struct {
-	t         *testing.T
-	c         *trace.Chunked
-	runs      [][]uint8 // the trace's RunLens; nil when lineBytes == 0
-	lineBytes int
-	next      int
+	t    *testing.T
+	c    *trace.Chunked
+	next int
 
 	mu          sync.Mutex
 	free        [][]trace.Record
-	freeRuns    [][]uint8
-	out         map[*trace.Record][]uint8 // outstanding block → its annotation
+	out         map[*trace.Record]bool // outstanding blocks
 	drawn, peak int
 	released    int
 }
 
-func newRecyclingSource(t *testing.T, c *trace.Chunked, lineBytes int) *recyclingSource {
-	s := &recyclingSource{t: t, c: c, lineBytes: lineBytes, out: make(map[*trace.Record][]uint8)}
-	if lineBytes > 0 {
-		s.runs = c.RunLens(lineBytes)
-	}
-	return s
+func newRecyclingSource(t *testing.T, c *trace.Chunked) *recyclingSource {
+	return &recyclingSource{t: t, c: c, out: make(map[*trace.Record]bool)}
 }
 
 func (s *recyclingSource) NextChunk() []trace.Record {
-	recs, _ := s.NextChunkRuns()
-	return recs
-}
-
-func (s *recyclingSource) NextChunkRuns() (recs []trace.Record, runs []uint8) {
 	if s.next >= s.c.NumChunks() {
-		return nil, nil
+		return nil
 	}
 	bi := s.next
 	s.next++
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var recs []trace.Record
 	if k := len(s.free); k > 0 {
 		recs, s.free = s.free[k-1][:0], s.free[:k-1]
 	}
 	recs = append(recs, s.c.Block(bi)...)
-	if s.runs != nil {
-		if k := len(s.freeRuns); k > 0 {
-			runs, s.freeRuns = s.freeRuns[k-1][:0], s.freeRuns[:k-1]
-		}
-		runs = append(runs, s.runs[bi]...)
-	}
-	s.out[&recs[0]] = runs
+	s.out[&recs[0]] = true
 	s.drawn++
 	s.peak = max(s.peak, len(s.out))
-	return recs, runs
+	return recs
 }
 
 func (s *recyclingSource) Release(recs []trace.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	runs, ok := s.out[&recs[0]]
-	if !ok {
+	if !s.out[&recs[0]] {
 		s.t.Errorf("released a block that is not outstanding (double release?)")
 		return
 	}
@@ -86,16 +68,8 @@ func (s *recyclingSource) Release(recs []trace.Record) {
 	for i := range recs {
 		recs[i] = trace.Record{PC: 0xdead0000 + isa.Addr(4*i), Kind: isa.CondBranch, Taken: i%2 == 0, Target: 0xbeef0000}
 	}
-	for i := range runs {
-		runs[i] = 0xA5
-	}
 	s.free = append(s.free, recs)
-	if runs != nil {
-		s.freeRuns = append(s.freeRuns, runs)
-	}
 }
-
-func (s *recyclingSource) RunLineBytes() int { return s.lineBytes }
 
 // checkReleased asserts every drawn block was released exactly once
 // (double releases are flagged by Release itself) and that at most bound
@@ -114,8 +88,8 @@ func (s *recyclingSource) checkReleased(t *testing.T, name string, bound int) {
 }
 
 // releaseEngines is a mixed engine set exercising every replay path of the
-// broadcaster at once: oracle groups on three geometries (one with a line
-// size the shared run annotation does not cover), BTB engines echoed
+// broadcaster at once: oracle groups on three geometries (two line sizes,
+// so blocks carry two run-annotation slots), BTB engines echoed
 // across geometries — including a geometry whose every member is echoed
 // away — a shared gshare direction annotation, TAGE, and the private paths
 // (wrong-path pollution, an attached probe, a decoupled FDIP frontend).
@@ -147,7 +121,7 @@ func releaseEngines() (engines []Engine, fdip int) {
 		NewBTBEngine(g2, bcfg, gshare(), 32), // echoed
 		NewNLSTableEngine(g1, 512, testTAGE(), 32),
 		NewBTBEngine(g2, bcfg, testTAGE(), 32),
-		NewJohnsonEngine(g3), // runs not shared (16-byte lines)
+		NewJohnsonEngine(g3), // 16-byte lines: a second run slot
 		NewNLSTableEngine(g3, 256, gshare(), 32),
 		NewBTBEngine(g4, bcfg, gshare(), 32), // g4: every member echoed
 		NewBTBEngine(g4, bcfg, gshare(), 32),
@@ -165,24 +139,21 @@ func TestBroadcastOutstandingBlocksBounded(t *testing.T) {
 	tr := workload.Gcc().MustTrace(40_000)
 	chunked := trace.Chunk(tr, 256)
 	for _, workers := range []int{1, 2, 4} {
-		for _, lineBytes := range []int{0, 32} {
-			src := newRecyclingSource(t, chunked, lineBytes)
-			engines, _ := releaseEngines()
-			if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
-				t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
-			}
-			src.checkReleased(t, fmt.Sprintf("workers=%d lineBytes=%d", workers, lineBytes), broadcastBound)
+		src := newRecyclingSource(t, chunked)
+		engines, _ := releaseEngines()
+		if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
+			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
 		}
+		src.checkReleased(t, fmt.Sprintf("workers=%d", workers), broadcastBound)
 	}
 
-	src := newRecyclingSource(t, chunked, 32)
+	src := newRecyclingSource(t, chunked)
 	RunChunks(NewJohnsonEngine(cache.MustGeometry(8*1024, 32, 1)), src)
 	src.checkReleased(t, "RunChunks", 1)
 }
 
 // TestStressReleasedBlockPoisoned replays the mixed engine set over a
-// source that poisons every block and run annotation as soon as it is
-// released and reuses the storage for later blocks, at workers 1, 2 and 4,
+// source that poisons every block as soon as it is released and reuses the storage for later blocks, at workers 1, 2 and 4,
 // and repeats the matrix over the recycling streamed sources of package
 // trace. A block released before its last reader would feed that reader
 // garbage; every counter must instead equal the per-record fetch.Run
@@ -193,7 +164,7 @@ func TestStressReleasedBlockPoisoned(t *testing.T) {
 
 	// The set must actually exercise echoes and the direction annotation.
 	probe, _ := releaseEngines()
-	_, private, groups := replayPlan(chunked.ChunksRuns(32), probe)
+	private, groups := replayPlan(probe)
 	if len(extractEchoes(groups)) < 3 {
 		t.Fatal("engine set echoes fewer than three engines")
 	}
@@ -213,33 +184,27 @@ func TestStressReleasedBlockPoisoned(t *testing.T) {
 
 	// Besides the poisoning source, the streamed sources' own free lists
 	// take releases from every replay goroutine at once.
-	sources := map[string]func(lineBytes int) (trace.ChunkSource, func(bound int)){
-		"poisoned": func(lineBytes int) (trace.ChunkSource, func(bound int)) {
-			src := newRecyclingSource(t, chunked, lineBytes)
+	sources := map[string]func() (trace.ChunkSource, func(bound int)){
+		"poisoned": func() (trace.ChunkSource, func(bound int)) {
+			src := newRecyclingSource(t, chunked)
 			return src, func(bound int) { src.checkReleased(t, "poisoned", bound) }
 		},
-		"streamed": func(lineBytes int) (trace.ChunkSource, func(bound int)) {
-			var src trace.ChunkSource = trace.NewSourceChunks(&trace.SliceSource{Records: tr.Records}, tr.Len(), 1024)
-			if lineBytes > 0 {
-				src = trace.AnnotateRuns(src, lineBytes)
-			}
-			return src, func(int) {}
+		"streamed": func() (trace.ChunkSource, func(bound int)) {
+			return trace.NewSourceChunks(&trace.SliceSource{Records: tr.Records}, tr.Len(), 1024), func(int) {}
 		},
 	}
 	for name, mkSrc := range sources {
 		for _, workers := range []int{1, 2, 4} {
-			for _, lineBytes := range []int{0, 32} {
-				src, check := mkSrc(lineBytes)
-				engines, _ := releaseEngines()
-				if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
-					t.Fatalf("%s: replayed %d records, want %d", name, n, tr.Len())
-				}
-				check(broadcastBound)
-				for i, e := range engines {
-					if got := *e.Counters(); got != want[i] {
-						t.Errorf("%s workers=%d lineBytes=%d engine %d (%s): counters diverge over recycled blocks\n got %+v\nwant %+v",
-							name, workers, lineBytes, i, e.Name(), got, want[i])
-					}
+			src, check := mkSrc()
+			engines, _ := releaseEngines()
+			if n := BroadcastWorkers(src, workers, engines...); n != int64(tr.Len()) {
+				t.Fatalf("%s: replayed %d records, want %d", name, n, tr.Len())
+			}
+			check(broadcastBound)
+			for i, e := range engines {
+				if got := *e.Counters(); got != want[i] {
+					t.Errorf("%s workers=%d engine %d (%s): counters diverge over recycled blocks\n got %+v\nwant %+v",
+						name, workers, i, e.Name(), got, want[i])
 				}
 			}
 		}

@@ -50,8 +50,9 @@ func TestStressBroadcastRandomWorkers(t *testing.T) {
 }
 
 // TestStressBroadcastSharedAnnotations repeats the randomized sweep over
-// the precomputed-run-annotation source, the path the grid executor's
-// shared fetch oracle uses.
+// the mixed-line-size engine set, so every block carries one shared run
+// annotation per line size, read concurrently by group oracles and by
+// private engines on different workers.
 func TestStressBroadcastSharedAnnotations(t *testing.T) {
 	const seed = 0x6e6c7332
 	rng := rand.New(rand.NewSource(seed))
@@ -69,15 +70,15 @@ func TestStressBroadcastSharedAnnotations(t *testing.T) {
 		tr := spec.MustTrace(insns)
 		chunked := trace.Chunk(tr, 1024)
 
-		seq, par := broadcastEngines()
+		seq, par := mixedLineEngines(), mixedLineEngines()
 		BroadcastWorkers(chunked.Chunks(), 1, seq...)
-		if n := BroadcastWorkers(chunked.ChunksRuns(32), workers, par...); n != int64(tr.Len()) {
-			t.Fatalf("round %d (%s): annotated replay %d records, want %d", round, spec.Name, n, tr.Len())
+		if n := BroadcastWorkers(chunked.Chunks(), workers, par...); n != int64(tr.Len()) {
+			t.Fatalf("round %d (%s): replayed %d records, want %d", round, spec.Name, n, tr.Len())
 		}
 		for i := range seq {
 			want := *seq[i].Counters()
 			if got := *par[i].Counters(); got != want {
-				t.Errorf("round %d: %s on %s workers=%d: annotated fan-out diverges\n got %+v\nwant %+v",
+				t.Errorf("round %d: %s on %s workers=%d: fan-out diverges from workers=1\n got %+v\nwant %+v",
 					round, par[i].Name(), spec.Name, workers, got, want)
 			}
 		}

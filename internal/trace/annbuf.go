@@ -2,13 +2,12 @@ package trace
 
 import "sync"
 
-// Chunk-annotation buffer pool. The broadcast replay annotates each chunk
-// with small per-record byte streams — the memoized RunLens runs are one
-// such annotation, owned by the trace; the per-geometry access annotations
-// of the shared fetch oracle (cache.AccessAnnotations) are another, but
-// those are transient: one live buffer per geometry group per in-flight
-// chunk, not one per (trace, geometry). Pooling them here keeps a sweep's
-// steady-state allocation independent of how many chunks it replays.
+// Chunk-annotation buffer pool. The shared fetch oracle annotates each
+// chunk with a small per-record byte stream per cache geometry
+// (cache.AccessAnnotations.Slots). Those buffers are transient — one live
+// buffer per geometry group per in-flight chunk, not one per (trace,
+// geometry) — and pooling them here keeps a sweep's steady-state
+// allocation independent of how many chunks it replays.
 var annBufPool = sync.Pool{
 	New: func() any {
 		b := make([]uint8, 0, DefaultChunkRecords)

@@ -31,28 +31,11 @@ type ChunkSource interface {
 	// until it is passed to Release.
 	NextChunk() []Record
 	// Release hands a non-empty block back once no reader will touch it
-	// (or its run annotation, for a RunChunkSource) again, so the source
-	// may reuse its storage for a later block. Each block is released at
-	// most once. Not releasing is always safe — the source then simply
-	// allocates — and Release is safe to call from any goroutine.
+	// again, so the source may reuse its storage for a later block. Each
+	// block is released at most once. Not releasing is always safe — the
+	// source then simply allocates — and Release is safe to call from any
+	// goroutine.
 	Release(recs []Record)
-}
-
-// A RunChunkSource additionally annotates each block with its
-// sequential-fetch run lengths, computed once and shared by every consumer
-// of the block (the broadcast replay hands one annotation to all engines of
-// a sweep cell instead of each engine re-deriving it).
-type RunChunkSource interface {
-	ChunkSource
-	// NextChunkRuns is NextChunk plus the block's run annotation: runs,
-	// when non-nil, is parallel to recs and runs[i] counts the records
-	// after i that are non-branches lying in the same RunLineBytes-sized
-	// aligned line as record i (0 whenever record i is a branch). runs
-	// may be nil for a block the source cannot annotate; consumers then
-	// fall back to scanning.
-	NextChunkRuns() (recs []Record, runs []uint8)
-	// RunLineBytes is the aligned line size the annotations assume.
-	RunLineBytes() int
 }
 
 // Chunked is an instruction trace stored as fixed-size blocks of records.
@@ -124,19 +107,8 @@ func (c *Chunked) Flatten() *Trace {
 }
 
 // RunLens returns the per-block run annotations for lineBytes-sized cache
-// lines, computing them once per line size and memoizing the result (safe
-// for concurrent callers). For block b, RunLens()[b][i] counts the records
-// immediately after record i that are non-branches lying in the same
-// lineBytes-aligned line as record i — i.e. the records a replay may batch
-// into one LRU-refreshing cache access after stepping record i — and is 0
-// whenever record i is a break. Runs never cross block boundaries and are
-// capped at 255 (a run longer than a uint8 simply continues under a new
-// leader, which is still a pure sequential fetch).
-//
-// The annotation depends only on the records and the line size, so one
-// computation is shared by every engine whose i-cache uses lineBytes lines:
-// this is what lets a broadcast sweep scan each chunk's run structure once
-// instead of once per engine. lineBytes must be a power of two.
+// lines (BlockRuns of every block), computing them once per line size and
+// memoizing the result (safe for concurrent callers).
 func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	c.runsMu.Lock()
 	defer c.runsMu.Unlock()
@@ -145,7 +117,7 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	}
 	all := make([][]uint8, len(c.blocks))
 	for bi, blk := range c.blocks {
-		all[bi] = blockRuns(make([]uint8, len(blk)), blk, lineBytes)
+		all[bi] = BlockRuns(nil, blk, lineBytes)
 	}
 	if c.runsBy == nil {
 		c.runsBy = make(map[int][][]uint8, 1)
@@ -154,17 +126,30 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	return all
 }
 
-// blockRuns computes one block's run annotation for lineBytes-sized lines
-// (see RunLens) into runs, whose capacity must cover the block, and
-// returns it resliced to the block's length: the single annotation loop
-// behind both the memoized per-trace form and the per-chunk AnnotateRuns
-// wrapper. Every entry is written, so runs may hold a recycled buffer.
-func blockRuns(runs []uint8, blk []Record, lineBytes int) []uint8 {
-	mask := ^isa.Addr(lineBytes - 1)
-	runs = runs[:len(blk)]
+// BlockRuns computes one block's sequential-fetch run annotation for
+// lineBytes-sized cache lines into dst, growing it if its capacity is
+// short, and returns it resliced to the block's length. Entry i counts the
+// records immediately after record i that are non-branches lying in the
+// same lineBytes-aligned line as record i — the records a replay may batch
+// into one LRU-refreshing cache access after stepping record i — and is 0
+// whenever record i is a break. Runs stop at the block's end and are capped
+// at 255 (a longer run simply continues under a new leader, which is still
+// a pure sequential fetch).
+//
+// The annotation depends only on the records and the line size, so one
+// computation serves every consumer whose i-cache uses lineBytes lines:
+// the broadcast computes it once per block and line size for all its
+// engines and oracles. Every entry is written, so dst may hold a recycled
+// buffer. lineBytes must be a power of two.
+func BlockRuns(dst []uint8, blk []Record, lineBytes int) []uint8 {
+	if cap(dst) < len(blk) {
+		dst = make([]uint8, len(blk))
+	}
+	runs := dst[:len(blk)]
 	if len(blk) == 0 {
 		return runs
 	}
+	mask := ^isa.Addr(lineBytes - 1)
 	runs[len(blk)-1] = 0
 	for i := len(blk) - 2; i >= 0; i-- {
 		r, nxt := blk[i], blk[i+1]
@@ -180,84 +165,21 @@ func blockRuns(runs []uint8, blk []Record, lineBytes int) []uint8 {
 	return runs
 }
 
-// AnnotateRuns makes any chunk source a RunChunkSource: each block drawn
-// through NextChunkRuns is annotated with its run lengths for
-// lineBytes-sized lines as it is drawn, exactly as RunLens annotates a
-// Chunked trace block by block. This is how a streamed source (a corpus
-// payload decoded chunk by chunk) feeds the broadcaster's shared-run fast
-// path without ever holding the whole trace. An annotation stays valid as
-// long as its block: releasing the block recycles both. lineBytes must be
-// a power of two.
-func AnnotateRuns(src ChunkSource, lineBytes int) RunChunkSource {
-	return &runAnnotator{src: src, lineBytes: lineBytes, runsOf: make(map[*Record][]uint8)}
-}
-
-type runAnnotator struct {
-	src       ChunkSource
-	lineBytes int
-	free      freeList[uint8]
-
-	mu     sync.Mutex
-	runsOf map[*Record][]uint8 // outstanding annotations, by block
-}
-
-// NextChunk implements ChunkSource (the block without its annotation).
-func (a *runAnnotator) NextChunk() []Record { return a.src.NextChunk() }
-
-// NextChunkRuns implements RunChunkSource.
-func (a *runAnnotator) NextChunkRuns() (recs []Record, runs []uint8) {
-	recs = a.src.NextChunk()
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	runs = blockRuns(a.free.get(len(recs)), recs, a.lineBytes)
-	a.mu.Lock()
-	a.runsOf[&recs[0]] = runs
-	a.mu.Unlock()
-	return recs, runs
-}
-
-// Release implements ChunkSource: it recycles the block's annotation, if
-// NextChunkRuns made one, and releases the block to the wrapped source.
-func (a *runAnnotator) Release(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	a.mu.Lock()
-	runs, ok := a.runsOf[&recs[0]]
-	delete(a.runsOf, &recs[0])
-	a.mu.Unlock()
-	if ok {
-		a.free.put(runs)
-	}
-	a.src.Release(recs)
-}
-
-// RunLineBytes implements RunChunkSource.
-func (a *runAnnotator) RunLineBytes() int { return a.lineBytes }
-
 // Chunks returns a fresh iterator over the blocks. The iterator implements
 // both ChunkSource and Source, so a chunked trace can drive anything a flat
 // trace can.
 func (c *Chunked) Chunks() *ChunkIter { return &ChunkIter{c: c} }
 
-// ChunksRuns returns a fresh iterator whose NextChunkRuns annotates each
-// block with the trace's memoized RunLens for lineBytes-sized cache lines,
-// making the iterator a useful RunChunkSource (a plain Chunks iterator also
-// satisfies the interface but always yields nil runs).
-func (c *Chunked) ChunksRuns(lineBytes int) *ChunkIter {
-	return &ChunkIter{c: c, runs: c.RunLens(lineBytes), lineBytes: lineBytes}
-}
+// ChunksRuns is Chunks; lineBytes is ignored. It is kept only for the
+// prodbench ledger, which still calls it.
+func (c *Chunked) ChunksRuns(lineBytes int) *ChunkIter { return c.Chunks() }
 
 // ChunkIter iterates a Chunked trace. It implements ChunkSource (block at a
-// time), RunChunkSource (annotated blocks, when built by ChunksRuns) and
-// Source (record at a time); the views share one cursor.
+// time) and Source (record at a time); the views share one cursor.
 type ChunkIter struct {
-	c         *Chunked
-	runs      [][]uint8 // per-block annotations; nil unless built by ChunksRuns
-	lineBytes int
-	block     int
-	off       int // record offset within the current block (Source view only)
+	c     *Chunked
+	block int
+	off   int // record offset within the current block (Source view only)
 }
 
 // NextChunk implements ChunkSource. A block partially consumed through Run
@@ -294,28 +216,6 @@ func (it *ChunkIter) Run(n int, emit func(Record)) int {
 	}
 	return count
 }
-
-// NextChunkRuns implements RunChunkSource. runs is nil when the iterator
-// was built by Chunks rather than ChunksRuns. A block partially consumed
-// through Run yields its remaining records with the matching annotation
-// suffix (each record's run count is independent of the records before it,
-// so the suffix annotation stays valid).
-func (it *ChunkIter) NextChunkRuns() (recs []Record, runs []uint8) {
-	if it.block >= len(it.c.blocks) {
-		return nil, nil
-	}
-	recs = it.c.blocks[it.block][it.off:]
-	if it.runs != nil {
-		runs = it.runs[it.block][it.off:]
-	}
-	it.block++
-	it.off = 0
-	return recs, runs
-}
-
-// RunLineBytes implements RunChunkSource; it is 0 for an iterator built by
-// Chunks (whose NextChunkRuns never annotates).
-func (it *ChunkIter) RunLineBytes() int { return it.lineBytes }
 
 // Reset rewinds the iterator to the first record.
 func (it *ChunkIter) Reset() { it.block, it.off = 0, 0 }
@@ -366,7 +266,7 @@ func (s *SourceChunks) NextChunk() []Record {
 func (s *SourceChunks) Release(recs []Record) { s.free.put(recs) }
 
 // freeList is the free list behind every recycling chunk source
-// (PayloadChunks, SourceChunks, and the run annotator): a buffer its
+// (PayloadChunks and SourceChunks): a buffer its
 // consumer released is filled again instead of a fresh one allocated. It
 // holds no fixed number of buffers — its length is the peak number of
 // blocks outstanding at once, which the consumer bounds (see the

@@ -157,75 +157,27 @@ func TestRunLens(t *testing.T) {
 		checkRunLens(t, Chunk(tr, 17), lineBytes)
 	}
 
-	// Memoized: same line size returns the identical slice; iterators from
-	// ChunksRuns annotate blocks with it.
+	// Memoized: same line size returns the identical slice.
 	c := Chunk(tr, 17)
 	r1, r2 := c.RunLens(32), c.RunLens(32)
 	if &r1[0] != &r2[0] {
 		t.Fatal("RunLens recomputed instead of memoizing")
 	}
-	it := c.ChunksRuns(32)
-	if it.RunLineBytes() != 32 {
-		t.Fatalf("RunLineBytes = %d, want 32", it.RunLineBytes())
-	}
-	for bi := 0; ; bi++ {
-		recs, runs := it.NextChunkRuns()
-		if len(recs) == 0 {
-			break
-		}
-		if len(runs) != len(recs) {
-			t.Fatalf("block %d: runs len %d, recs len %d", bi, len(runs), len(recs))
-		}
-	}
 
-	// A plain Chunks iterator satisfies the same interface but never
-	// annotates (RunLineBytes 0, nil runs).
-	plain := c.Chunks()
-	if plain.RunLineBytes() != 0 {
-		t.Fatal("plain iterator claims an annotation line size")
-	}
-	if recs, runs := plain.NextChunkRuns(); len(recs) == 0 || runs != nil {
-		t.Fatal("plain iterator yielded an annotation")
-	}
-
-	// Mid-block Source consumption: the remainder carries the annotation
-	// suffix, still aligned with its records.
-	it2 := c.ChunksRuns(32)
-	it2.Run(5, func(Record) {})
-	recs, runs := it2.NextChunkRuns()
-	if len(recs) != 12 || len(runs) != 12 {
-		t.Fatalf("partial block: %d recs, %d runs, want 12/12", len(recs), len(runs))
-	}
-	if runs[0] != c.RunLens(32)[0][5] {
-		t.Fatal("annotation suffix misaligned with record suffix")
-	}
-}
-
-// TestAnnotateRunsMatchesRunLens: annotating a streamed source block by
-// block yields exactly the memoized per-trace annotation, and NextChunk
-// passes blocks through unannotated.
-func TestAnnotateRunsMatchesRunLens(t *testing.T) {
-	tr := syntheticTrace(203)
-	c := Chunk(tr, 17)
-	for _, lineBytes := range []int{16, 32, 64} {
-		want := c.RunLens(lineBytes)
-		src := AnnotateRuns(c.Chunks(), lineBytes)
-		if src.RunLineBytes() != lineBytes {
-			t.Fatalf("RunLineBytes = %d, want %d", src.RunLineBytes(), lineBytes)
+	// BlockRuns overwrites every entry of a recycled buffer, and grows one
+	// too short for the block.
+	dirty := make([]uint8, 4, 17)
+	for bi := 0; bi < c.NumChunks(); bi++ {
+		for i := range dirty[:cap(dirty)] {
+			dirty[:cap(dirty)][i] = 0xA5
 		}
-		bi := 0
-		for recs, runs := src.NextChunkRuns(); len(recs) > 0; recs, runs = src.NextChunkRuns() {
-			if &recs[0] != &c.Block(bi)[0] || string(runs) != string(want[bi]) {
-				t.Fatalf("line %dB block %d: annotation differs from RunLens", lineBytes, bi)
-			}
-			bi++
-		}
-		if bi != c.NumChunks() {
-			t.Fatalf("line %dB: %d blocks, want %d", lineBytes, bi, c.NumChunks())
+		dirty = BlockRuns(dirty, c.Block(bi), 32)
+		if string(dirty) != string(r1[bi]) {
+			t.Fatalf("block %d: BlockRuns over a recycled buffer differs from RunLens", bi)
 		}
 	}
-	if blk := AnnotateRuns(c.Chunks(), 32).NextChunk(); len(blk) != 17 {
-		t.Fatalf("NextChunk passed %d records, want 17", len(blk))
+	if got := BlockRuns(make([]uint8, 0, 3), c.Block(0), 32); string(got) != string(r1[0]) {
+		t.Fatal("BlockRuns into a short buffer differs from RunLens")
 	}
 }
 

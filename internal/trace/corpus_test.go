@@ -464,9 +464,9 @@ func TestPayloadChunksLenAfterError(t *testing.T) {
 	}
 }
 
-// TestChunkSourcesRecycleReleased: the streamed sources decode, draw and
-// annotate into the storage of released blocks, and a recycled block
-// carries exactly its own records and run annotation.
+// TestChunkSourcesRecycleReleased: the streamed sources decode and draw
+// into the storage of released blocks, and a recycled block carries exactly
+// its own records.
 func TestChunkSourcesRecycleReleased(t *testing.T) {
 	const chunk = 256
 	tr := corpusTrace("recycle", 3000, 6)
@@ -478,18 +478,17 @@ func TestChunkSourcesRecycleReleased(t *testing.T) {
 	}
 	defer c.Close()
 	want := Chunk(tr, chunk)
-	runsWant := want.RunLens(32)
 
-	sources := map[string]func() RunChunkSource{
-		"payload": func() RunChunkSource {
+	sources := map[string]func() ChunkSource{
+		"payload": func() ChunkSource {
 			d, err := c.ChunkSource("recycle", chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return AnnotateRuns(d, 32)
+			return d
 		},
-		"source": func() RunChunkSource {
-			return AnnotateRuns(NewSourceChunks(&SliceSource{Records: tr.Records}, len(tr.Records), chunk), 32)
+		"source": func() ChunkSource {
+			return NewSourceChunks(&SliceSource{Records: tr.Records}, len(tr.Records), chunk)
 		},
 	}
 	for name, mk := range sources {
@@ -499,14 +498,11 @@ func TestChunkSourcesRecycleReleased(t *testing.T) {
 		var held [][]Record
 		seen := map[*Record]bool{}
 		bi := 0
-		for recs, runs := src.NextChunkRuns(); len(recs) > 0; recs, runs = src.NextChunkRuns() {
+		for recs := src.NextChunk(); len(recs) > 0; recs = src.NextChunk() {
 			for _, h := range held {
 				if &h[0] == &recs[0] {
 					t.Fatalf("%s block %d: storage of a held block reused", name, bi)
 				}
-			}
-			if string(runs) != string(runsWant[bi]) {
-				t.Fatalf("%s block %d: annotation differs from RunLens", name, bi)
 			}
 			for i, r := range recs {
 				if r != want.Block(bi)[i] {

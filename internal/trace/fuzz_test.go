@@ -116,13 +116,19 @@ func FuzzChunked(f *testing.F) {
 			t.Fatalf("Run view yielded %d records, want %d", i, len(tr.Records))
 		}
 
-		// Run annotations: every entry must satisfy the RunLens contract
+		// Run annotations: every entry must satisfy the BlockRuns contract
 		// (breaks annotate 0; otherwise the count of following same-line
-		// non-branches, capped at 255 and stopping at the block edge).
+		// non-branches, capped at 255 and stopping at the block edge),
+		// written over one buffer recycled from block to block.
 		const lineBytes = 32
 		mask := ^isa.Addr(lineBytes - 1)
-		for bi, rn := range c.RunLens(lineBytes) {
+		var rn []uint8
+		for bi := 0; bi < c.NumChunks(); bi++ {
 			blk := c.Block(bi)
+			for i := range rn {
+				rn[i] = 0xA5
+			}
+			rn = BlockRuns(rn, blk, lineBytes)
 			if len(rn) != len(blk) {
 				t.Fatalf("block %d annotation length %d, want %d", bi, len(rn), len(blk))
 			}
