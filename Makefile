@@ -52,18 +52,22 @@ race:
 # the shared direction annotation and its end-of-broadcast state hand-off
 # (the main goroutine trains the driven predictor while workers replay),
 # store readers racing a writer (atomic-rename visibility + corrupt-cell
-# degradation), and the sweep service single-flight hammer (100 identical
-# concurrent jobs -> exactly one simulation, byte-identical bodies).
+# degradation), typed-path readers racing SaveCounters writers and a
+# corrupting writer with the decoded-counters memo on, and the sweep
+# service single-flight hammer (100 identical concurrent jobs -> exactly
+# one simulation, byte-identical bodies).
 stress:
-	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention' \
+	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters' \
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the
-# corpus container reader, and the sweep service's untrusted job decoder.
+# corpus container reader, the results store's cell decoder, and the sweep
+# service's untrusted job decoder.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzChunked -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusRead -fuzztime=20s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzCellDecode -fuzztime=20s ./internal/experiments
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=20s ./internal/serve
 
 # Sweep scheduler comparison (see EXPERIMENTS.md "Sweep throughput"). The

@@ -103,8 +103,8 @@ func TestPrefetchAbsorbsColdMiss(t *testing.T) {
 	if c.ColdMisses() != 1 {
 		t.Fatalf("cold=%d, want 1 (only the draining access's own miss)", c.ColdMisses())
 	}
-	// An invariant the store's stale-cell detector relies on: any run with
-	// misses has at least one cold miss.
+	// Any run with misses has at least one cold miss: the first demand
+	// miss of a run is by definition compulsory.
 	if c.Misses() > 0 && c.ColdMisses() == 0 {
 		t.Fatalf("misses without cold misses")
 	}

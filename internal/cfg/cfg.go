@@ -177,7 +177,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("cfg: proc %q has no blocks", pr.Name)
 		}
 		for bi, b := range pr.Blocks {
-			where := fmt.Sprintf("proc %q block %d", pr.Name, bi)
+			where := blockLoc{pr.Name, bi}
 			if b.NumInstrs < 1 {
 				return fmt.Errorf("cfg: %s has %d instructions", where, b.NumInstrs)
 			}
@@ -247,6 +247,15 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
+
+// blockLoc names a block in Validate's errors. It formats only when an
+// error is built, so a valid block costs no formatting.
+type blockLoc struct {
+	proc  string
+	block int
+}
+
+func (l blockLoc) String() string { return fmt.Sprintf("proc %q block %d", l.proc, l.block) }
 
 func (p *Program) checkTarget(id BlockID) error {
 	if id.Proc < 0 || int(id.Proc) >= len(p.Procs) {

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -245,6 +246,23 @@ func TestValidateRejects(t *testing.T) {
 		if err := mk(c.mutate); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// TestValidateErrorNamesBlock: an invalid block's error names its
+// procedure and its index, as "proc %q block %d".
+func TestValidateErrorNamesBlock(t *testing.T) {
+	ret := &Block{NumInstrs: 1, Term: Term{Kind: isa.Return}}
+	p := &Program{Name: "bad", Procs: []*Proc{
+		{Name: "main", Blocks: []*Block{ret}},
+		{Name: "helper", Blocks: []*Block{ret, ret, {NumInstrs: 0, Term: Term{Kind: isa.Return}}}},
+	}}
+	err := p.Validate()
+	if err == nil {
+		t.Fatal("zero-length block accepted")
+	}
+	if want := `proc "helper" block 2`; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %s", err, want)
 	}
 }
 

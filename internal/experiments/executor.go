@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/fetch"
+	"repro/internal/metrics"
 	"repro/internal/multiissue"
 	"repro/internal/trace"
 )
@@ -73,12 +74,12 @@ type ProgramInfo struct {
 	FetchBlocks map[int]uint64 `json:"fetch_blocks"`
 }
 
-// ResultSet holds a run's outcome: every unique cell's Row (by store key)
-// and every program's ProgramInfo, plus accounting for the tests and the
-// CLIs.
+// ResultSet holds a run's outcome: every unique cell's counters (by store
+// key) and every program's ProgramInfo, plus accounting for the tests and
+// the CLIs.
 type ResultSet struct {
 	cfg   Config
-	rows  map[string]Row
+	cells map[string]metrics.Counters
 	infos map[string]*ProgramInfo
 	// keyed holds the run's grids with the cell keys derived at gather,
 	// which Rows reads back instead of deriving them again.
@@ -122,9 +123,7 @@ func (rs *ResultSet) Rows(g Grid) []Row {
 	}
 	rows := make([]Row, len(kg.Cells))
 	for i, c := range kg.Cells {
-		row := rs.rows[kg.Keys[i]]
-		row.Program, row.Arch, row.Spec = c.Prog.Name, c.Arm, c.Spec
-		rows[i] = row
+		rows[i] = Row{Program: c.Prog.Name, Arch: c.Arm, Spec: c.Spec, M: rs.cells[kg.Keys[i]]}
 	}
 	return rows
 }
@@ -202,7 +201,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 	cfg := r.Cfg
 	rs := &ResultSet{
 		cfg:   cfg,
-		rows:  make(map[string]Row),
+		cells: make(map[string]metrics.Counters),
 		infos: make(map[string]*ProgramInfo),
 		keyed: grids,
 	}
@@ -230,20 +229,13 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 			seen[k] = true
 			total++
 			if x.Store != nil && !x.Force {
-				var row Row
-				ok, err := x.Store.Load(k, &row)
+				var m metrics.Counters
+				ok, err := x.Store.LoadCounters(k, &m)
 				if err != nil {
 					return nil, err
 				}
-				if ok && staleCell(&row.M) {
-					// A cell written before icache_cold_misses existed
-					// decodes the field as 0, which the invariant below
-					// rules out for any run that missed at all. Age it
-					// like a corrupt cell: recompute and overwrite.
-					ok = false
-				}
 				if ok {
-					rs.rows[k] = row
+					rs.cells[k] = m
 					rs.Loaded++
 					continue
 				}
@@ -384,7 +376,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 
 		mu.Lock()
 		for j := range rows {
-			rs.rows[w.keys[j]] = rows[j]
+			rs.cells[w.keys[j]] = rows[j].M
 		}
 		rs.Timings = append(rs.Timings, timings...)
 		rs.Simulated += len(rows)
@@ -397,7 +389,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		if x.Store != nil {
 			saveStart := time.Now()
 			for j := range rows {
-				if err := x.Store.Save(w.keys[j], rows[j]); err != nil {
+				if err := x.Store.SaveCounters(w.keys[j], &rows[j].M); err != nil {
 					return err
 				}
 			}

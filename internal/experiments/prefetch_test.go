@@ -90,8 +90,8 @@ func TestPrefetchGolden(t *testing.T) {
 		}
 	}
 
-	// Warm pass: every prefetch cell must round-trip the store (the new
-	// counters serialize and the stale-cell guard does not age them).
+	// Warm pass: every prefetch cell must round-trip the store (the cell
+	// value encodes the prefetch counters).
 	warm, err := (&Executor{R: NewRunner(cfg), Store: store}).Run(f)
 	if err != nil {
 		t.Fatal(err)

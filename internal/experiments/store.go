@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -11,23 +13,36 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 // The content-addressed results store. Every simulated grid cell is
-// persisted as one JSON file named by the SHA-256 of everything its
-// counters depend on — the workload spec (name, seed, generator
-// parameters), the instruction budget, the complete arch.Spec (predictor
-// sizing, cache geometry, PHT, RAS depth, pollution flag), and the penalty
-// assumptions. A later run whose inputs are unchanged loads the cell
-// instead of re-simulating it; any change to any input changes the key, so
-// stale results can never be served (invalidation is structural, not
-// tracked). Keys use the canonical-JSON convention of arch.Spec.Hash:
-// encoding/json marshals struct fields in declaration order with
-// deterministic formatting, and a deliberate schema change must not
-// silently alias old cells — hence the version tag in each key document.
+// persisted as one file named by the SHA-256 of everything its counters
+// depend on — the workload spec (name, seed, generator parameters), the
+// instruction budget, the complete arch.Spec (predictor sizing, cache
+// geometry, PHT, RAS depth, pollution flag), and the penalty assumptions.
+// A later run whose inputs are unchanged loads the cell instead of
+// re-simulating it; any change to any input changes the key, so stale
+// results can never be served (invalidation is structural, not tracked).
+// Keys use the canonical-JSON convention of arch.Spec.Hash: encoding/json
+// marshals struct fields in declaration order with deterministic
+// formatting, and a deliberate schema change must not silently alias old
+// cells — hence the version tag in each key document.
+//
+// A cell's value is its metrics.Counters alone, in a fixed binary
+// encoding behind a magic and a value-schema version (encodeCell). The
+// program, arm label and spec are not stored: the key already covers
+// them, and ResultSet.Rows re-attaches them from the requesting grid on
+// every read. A file decodes only when the magic, the version and the
+// exact length all match; anything else — a v1 cell (an indented JSON
+// Row), a torn or truncated write, another version's layout — is a miss,
+// re-simulated and overwritten. Decoded counters are kept in a bounded
+// in-process memo (memoCells), so a long-lived store (nlsserve) serves a
+// repeat hit without touching the file system; keys are content hashes,
+// so a memoized value cannot go stale.
 //
 // A cell's key document is
 //
@@ -48,8 +63,55 @@ import (
 
 // cellSchema versions the cell key derivation. Bump it when the meaning of
 // a stored cell changes without any key field changing (e.g. an engine
-// recalibration), so every old cell misses and is recomputed.
+// recalibration), so every old cell misses and is recomputed. A change to
+// how the counters are encoded bumps cellValueVersion instead, which
+// leaves every key where it is.
 const cellSchema = "nls-cell/v1"
+
+// A cell value is
+//
+//	cellMagic | uint32 cellValueVersion | metrics.Counters
+//
+// all little-endian, the counters in binary.Write's layout (every field in
+// declaration order, arrays element by element). Version 1 was the JSON
+// Row document. TestCellValueGolden pins the bytes of one Counters value:
+// adding, removing or reordering a Counters field breaks it, and the fix
+// is a version bump here, never a new golden alone.
+const (
+	cellMagic               = "NLSC"
+	cellValueVersion uint32 = 2
+)
+
+// cellValueLen is the exact length of a current-version cell file.
+var cellValueLen = len(cellMagic) + 4 + binary.Size(metrics.Counters{})
+
+// encodeCell returns m's cell value.
+func encodeCell(m *metrics.Counters) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, cellValueLen))
+	buf.WriteString(cellMagic)
+	for _, v := range []any{cellValueVersion, m} {
+		if err := binary.Write(buf, binary.LittleEndian, v); err != nil {
+			panic(err) // only a variable-size Counters field fails
+		}
+	}
+	return buf.Bytes()
+}
+
+// decodeCell decodes a cell value into m. It reports false, leaving m
+// untouched, unless buf is exactly a current-version value.
+func decodeCell(buf []byte, m *metrics.Counters) bool {
+	head := len(cellMagic) + 4
+	if len(buf) != cellValueLen || string(buf[:len(cellMagic)]) != cellMagic ||
+		binary.LittleEndian.Uint32(buf[len(cellMagic):head]) != cellValueVersion {
+		return false
+	}
+	var c metrics.Counters
+	if binary.Read(bytes.NewReader(buf[head:]), binary.LittleEndian, &c) != nil {
+		return false
+	}
+	*m = c
+	return true
+}
 
 // infoSchema versions the per-program replay-derived info (Table-1 stats
 // and fetch-block counts).
@@ -131,34 +193,98 @@ func mustMarshal(v any) []byte {
 // the working directory.
 func DefaultStoreDir() string { return filepath.Join("results", "cells") }
 
-// Store is a content-addressed directory of JSON documents keyed by hex
-// hashes. Concurrent writers of distinct keys are safe (each key is its
-// own file, written via rename); two writers of the same key write the
-// same content by construction.
+// memoCells bounds a Store's memo of decoded cell counters. A full memo is
+// cleared rather than evicted entry by entry: content keys never go stale,
+// so the only cost of clearing is one disk decode per cell on its next hit,
+// and at ~300 bytes an entry the bound caps the memo near 5MB.
+const memoCells = 1 << 14
+
+// Store is a content-addressed directory of cell values and JSON
+// documents keyed by hex hashes. Concurrent writers of distinct keys are
+// safe (each key is its own file, written via rename); two writers of the
+// same key write the same content by construction. Cell counters read or
+// written through LoadCounters and SaveCounters are memoized in process.
 type Store struct {
 	dir string
+
+	mu   sync.Mutex // guards memo
+	memo map[string]metrics.Counters
 }
 
-// OpenStore opens (creating if needed) a store rooted at dir.
+// OpenStore opens (creating if needed) a store rooted at dir, with an
+// empty memo.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, memo: make(map[string]metrics.Counters)}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path shards keys by their first byte to keep directories small.
+// path shards keys by their first byte to keep directories small. Cell
+// files keep the .json name of the v1 schema, so a v2 save overwrites the
+// v1 file of the same key in place.
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// Load reads the document stored under key into v. A missing or corrupt
-// (undecodable) document reports (false, nil): the store is a cache, so
-// corruption degrades to recomputation, never to an error. Any other read
-// error — permissions, I/O — is returned.
+// LoadCounters reads the counters of the cell stored under key into m. A
+// missing cell, or a file that is not exactly a current-version cell value
+// (decodeCell), reports (false, nil) and leaves m untouched: the store is
+// a cache, so corruption and old schemas degrade to recomputation, never
+// to an error. Any other read error — permissions, I/O — is returned. A
+// hit is served from the memo when the key was decoded or saved before.
+func (s *Store) LoadCounters(key string, m *metrics.Counters) (bool, error) {
+	s.mu.Lock()
+	c, ok := s.memo[key]
+	s.mu.Unlock()
+	if ok {
+		*m = c
+		return true, nil
+	}
+	buf, err := os.ReadFile(s.path(key))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return false, nil
+		}
+		return false, err
+	}
+	if !decodeCell(buf, &c) {
+		return false, nil // corrupt or old-schema cell: a miss, overwritten later
+	}
+	s.remember(key, c)
+	*m = c
+	return true, nil
+}
+
+// SaveCounters writes m as the cell value under key, atomically replacing
+// any previous file, and memoizes it.
+func (s *Store) SaveCounters(key string, m *metrics.Counters) error {
+	if err := s.write(key, encodeCell(m)); err != nil {
+		return err
+	}
+	s.remember(key, *m)
+	return nil
+}
+
+// remember memoizes a cell's counters, clearing the memo first when it
+// holds memoCells cells.
+func (s *Store) remember(key string, c metrics.Counters) {
+	s.mu.Lock()
+	if len(s.memo) >= memoCells {
+		clear(s.memo)
+	}
+	s.memo[key] = c
+	s.mu.Unlock()
+}
+
+// Load reads the JSON document stored under key into v. A missing or
+// corrupt (undecodable) document reports (false, nil): the store is a
+// cache, so corruption degrades to recomputation, never to an error. Any
+// other read error — permissions, I/O — is returned. Cells go through
+// LoadCounters instead; Load serves documents such as ProgramInfo.
 func (s *Store) Load(key string, v any) (bool, error) {
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -168,37 +294,33 @@ func (s *Store) Load(key string, v any) (bool, error) {
 		return false, err
 	}
 	if err := json.Unmarshal(buf, v); err != nil {
-		return false, nil // corrupt cell: treat as a miss and overwrite
+		return false, nil // corrupt document: treat as a miss and overwrite
 	}
 	return true, nil
 }
 
-// staleCell reports that a loaded cell predates the icache_cold_misses
-// schema extension. The first demand miss of any run is by definition
-// compulsory, so ICacheMisses > 0 forces ICacheColdMisses >= 1 in every
-// freshly simulated cell; a zero cold count next to a nonzero miss count
-// can only mean the cell was serialized before the field existed. Detecting
-// staleness from the invariant keeps the cell key schema — and with it
-// every already-valid stored hash — unchanged.
-func staleCell(m *metrics.Counters) bool {
-	return m.ICacheMisses > 0 && m.ICacheColdMisses == 0
-}
-
-// Save writes v under key, atomically replacing any previous document.
+// Save writes v as a compact JSON document under key, atomically
+// replacing any previous document.
 func (s *Store) Save(key string, v any) error {
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	buf, err := json.Marshal(v)
+	if err != nil {
 		return err
 	}
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	return s.write(key, append(buf, '\n'))
+}
+
+// write stores buf under key via a temporary file and a rename, so a
+// reader sees the old file or the new one, never a partial write.
+func (s *Store) write(key string, buf []byte) error {
+	path := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

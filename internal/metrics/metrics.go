@@ -25,11 +25,14 @@ func Default() Penalties {
 }
 
 // Counters accumulates the raw event counts of one simulation. The JSON
-// tags fix the serialized schema the content-addressed results store
-// persists per grid cell; every derived metric (BEP, CPI, rates) is
-// recomputable from these raw counts, so stored cells stay valid when
-// penalty assumptions change (penalties are part of the cell key, not the
-// cell value).
+// tags fix the wire form of the CLIs' -json reports and the sweep
+// service's nls-result/v1 rows. The content-addressed results store
+// persists these fields, and only these, per grid cell, in a fixed binary
+// layout that follows their declaration order (experiments.Store): adding,
+// removing or reordering a field needs a cell value-schema bump there.
+// Every derived metric (BEP, CPI, rates) is recomputable from these raw
+// counts, so stored cells stay valid when penalty assumptions change
+// (penalties are part of the cell key, not the cell value).
 type Counters struct {
 	// Instructions is the number of instructions executed.
 	Instructions uint64 `json:"instructions"`
@@ -54,9 +57,9 @@ type Counters struct {
 	ICacheMisses   uint64 `json:"icache_misses"`
 	// ICacheColdMisses counts the compulsory subset of ICacheMisses: demand
 	// misses on lines never touched before (a line whose compulsory miss
-	// was absorbed by a useful prefetch never counts). omitempty keeps the
-	// serialized cell schema byte-stable for stores written before the
-	// field existed; see experiments.Store for how stale cells are aged.
+	// was absorbed by a useful prefetch never counts). omitempty belongs to
+	// the JSON wire form only: a run without cold misses (one that executed
+	// nothing) still serializes as it did before the field existed.
 	ICacheColdMisses uint64 `json:"icache_cold_misses,omitempty"`
 	// Prefetch lifecycle counters (DESIGN.md §14), mirrored from
 	// cache.PrefetchStats. All zero — and elided from JSON — when the

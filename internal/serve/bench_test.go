@@ -60,26 +60,68 @@ func BenchmarkServeWarmJob(b *testing.B) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 	docs := warmJobDocs(b)
-	post := func(doc []byte) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(doc)))
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body)
-		}
-		return w
+	for _, doc := range docs {
+		serveJob(b, h, doc) // cold: simulate and fill the store
 	}
 	for _, doc := range docs {
-		post(doc) // cold: simulate and fill the store
-	}
-	for _, doc := range docs {
-		if w := post(doc); w.Header().Get("X-NLS-Cells-Simulated") != "0" {
+		if w := serveJob(b, h, doc); w.Header().Get("X-NLS-Cells-Simulated") != "0" {
 			b.Fatalf("warm job simulated %s cells", w.Header().Get("X-NLS-Cells-Simulated"))
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post(docs[i%len(docs)])
+		serveJob(b, h, docs[i%len(docs)])
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/job")
+}
+
+// BenchmarkServeFirstHitJob is BenchmarkServeWarmJob with every cell a
+// first hit. Each iteration posts one job of the mix to a new server over
+// a newly opened Store, whose memo is empty, on the directory an untimed
+// pass filled, so every cell of the job is read and decoded from disk.
+// Opening the store and starting and stopping the server are untimed. The
+// gap to BenchmarkServeWarmJob is what the memo saves a repeat hit.
+func BenchmarkServeFirstHitJob(b *testing.B) {
+	dir := b.TempDir()
+	docs := warmJobDocs(b)
+	start := func() *Server {
+		store, err := experiments.OpenStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return New(Options{Store: store, Workers: 1})
+	}
+	s := start()
+	for _, doc := range docs {
+		serveJob(b, s.Handler(), doc) // cold: simulate and fill the store
+	}
+	s.Shutdown(context.Background())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := start()
+		h := s.Handler()
+		b.StartTimer()
+		w := serveJob(b, h, docs[i%len(docs)])
+		b.StopTimer()
+		if w.Header().Get("X-NLS-Cells-Simulated") != "0" {
+			b.Fatalf("first-hit job simulated %s cells", w.Header().Get("X-NLS-Cells-Simulated"))
+		}
+		s.Shutdown(context.Background())
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/job")
+}
+
+// serveJob posts one job document through h and fails the benchmark
+// unless it answers 200.
+func serveJob(b *testing.B, h http.Handler, doc []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(doc)))
+	if w.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	return w
 }
