@@ -24,8 +24,11 @@
 // -smoke runs the CI self-test instead of serving: it starts the server
 // on a loopback port with a temporary store, POSTs a tiny one-cell job
 // twice, verifies the second (warm) response is served from the store
-// byte-identical to the first (cold) one, and cross-checks /metricsz
-// against /statsz — the same counters through both exposition paths.
+// byte-identical to the first (cold) one, then POSTs it once more with
+// only its penalties changed and verifies that too is served from the
+// store, under the same job key, byte-identical. It also cross-checks
+// /metricsz against /statsz — the same counters through both exposition
+// paths.
 package main
 
 import (
@@ -154,10 +157,18 @@ const smokeJob = `{
   }
 }`
 
+// smokePenaltyJob is smokeJob at another point of a penalty sweep. The
+// counters do not depend on penalties, so it shares smokeJob's cells, job
+// key and body.
+var smokePenaltyJob = strings.Replace(smokeJob, `"insns": 100000,`,
+	`"insns": 100000, "penalties": {"misfetch": 2, "mispredict": 7, "cache_miss": 12.5},`, 1)
+
 // runSmoke starts the service on a loopback listener with a throwaway
 // store, POSTs smokeJob cold and then warm, and asserts the contract the
 // service exists for: 200 on both, the warm response served from the
-// store, and the two bodies byte-identical.
+// store, and the two bodies byte-identical. A third POST changes only the
+// penalties and must be served like the warm one: same X-NLS-Job, same
+// body, every cell loaded and none simulated.
 func runSmoke(workers int) error {
 	storeDir, err := os.MkdirTemp("", "nlsserve-smoke-*")
 	if err != nil {
@@ -178,8 +189,8 @@ func runSmoke(workers int) error {
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
 
-	post := func() (int, []byte, http.Header, error) {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader([]byte(smokeJob)))
+	post := func(job string) (int, []byte, http.Header, error) {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(job))
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -188,7 +199,7 @@ func runSmoke(workers int) error {
 		return resp.StatusCode, body, resp.Header, err
 	}
 
-	status, cold, hdr, err := post()
+	status, cold, hdr, err := post(smokeJob)
 	if err != nil {
 		return err
 	}
@@ -199,18 +210,36 @@ func runSmoke(workers int) error {
 		return fmt.Errorf("cold POST: simulated %q cells, want 1", hdr.Get("X-NLS-Cells-Simulated"))
 	}
 
-	status, warm, hdr, err := post()
+	status, warm, warmHdr, err := post(smokeJob)
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
 		return fmt.Errorf("warm POST: status %d: %s", status, warm)
 	}
-	if hdr.Get("X-NLS-Cells-Loaded") != "1" {
-		return fmt.Errorf("warm POST: loaded %q cells, want 1 (not served from store)", hdr.Get("X-NLS-Cells-Loaded"))
+	if warmHdr.Get("X-NLS-Cells-Loaded") != "1" {
+		return fmt.Errorf("warm POST: loaded %q cells, want 1 (not served from store)", warmHdr.Get("X-NLS-Cells-Loaded"))
 	}
 	if !bytes.Equal(cold, warm) {
 		return errors.New("warm response differs from cold response")
+	}
+
+	status, pen, hdr, err := post(smokePenaltyJob)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("penalty POST: status %d: %s", status, pen)
+	}
+	if hdr.Get("X-NLS-Cells-Loaded") != "1" || hdr.Get("X-NLS-Cells-Simulated") != "0" {
+		return fmt.Errorf("penalty POST: loaded %q, simulated %q cells, want 1 and 0 (penalties must not re-simulate)",
+			hdr.Get("X-NLS-Cells-Loaded"), hdr.Get("X-NLS-Cells-Simulated"))
+	}
+	if hdr.Get("X-NLS-Job") != warmHdr.Get("X-NLS-Job") {
+		return fmt.Errorf("penalty POST: X-NLS-Job %s, want the warm job's %s", hdr.Get("X-NLS-Job"), warmHdr.Get("X-NLS-Job"))
+	}
+	if !bytes.Equal(warm, pen) {
+		return errors.New("penalty-only response differs from the warm response")
 	}
 
 	resp, err := http.Get(base + "/healthz")
@@ -225,12 +254,12 @@ func runSmoke(workers int) error {
 	if err := checkMetricsz(base); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+warm OK, %d-byte body byte-identical, /metricsz consistent with /statsz\n", len(cold))
+	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+warm+penalty-only OK, %d-byte body byte-identical, /metricsz consistent with /statsz\n", len(cold))
 	return nil
 }
 
-// checkMetricsz scrapes /metricsz and /statsz at a quiescent moment (both
-// smoke jobs finished) and asserts the exposition contract: valid
+// checkMetricsz scrapes /metricsz and /statsz at a quiescent moment (every
+// smoke job finished) and asserts the exposition contract: valid
 // Prometheus text format, and every counter /statsz reports carried
 // verbatim — the two endpoints are views over the same registry, so any
 // divergence is a bug.
@@ -284,7 +313,7 @@ func checkMetricsz(base string) error {
 			return fmt.Errorf("metricsz %s=%g disagrees with statsz %s=%g", promKey, got, statKey, want)
 		}
 	}
-	// The smoke run led two flights; each must have a latency observation.
+	// Each flight the smoke run led must have a latency observation.
 	if got := prom["nls_job_seconds_count"]; got != prom["nls_flights_led_total"] {
 		return fmt.Errorf("nls_job_seconds_count=%g, want one per led flight (%g)",
 			got, prom["nls_flights_led_total"])

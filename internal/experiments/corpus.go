@@ -30,8 +30,8 @@ const corpusSchema = "nls-corpus-key/v1"
 
 // CorpusKey derives the content key of a configuration's trace-generation
 // inputs: the workload specs (name, seed, generator parameters) and the
-// instruction budget. Penalties and arch specs are deliberately absent —
-// they affect replay, not the traces.
+// instruction budget. Arch specs are deliberately absent — they affect
+// replay, not the traces — and so are penalties, which affect neither.
 func CorpusKey(cfg Config) string {
 	return hashDoc(struct {
 		Schema    string          `json:"schema"`

@@ -133,7 +133,9 @@ func JohnsonFactory() Factory {
 }
 
 // Config drives a run: which programs, how many instructions each, and the
-// penalty assumptions. All three are part of every cell's store key.
+// penalty assumptions. The programs and the budget are part of every cell's
+// store key; the penalties are not, since no engine reads them. They price
+// the raw counters only when a figure or an attribution report is rendered.
 type Config struct {
 	Insns     int
 	Programs  []workload.Spec

@@ -44,12 +44,13 @@ type Cell struct {
 	Spec arch.Spec
 }
 
-// Key returns the cell's content-addressed store key under the given
-// penalties and instruction budget. It derives the key the way Grid.Keyed
-// does, for one cell; code keying a whole grid uses Keyed, which marshals
-// each program and arm point once.
+// Key returns the cell's content-addressed store key under cfg's
+// instruction budget; cfg.Penalties is not read, since counters do not
+// depend on it. It derives the key the way Grid.Keyed does, for one cell;
+// code keying a whole grid uses Keyed, which marshals each program and arm
+// point once.
 func (c Cell) Key(cfg Config) string {
-	k := newCellKeyer(cfg.Penalties)
+	k := newCellKeyer()
 	k.program(mustMarshal(c.Prog), cfg.Insns)
 	return k.key(mustMarshal(c.Spec))
 }
@@ -72,14 +73,14 @@ type KeyedGrid struct {
 }
 
 // Keyed enumerates the grid's cells over cfg.Programs and derives their
-// store keys (Cell.Key). Each program's workload.Spec, each arm point's
-// arch.Spec and the penalties are marshaled once per call, not once per
+// store keys (Cell.Key) under cfg.Insns. Each program's workload.Spec and
+// each arm point's arch.Spec are marshaled once per call, not once per
 // cell (see cellKeyer).
 func (g Grid) Keyed(cfg Config) KeyedGrid {
 	cells := g.cells(cfg.Programs)
 	points := g.cellsPerProgram()
 	specs := make([][]byte, points) // every program has the same arm points
-	k := newCellKeyer(cfg.Penalties)
+	k := newCellKeyer()
 	keys := make([]string, len(cells))
 	for i, c := range cells {
 		j := i % points

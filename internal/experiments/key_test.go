@@ -10,21 +10,21 @@ import (
 	"repro/internal/workload"
 )
 
-// refCellKey derives a cell key from one json.Marshal of the whole key
-// document as a struct: the reference every derived key must equal.
-func refCellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
+// refCellKey derives a cell key from one json.Marshal of the whole
+// nls-cell/v2 key document as a struct: the reference every derived key
+// must equal.
+func refCellKey(w workload.Spec, insns int, s arch.Spec) string {
 	return hashDoc(struct {
-		Schema    string            `json:"schema"`
-		Workload  workload.Spec     `json:"workload"`
-		Insns     int               `json:"insns"`
-		Spec      arch.Spec         `json:"spec"`
-		Penalties metrics.Penalties `json:"penalties"`
-	}{cellSchema, w, insns, s, p})
+		Schema   string        `json:"schema"`
+		Workload workload.Spec `json:"workload"`
+		Insns    int           `json:"insns"`
+		Spec     arch.Spec     `json:"spec"`
+	}{"nls-cell/v2", w, insns, s})
 }
 
 // TestCellKeyGolden pins a stored key: the 2M-insn key of fig4's first
-// cell (doduc-like on the NLS-cache arm), computed before cell keys were
-// derived from fragments. A change here strands every cell in every
+// cell (doduc-like on the NLS-cache arm), derived from refCellKey's
+// whole-document marshal. A change here strands every cell in every
 // existing results store.
 func TestCellKeyGolden(t *testing.T) {
 	cfg := DefaultConfig(2_000_000)
@@ -39,7 +39,10 @@ func TestCellKeyGolden(t *testing.T) {
 	if c.Prog.Name != "doduc-like" || c.Arm != "NLS-cache" {
 		t.Fatalf("fig4's first cell is %s/%s, want doduc-like/NLS-cache", c.Prog.Name, c.Arm)
 	}
-	const want = "d439740a57fb74c200a097bc607553d61067cf9bc17b93408e276830e2a5ffa0"
+	const want = "8b87dde8fe22662b195884f1e2ad9280fba1a436d72f0150c70e8507f1cf567b"
+	if k := refCellKey(c.Prog, cfg.Insns, c.Spec); k != want {
+		t.Errorf("refCellKey = %s, want %s", k, want)
+	}
 	if kg.Keys[0] != want {
 		t.Errorf("Keyed key = %s, want %s", kg.Keys[0], want)
 	}
@@ -85,7 +88,7 @@ func keyTestGrids() []Grid {
 // TestKeyedCellsMatchStructMarshal is the differential check on the
 // fragment derivation: over every test grid, several budgets and penalty
 // sets down to float extremes, every key Grid.Keyed and Cell.Key derive
-// equals the whole-document marshal.
+// equals the whole-document marshal, which does not read the penalties.
 func TestKeyedCellsMatchStructMarshal(t *testing.T) {
 	penalties := []metrics.Penalties{
 		metrics.Default(),
@@ -109,7 +112,7 @@ func TestKeyedCellsMatchStructMarshal(t *testing.T) {
 						if !reflect.DeepEqual(c, want[i]) {
 							t.Fatalf("%s: cell %d = %+v, want %+v", name, i, c, want[i])
 						}
-						ref := refCellKey(c.Prog, insns, c.Spec, p)
+						ref := refCellKey(c.Prog, insns, c.Spec)
 						if kg.Keys[i] != ref {
 							t.Errorf("%s: cell %s/%s keyed %s, struct marshal %s", name, c.Prog.Name, c.Arm, kg.Keys[i], ref)
 						}

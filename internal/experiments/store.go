@@ -9,11 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"hash"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -22,11 +24,15 @@ import (
 // The content-addressed results store. Every simulated grid cell is
 // persisted as one file named by the SHA-256 of everything its counters
 // depend on — the workload spec (name, seed, generator parameters), the
-// instruction budget, the complete arch.Spec (predictor sizing, cache
-// geometry, PHT, RAS depth, pollution flag), and the penalty assumptions.
-// A later run whose inputs are unchanged loads the cell instead of
+// instruction budget and the complete arch.Spec (predictor sizing, cache
+// geometry, PHT, RAS depth, pollution flag, prefetcher) — and of nothing
+// else. A later run whose inputs are unchanged loads the cell instead of
 // re-simulating it; any change to any input changes the key, so stale
 // results can never be served (invalidation is structural, not tracked).
+// The penalty assumptions are deliberately not an input: counters are raw
+// event counts, and BEP and CPI are derived from them under whatever
+// penalties the reader renders with, so every point of a penalty sweep is
+// served by the same cells (TestCountersIndependentOfPenalties).
 // Keys use the canonical-JSON convention of arch.Spec.Hash: encoding/json
 // marshals struct fields in declaration order with deterministic
 // formatting, and a deliberate schema change must not silently alias old
@@ -46,11 +52,11 @@ import (
 //
 // A cell's key document is
 //
-//	{"schema":"nls-cell/v1","workload":W,"insns":N,"spec":S,"penalties":P}
+//	{"schema":"nls-cell/v2","workload":W,"insns":N,"spec":S}
 //
-// and it is never marshaled whole: W, S and P are marshaled on their own
-// and concatenated (cellKeyer), so a grid marshals each program, arm point
-// and penalty set once instead of once per cell (Grid.Keyed). The
+// and it is never marshaled whole: W and S are marshaled on their own and
+// concatenated (cellKeyer), so a grid marshals each program and arm point
+// once instead of once per cell (Grid.Keyed). The
 // concatenation is byte-identical to marshaling the document as one struct
 // because encoding/json writes a struct's fields in declaration order, in
 // compact form, each field's value exactly as it marshals alone. That holds
@@ -65,8 +71,8 @@ import (
 // a stored cell changes without any key field changing (e.g. an engine
 // recalibration), so every old cell misses and is recomputed. A change to
 // how the counters are encoded bumps cellValueVersion instead, which
-// leaves every key where it is.
-const cellSchema = "nls-cell/v1"
+// leaves every key where it is. Version 1 also hashed the penalties.
+const cellSchema = "nls-cell/v2"
 
 // A cell value is
 //
@@ -82,8 +88,11 @@ const (
 	cellValueVersion uint32 = 2
 )
 
-// cellValueLen is the exact length of a current-version cell file.
-var cellValueLen = len(cellMagic) + 4 + binary.Size(metrics.Counters{})
+// cellValueLen is the exact length of a current-version cell file. Every
+// Counters field is a uint64 or an array of them, so the in-memory size
+// has no padding and equals binary.Size (TestCellValueGolden checks the
+// encoded length), and the length is a constant that sizes a read buffer.
+const cellValueLen = len(cellMagic) + 4 + int(unsafe.Sizeof(metrics.Counters{}))
 
 // encodeCell returns m's cell value.
 func encodeCell(m *metrics.Counters) []byte {
@@ -120,21 +129,20 @@ const infoSchema = "nls-info/v1"
 // cellDocHead opens every cell key document, up to the workload value.
 var cellDocHead = []byte(`{"schema":` + string(mustMarshal(cellSchema)) + `,"workload":`)
 
-// cellKeyer derives cell keys from pre-marshaled fragments: the penalties
-// once per keyer, the workload spec and budget once per program, and each
-// cell's spec. The SHA-256 state after the program's prefix is saved, so a
-// cell hashes only its spec and the penalties.
+// cellDocTail closes every cell key document after the spec value.
+var cellDocTail = []byte{'}'}
+
+// cellKeyer derives cell keys from pre-marshaled fragments: the workload
+// spec and budget once per program, and each cell's spec. The SHA-256
+// state after the program's prefix is saved, so a cell hashes only its
+// spec and the closing brace.
 type cellKeyer struct {
-	tail   []byte // `,"penalties":P}`
 	h      hash.Hash
 	prefix []byte // h's state after the current program's prefix
 	sum    [sha256.Size]byte
 }
 
-func newCellKeyer(p metrics.Penalties) *cellKeyer {
-	tail := append([]byte(`,"penalties":`), mustMarshal(p)...)
-	return &cellKeyer{tail: append(tail, '}'), h: sha256.New()}
-}
+func newCellKeyer() *cellKeyer { return &cellKeyer{h: sha256.New()} }
 
 // program starts the current program's key documents: w is its marshaled
 // workload.Spec, insns the budget.
@@ -157,7 +165,7 @@ func (k *cellKeyer) key(s []byte) string {
 		panic(err) // the state came from AppendBinary
 	}
 	k.h.Write(s)
-	k.h.Write(k.tail)
+	k.h.Write(cellDocTail)
 	return hex.EncodeToString(k.h.Sum(k.sum[:0]))
 }
 
@@ -244,19 +252,34 @@ func (s *Store) LoadCounters(key string, m *metrics.Counters) (bool, error) {
 		*m = c
 		return true, nil
 	}
-	buf, err := os.ReadFile(s.path(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	if !decodeCell(buf, &c) {
-		return false, nil // corrupt or old-schema cell: a miss, overwritten later
+	buf, err := s.readCell(key)
+	if err != nil || !decodeCell(buf, &c) {
+		return false, err // missing, corrupt or old-schema cell: a miss, overwritten later
 	}
 	s.remember(key, c)
 	*m = c
 	return true, nil
+}
+
+// readCell returns the bytes of the cell file under key, nil when there is
+// none. It costs an open, one read and a close: the read asks for one byte
+// more than a current-version value, so a file of any other length comes
+// back at its own length (or cut to cellValueLen+1) and fails decodeCell.
+func (s *Store) readCell(key string) ([]byte, error) {
+	f, err := os.Open(s.path(key))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	defer f.Close()
+	var buf [cellValueLen + 1]byte
+	n, err := f.Read(buf[:])
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // SaveCounters writes m as the cell value under key, atomically replacing

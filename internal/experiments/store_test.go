@@ -20,10 +20,9 @@ func testCell() (workload.Spec, arch.Spec) {
 	return workload.Li(), spec
 }
 
-// testCellKey is the store key of one (workload, budget, spec, penalties)
-// cell.
-func testCellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
-	return Cell{Prog: w, Spec: s}.Key(Config{Insns: insns, Penalties: p})
+// testCellKey is the store key of one (workload, budget, spec) cell.
+func testCellKey(w workload.Spec, insns int, s arch.Spec) string {
+	return Cell{Prog: w, Spec: s}.Key(Config{Insns: insns, Penalties: metrics.Default()})
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -32,7 +31,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, spec := testCell()
-	key := testCellKey(w, 100_000, spec, metrics.Default())
+	key := testCellKey(w, 100_000, spec)
 
 	var missing Row
 	if ok, err := s.Load(key, &missing); err != nil || ok {
@@ -61,7 +60,7 @@ func TestStoreCorruptCellIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, spec := testCell()
-	key := testCellKey(w, 100_000, spec, metrics.Default())
+	key := testCellKey(w, 100_000, spec)
 	if err := s.Save(key, Row{Program: w.Name}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,41 +78,47 @@ func TestStoreCorruptCellIsAMiss(t *testing.T) {
 
 // TestCellKeyInvalidation: the content key must change whenever ANY input
 // the counters depend on changes — and must not change otherwise. This is
-// the store's only invalidation mechanism.
+// the store's only invalidation mechanism. The penalties are not such an
+// input (TestCountersIndependentOfPenalties): a penalties-only change keeps
+// the key, so a penalty sweep is served by the cells already stored.
 func TestCellKeyInvalidation(t *testing.T) {
 	w, spec := testCell()
-	p := metrics.Default()
-	base := testCellKey(w, 100_000, spec, p)
+	base := testCellKey(w, 100_000, spec)
 
-	if k := testCellKey(w, 100_000, spec, p); k != base {
+	if k := testCellKey(w, 100_000, spec); k != base {
 		t.Error("identical inputs produced different keys")
+	}
+	for _, p := range []metrics.Penalties{
+		{Misfetch: 1, Mispredict: 6, CacheMiss: 5},
+		{Misfetch: 0, Mispredict: 0, CacheMiss: 0},
+		{Misfetch: 7.5, Mispredict: 1e9, CacheMiss: 5e-324},
+	} {
+		if k := (Cell{Prog: w, Spec: spec}).Key(Config{Insns: 100_000, Penalties: p}); k != base {
+			t.Errorf("penalties %+v changed the cell key", p)
+		}
 	}
 
 	mutations := map[string]string{}
-	mutations["insns"] = testCellKey(w, 200_000, spec, p)
+	mutations["insns"] = testCellKey(w, 200_000, spec)
 
 	w2 := w
 	w2.Seed = w.Seed + 1
-	mutations["workload seed"] = testCellKey(w2, 100_000, spec, p)
+	mutations["workload seed"] = testCellKey(w2, 100_000, spec)
 
 	s2 := spec.WithGeometry(cache.MustGeometry(32*1024, LineBytes, 1))
-	mutations["cache geometry"] = testCellKey(w, 100_000, s2, p)
+	mutations["cache geometry"] = testCellKey(w, 100_000, s2)
 
 	s3 := spec
 	s3.Predictor.Entries = 512
-	mutations["predictor size"] = testCellKey(w, 100_000, s3, p)
+	mutations["predictor size"] = testCellKey(w, 100_000, s3)
 
 	s4 := spec
 	s4.Pollution = true
-	mutations["pollution flag"] = testCellKey(w, 100_000, s4, p)
+	mutations["pollution flag"] = testCellKey(w, 100_000, s4)
 
 	s5 := spec
 	s5.PHT = arch.PHTSpec{Kind: "bimodal", Entries: PHTEntries}
-	mutations["direction predictor"] = testCellKey(w, 100_000, s5, p)
-
-	p2 := p
-	p2.Mispredict = 6
-	mutations["penalties"] = testCellKey(w, 100_000, spec, p2)
+	mutations["direction predictor"] = testCellKey(w, 100_000, s5)
 
 	seen := map[string]string{base: "base"}
 	for name, k := range mutations {
@@ -131,7 +136,7 @@ func TestCellKeyInvalidation(t *testing.T) {
 // never collide, and info keys must track their own inputs.
 func TestInfoKeySeparateNamespace(t *testing.T) {
 	w, spec := testCell()
-	if infoKey(w, 100_000) == testCellKey(w, 100_000, spec, metrics.Default()) {
+	if infoKey(w, 100_000) == testCellKey(w, 100_000, spec) {
 		t.Error("info and cell key namespaces collide")
 	}
 	if infoKey(w, 100_000) == infoKey(w, 200_000) {
@@ -215,6 +220,9 @@ func TestCellValueGolden(t *testing.T) {
 		"2800000000000000" + "2900000000000000" + "2a00000000000000" + // icache accesses, misses, cold misses
 		"3200000000000000" + "3300000000000000" + "3400000000000000" + "3500000000000000" + "3600000000000000" + "3700000000000000" // prefetch issued … unused
 	enc := encodeCell(&m)
+	if len(enc) != cellValueLen {
+		t.Errorf("encodeCell wrote %d bytes, cellValueLen is %d", len(enc), cellValueLen)
+	}
 	if got := hex.EncodeToString(enc); got != want {
 		t.Errorf("encodeCell = %s\nwant          %s", got, want)
 	}
@@ -234,7 +242,7 @@ func TestStoreCountersRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, spec := testCell()
-	key := testCellKey(w, 100_000, spec, metrics.Default())
+	key := testCellKey(w, 100_000, spec)
 	var got metrics.Counters
 	if ok, err := s.LoadCounters(key, &got); err != nil || ok {
 		t.Fatalf("empty store LoadCounters = (%v, %v), want miss", ok, err)
@@ -294,7 +302,7 @@ func TestStoreRejectsMalformedCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := testCellKey(w, 100_000, spec, metrics.Default())
+		key := testCellKey(w, 100_000, spec)
 		path := s.path(key)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -28,6 +28,17 @@ import (
 
 // Engine is a fetch architecture simulator consuming a trace one record at
 // a time.
+//
+// An engine is stepped by one driver for its whole run: privately (Step,
+// StepBlock, Run, RunChunks) or as a member of a broadcast group. A grouped
+// engine replays from its geometry's shared oracle (replayEvents,
+// echoCredit) and keeps its own i-cache only as a tag mirror: fills land
+// in it, but neither first touches nor LRU order are tracked there. So an
+// engine stepped privately after a grouped broadcast would count every
+// line's first touch as a cold miss again and replace lines by stale
+// recency. No production path does so: the executor takes each engine's
+// counters once its broadcast ends and builds new engines per cell. Reset
+// restores a clean cold state either way.
 type Engine interface {
 	// Step processes one executed instruction.
 	Step(rec trace.Record)

@@ -31,8 +31,9 @@ func Default() Penalties {
 // layout that follows their declaration order (experiments.Store): adding,
 // removing or reordering a field needs a cell value-schema bump there.
 // Every derived metric (BEP, CPI, rates) is recomputable from these raw
-// counts, so stored cells stay valid when penalty assumptions change
-// (penalties are part of the cell key, not the cell value).
+// counts, so stored cells stay valid when penalty assumptions change:
+// penalties are part of neither the cell key nor the cell value, and every
+// point of a penalty sweep is served by the same stored cells.
 type Counters struct {
 	// Instructions is the number of instructions executed.
 	Instructions uint64 `json:"instructions"`

@@ -8,21 +8,19 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 // refCellKey is the reference cell key derivation: the SHA-256 of one
-// json.Marshal of the whole nls-cell/v1 key document (the store's
+// json.Marshal of the whole nls-cell/v2 key document (the store's
 // documented layout), which Grid.Keyed must reproduce from fragments.
-func refCellKey(w workload.Spec, insns int, s arch.Spec, p metrics.Penalties) string {
+func refCellKey(w workload.Spec, insns int, s arch.Spec) string {
 	buf, err := json.Marshal(struct {
-		Schema    string            `json:"schema"`
-		Workload  workload.Spec     `json:"workload"`
-		Insns     int               `json:"insns"`
-		Spec      arch.Spec         `json:"spec"`
-		Penalties metrics.Penalties `json:"penalties"`
-	}{"nls-cell/v1", w, insns, s, p})
+		Schema   string        `json:"schema"`
+		Workload workload.Spec `json:"workload"`
+		Insns    int           `json:"insns"`
+		Spec     arch.Spec     `json:"spec"`
+	}{"nls-cell/v2", w, insns, s})
 	if err != nil {
 		panic(err)
 	}
@@ -122,7 +120,7 @@ func FuzzJobDecode(f *testing.F) {
 			t.Fatalf("job keyed %d cells and %d keys, want %d", len(job.keyed.Cells), len(job.keyed.Keys), job.Cells)
 		}
 		for i, c := range job.keyed.Cells {
-			if want := refCellKey(c.Prog, job.Cfg.Insns, c.Spec, job.Cfg.Penalties); job.keyed.Keys[i] != want {
+			if want := refCellKey(c.Prog, job.Cfg.Insns, c.Spec); job.keyed.Keys[i] != want {
 				t.Fatalf("cell %s/%s keyed %s, struct marshal %s", c.Prog.Name, c.Arm, job.keyed.Keys[i], want)
 			}
 		}

@@ -36,8 +36,11 @@ type Job struct {
 	// Programs names built-in workload analogues ("li", "gcc-like", ...);
 	// empty means all six of Table 1.
 	Programs []string `json:"programs,omitempty"`
-	// Penalties overrides the paper's penalty assumptions (part of every
-	// cell's content key); nil means metrics.Default().
+	// Penalties overrides the paper's penalty assumptions; nil means
+	// metrics.Default(). It is validated but does not change the result:
+	// rows carry raw counters, which no penalty affects, so the field is
+	// part of neither the cell keys nor the flight key, and a client prices
+	// the counters (BEP, CPI) under its own penalties.
 	Penalties *metrics.Penalties `json:"penalties,omitempty"`
 	// Grid declares the architecture arms × cache geometries to simulate.
 	Grid experiments.Grid `json:"grid"`
@@ -232,11 +235,12 @@ func resolvePrograms(names []string) ([]workload.Spec, error) {
 
 // jobKey derives the single-flight key of a compiled job from the content
 // keys of its cells (Grid.Keyed). Each cell key is the content-addressed
-// store key — the SHA-256 over workload, budget, complete spec, and
-// penalties — so the flight key covers exactly what the response body
-// depends on: the cell contents plus the (program, arm) labels the rows are
-// presented under, in grid order. A one-cell job's flight key is therefore a pure function of
-// that cell's content hash and its labels.
+// store key — the SHA-256 over workload, budget and complete spec — so the
+// flight key covers exactly what the response body depends on: the cell
+// contents plus the (program, arm) labels the rows are presented under, in
+// grid order. A one-cell job's flight key is therefore a pure function of
+// that cell's content hash and its labels. Two jobs that differ only in
+// penalties share one flight key, one set of stored cells and one body.
 func jobKey(insns int, kg experiments.KeyedGrid) string {
 	type cellDoc struct {
 		Program string `json:"program"`

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -71,12 +74,22 @@ func TestDecodeJobKeyDeterministic(t *testing.T) {
 		t.Errorf("same document, different keys: %s vs %s", a.Key, b.Key)
 	}
 
-	// Any content change must move the key: budget, spec sizing, penalties,
-	// and presentation labels are all covered.
+	// Penalties do not change the counters, so a penalties-only change
+	// keeps the key: the job shares its flight, cells and body.
+	pen, err := DecodeJob(strings.NewReader(strings.Replace(validJob, `"insns": 40000,`,
+		`"insns": 40000, "penalties": {"misfetch": 2, "mispredict": 9, "cache_miss": 0.5},`, 1)), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pen.Key != a.Key {
+		t.Errorf("changing penalties changed the flight key: %s vs %s", pen.Key, a.Key)
+	}
+
+	// Any content change must move the key: budget, spec sizing, and
+	// presentation labels are all covered.
 	for name, mutate := range map[string]string{
 		"insns":     strings.Replace(validJob, `"insns": 40000`, `"insns": 40001`, 1),
 		"entries":   strings.Replace(validJob, `"entries": 512`, `"entries": 1024`, 1),
-		"penalties": strings.Replace(validJob, `"insns": 40000,`, `"insns": 40000, "penalties": {"misfetch": 2, "mispredict": 4, "cache_miss": 5},`, 1),
 		"arm label": strings.Replace(validJob, `"name": "nls"`, `"name": "nls2"`, 1),
 		"programs":  strings.Replace(validJob, `["li", "gcc"]`, `["li"]`, 1),
 	} {
@@ -210,14 +223,37 @@ const exampleJob = `{
 // TestFlightKeyGolden pins the flight key (the X-NLS-Job header) of the
 // documented example job. The flight key hashes every cell's store key, so
 // this also guards the cell key derivation: a change here would strand
-// every stored cell and every client that recorded a job key.
+// every stored cell and every client that recorded a job key. The golden
+// is re-derived here from refCellKey's whole-document marshal, so it moves
+// only with the documented key layout.
 func TestFlightKeyGolden(t *testing.T) {
 	job, err := DecodeJob(strings.NewReader(exampleJob), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "a2366b431b06f0719d5b1350630dba109ecc010a9a4ad9b76651a290c7787051"
+	const want = "2561170d7263780f85457a3938962c77d0cf4c684ceae35a6fc2c223de40d8f9"
 	if job.Key != want {
 		t.Errorf("flight key = %s, want %s", job.Key, want)
+	}
+
+	type cellDoc struct {
+		Program string `json:"program"`
+		Arm     string `json:"arm"`
+		Key     string `json:"key"`
+	}
+	var cells []cellDoc
+	for _, c := range job.Grid.Cells(job.Cfg.Programs) {
+		cells = append(cells, cellDoc{c.Prog.Name, c.Arm, refCellKey(c.Prog, job.Cfg.Insns, c.Spec)})
+	}
+	buf, err := json.Marshal(struct {
+		Schema string    `json:"schema"`
+		Insns  int       `json:"insns"`
+		Cells  []cellDoc `json:"cells"`
+	}{"nls-flight/v1", job.Cfg.Insns, cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("reference flight key = %x, want %s", sum, want)
 	}
 }

@@ -139,6 +139,37 @@ func TestServerJobColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestServerPenaltyOnlyJob: a job that differs from a stored one only in
+// penalties is a point of a penalty sweep. Its counters are the stored
+// ones, so it is served from the store under the same flight key with a
+// byte-identical body and simulates nothing.
+func TestServerPenaltyOnlyJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cold := postJob(t, ts.URL, tinyJob)
+	coldBody := readAll(t, cold)
+	if cold.StatusCode != http.StatusOK {
+		t.Fatalf("cold POST = %d: %s", cold.StatusCode, coldBody)
+	}
+	pen := postJob(t, ts.URL, strings.Replace(tinyJob, `"insns": 20000,`,
+		`"insns": 20000, "penalties": {"misfetch": 3, "mispredict": 12, "cache_miss": 40},`, 1))
+	penBody := readAll(t, pen)
+	if pen.StatusCode != http.StatusOK {
+		t.Fatalf("penalty POST = %d: %s", pen.StatusCode, penBody)
+	}
+	if got, want := pen.Header.Get("X-NLS-Job"), cold.Header.Get("X-NLS-Job"); got != want {
+		t.Errorf("penalty job X-NLS-Job = %s, want %s", got, want)
+	}
+	if got := pen.Header.Get("X-NLS-Cells-Simulated"); got != "0" {
+		t.Errorf("penalty job simulated = %q, want 0", got)
+	}
+	if got := pen.Header.Get("X-NLS-Cells-Loaded"); got != "1" {
+		t.Errorf("penalty job loaded = %q, want 1", got)
+	}
+	if !bytes.Equal(coldBody, penBody) {
+		t.Errorf("penalty job body differs:\ncold:    %s\npenalty: %s", coldBody, penBody)
+	}
+}
+
 func TestServerJobRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{Limits: Limits{MaxBodyBytes: 2048}})
 
