@@ -84,23 +84,28 @@ bench:
 # Re-run the sweep benchmarks and gate three ways, without touching
 # BENCH_sweep.json: -compare prints per-benchmark deltas and fails on a
 # >10% Mstep/s regression vs the committed file; -require-ratio enforces
-# the >=2x broadcast-over-per-cell scheduler claim *within this run*
-# (drift-immune: the shared host's effective speed swings tens of percent
-# between days, so only same-run ratios compare cleanly — see
-# EXPERIMENTS.md "Sweep throughput"); -require-improvement enforces a
-# +20% absolute Mstep/s floor over the frozen pre-corpus, pre-pipeline
+# two same-run claims (drift-immune: the shared host's effective speed
+# swings tens of percent between days, so only same-run ratios compare
+# cleanly — see EXPERIMENTS.md "Sweep throughput"): the >=2x
+# broadcast-over-per-cell scheduler claim, and that a fresh process
+# replaying the disk corpus (SweepCorpusReplay) keeps >=0.7x the
+# throughput of the warm shared runner (SweepBroadcast) — 14 interleaved
+# runs measured 0.84-1.21, so opening and validating the corpus per run
+# stays a small cost; -require-improvement enforces a +20% absolute
+# Mstep/s floor over the frozen pre-corpus, pre-pipeline
 # BENCH_baseline.json — the same-epoch code gain measured ~+26%
 # interleaved old-vs-new, so the floor holds across host epochs while the
-# naive cross-epoch "139 vs 93.94" comparison would not. SweepCorpusReplay
-# is recorded by `make bench` but deliberately not re-run here: a cold
-# process's Mstep/s moves >2x with GC and page-cache state, so gating it
-# at 10% would only add flakes (benchjson reports it as missing, which
-# never fails the comparison). -cpu 1 as in `make bench`, so the row names
-# match the committed procs=1 files.
+# naive cross-epoch "139 vs 93.94" comparison would not. Running
+# SweepCorpusReplay here also puts it under -compare: in the same 14 runs
+# its spread (83-113 Mstep/s) was no wider than SweepBroadcast's (75-108),
+# unlike the >2x swings measured before replay streamed the corpus in
+# recycled chunks. -cpu 1 as in `make bench`, so the row names match the
+# committed procs=1 files.
 bench-check:
-	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell)$$' -cpu 1 -benchmem . \
+	$(GO) test -run=^$$ -bench='BenchmarkSweep(Broadcast|PerCell|CorpusReplay)$$' -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/benchjson -o '' -compare BENCH_sweep.json \
 			-require-ratio 'SweepBroadcast/SweepPerCell Mstep/s 2.0' \
+			-require-ratio 'SweepCorpusReplay/SweepBroadcast Mstep/s 0.7' \
 			-require-improvement 'Mstep/s 20' -improve-over BENCH_baseline.json
 
 # Regenerate every table and figure (EXPERIMENTS.md numbers). Warm runs

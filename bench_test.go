@@ -22,6 +22,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/btb"
 	"repro/internal/cache"
 	"repro/internal/experiments"
@@ -151,11 +152,11 @@ func BenchmarkEngines(b *testing.B) {
 	tr := workload.Gcc().MustTrace(benchInsns)
 	g := cache.MustGeometry(16*1024, 32, 1)
 	newPHT := func() pht.Predictor { return pht.NewGShare(4096, 6) }
-	engines := map[string]func() fetch.Engine{
-		"NLSTable1024": func() fetch.Engine { return fetch.NewNLSTableEngine(g, 1024, newPHT(), 32) },
-		"NLSCache":     func() fetch.Engine { return fetch.NewNLSCacheEngine(g, 2, newPHT(), 32) },
-		"BTB128":       func() fetch.Engine { return fetch.NewBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, newPHT(), 32) },
-		"Johnson":      func() fetch.Engine { return fetch.NewJohnsonEngine(g) },
+	engines := map[string]func() *fetch.Frontend{
+		"NLSTable1024": func() *fetch.Frontend { return fetch.NewNLSTableEngine(g, 1024, newPHT(), 32) },
+		"NLSCache":     func() *fetch.Frontend { return fetch.NewNLSCacheEngine(g, 2, newPHT(), 32) },
+		"BTB128":       func() *fetch.Frontend { return fetch.NewBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, newPHT(), 32) },
+		"Johnson":      func() *fetch.Frontend { return fetch.NewJohnsonEngine(g) },
 	}
 	for name, mk := range engines {
 		b.Run(name, func(b *testing.B) {
@@ -170,15 +171,16 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
-// Sweep scheduler comparison: BenchmarkSweepBroadcast (the shared-replay
-// broadcaster behind Runner.Sweep) vs BenchmarkSweepPerCell (the legacy
-// scheduler: one full trace replay per cell). Both run the same
-// 6-program × 4-architecture × 6-cache matrix on traces of sweepBenchInsns
-// instructions and report replayed engine-steps as Mstep/s. The inputs are
-// prepared once, outside the timers: Broadcast replays the matrix corpus
-// attached to a shared runner, so it times the production warm path —
-// corpus decode, per-chunk run annotation and replay — while PerCell steps
-// whole traces generated up front. Names are benchstat-friendly:
+// Sweep scheduler comparison: BenchmarkSweepBroadcast (a Grid run through
+// the Executor, whose shared-replay broadcaster reads each trace once) vs
+// BenchmarkSweepPerCell (the legacy scheduler: one full trace replay per
+// cell). Both run the same 6-program × 4-architecture × 6-cache matrix on
+// traces of sweepBenchInsns instructions and report replayed engine-steps
+// as Mstep/s. The inputs are prepared once, outside the timers: Broadcast
+// replays the matrix corpus attached to a shared runner, so it times the
+// production warm path — corpus decode, per-chunk run annotation and
+// replay — while PerCell steps whole traces generated up front. Names are
+// benchstat-friendly:
 //
 //	go test -run='^$' -bench='BenchmarkSweep(Broadcast|PerCell)$' -benchmem .
 const sweepBenchInsns = 2_000_000
@@ -195,7 +197,7 @@ var (
 
 // sweepBench returns the shared runner, its matrix corpus attached, and
 // the sweep matrix.
-func sweepBench(b *testing.B) (*experiments.Runner, []experiments.Factory, []cache.Geometry) {
+func sweepBench(b *testing.B) (*experiments.Runner, experiments.Grid) {
 	b.Helper()
 	sweepOnce.Do(func() {
 		sweepRunner, sweepErr = corpusRunner(experiments.DefaultConfig(sweepBenchInsns))
@@ -203,13 +205,23 @@ func sweepBench(b *testing.B) (*experiments.Runner, []experiments.Factory, []cac
 	if sweepErr != nil {
 		b.Fatal(sweepErr)
 	}
-	factories := []experiments.Factory{
-		experiments.NLSCacheFactory(experiments.NLSPerLine),
-		experiments.NLSTableFactory(1024),
-		experiments.BTBFactory(btb.Config{Entries: 128, Assoc: 1}),
-		experiments.JohnsonFactory(),
+	caches := experiments.PaperCaches()
+	g := experiments.Grid{Name: "sweep", Arms: []experiments.Arm{
+		{Name: "NLS-cache", Spec: arch.NLSCache(experiments.NLSPerLine), Caches: caches},
+		{Name: "1024 NLS-table", Spec: arch.NLSTable(1024), Caches: caches},
+		{Name: "128-entry direct BTB", Spec: arch.BTB(128, 1), Caches: caches},
+		{Name: "Johnson 1-bit", Spec: arch.Johnson(), Caches: caches},
+	}}
+	return sweepRunner, g
+}
+
+// runSweep runs g through a store-less Executor on r and returns its rows.
+func runSweep(b *testing.B, r *experiments.Runner, g experiments.Grid) []experiments.Row {
+	rs, err := (&experiments.Executor{R: r}).RunGrids(false, g)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return sweepRunner, factories, experiments.PaperCaches()
+	return rs.Rows(g)
 }
 
 // corpusRunner returns a runner over cfg with cfg's corpus built in a
@@ -239,23 +251,19 @@ func reportSweepRate(b *testing.B, cells int) {
 }
 
 func BenchmarkSweepBroadcast(b *testing.B) {
-	r, factories, caches := sweepBench(b)
+	r, g := sweepBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int
 	for i := 0; i < b.N; i++ {
-		results, err := r.Sweep(factories, caches)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = len(results)
+		cells = len(runSweep(b, r, g))
 	}
 	b.StopTimer()
 	reportSweepRate(b, cells)
 }
 
 func BenchmarkSweepPerCell(b *testing.B) {
-	r, factories, caches := sweepBench(b)
+	r, g := sweepBench(b)
 	perCellOnce.Do(func() {
 		perCellTraces = make([]*trace.Trace, len(r.Cfg.Programs))
 		for i, p := range r.Cfg.Programs {
@@ -272,29 +280,25 @@ func BenchmarkSweepPerCell(b *testing.B) {
 	b.ResetTimer()
 	var cells int
 	for i := 0; i < b.N; i++ {
-		// The legacy scheduler: every (program × factory × cache) cell
-		// re-reads the whole materialized trace through Engine.Step
-		// under a bounded worker pool.
-		results := make([]experiments.Row, len(traces)*len(factories)*len(caches))
+		// The legacy scheduler: every grid cell re-reads its program's
+		// whole materialized trace through fetch.Run under a bounded
+		// worker pool. This mirrors the per-cell oracle of the
+		// experiments tests (sweepPerCell), which an external test
+		// package cannot import, so the loop is kept here.
+		cellList := g.Cells(r.Cfg.Programs)
+		cpp := len(cellList) / len(traces)
+		results := make([]experiments.Row, len(cellList))
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, runtime.NumCPU())
-		idx := 0
-		for _, t := range traces {
-			for _, f := range factories {
-				for _, g := range caches {
-					wg.Add(1)
-					sem <- struct{}{}
-					go func(slot int, t *trace.Trace, f experiments.Factory, g cache.Geometry) {
-						defer wg.Done()
-						defer func() { <-sem }()
-						e := f.New(g)
-						m := fetch.Run(e, t)
-						results[slot] = experiments.Row{Program: t.Name, Arch: f.Name,
-							Spec: f.Spec.WithGeometry(g), M: *m}
-					}(idx, t, f, g)
-					idx++
-				}
-			}
+		for idx, c := range cellList {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(slot int, t *trace.Trace, c experiments.Cell) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				m := fetch.Run(c.Spec.MustBuild(), t)
+				results[slot] = experiments.Row{Program: t.Name, Arch: c.Arm, Spec: c.Spec, M: *m}
+			}(idx, traces[idx/cpp], c)
 		}
 		wg.Wait()
 		cells = len(results)
@@ -311,7 +315,7 @@ func BenchmarkSweepPerCell(b *testing.B) {
 // BenchmarkSweepBroadcast, which replays an already attached corpus, the
 // delta is the cost of opening and validating the corpus per run.
 func BenchmarkSweepCorpusReplay(b *testing.B) {
-	_, factories, caches := sweepBench(b)
+	_, g := sweepBench(b)
 	cfg := experiments.DefaultConfig(sweepBenchInsns)
 	path := experiments.CorpusPath(b.TempDir(), cfg)
 	{
@@ -331,12 +335,8 @@ func BenchmarkSweepCorpusReplay(b *testing.B) {
 		if _, err := r.UseCorpus(path); err != nil {
 			b.Fatal(err)
 		}
-		results, err := r.Sweep(factories, caches)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells = len(runSweep(b, r, g))
 		r.CloseCorpus()
-		cells = len(results)
 	}
 	b.StopTimer()
 	reportSweepRate(b, cells)

@@ -31,7 +31,7 @@
 //
 // -require-ratio "<benchA>/<benchB> <metric> <min>" gates a ratio of two
 // benchmarks *within this run*: A's metric must be at least <min> times
-// B's. Because both sides of the ratio see the same machine at the same
+// B's. The flag repeats; every ratio is checked and reported. Because both sides of the ratio see the same machine at the same
 // moment, this gate is immune to the host-speed drift that makes
 // absolute Mstep/s comparisons across days unreliable on a shared box —
 // it is how the ≥2× broadcast-vs-per-cell scheduler claim is enforced
@@ -48,6 +48,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -119,7 +120,13 @@ func main() {
 	manifestDir := flag.String("manifest", "", "directory for the timestamped run manifest ('' skips it)")
 	requireImprove := flag.String("require-improvement", "", `"<metric> <pct>": require every benchmark in the -improve-over baseline to beat its frozen <metric> by at least <pct> percent (e.g. 'Mstep/s 100' demands a >=2x speedup)`)
 	improveOver := flag.String("improve-over", "BENCH_baseline.json", "frozen baseline file for -require-improvement")
-	requireRatio := flag.String("require-ratio", "", `"<benchA>/<benchB> <metric> <min>": require benchA's <metric> to be at least <min> times benchB's within this run (host-drift-immune)`)
+	var ratioReqs []ratioRequirement
+	flag.Func("require-ratio", `"<benchA>/<benchB> <metric> <min>": require benchA's <metric> to be at least <min> times benchB's within this run (host-drift-immune; repeatable)`,
+		func(s string) error {
+			req, err := parseRatioRequirement(s)
+			ratioReqs = append(ratioReqs, req)
+			return err
+		})
 	flag.Parse()
 
 	var impMetric string
@@ -127,14 +134,6 @@ func main() {
 	if *requireImprove != "" {
 		var err error
 		impMetric, impPct, err = parseRequirement(*requireImprove)
-		if err != nil {
-			fail(err)
-		}
-	}
-	var ratioReq ratioRequirement
-	if *requireRatio != "" {
-		var err error
-		ratioReq, err = parseRatioRequirement(*requireRatio)
 		if err != nil {
 			fail(err)
 		}
@@ -182,6 +181,9 @@ func main() {
 		}
 	}
 
+	// Every gate runs and reports before any failure exits, so one failed
+	// gate does not hide the verdicts of the others.
+	var gateErrs []error
 	if *compareWith != "" {
 		old, err := readFile(*compareWith)
 		if err != nil {
@@ -193,7 +195,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "  "+l)
 		}
 		if len(regressed) > 0 {
-			fail(fmt.Errorf("Mstep/s regressed >%d%%: %s",
+			gateErrs = append(gateErrs, fmt.Errorf("Mstep/s regressed >%d%%: %s",
 				int(regressTolerance*100), strings.Join(regressed, ", ")))
 		}
 	}
@@ -209,17 +211,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "  "+l)
 		}
 		if len(failed) > 0 {
-			fail(fmt.Errorf("%s improvement below +%g%% vs %s: %s",
+			gateErrs = append(gateErrs, fmt.Errorf("%s improvement below +%g%% vs %s: %s",
 				impMetric, impPct, *improveOver, strings.Join(failed, ", ")))
 		}
 	}
 
-	if *requireRatio != "" {
-		line, err := checkRatio(file, ratioReq)
+	for _, req := range ratioReqs {
+		line, err := checkRatio(file, req)
 		fmt.Fprintln(os.Stderr, "benchjson: "+line)
 		if err != nil {
-			fail(err)
+			gateErrs = append(gateErrs, err)
 		}
+	}
+	if len(gateErrs) > 0 {
+		fail(errors.Join(gateErrs...))
 	}
 }
 

@@ -245,9 +245,7 @@ func writeTraceEvents(w workload.Spec, s arch.Spec, insns int, path string, samp
 	rec := telemetry.NewSimRecorder(telemetry.SimRecorderOptions{
 		SampleEvery: sample, MaxEvents: maxEvents,
 	})
-	if err := rec.Attach(engine); err != nil {
-		return err
-	}
+	rec.Attach(engine)
 	src, err := w.Stream(insns)
 	if err != nil {
 		return err
@@ -338,7 +336,7 @@ func phtSpecFromFlags(kind string, size int) arch.PHTSpec {
 
 // emitJSON writes the run's configuration and headline metrics as one JSON
 // object, so scripts consume results without scraping the report text.
-func emitJSON(e fetch.Engine, workloadName string, s arch.Spec, m *metrics.Counters, p metrics.Penalties, reports []obs.Report, ranks []obs.H2PRanking) {
+func emitJSON(e *fetch.Frontend, workloadName string, s arch.Spec, m *metrics.Counters, p metrics.Penalties, reports []obs.Report, ranks []obs.H2PRanking) {
 	out := struct {
 		Engine   string    `json:"engine"`
 		Workload string    `json:"workload"`

@@ -83,7 +83,7 @@ func main() {
 
 	g := cache.MustGeometry(8*1024, 32, 1)
 	p := metrics.Default()
-	for _, eng := range []fetch.Engine{
+	for _, eng := range []*fetch.Frontend{
 		arch.NLSTable(1024).WithGeometry(g).MustBuild(),
 		arch.BTB(128, 1).WithGeometry(g).MustBuild(),
 	} {

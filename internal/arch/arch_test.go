@@ -51,28 +51,40 @@ func TestRegistryRoundTrip(t *testing.T) {
 // TestSpecBuildMatchesHandWired: a spec-built engine is counter-for-counter
 // identical to the same architecture wired by hand through the fetch
 // constructors — the registry is a description, not a different machine.
+// Every predictor kind is checked with wrong-path pollution off and on, so
+// Build's single pollution switch reaches every kind.
 func TestSpecBuildMatchesHandWired(t *testing.T) {
 	tr, err := workload.Espresso().Trace(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := cache.MustGeometry(16*1024, LineBytes, 1)
-	hand := []fetch.Engine{
-		fetch.NewNLSTableEngine(g, 1024, pht.NewGShare(PHTEntries, PHTHistoryBits), 32),
-		fetch.NewNLSCacheEngine(g, 2, pht.NewGShare(PHTEntries, PHTHistoryBits), 32),
-		fetch.NewBTBEngine(g, btb.Config{Entries: 128, Assoc: 1},
-			pht.NewGShare(PHTEntries, PHTHistoryBits), 32),
-		fetch.NewCoupledBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, 32),
-		fetch.NewJohnsonEngine(g),
+	gshare := func() pht.Predictor { return pht.NewGShare(PHTEntries, PHTHistoryBits) }
+	hand := func() []*fetch.Frontend {
+		return []*fetch.Frontend{
+			fetch.NewNLSTableEngine(g, 1024, gshare(), 32),
+			fetch.NewNLSCacheEngine(g, 2, gshare(), 32),
+			fetch.NewBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, gshare(), 32),
+			fetch.NewCoupledBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, 32),
+			fetch.NewJohnsonEngine(g),
+			fetch.NewHybridEngine(g, 512, btb.Config{Entries: 64, Assoc: 1}, gshare(), 32),
+		}
 	}
 	specs := []Spec{
 		NLSTable(1024), NLSCache(2), BTB(128, 1), CoupledBTB(128, 1), Johnson(),
+		Hybrid(512, 64, 1),
 	}
-	for i, s := range specs {
-		mh := fetch.Run(hand[i], tr)
-		ms := fetch.Run(s.MustBuild(), tr)
-		if *mh != *ms {
-			t.Errorf("%s: spec-built counters diverge from hand-wired", hand[i].Name())
+	for _, pollution := range []bool{false, true} {
+		wired := hand()
+		for i, s := range specs {
+			wired[i].SetWrongPathPollution(pollution)
+			s.Pollution = pollution
+			mh := fetch.Run(wired[i], tr)
+			ms := fetch.Run(s.MustBuild(), tr)
+			if *mh != *ms {
+				t.Errorf("%s (pollution %v): spec-built counters diverge from hand-wired\n spec %+v\n hand %+v",
+					wired[i].Name(), pollution, *ms, *mh)
+			}
 		}
 	}
 }

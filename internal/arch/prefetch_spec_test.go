@@ -147,7 +147,7 @@ func TestPrefetchBuildMatchesHandWired(t *testing.T) {
 	chunks := func() trace.ChunkSource {
 		return trace.Chunk(tr, trace.DefaultChunkRecords).Chunks()
 	}
-	hand := func(wire func(e *fetch.NLSEngine)) *fetch.NLSEngine {
+	hand := func(wire func(e *fetch.Frontend)) *fetch.Frontend {
 		g := cache.MustGeometry(16*1024, LineBytes, 1)
 		e := fetch.NewNLSTableEngine(g, 1024, pht.NewGShare(PHTEntries, PHTHistoryBits), 32)
 		wire(e)
@@ -156,14 +156,14 @@ func TestPrefetchBuildMatchesHandWired(t *testing.T) {
 
 	for _, c := range []struct {
 		arch string
-		wire func(e *fetch.NLSEngine)
+		wire func(e *fetch.Frontend)
 	}{
-		{"nls-table-1024-nextline", func(e *fetch.NLSEngine) {
+		{"nls-table-1024-nextline", func(e *fetch.Frontend) {
 			ic := e.ICache()
 			ic.EnablePrefetch(defaultPrefetchMSHRs, defaultPrefetchLatency)
 			e.AttachPrefetcher(fetch.NewNextLinePrefetcher(ic, 1))
 		}},
-		{"nls-table-1024-fdip", func(e *fetch.NLSEngine) {
+		{"nls-table-1024-fdip", func(e *fetch.Frontend) {
 			ic := e.ICache()
 			ic.EnablePrefetch(defaultPrefetchMSHRs, defaultPrefetchLatency)
 			e.SetFTQDepth(8)

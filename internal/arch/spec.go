@@ -388,7 +388,7 @@ func (s Spec) validatePrefetch() error {
 }
 
 // Build constructs the fetch engine the spec describes.
-func (s Spec) Build() (fetch.Engine, error) {
+func (s Spec) Build() (*fetch.Frontend, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -407,38 +407,27 @@ func (s Spec) Build() (fetch.Engine, error) {
 		}
 	}
 
-	var e fetch.Engine
+	var e *fetch.Frontend
 	switch s.Predictor.Kind {
 	case KindNLSTable:
-		eng := fetch.NewNLSTableEngine(g, s.Predictor.Entries, dir, depth)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewNLSTableEngine(g, s.Predictor.Entries, dir, depth)
 	case KindNLSCache:
-		eng := fetch.NewNLSCacheEngine(g, s.Predictor.PerLine, dir, depth)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewNLSCacheEngine(g, s.Predictor.PerLine, dir, depth)
 	case KindBTB:
 		cfg := btb.Config{Entries: s.Predictor.Entries, Assoc: s.Predictor.Assoc}
-		eng := fetch.NewBTBEngine(g, cfg, dir, depth)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewBTBEngine(g, cfg, dir, depth)
 	case KindCoupledBTB:
 		cfg := btb.Config{Entries: s.Predictor.Entries, Assoc: s.Predictor.Assoc}
-		eng := fetch.NewCoupledBTBEngine(g, cfg, depth)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewCoupledBTBEngine(g, cfg, depth)
 	case KindJohnson:
-		eng := fetch.NewJohnsonEngine(g)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewJohnsonEngine(g)
 	case KindHybrid:
 		cfg := btb.Config{Entries: s.Predictor.BTBEntries, Assoc: s.Predictor.BTBAssoc}
-		eng := fetch.NewHybridEngine(g, s.Predictor.Entries, cfg, dir, depth)
-		eng.SetWrongPathPollution(s.Pollution)
-		e = eng
+		e = fetch.NewHybridEngine(g, s.Predictor.Entries, cfg, dir, depth)
 	default:
 		return nil, fmt.Errorf("arch: unknown predictor kind %q", s.Predictor.Kind)
 	}
+	e.SetWrongPathPollution(s.Pollution)
 	if s.Prefetch != nil {
 		if err := attachPrefetch(e, *s.Prefetch); err != nil {
 			return nil, err
@@ -450,11 +439,7 @@ func (s Spec) Build() (fetch.Engine, error) {
 // attachPrefetch wires a validated PrefetchSpec into the engine's frontend:
 // enable the i-cache's prefetch/MSHR model, then attach the policy (and,
 // for fdip, size the FTQ that decouples the BPU from fetch).
-func attachPrefetch(e fetch.Engine, p PrefetchSpec) error {
-	pa, ok := e.(fetch.PrefetchAttacher)
-	if !ok {
-		return fmt.Errorf("arch: engine %q does not support prefetching", e.Name())
-	}
+func attachPrefetch(e *fetch.Frontend, p PrefetchSpec) error {
 	mshrs := p.MSHRs
 	if mshrs == 0 {
 		mshrs = defaultPrefetchMSHRs
@@ -463,7 +448,7 @@ func attachPrefetch(e fetch.Engine, p PrefetchSpec) error {
 	if latency == 0 {
 		latency = defaultPrefetchLatency
 	}
-	ic := pa.ICache()
+	ic := e.ICache()
 	ic.EnablePrefetch(mshrs, uint64(latency))
 	switch p.Kind {
 	case PrefKindNextLine:
@@ -471,10 +456,10 @@ func attachPrefetch(e fetch.Engine, p PrefetchSpec) error {
 		if degree == 0 {
 			degree = defaultPrefetchDegree
 		}
-		pa.AttachPrefetcher(fetch.NewNextLinePrefetcher(ic, degree))
+		e.AttachPrefetcher(fetch.NewNextLinePrefetcher(ic, degree))
 	case PrefKindFDIP:
-		pa.SetFTQDepth(p.FTQDepth)
-		pa.AttachPrefetcher(fetch.NewFDIPPrefetcher(ic))
+		e.SetFTQDepth(p.FTQDepth)
+		e.AttachPrefetcher(fetch.NewFDIPPrefetcher(ic))
 	default:
 		return fmt.Errorf("arch: unknown prefetch kind %q", p.Kind)
 	}
@@ -483,7 +468,7 @@ func attachPrefetch(e fetch.Engine, p PrefetchSpec) error {
 
 // MustBuild is Build panicking on error, for registered (pre-validated)
 // specs and tests.
-func (s Spec) MustBuild() fetch.Engine {
+func (s Spec) MustBuild() *fetch.Frontend {
 	e, err := s.Build()
 	if err != nil {
 		panic(err)

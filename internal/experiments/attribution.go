@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -40,8 +41,10 @@ func AttributionGrid() Grid {
 // the corpus under CorpusDir, attached as RunGrids attaches it. The replay
 // runs on the executor's program pool (forPrograms), and engines are owned
 // by exactly one broadcast worker, so the per-engine Attribution
-// collectors need no locking.
+// collectors need no locking. Its replays, records and wall time add to the
+// Runner's SweepStats, so a run manifest counts every program replay.
 func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
+	start := time.Now()
 	r := x.R
 	cfg := r.Cfg
 	if _, err := x.attachCorpus(); err != nil {
@@ -57,31 +60,38 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	}
 	err := forPrograms(progs, func(i, perProg int) error {
 		progCells := cells[i*cpp : (i+1)*cpp]
+		var n int64
 		_, err := r.replayProgram(i, func(src replaySource) (int64, error) {
-			engines := make([]fetch.Engine, len(progCells))
+			engines := make([]*fetch.Frontend, len(progCells))
 			atts := make([]*obs.Attribution, len(progCells))
 			for j, c := range progCells {
 				e, err := c.Spec.Build()
 				if err != nil {
 					return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
 				}
-				pa, ok := e.(fetch.ProbeAttacher)
-				if !ok {
-					return 0, fmt.Errorf("cell %s/%s: engine %T accepts no probe", c.Prog.Name, c.Arm, e)
-				}
 				atts[j] = obs.NewAttribution()
-				pa.AttachProbe(atts[j])
+				e.AttachProbe(atts[j])
 				engines[j] = e
 			}
-			n := fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
+			n = fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
 			// reports slots are disjoint per program; no lock needed.
 			for j, c := range progCells {
 				reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
 			}
 			return n, nil
 		})
-		return err
+		if err != nil {
+			return err
+		}
+		r.statsMu.Lock()
+		r.stats.Records += n
+		r.stats.Replays++
+		r.statsMu.Unlock()
+		return nil
 	})
+	r.statsMu.Lock()
+	r.stats.Elapsed += time.Since(start)
+	r.statsMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

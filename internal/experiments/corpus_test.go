@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,11 +23,11 @@ func corpusTestConfig() Config {
 func corpusSweep(t *testing.T, x *Executor) []Row {
 	t.Helper()
 	g := Grid{Name: "corpus-smoke", Arms: []Arm{
-		{Name: "nls", Spec: NLSTableFactory(512).Spec, Caches: []cache.Geometry{
+		{Name: "nls", Spec: arch.NLSTable(512), Caches: []cache.Geometry{
 			cache.MustGeometry(8*1024, LineBytes, 1),
 			cache.MustGeometry(16*1024, LineBytes, 4),
 		}},
-		{Name: "btb", Spec: BTBFactory(BTBConfigs()[0]).Spec, Caches: []cache.Geometry{
+		{Name: "btb", Spec: arch.BTB(128, 1), Caches: []cache.Geometry{
 			cache.MustGeometry(8*1024, LineBytes, 1),
 		}},
 	}}

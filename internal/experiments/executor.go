@@ -292,7 +292,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 	err := forPrograms(active, func(i, perProg int) error {
 		w := work[i]
 		var (
-			engines []fetch.Engine
+			engines []*fetch.Frontend
 			sc      *trace.StatsCollector
 			bcs     []*multiissue.BlockCounter
 			name    string
@@ -300,7 +300,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		)
 		acquire, err := r.replayProgram(i, func(src replaySource) (int64, error) {
 			name = src.Name
-			engines = make([]fetch.Engine, len(w.cells))
+			engines = make([]*fetch.Frontend, len(w.cells))
 			for j, c := range w.cells {
 				e, err := c.Spec.Build()
 				if err != nil {

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,9 +19,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/btb"
 	"repro/internal/cache"
-	"repro/internal/fetch"
 	"repro/internal/metrics"
-	"repro/internal/pht"
 	"repro/internal/ras"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -87,49 +84,6 @@ func BTBConfigs() []btb.Config {
 		{Entries: 256, Assoc: 1},
 		{Entries: 256, Assoc: 4},
 	}
-}
-
-// newPHT builds the paper's direction predictor: 4096-entry gshare.
-func newPHT() pht.Predictor { return pht.NewGShare(PHTEntries, PHTHistoryBits) }
-
-// Factory pairs a display name with a declarative spec whose cache
-// geometry varies per sweep cell. Factories are the ad-hoc (non-Figure)
-// sweep axis: Runner.Sweep turns them into a one-off Grid.
-type Factory struct {
-	Name string
-	Spec arch.Spec
-}
-
-// New builds the factory's engine on the given cache geometry. The spec
-// must be valid (a registered or helper-built spec always is).
-func (f Factory) New(g cache.Geometry) fetch.Engine {
-	return f.Spec.WithGeometry(g).MustBuild()
-}
-
-// SpecFactory adapts a declarative arch.Spec to a sweep Factory.
-func SpecFactory(name string, s arch.Spec) Factory {
-	return Factory{Name: name, Spec: s}
-}
-
-// NLSTableFactory returns a factory for the NLS-table architecture.
-func NLSTableFactory(entries int) Factory {
-	return SpecFactory(fmt.Sprintf("%d NLS-table", entries), arch.NLSTable(entries))
-}
-
-// NLSCacheFactory returns a factory for the NLS-cache architecture.
-func NLSCacheFactory(perLine int) Factory {
-	return SpecFactory("NLS-cache", arch.NLSCache(perLine))
-}
-
-// BTBFactory returns a factory for the decoupled BTB architecture.
-func BTBFactory(cfg btb.Config) Factory {
-	return SpecFactory(cfg.String(), arch.BTB(cfg.Entries, cfg.Assoc))
-}
-
-// JohnsonFactory returns a factory for the Johnson successor-index baseline
-// (§6.2 related work).
-func JohnsonFactory() Factory {
-	return SpecFactory("Johnson 1-bit", arch.Johnson())
 }
 
 // Config drives a run: which programs, how many instructions each, and the
@@ -283,7 +237,9 @@ func (r Row) Cache() cache.Geometry {
 // completed (simulated or loaded), how many trace records were replayed
 // through the broadcaster (each program's trace is read once, shared by all
 // of its pending cells), how many cells the store served, how many program
-// traces were actually replayed, and the wall-clock time so far.
+// traces were actually replayed, and the wall-clock time so far. RunGrids
+// starts a run's stats afresh; RunAttribution adds its replays, records and
+// wall time to them.
 type SweepStats struct {
 	Cells      int
 	TotalCells int
@@ -307,28 +263,6 @@ func (r *Runner) LastSweepStats() SweepStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	return r.stats
-}
-
-// Sweep runs every (program × factory × cache) combination and returns the
-// rows in deterministic order: program-major, then factory, then cache.
-// It is the ad-hoc form of the grid pipeline — a one-off Grid run through
-// an Executor without a store — and shares all of its scheduling
-// (DESIGN.md §7, §9): each program's trace is replayed once through
-// fetch.Broadcast for all of the program's cells. Engines are
-// deterministic, so results are bit-identical to the per-cell replay
-// (asserted by TestSweepMatchesPerCellOracle).
-func (r *Runner) Sweep(factories []Factory, caches []cache.Geometry) ([]Row, error) {
-	arms := make([]Arm, len(factories))
-	for i, f := range factories {
-		arms[i] = Arm{Name: f.Name, Spec: f.Spec, Caches: caches}
-	}
-	g := Grid{Name: "sweep", Arms: arms}
-	x := &Executor{R: r}
-	rs, err := x.RunGrids(false, g)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Rows(g), nil
 }
 
 func maxParallel() int {

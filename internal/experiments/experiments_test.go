@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/workload"
 )
@@ -254,16 +255,10 @@ func avgCPI(avgs []Average, arch, cacheStr string) (float64, bool) {
 
 func TestSweepDeterministic(t *testing.T) {
 	r := runnerOn(100_000, workload.Li())
-	f := []Factory{NLSTableFactory(1024)}
-	c := []cache.Geometry{cache.MustGeometry(8*1024, LineBytes, 1)}
-	a, err := r.Sweep(f, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Sweep(f, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := sweepGrid([]Arm{{Name: "1024 NLS-table", Spec: arch.NLSTable(1024)}},
+		[]cache.Geometry{cache.MustGeometry(8*1024, LineBytes, 1)})
+	a := runGrid(t, r, g)
+	b := runGrid(t, r, g)
 	if a[0].M != b[0].M {
 		t.Error("repeated sweep diverged")
 	}
@@ -274,10 +269,10 @@ func TestJohnsonWorseThanNLS(t *testing.T) {
 	// one-bit successor-index scheme.
 	r := runnerOn(400_000, workload.Gcc(), workload.Espresso())
 	caches := []cache.Geometry{cache.MustGeometry(16*1024, LineBytes, 1)}
-	res, err := r.Sweep([]Factory{NLSTableFactory(1024), JohnsonFactory()}, caches)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runGrid(t, r, sweepGrid([]Arm{
+		{Name: "1024 NLS-table", Spec: arch.NLSTable(1024)},
+		{Name: "Johnson 1-bit", Spec: arch.Johnson()},
+	}, caches))
 	avgs := Averages(res, r.Cfg.Penalties)
 	nls, _ := avgBEP(avgs, "1024 NLS-table", "")
 	johnson, _ := avgBEP(avgs, "Johnson 1-bit", "")

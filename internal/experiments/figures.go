@@ -519,14 +519,4 @@ func attributionFigure() Figure {
 
 // specSizeBits returns the target-predictor storage cost of a spec by
 // building its engine (cheap: table allocation only, no simulation).
-func specSizeBits(s arch.Spec) int {
-	type sizer interface{ PredictorSizeBits() int }
-	e, err := s.Build()
-	if err != nil {
-		panic(err)
-	}
-	if sz, ok := e.(sizer); ok {
-		return sz.PredictorSizeBits()
-	}
-	return 0
-}
+func specSizeBits(s arch.Spec) int { return s.MustBuild().PredictorSizeBits() }

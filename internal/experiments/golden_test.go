@@ -6,8 +6,12 @@ import (
 	"repro/internal/btb"
 	"repro/internal/cache"
 	"repro/internal/fetch"
+	"repro/internal/pht"
 	"repro/internal/workload"
 )
+
+// newPHT builds the paper's direction predictor: 4096-entry gshare.
+func newPHT() pht.Predictor { return pht.NewGShare(PHTEntries, PHTHistoryBits) }
 
 // Golden regression values: exact event counts for fixed (workload, seed,
 // architecture) configurations. Workloads, the executor, and the engines

@@ -85,7 +85,9 @@ type RunManifest struct {
 	CellsLoaded    int `json:"cells_loaded"`
 	CellsSimulated int `json:"cells_simulated"`
 	CellsDeduped   int `json:"cells_deduped"`
-	// Replays counts program traces actually replayed (0 on a warm run).
+	// Replays counts program traces actually replayed: by the grid run
+	// (0 on a warm run) and by every probed figure, which replays each
+	// program itself.
 	Replays int `json:"trace_replays"`
 
 	// Replay throughput over the whole run.
@@ -115,7 +117,7 @@ func NewRunManifest(x *Executor, rs *ResultSet, figures, command []string) RunMa
 		CellsLoaded:     rs.Loaded,
 		CellsSimulated:  rs.Simulated,
 		CellsDeduped:    rs.Deduped,
-		Replays:         rs.Replays,
+		Replays:         s.Replays,
 		Records:         s.Records,
 		Seconds:         s.Elapsed.Seconds(),
 		RecPerSec:       s.RecordsPerSec(),

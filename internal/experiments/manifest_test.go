@@ -108,3 +108,48 @@ func TestManifestCarriesStageSpans(t *testing.T) {
 		t.Errorf("round-tripped %d stages, want %d", len(back.Stages), len(m.Stages))
 	}
 }
+
+// TestManifestCountsAttributionReplays: a probed figure replays every
+// program itself, so after a fully warm RunGrids (no replay) a
+// RunAttribution must leave one replay per program and programs × insns
+// records in the Runner's stats, and the manifest must read them there.
+func TestManifestCountsAttributionReplays(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(20_000)
+	cfg.Programs = []workload.Spec{workload.Li(), workload.Gcc()}
+	g := Grid{Name: "manifest-attribution", Arms: []Arm{
+		{Name: "base", Spec: arch.NLSTable(1024), Caches: cache16KDirect()},
+	}}
+	if _, err := (&Executor{R: NewRunner(cfg), Store: store}).RunGrids(false, g); err != nil {
+		t.Fatal(err)
+	}
+
+	x := &Executor{R: NewRunner(cfg), Store: store}
+	rs, err := x.RunGrids(false, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Replays != 0 {
+		t.Fatalf("warm run replayed %d programs, want 0", rs.Replays)
+	}
+	if _, err := x.RunAttribution(AttributionGrid(), 0); err != nil {
+		t.Fatal(err)
+	}
+	s := x.R.LastSweepStats()
+	wantRecords := int64(len(cfg.Programs)) * int64(cfg.Insns)
+	if s.Replays != len(cfg.Programs) || s.Records != wantRecords {
+		t.Errorf("stats after attribution: replays=%d records=%d, want %d, %d",
+			s.Replays, s.Records, len(cfg.Programs), wantRecords)
+	}
+	if s.Elapsed <= 0 {
+		t.Errorf("attribution elapsed = %v, want > 0", s.Elapsed)
+	}
+	m := NewRunManifest(x, rs, []string{"attribution"}, []string{"test"})
+	if m.Replays != len(cfg.Programs) || m.Records != wantRecords {
+		t.Errorf("manifest: trace_replays=%d records_replayed=%d, want %d, %d",
+			m.Replays, m.Records, len(cfg.Programs), wantRecords)
+	}
+}

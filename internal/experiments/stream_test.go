@@ -84,7 +84,7 @@ func streamJobs() []streamJob {
 	// Two line sizes in one grid: each block carries one run annotation
 	// per line size.
 	mixed := Grid{Name: "mixed-lines", Arms: []Arm{
-		{Name: "nls", Spec: NLSTableFactory(512).Spec, Caches: []cache.Geometry{
+		{Name: "nls", Spec: arch.NLSTable(512), Caches: []cache.Geometry{
 			cache.MustGeometry(8*1024, LineBytes, 1),
 			cache.MustGeometry(8*1024, 64, 1),
 		}},
@@ -311,8 +311,8 @@ const heapCeiling = 32 << 20
 // heapCeilingGrid is the two-cell grid the heap-ceiling tests replay.
 func heapCeilingGrid() Grid {
 	return Grid{Name: "heap", Arms: []Arm{
-		{Name: "nls", Spec: NLSTableFactory(1024).Spec, Caches: cache16KDirect()},
-		{Name: "btb", Spec: BTBFactory(BTBConfigs()[0]).Spec, Caches: cache16KDirect()},
+		{Name: "nls", Spec: arch.NLSTable(1024), Caches: cache16KDirect()},
+		{Name: "btb", Spec: arch.BTB(128, 1), Caches: cache16KDirect()},
 	}}
 }
 

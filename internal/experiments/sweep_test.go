@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/btb"
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/trace"
@@ -26,66 +26,78 @@ func programTraces(t testing.TB, cfg Config) []*trace.Trace {
 	return traces
 }
 
-// sweepPerCell is the legacy scheduler: every (program × factory × cache)
-// cell replays the full materialized trace independently through
-// fetch.Run, under a bounded worker pool. It is the differential-test
-// oracle for the grid executor; rows come back in Sweep's order.
-func sweepPerCell(t testing.TB, cfg Config, factories []Factory, caches []cache.Geometry) []Row {
+// sweepPerCell is the legacy scheduler: every grid cell replays its
+// program's full materialized trace independently through fetch.Run, under
+// a bounded worker pool. It is the differential-test oracle for the grid
+// executor; rows come back in cell order, as ResultSet.Rows returns them.
+func sweepPerCell(t testing.TB, cfg Config, g Grid) []Row {
 	traces := programTraces(t, cfg)
-	results := make([]Row, len(traces)*len(factories)*len(caches))
+	cells := g.Cells(cfg.Programs)
+	cpp := len(cells) / len(traces)
+	results := make([]Row, len(cells))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxParallel())
-	idx := 0
-	for _, tr := range traces {
-		for _, f := range factories {
-			for _, g := range caches {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(slot int, tr *trace.Trace, f Factory, g cache.Geometry) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					m := fetch.Run(f.New(g), tr)
-					results[slot] = Row{Program: tr.Name, Arch: f.Name,
-						Spec: f.Spec.WithGeometry(g), M: *m}
-				}(idx, tr, f, g)
-				idx++
-			}
-		}
+	for i, c := range cells {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(slot int, tr *trace.Trace, c Cell) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			m := fetch.Run(c.Spec.MustBuild(), tr)
+			results[slot] = Row{Program: tr.Name, Arch: c.Arm, Spec: c.Spec, M: *m}
+		}(i, traces[i/cpp], c)
 	}
 	wg.Wait()
 	return results
 }
 
-// sweepMatrix is the architecture axis used by the scheduler tests: one
-// factory per engine family, so the differential covers every Step path.
-func sweepMatrix() []Factory {
-	return []Factory{
-		NLSCacheFactory(NLSPerLine),
-		NLSTableFactory(1024),
-		BTBFactory(btb.Config{Entries: 128, Assoc: 1}),
-		JohnsonFactory(),
-	}
-}
-
-// TestSweepMatchesPerCellOracle is the differential test for the
-// shared-replay scheduler: for the fixed built-in seeds, Sweep (broadcast
-// path) must produce bit-identical metrics.Counters for EVERY
-// (program × arch × cache) cell versus the legacy per-cell fetch.Run path,
-// in the same deterministic order.
-func TestSweepMatchesPerCellOracle(t *testing.T) {
-	r := NewRunner(DefaultConfig(120_000))
-	factories := sweepMatrix()
-	caches := PaperCaches()
-
-	got, err := r.Sweep(factories, caches)
+// runGrid runs g through a store-less Executor on r and returns its rows in
+// cell order (program-major, arm-major, cache-minor).
+func runGrid(t testing.TB, r *Runner, g Grid) []Row {
+	t.Helper()
+	rs, err := (&Executor{R: r}).RunGrids(false, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sweepPerCell(t, r.Cfg, factories, caches)
-	if len(got) != len(want) {
-		t.Fatalf("Sweep returned %d cells, oracle %d", len(got), len(want))
+	return rs.Rows(g)
+}
+
+// sweepArms is the architecture axis used by the scheduler tests: one arm
+// per engine family, so the differential covers every Step path.
+func sweepArms() []Arm {
+	return []Arm{
+		{Name: "NLS-cache", Spec: arch.NLSCache(NLSPerLine)},
+		{Name: "1024 NLS-table", Spec: arch.NLSTable(1024)},
+		{Name: "128-entry direct BTB", Spec: arch.BTB(128, 1)},
+		{Name: "Johnson 1-bit", Spec: arch.Johnson()},
 	}
-	if len(got) != len(r.Cfg.Programs)*len(factories)*len(caches) {
+}
+
+// sweepGrid sweeps arms over caches.
+func sweepGrid(arms []Arm, caches []cache.Geometry) Grid {
+	for i := range arms {
+		arms[i].Caches = caches
+	}
+	return Grid{Name: "sweep", Arms: arms}
+}
+
+// TestSweepMatchesPerCellOracle is the differential test for the
+// shared-replay scheduler: for the fixed built-in seeds, a grid run through
+// the Executor (broadcast path) must produce bit-identical metrics.Counters
+// for EVERY (program × arch × cache) cell versus the legacy per-cell
+// fetch.Run path, in the same deterministic order.
+func TestSweepMatchesPerCellOracle(t *testing.T) {
+	r := NewRunner(DefaultConfig(120_000))
+	arms := sweepArms()
+	caches := PaperCaches()
+	g := sweepGrid(arms, caches)
+
+	got := runGrid(t, r, g)
+	want := sweepPerCell(t, r.Cfg, g)
+	if len(got) != len(want) {
+		t.Fatalf("executor returned %d cells, oracle %d", len(got), len(want))
+	}
+	if len(got) != len(r.Cfg.Programs)*len(arms)*len(caches) {
 		t.Fatalf("unexpected cell count %d", len(got))
 	}
 	for i := range want {
@@ -104,24 +116,22 @@ func TestSweepMatchesPerCellOracle(t *testing.T) {
 
 // TestSweepPropertyRandomMatrix: randomized differential for the grouped
 // fetch-oracle scheduler. Each trial draws a random architecture matrix —
-// factories duplicated and reordered, wrong-path pollution flipped per arm
+// arms duplicated and reordered, wrong-path pollution flipped per arm
 // (pollution-on arms must take the private-cache fallback), line sizes and
 // associativities mixed so geometry groups form and dissolve — and asserts
-// the broadcast Sweep is counter-for-counter identical to the per-cell
+// the executor's grid run is counter-for-counter identical to the per-cell
 // replay. The probed/unprobed mix is asserted at the fetch layer
-// (TestBroadcastMixedEligibility); Sweep itself never attaches probes.
+// (TestBroadcastMixedEligibility); RunGrids itself never attaches probes.
 func TestSweepPropertyRandomMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1995)) // deterministic trials
-	pool := func() []Factory {
-		return []Factory{
-			NLSCacheFactory(NLSPerLine),
-			NLSCacheFactory(1),
-			NLSTableFactory(256),
-			NLSTableFactory(1024),
-			BTBFactory(btb.Config{Entries: 128, Assoc: 1}),
-			BTBFactory(btb.Config{Entries: 256, Assoc: 4}),
-			JohnsonFactory(),
-		}
+	pool := []Arm{
+		{Name: "NLS-cache", Spec: arch.NLSCache(NLSPerLine)},
+		{Name: "NLS-cache", Spec: arch.NLSCache(1)},
+		{Name: "256 NLS-table", Spec: arch.NLSTable(256)},
+		{Name: "1024 NLS-table", Spec: arch.NLSTable(1024)},
+		{Name: "128-entry direct BTB", Spec: arch.BTB(128, 1)},
+		{Name: "256-entry 4-way BTB", Spec: arch.BTB(256, 4)},
+		{Name: "Johnson 1-bit", Spec: arch.Johnson()},
 	}
 	allCaches := []cache.Geometry{
 		cache.MustGeometry(4*1024, 16, 1),
@@ -131,15 +141,14 @@ func TestSweepPropertyRandomMatrix(t *testing.T) {
 	}
 
 	for trial := 0; trial < 4; trial++ {
-		src := pool()
-		var factories []Factory
-		for len(factories) < 2+rng.Intn(4) {
-			f := src[rng.Intn(len(src))]
+		var arms []Arm
+		for len(arms) < 2+rng.Intn(4) {
+			a := pool[rng.Intn(len(pool))]
 			if rng.Intn(2) == 0 {
-				f.Name += " (polluted)"
-				f.Spec.Pollution = true
+				a.Name += " (polluted)"
+				a.Spec.Pollution = true
 			}
-			factories = append(factories, f)
+			arms = append(arms, a)
 		}
 		caches := append([]cache.Geometry(nil), allCaches...)
 		rng.Shuffle(len(caches), func(i, j int) { caches[i], caches[j] = caches[j], caches[i] })
@@ -148,13 +157,11 @@ func TestSweepPropertyRandomMatrix(t *testing.T) {
 		cfg := DefaultConfig(40_000)
 		cfg.Programs = cfg.Programs[:2]
 		r := NewRunner(cfg)
-		got, err := r.Sweep(factories, caches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sweepPerCell(t, r.Cfg, factories, caches)
+		g := sweepGrid(arms, caches)
+		got := runGrid(t, r, g)
+		want := sweepPerCell(t, r.Cfg, g)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: Sweep returned %d cells, oracle %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: executor returned %d cells, oracle %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].M != want[i].M {
@@ -171,13 +178,11 @@ func TestSweepStats(t *testing.T) {
 	r := NewRunner(DefaultConfig(50_000))
 	var calls int
 	r.Progress = func(SweepStats) { calls++ }
-	factories := sweepMatrix()
+	arms := sweepArms()
 	caches := PaperCaches()[:2]
-	if _, err := r.Sweep(factories, caches); err != nil {
-		t.Fatal(err)
-	}
+	runGrid(t, r, sweepGrid(arms, caches))
 	s := r.LastSweepStats()
-	wantCells := len(r.Cfg.Programs) * len(factories) * len(caches)
+	wantCells := len(r.Cfg.Programs) * len(arms) * len(caches)
 	if s.Cells != wantCells || s.TotalCells != wantCells {
 		t.Errorf("cells = %d/%d, want %d", s.Cells, s.TotalCells, wantCells)
 	}

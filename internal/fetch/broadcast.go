@@ -38,32 +38,26 @@ const (
 // it, and end with the counters a per-record Run would leave. The worker
 // pool is sized to min(GOMAXPROCS, len(engines)); use BroadcastWorkers to
 // bound it explicitly. Returns the number of records replayed.
-func Broadcast(src trace.ChunkSource, engines ...Engine) int64 {
+func Broadcast(src trace.ChunkSource, engines ...*Frontend) int64 {
 	return BroadcastWorkers(src, runtime.GOMAXPROCS(0), engines...)
 }
 
 // member is one engine a broadcast worker replays.
 type member struct {
-	idx int       // broadcast index: worker idx mod workers replays it
-	e   Engine    // replays via StepBlock when fr is nil
-	fr  *Frontend // e's Frontend, resolved once
+	idx int // broadcast index: worker idx mod workers replays it
+	fr  *Frontend
 	// runs is the slot of each block's run annotation a private fr
-	// replays, or -1 when it reads none (grouped, decoupled, or no
-	// Frontend; see planRuns).
+	// replays, or -1 when it reads none (grouped or decoupled; see
+	// planRuns).
 	runs int
 	// dir is the slot of each block's direction annotation fr reads, or -1
 	// when fr predicts with its own predictor (see dirDriver).
 	dir int
 }
 
-// replayPrivate steps a private engine through one block on its own cache:
-// via replayRuns over the block's run slot, or via StepBlock for an engine
-// without a Frontend.
+// replayPrivate steps a private engine through one block on its own cache,
+// via replayRuns over the block's run slot.
 func (m *member) replayPrivate(blk *sharedBlock) {
-	if m.fr == nil {
-		m.e.StepBlock(blk.recs)
-		return
-	}
 	var runs []uint8
 	if m.runs >= 0 {
 		runs = blk.runs[m.runs]
@@ -210,9 +204,6 @@ func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 	var keys []string
 	byKey := make(map[string][]*member)
 	for _, m := range all {
-		if m.fr == nil {
-			continue
-		}
 		if key, ok := m.fr.dirShareKey(); ok {
 			if byKey[key] == nil {
 				keys = append(keys, key)
@@ -248,25 +239,24 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 	}
 }
 
-// replayPlan resolves how each engine replays the drawn blocks. Each
-// engine is resolved to its Frontend once, here. Eligible Frontends
-// (oracleEligible) sharing a cache geometry with at least one other eligible
-// Frontend form an oracleGroup and replay via replayEvents from the group's
-// shared oracle. Every other engine — pollution-on, probed, prefetching, or
-// alone in its geometry (an oracle for one engine is pure overhead) —
-// replays privately (member.replayPrivate). Frontends are timed on every
-// path (ReplayTime).
-func replayPlan(engines []Engine) (private []member, groups []*oracleGroup) {
+// replayPlan resolves how each engine replays the drawn blocks. Eligible
+// engines (oracleEligible) sharing a cache geometry with at least one other
+// eligible engine form an oracleGroup and replay via replayEvents from the
+// group's shared oracle. Every other engine — pollution-on, probed,
+// prefetching, or alone in its geometry (an oracle for one engine is pure
+// overhead) — replays privately (member.replayPrivate). Engines are timed
+// on every path (ReplayTime).
+func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 	// Tentatively group every eligible engine by geometry, in engine order
 	// (map only for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		m := member{idx: i, e: e, fr: asFrontend(e), runs: -1, dir: -1}
-		if m.fr == nil || !m.fr.oracleEligible() {
+		m := member{idx: i, fr: e, runs: -1, dir: -1}
+		if !e.oracleEligible() {
 			private = append(private, m)
 			continue
 		}
-		geom := m.fr.geom
+		geom := e.geom
 		g := groupOf[geom]
 		if g == nil {
 			g = &oracleGroup{
@@ -308,7 +298,7 @@ func planRuns(private []member, groups []*oracleGroup) (lines []int) {
 		g.runs = slot(g.oracle.Geometry().LineBytes())
 	}
 	for i := range private {
-		if m := &private[i]; m.fr != nil && !m.fr.decoupled() {
+		if m := &private[i]; !m.fr.decoupled() {
 			m.runs = slot(m.fr.geom.LineBytes())
 		}
 	}
@@ -379,7 +369,7 @@ type workItem struct {
 // workers owning members of that group, refcounted so the last consumer
 // recycles it. The producer graph is acyclic (main → group oracles →
 // workers, main → workers), so the bounded channels cannot deadlock.
-func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int64 {
+func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) int64 {
 	if len(engines) == 0 {
 		return 0
 	}

@@ -13,10 +13,10 @@ import (
 
 // broadcastEngines builds one engine of each architecture on a shared
 // geometry, twice: a broadcast set and a per-engine oracle set.
-func broadcastEngines() (bcast, oracle []Engine) {
+func broadcastEngines() (bcast, oracle []*Frontend) {
 	g := cache.MustGeometry(8*1024, 32, 1)
-	mk := func() []Engine {
-		return []Engine{
+	mk := func() []*Frontend {
+		return []*Frontend{
 			NewNLSTableEngine(g, 512, pht.NewGShare(1024, 6), 32),
 			NewNLSCacheEngine(g, 2, pht.NewGShare(1024, 6), 32),
 			NewBTBEngine(g, btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32),
@@ -58,8 +58,8 @@ func TestBroadcastMatchesRun(t *testing.T) {
 func TestBroadcastRunsAnnotated(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1000)
-	mk := func() []Engine {
-		return []Engine{
+	mk := func() []*Frontend {
+		return []*Frontend{
 			NewNLSTableEngine(cache.MustGeometry(8*1024, 32, 1), 512, pht.NewGShare(1024, 6), 32),
 			NewNLSCacheEngine(cache.MustGeometry(8*1024, 32, 2), 2, pht.NewGShare(1024, 6), 32),
 			NewBTBEngine(cache.MustGeometry(16*1024, 32, 1), btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32),
@@ -91,7 +91,7 @@ func TestBroadcastRunsAnnotated(t *testing.T) {
 // mixedLineEngines builds grouped engines on 16-, 32- and 64-byte-line
 // geometries (two geometries share the 64-byte line size), plus a private
 // singleton on 32-byte lines and a polluted engine on 16-byte lines.
-func mixedLineEngines() []Engine {
+func mixedLineEngines() []*Frontend {
 	g16 := cache.MustGeometry(4*1024, 16, 2)
 	g32 := cache.MustGeometry(8*1024, 32, 1)
 	g64a := cache.MustGeometry(16*1024, 64, 2)
@@ -101,7 +101,7 @@ func mixedLineEngines() []Engine {
 
 	polluted := NewBTBEngine(g16, bcfg, gshare(), 32)
 	polluted.SetWrongPathPollution(true)
-	return []Engine{
+	return []*Frontend{
 		NewNLSTableEngine(g16, 512, gshare(), 32),
 		NewJohnsonEngine(g16),
 		NewNLSTableEngine(g32, 512, gshare(), 32),
@@ -181,12 +181,8 @@ func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 
 	bcast, oracle := broadcastEngines()
 	for i := range bcast {
-		f := asFrontend(bcast[i])
-		if f == nil {
-			t.Fatalf("engine %s has no Frontend", bcast[i].Name())
-		}
 		for bi := 0; bi < chunked.NumChunks(); bi++ {
-			f.replayRuns(chunked.Block(bi), runs[bi])
+			bcast[i].replayRuns(chunked.Block(bi), runs[bi])
 		}
 		want := *Run(oracle[i], tr)
 		if got := *bcast[i].Counters(); got != want {

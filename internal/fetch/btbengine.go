@@ -134,19 +134,10 @@ func (p *btbPredictor) Reset() {
 	}
 }
 
-// BTBEngine is the decoupled BTB architecture: a Frontend driven by a
-// btbPredictor.
-type BTBEngine struct {
-	Frontend
+// NewBTBEngine builds the decoupled BTB architecture: a Frontend driven by
+// a btbPredictor. dir is shared-use: pass a fresh predictor per engine.
+func NewBTBEngine(g cache.Geometry, cfg btb.Config, dir pht.Directional, rasDepth int) *Frontend {
+	f := newFrontend(g, dir, rasDepth)
+	f.bind(&btbPredictor{buf: btb.New(cfg), rstack: f.rstack}, Traits{})
+	return f
 }
-
-// NewBTBEngine builds a BTB architecture simulator. dir is shared-use: pass
-// a fresh predictor per engine.
-func NewBTBEngine(g cache.Geometry, cfg btb.Config, dir pht.Directional, rasDepth int) *BTBEngine {
-	e := &BTBEngine{Frontend: newFrontend(g, dir, rasDepth)}
-	e.bind(&btbPredictor{buf: btb.New(cfg), rstack: e.rstack}, Traits{})
-	return e
-}
-
-// BTB exposes the underlying buffer for tests.
-func (e *BTBEngine) BTB() *btb.BTB { return e.bpu.tp.(*btbPredictor).buf }

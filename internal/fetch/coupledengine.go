@@ -229,15 +229,10 @@ func (p *coupledBTBPredictor) Reset() {
 	}
 }
 
-// CoupledBTBEngine is the coupled (Pentium-style) BTB architecture: a
-// Frontend driven by a coupledBTBPredictor.
-type CoupledBTBEngine struct {
-	Frontend
-}
-
-// NewCoupledBTBEngine builds a coupled-BTB architecture simulator.
-func NewCoupledBTBEngine(g cache.Geometry, cfg btb.Config, rasDepth int) *CoupledBTBEngine {
-	e := &CoupledBTBEngine{Frontend: newFrontend(g, noDir{}, rasDepth)}
-	e.bind(newCoupledBTBPredictor(cfg, e.rstack), Traits{CoupledDirection: true})
-	return e
+// NewCoupledBTBEngine builds the coupled (Pentium-style) BTB architecture:
+// a Frontend driven by a coupledBTBPredictor.
+func NewCoupledBTBEngine(g cache.Geometry, cfg btb.Config, rasDepth int) *Frontend {
+	f := newFrontend(g, noDir{}, rasDepth)
+	f.bind(newCoupledBTBPredictor(cfg, f.rstack), Traits{CoupledDirection: true})
+	return f
 }

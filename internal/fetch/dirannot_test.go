@@ -39,7 +39,7 @@ func (c *countingGShare) AdoptState(src pht.Predictor) bool {
 // grouped engines on both — plus a private prefetching (FDIP) engine with
 // the same configuration, the last engine. preds are the engines'
 // predictors, in engine order.
-func dirShareEngines() (engines []Engine, preds []*countingGShare) {
+func dirShareEngines() (engines []*Frontend, preds []*countingGShare) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(16*1024, 32, 2)
 	gshare := func() *countingGShare {
@@ -47,7 +47,7 @@ func dirShareEngines() (engines []Engine, preds []*countingGShare) {
 		preds = append(preds, p)
 		return p
 	}
-	engines = []Engine{
+	engines = []*Frontend{
 		NewNLSTableEngine(g1, 512, gshare(), 32),
 		NewBTBEngine(g1, btb.Config{Entries: 128, Assoc: 1}, gshare(), 32),
 		NewNLSTableEngine(g2, 512, gshare(), 32),
@@ -118,7 +118,7 @@ func TestBroadcastSharesDirAnnotation(t *testing.T) {
 // BTB echoed across them, one TAGE engine that reads no annotation) with
 // private ones (a demoted two-way singleton, a polluted engine and a
 // prefetching FDIP engine, the last), most on one gshare configuration.
-func handOffEngines() []Engine {
+func handOffEngines() []*Frontend {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(16*1024, 32, 1)
 	g3 := cache.MustGeometry(16*1024, 32, 2)
@@ -131,7 +131,7 @@ func handOffEngines() []Engine {
 	fdip.ICache().EnablePrefetch(8, 20)
 	fdip.SetFTQDepth(8)
 	fdip.AttachPrefetcher(NewFDIPPrefetcher(fdip.ICache()))
-	return []Engine{
+	return []*Frontend{
 		NewNLSTableEngine(g1, 512, gshare(), 32),
 		NewNLSCacheEngine(g1, 2, gshare(), 32),
 		NewBTBEngine(g1, bcfg, gshare(), 32), // echo leader
@@ -181,7 +181,7 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	echoed := map[int]bool{}
 	grouped := map[int]bool{}
 	for i, e := range probe {
-		echoed[i] = asFrontend(e) == echoes[0].echo
+		echoed[i] = e == echoes[0].echo
 	}
 	for _, g := range groups {
 		for _, m := range g.members {

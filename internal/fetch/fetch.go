@@ -26,8 +26,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine is a fetch architecture simulator consuming a trace one record at
-// a time.
+// Engine is the fetch engine type. Every architecture is one Frontend
+// bound to its TargetPredictor by a New*Engine constructor, so Engine is
+// an alias of *Frontend, not an interface.
 //
 // An engine is stepped by one driver for its whole run: privately (Step,
 // StepBlock, Run, RunChunks) or as a member of a broadcast group. A grouped
@@ -39,27 +40,11 @@ import (
 // recency. No production path does so: the executor takes each engine's
 // counters once its broadcast ends and builds new engines per cell. Reset
 // restores a clean cold state either way.
-type Engine interface {
-	// Step processes one executed instruction.
-	Step(rec trace.Record)
-	// StepBlock processes a block of consecutive executed instructions,
-	// equivalent to calling Step on each record in order. A Frontend
-	// batches each same-line sequential fetch run into one cache access
-	// (Frontend.StepBlock), so a block costs one dynamic dispatch and
-	// work proportional to its breaks and line transitions.
-	StepBlock(recs []trace.Record)
-	// Counters returns the accumulated metrics. The returned pointer
-	// stays valid and updates as more records are stepped.
-	Counters() *metrics.Counters
-	// Name identifies the configuration, e.g. "1024 NLS-table, 8K direct".
-	Name() string
-	// Reset restores the engine to its initial (cold) state.
-	Reset()
-}
+type Engine = *Frontend
 
 // Run drives every record of a trace through the engine and returns its
 // counters.
-func Run(e Engine, t *trace.Trace) *metrics.Counters {
+func Run(e *Frontend, t *trace.Trace) *metrics.Counters {
 	for _, r := range t.Records {
 		e.Step(r)
 	}
@@ -68,7 +53,7 @@ func Run(e Engine, t *trace.Trace) *metrics.Counters {
 
 // RunChunks drives every record of a chunk source through the engine,
 // releasing each block once stepped, and returns its counters.
-func RunChunks(e Engine, src trace.ChunkSource) *metrics.Counters {
+func RunChunks(e *Frontend, src trace.ChunkSource) *metrics.Counters {
 	for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
 		e.StepBlock(blk)
 		src.Release(blk)
@@ -107,7 +92,9 @@ func (b *base) access(rec trace.Record) (hit bool, way int) {
 	return b.icache.Access(rec.PC)
 }
 
-// Counters implements Engine; it synchronizes the i-cache counters first.
+// Counters returns the accumulated metrics, synchronizing the i-cache
+// counters first. The returned pointer stays valid and updates as more
+// records are stepped.
 func (b *base) Counters() *metrics.Counters {
 	b.m.ICacheAccesses = b.icache.Accesses()
 	b.m.ICacheMisses = b.icache.Misses()
@@ -125,6 +112,7 @@ func (b *base) resetBase() {
 	b.m.Reset()
 }
 
-// ICache exposes the engine's instruction cache (for inspection in tests
-// and the set-prediction ablation).
+// ICache exposes the engine's instruction cache: arch.Spec.Build enables
+// its prefetch model, the sim-time recorder observes it, and tests and the
+// set-prediction ablation inspect it.
 func (b *base) ICache() *cache.Cache { return b.icache }

@@ -45,7 +45,7 @@ func (b *tb) trace(t *testing.T) *trace.Trace {
 // geometry for most scenarios: 1KB direct mapped, 32 sets.
 func smallGeom() cache.Geometry { return cache.MustGeometry(1024, 32, 1) }
 
-func counts(e Engine, tr *trace.Trace) (mf, mp uint64) {
+func counts(e *Frontend, tr *trace.Trace) (mf, mp uint64) {
 	m := Run(e, tr)
 	return m.Misfetches, m.Mispredicts
 }
@@ -237,7 +237,7 @@ func TestBTBCapacityThrashing(t *testing.T) {
 
 // ---------------------------------------------------------------- NLS ----
 
-func newNLS(g cache.Geometry, entries int, dir pht.Predictor) *NLSEngine {
+func newNLS(g cache.Geometry, entries int, dir pht.Predictor) *Frontend {
 	return NewNLSTableEngine(g, entries, dir, 8)
 }
 
@@ -544,7 +544,7 @@ func TestEngineInvariants(t *testing.T) {
 		}
 	}
 	tr := b.trace(t)
-	engines := []Engine{
+	engines := []*Frontend{
 		NewBTBEngine(smallGeom(), btb.Config{Entries: 16, Assoc: 2}, pht.NewGShare(256, 0), 8),
 		NewNLSTableEngine(smallGeom(), 64, pht.NewGShare(256, 0), 8),
 		NewNLSCacheEngine(smallGeom(), 2, pht.NewGShare(256, 0), 8),

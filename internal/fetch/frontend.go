@@ -17,9 +17,9 @@ import (
 // predictor updates, the RAS discipline, and optional wrong-path pollution
 // — live here exactly once; the per-architecture half (what was predicted
 // and whether the fetch went down the right path) is behind the narrow
-// TargetPredictor interface. BTBEngine, NLSEngine, JohnsonEngine, and
-// CoupledBTBEngine are thin adapters binding a predictor to a Frontend,
-// and a new architecture is a new TargetPredictor, not a new engine.
+// TargetPredictor interface. Each New*Engine constructor binds one
+// predictor to a Frontend, and a new architecture is a new
+// TargetPredictor, not a new engine.
 
 // Outcome is a TargetPredictor's verdict on one break: how the front end
 // fetched and whether that fetch was right.
@@ -137,7 +137,7 @@ func (ps *predictStage) reset() {
 // Frontend is the shared fetch-engine core: one Step/StepBlock/pollution
 // implementation of the paper's accounting, structured as the three-stage
 // predict/FTQ/fetch pipeline of DESIGN.md §14 and driven by a
-// TargetPredictor. It implements Engine.
+// TargetPredictor. Every architecture is a Frontend (see Engine).
 type Frontend struct {
 	base
 	pollution
@@ -183,41 +183,18 @@ type Frontend struct {
 	runs []uint8
 }
 
-// replayer is the broadcaster's one replay interface: every built-in
-// engine embeds a Frontend and so satisfies it, and the unexported method
-// keeps wrappers outside the package from claiming it. BroadcastWorkers
-// resolves each engine through it once; an engine without it replays via
-// StepBlock alone.
-type replayer interface{ frontend() *Frontend }
-
-func (f *Frontend) frontend() *Frontend { return f }
-
-// asFrontend returns e's Frontend, or nil when e has none.
-func asFrontend(e Engine) *Frontend {
-	if r, ok := e.(replayer); ok {
-		return r.frontend()
-	}
-	return nil
-}
-
 // ReplayTime returns the wall time broadcasts spent stepping e's blocks
 // since its last Reset, whichever replay path each broadcast chose. It is
 // 0 for an engine whose break metrics a broadcast echoed from another
-// engine (it steps nothing) and for an engine without a Frontend (the
-// broadcaster cannot time it).
-func ReplayTime(e Engine) time.Duration {
-	if f := asFrontend(e); f != nil {
-		return f.replayTime
-	}
-	return 0
-}
+// engine (it steps nothing).
+func ReplayTime(e *Frontend) time.Duration { return e.replayTime }
 
 // newFrontend builds the architecture-independent half; bind attaches the
 // predictor. dir may be a legacy pht.Predictor or a protocol-native
 // pht.DirectionPredictor, promoted onto the protocol the predict stage
 // drives (DESIGN.md §13).
-func newFrontend(g cache.Geometry, dir pht.Directional, rasDepth int) Frontend {
-	f := Frontend{base: newBase(g, rasDepth)}
+func newFrontend(g cache.Geometry, dir pht.Directional, rasDepth int) *Frontend {
+	f := &Frontend{base: newBase(g, rasDepth)}
 	f.bpu.dir = pht.AsDirection(dir)
 	return f
 }
@@ -252,7 +229,7 @@ func (f *Frontend) Prefetcher() Prefetcher { return f.pf }
 // construction.
 func (f *Frontend) decoupled() bool { return f.pf != nil || f.bpu.ftq.Cap() > 0 }
 
-// Name implements Engine.
+// Name identifies the configuration, e.g. "1024 NLS-table + 8KB direct".
 func (f *Frontend) Name() string {
 	n := fmt.Sprintf("%s + %s", f.bpu.tp.Name(), f.icache.Geometry())
 	if f.pf != nil {
@@ -264,7 +241,7 @@ func (f *Frontend) Name() string {
 // PredictorSizeBits returns the storage cost of the target-predictor state.
 func (f *Frontend) PredictorSizeBits() int { return f.bpu.tp.SizeBits() }
 
-// Reset implements Engine.
+// Reset restores the engine to its initial (cold) state.
 func (f *Frontend) Reset() {
 	f.resetBase()
 	f.bpu.reset()
@@ -276,9 +253,12 @@ func (f *Frontend) Reset() {
 	f.replayTime = 0
 }
 
-// StepBlock implements Engine. The fused pipeline derives the block's
-// same-line runs (trace.BlockRuns) into engine scratch and replays them
-// with stepBlockRuns; the decoupled pipeline steps per record.
+// StepBlock processes a block of consecutive executed instructions,
+// equivalent to calling Step on each record in order. The fused pipeline
+// derives the block's same-line runs (trace.BlockRuns) into engine scratch
+// and replays them with stepBlockRuns, so a block costs work proportional
+// to its breaks and line transitions; the decoupled pipeline steps per
+// record.
 func (f *Frontend) StepBlock(recs []trace.Record) {
 	if f.decoupled() {
 		f.stepBlockDecoupled(recs)
@@ -347,7 +327,8 @@ func (f *Frontend) stepBlockRuns(recs []trace.Record, runs []uint8) {
 	}
 }
 
-// Step implements Engine, applying the accounting rules of DESIGN.md §6.
+// Step processes one executed instruction, applying the accounting rules
+// of DESIGN.md §6.
 func (f *Frontend) Step(rec trace.Record) {
 	if f.decoupled() {
 		// A single-record block: the pipeline runs with zero lookahead

@@ -216,23 +216,17 @@ func (p *hybridPredictor) Reset() {
 	p.buf.Reset()
 }
 
-// HybridEngine is the NLS+BTB hybrid architecture: a Frontend driven by a
-// hybridPredictor.
-type HybridEngine struct {
-	Frontend
-}
-
-// NewHybridEngine builds the hybrid fetch architecture: an NLS-table with
-// tableEntries entries backed by a BTB of cfg, sharing the frontend's
-// decoupled PHT and RAS. dir is shared-use: pass a fresh predictor per
-// engine.
-func NewHybridEngine(g cache.Geometry, tableEntries int, cfg btb.Config, dir pht.Directional, rasDepth int) *HybridEngine {
-	e := &HybridEngine{Frontend: newFrontend(g, dir, rasDepth)}
-	e.bind(&hybridPredictor{
+// NewHybridEngine builds the NLS+BTB hybrid architecture: a Frontend
+// driven by a hybridPredictor, an NLS-table with tableEntries entries
+// backed by a BTB of cfg, sharing the frontend's decoupled PHT and RAS.
+// dir is shared-use: pass a fresh predictor per engine.
+func NewHybridEngine(g cache.Geometry, tableEntries int, cfg btb.Config, dir pht.Directional, rasDepth int) *Frontend {
+	f := newFrontend(g, dir, rasDepth)
+	f.bind(&hybridPredictor{
 		table:  core.NewTable(tableEntries, g),
 		buf:    btb.New(cfg),
-		icache: e.icache,
-		rstack: e.rstack,
+		icache: f.icache,
+		rstack: f.rstack,
 	}, Traits{})
-	return e
+	return f
 }

@@ -141,21 +141,16 @@ func (noDir) SizeBits() int         { return 0 }
 func (noDir) Name() string          { return "none" }
 func (noDir) Reset()                {}
 
-// JohnsonEngine is the successor-index baseline: a Frontend driven by a
-// johnsonPredictor with no PHT and no RAS.
-type JohnsonEngine struct {
-	Frontend
-}
-
-// NewJohnsonEngine builds the successor-index baseline. The base PHT slot
-// is unused (Johnson has no separate direction predictor); the RAS is
+// NewJohnsonEngine builds the successor-index baseline: a Frontend driven
+// by a johnsonPredictor with no PHT and no RAS. The base PHT slot is
+// unused (Johnson has no separate direction predictor); the RAS is
 // allocated but never consulted.
-func NewJohnsonEngine(g cache.Geometry) *JohnsonEngine {
-	e := &JohnsonEngine{Frontend: newFrontend(g, noDir{}, 1)}
-	e.bind(&johnsonPredictor{
-		store:  core.NewJohnson(e.icache),
-		icache: e.icache,
+func NewJohnsonEngine(g cache.Geometry) *Frontend {
+	f := newFrontend(g, noDir{}, 1)
+	f.bind(&johnsonPredictor{
+		store:  core.NewJohnson(f.icache),
+		icache: f.icache,
 		geom:   g,
 	}, Traits{CoupledDirection: true, NoRAS: true})
-	return e
+	return f
 }

@@ -222,25 +222,21 @@ func (p *nlsPredictor[S]) Reset() {
 	}
 }
 
-// NLSEngine is the NLS fetch architecture: a Frontend driven by an
+// newNLSEngine builds the NLS fetch architecture: a Frontend driven by an
 // nlsPredictor over either NLS organization.
-type NLSEngine struct {
-	Frontend
-}
-
-func newNLSEngine[S nlsStore](g cache.Geometry, dir pht.Directional, rasDepth int, mk func(*cache.Cache) S) *NLSEngine {
-	e := &NLSEngine{Frontend: newFrontend(g, dir, rasDepth)}
-	e.bind(&nlsPredictor[S]{
-		store:  mk(e.icache),
-		icache: e.icache,
-		rstack: e.rstack,
+func newNLSEngine[S nlsStore](g cache.Geometry, dir pht.Directional, rasDepth int, mk func(*cache.Cache) S) *Frontend {
+	f := newFrontend(g, dir, rasDepth)
+	f.bind(&nlsPredictor[S]{
+		store:  mk(f.icache),
+		icache: f.icache,
+		rstack: f.rstack,
 	}, Traits{})
-	return e
+	return f
 }
 
 // NewNLSTableEngine builds an NLS architecture using a tag-less NLS-table
 // with the given number of entries (§4.1).
-func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Directional, rasDepth int) *NLSEngine {
+func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Directional, rasDepth int) *Frontend {
 	return newNLSEngine(g, dir, rasDepth, func(*cache.Cache) tableStore {
 		return tableStore{core.NewTable(tableEntries, g)}
 	})
@@ -248,7 +244,7 @@ func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Directional, 
 
 // NewNLSCacheEngine builds an NLS architecture with predictors coupled to
 // cache lines (the NLS-cache of §4.1), perLine predictors per line.
-func NewNLSCacheEngine(g cache.Geometry, perLine int, dir pht.Directional, rasDepth int) *NLSEngine {
+func NewNLSCacheEngine(g cache.Geometry, perLine int, dir pht.Directional, rasDepth int) *Frontend {
 	return newNLSEngine(g, dir, rasDepth, func(c *cache.Cache) coupledStore {
 		return coupledStore{core.NewLineCoupled(c, perLine)}
 	})

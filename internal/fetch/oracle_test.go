@@ -19,7 +19,7 @@ import (
 func TestReplayPlanPartitioning(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
-	mk := func(g cache.Geometry) *NLSEngine {
+	mk := func(g cache.Geometry) *Frontend {
 		return NewNLSTableEngine(g, 512, pht.NewGShare(1024, 6), 32)
 	}
 
@@ -35,8 +35,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	prefetched.SetFTQDepth(8)
 	prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
 
-	for _, e := range []Engine{eligibleA, eligibleB, lone} {
-		if !asFrontend(e).oracleEligible() {
+	for _, e := range []*Frontend{eligibleA, eligibleB, lone} {
+		if !e.oracleEligible() {
 			t.Fatal("clean engine reported ineligible for oracle sharing")
 		}
 	}
@@ -50,7 +50,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 		t.Error("prefetching engine reported eligible for oracle sharing")
 	}
 
-	engines := []Engine{eligibleA, polluted, eligibleB, probed, lone, prefetched}
+	engines := []*Frontend{eligibleA, polluted, eligibleB, probed, lone, prefetched}
 	private, groups := replayPlan(engines)
 
 	if len(groups) != 1 {
@@ -91,7 +91,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 func TestBroadcastMixedEligibility(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
-	mkSet := func() []Engine {
+	mkSet := func() []*Frontend {
 		polluted := NewBTBEngine(g1, btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32)
 		polluted.SetWrongPathPollution(true)
 		probed := NewNLSCacheEngine(g1, 2, pht.NewGShare(1024, 6), 32)
@@ -100,7 +100,7 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 		prefetched.ICache().EnablePrefetch(8, 20)
 		prefetched.SetFTQDepth(8)
 		prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
-		return []Engine{
+		return []*Frontend{
 			NewNLSTableEngine(g1, 512, pht.NewGShare(1024, 6), 32), // grouped (g1)
 			polluted,             // private: pollution forks cache state
 			NewJohnsonEngine(g1), // grouped (g1)
@@ -116,8 +116,8 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 	// The prefetched engine's independent oracle replays the identical
 	// chunking (its FTQ lookahead is bounded by the replay block, so
 	// per-record Step is a different — also correct — configuration).
-	oracleRun := func(i int, e Engine) metrics.Counters {
-		if _, ok := e.(PrefetchAttacher); ok && i == 6 {
+	oracleRun := func(i int, e *Frontend) metrics.Counters {
+		if i == 6 {
 			return *RunChunks(e, chunked.Chunks())
 		}
 		return *Run(e, tr)
@@ -158,8 +158,8 @@ func TestStepBlockEventsLongRun(t *testing.T) {
 	tr := b.trace(t)
 	chunked := trace.Chunk(tr, 600) // runs also truncate at block boundaries
 
-	mk := func() []Engine {
-		return []Engine{
+	mk := func() []*Frontend {
+		return []*Frontend{
 			NewNLSTableEngine(g, 512, pht.NewGShare(1024, 6), 32),
 			NewJohnsonEngine(g),
 		}
@@ -170,7 +170,7 @@ func TestStepBlockEventsLongRun(t *testing.T) {
 	for bi := 0; bi < chunked.NumChunks(); bi++ {
 		orc.Annotate(chunked.Block(bi), nil, &ann)
 		for _, e := range events {
-			asFrontend(e).replayEvents(chunked.Block(bi), &ann)
+			e.replayEvents(chunked.Block(bi), &ann)
 		}
 	}
 	ann.Release()

@@ -16,8 +16,8 @@ import (
 
 // pipelineEngines builds one engine set spanning several geometries, so
 // the fan-out runs multiple per-geometry oracle goroutines for every block.
-func pipelineEngines() []Engine {
-	var engines []Engine
+func pipelineEngines() []*Frontend {
+	var engines []*Frontend
 	for _, g := range []cache.Geometry{
 		cache.MustGeometry(4*1024, 32, 1),
 		cache.MustGeometry(8*1024, 32, 2),

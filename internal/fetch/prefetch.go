@@ -29,15 +29,6 @@ type Prefetcher interface {
 	Reset()
 }
 
-// PrefetchAttacher is implemented by engines whose frontend supports
-// prefetching (every Frontend-based engine). arch.Spec.Build uses it to
-// wire a validated PrefetchSpec without knowing the concrete engine type.
-type PrefetchAttacher interface {
-	AttachPrefetcher(Prefetcher)
-	SetFTQDepth(int)
-	ICache() *cache.Cache
-}
-
 // NextLinePrefetcher is the classic sequential policy (the ChampSim
 // next-line baseline): every demand fetch-block access triggers prefetches
 // of the next `degree` sequential lines. It ignores the FTQ stream and

@@ -11,13 +11,13 @@ import (
 
 // mkNLS builds the reference small NLS-table engine the prefetch tests
 // decorate.
-func mkNLS() *NLSEngine {
+func mkNLS() *Frontend {
 	return NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8)
 }
 
 // withFDIP decorates an engine with the FDIP prefetcher at the given FTQ
 // depth, wiring the i-cache's MSHR model exactly as arch.Spec.Build does.
-func withFDIP(e *NLSEngine, depth int) *NLSEngine {
+func withFDIP(e *Frontend, depth int) *Frontend {
 	ic := e.ICache()
 	ic.EnablePrefetch(8, 20)
 	e.SetFTQDepth(depth)
@@ -156,7 +156,7 @@ func TestFDIPAbsorbsColdMisses(t *testing.T) {
 func TestNextLineStepEqualsStepBlock(t *testing.T) {
 	for seed := int64(430); seed < 438; seed++ {
 		tr := randomTrace(seed, 500)
-		mk := func() *NLSEngine {
+		mk := func() *Frontend {
 			e := mkNLS()
 			ic := e.ICache()
 			ic.EnablePrefetch(8, 20)

@@ -139,12 +139,6 @@ type Probe interface {
 	Break(ev BreakEvent)
 }
 
-// ProbeAttacher is implemented by engines that support attribution probes
-// (every Frontend-based engine).
-type ProbeAttacher interface {
-	AttachProbe(Probe)
-}
-
 // causeExplainer is the optional per-predictor half of cause
 // classification: lastCause explains the most recent Lookup for rec, and
 // enableTracking switches on the shadow state (ever-trained sets) that

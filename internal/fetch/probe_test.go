@@ -14,25 +14,25 @@ type collectProbe struct{ evs []BreakEvent }
 
 func (p *collectProbe) Break(ev BreakEvent) { p.evs = append(p.evs, ev) }
 
-// probeFactories covers every Frontend-based architecture, including the
+// probeFactories covers every architecture, including the
 // hybrid (which the quick-test lists predate).
-func probeFactories() []func() Engine {
-	return []func() Engine{
-		func() Engine {
+func probeFactories() []func() *Frontend {
+	return []func() *Frontend{
+		func() *Frontend {
 			return NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewNLSCacheEngine(smallGeom(), 2, pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2},
 				pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewCoupledBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2}, 8)
 		},
-		func() Engine { return NewJohnsonEngine(smallGeom()) },
-		func() Engine {
+		func() *Frontend { return NewJohnsonEngine(smallGeom()) },
+		func() *Frontend {
 			return NewHybridEngine(smallGeom(), 256, btb.Config{Entries: 32, Assoc: 2},
 				pht.NewGShare(512, 0), 8)
 		},
@@ -47,13 +47,13 @@ func TestProbeCountersBitIdentical(t *testing.T) {
 		tr := randomTrace(seed, 400)
 		for _, f := range probeFactories() {
 			bare := f()
-			bare.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(true)
+			bare.SetWrongPathPollution(true)
 			mBare := Run(bare, tr)
 
 			probed := f()
-			probed.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(true)
+			probed.SetWrongPathPollution(true)
 			cp := &collectProbe{}
-			probed.(ProbeAttacher).AttachProbe(cp)
+			probed.AttachProbe(cp)
 			mProbed := Run(probed, tr)
 
 			if *mBare != *mProbed {
@@ -77,14 +77,14 @@ func TestProbeStepBlockEquivalence(t *testing.T) {
 		for _, f := range probeFactories() {
 			stepped := f()
 			cpStep := &collectProbe{}
-			stepped.(ProbeAttacher).AttachProbe(cpStep)
+			stepped.AttachProbe(cpStep)
 			for _, r := range tr.Records {
 				stepped.Step(r)
 			}
 
 			blocked := f()
 			cpBlock := &collectProbe{}
-			blocked.(ProbeAttacher).AttachProbe(cpBlock)
+			blocked.AttachProbe(cpBlock)
 			blocked.StepBlock(tr.Records)
 
 			if *stepped.Counters() != *blocked.Counters() {
@@ -112,7 +112,7 @@ func TestProbeEventConsistency(t *testing.T) {
 	for _, f := range probeFactories() {
 		e := f()
 		cp := &collectProbe{}
-		e.(ProbeAttacher).AttachProbe(cp)
+		e.AttachProbe(cp)
 		m := Run(e, randomTrace(600, 600))
 
 		var mf, mp uint64
@@ -143,13 +143,13 @@ func TestProbeDetachStopsEvents(t *testing.T) {
 	tr := randomTrace(700, 200)
 	e := probeFactories()[0]()
 	cp := &collectProbe{}
-	e.(ProbeAttacher).AttachProbe(cp)
+	e.AttachProbe(cp)
 	e.StepBlock(tr.Records)
 	n := len(cp.evs)
 	if n == 0 {
 		t.Fatal("no events while attached")
 	}
-	e.(ProbeAttacher).AttachProbe(nil)
+	e.AttachProbe(nil)
 	e.StepBlock(tr.Records)
 	if len(cp.evs) != n {
 		t.Fatalf("events delivered after detach: %d -> %d", n, len(cp.evs))
@@ -178,9 +178,9 @@ func TestProbeEvictionLossOnlyNLSCache(t *testing.T) {
 	}
 	tr := b.trace(t)
 
-	causes := func(e Engine) [NumCauses]uint64 {
+	causes := func(e *Frontend) [NumCauses]uint64 {
 		cp := &collectProbe{}
-		e.(ProbeAttacher).AttachProbe(cp)
+		e.AttachProbe(cp)
 		Run(e, tr)
 		var n [NumCauses]uint64
 		for _, ev := range cp.evs {
@@ -207,9 +207,9 @@ func TestProbeEvictionLossOnlyNLSCache(t *testing.T) {
 // TestProbeCauseScenarios pins one representative event per cause on
 // scripted micro-traces.
 func TestProbeCauseScenarios(t *testing.T) {
-	lastCauseOf := func(e Engine, tr *trace.Trace) Cause {
+	lastCauseOf := func(e *Frontend, tr *trace.Trace) Cause {
 		cp := &collectProbe{}
-		e.(ProbeAttacher).AttachProbe(cp)
+		e.AttachProbe(cp)
 		Run(e, tr)
 		for i := len(cp.evs) - 1; i >= 0; i-- {
 			if cp.evs[i].Penalty != PenaltyNone {

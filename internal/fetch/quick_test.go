@@ -63,21 +63,21 @@ func TestQuickEngineInvariants(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("seed %d: generator produced invalid trace: %v", seed, err)
 		}
-		mk := []func() Engine{
-			func() Engine {
+		mk := []func() *Frontend{
+			func() *Frontend {
 				return NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8)
 			},
-			func() Engine {
+			func() *Frontend {
 				return NewNLSCacheEngine(smallGeom(), 2, pht.NewGShare(512, 0), 8)
 			},
-			func() Engine {
+			func() *Frontend {
 				return NewBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2},
 					pht.NewGShare(512, 0), 8)
 			},
-			func() Engine {
+			func() *Frontend {
 				return NewCoupledBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2}, 8)
 			},
-			func() Engine { return NewJohnsonEngine(smallGeom()) },
+			func() *Frontend { return NewJohnsonEngine(smallGeom()) },
 		}
 		for _, f := range mk {
 			a := f()
@@ -114,32 +114,32 @@ func TestQuickEngineInvariants(t *testing.T) {
 // per-record Step, and that must survive wrong-path pollution — whose cache
 // touches interleave with prediction state — for every architecture.
 func TestQuickStepBlockPollutionEquivalence(t *testing.T) {
-	mk := []func() Engine{
-		func() Engine {
+	mk := []func() *Frontend{
+		func() *Frontend {
 			return NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewNLSCacheEngine(smallGeom(), 2, pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2},
 				pht.NewGShare(512, 0), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewCoupledBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2}, 8)
 		},
-		func() Engine { return NewJohnsonEngine(smallGeom()) },
+		func() *Frontend { return NewJohnsonEngine(smallGeom()) },
 	}
 	for seed := int64(300); seed < 315; seed++ {
 		tr := randomTrace(seed, 400)
 		for _, f := range mk {
 			stepped := f()
-			stepped.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(true)
+			stepped.SetWrongPathPollution(true)
 			for _, r := range tr.Records {
 				stepped.Step(r)
 			}
 			blocked := f()
-			blocked.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(true)
+			blocked.SetWrongPathPollution(true)
 			blocked.StepBlock(tr.Records)
 			if *stepped.Counters() != *blocked.Counters() {
 				t.Fatalf("seed %d %s: StepBlock diverges from Step with pollution on:\n  step  %+v\n  block %+v",
@@ -173,7 +173,7 @@ func TestQuickNoBreaksNoPenalties(t *testing.T) {
 	b := newTB(0x1000)
 	b.plain(500)
 	tr := &trace.Trace{Name: "plain", Records: b.recs}
-	engines := []Engine{
+	engines := []*Frontend{
 		NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8),
 		NewNLSCacheEngine(smallGeom(), 2, pht.NewGShare(512, 0), 8),
 		NewBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 1}, pht.NewGShare(512, 0), 8),
@@ -198,7 +198,6 @@ func TestQuickBTBGeometryIndifference(t *testing.T) {
 	}
 	for seed := int64(200); seed < 210; seed++ {
 		tr := randomTrace(seed, 400)
-		var ref *Engine
 		var refMf, refMp uint64
 		for i, g := range geoms {
 			e := NewBTBEngine(g, btb.Config{Entries: 32, Assoc: 2}, pht.NewGShare(512, 0), 8)
@@ -208,7 +207,6 @@ func TestQuickBTBGeometryIndifference(t *testing.T) {
 			} else if m.Misfetches != refMf || m.Mispredicts != refMp {
 				t.Fatalf("seed %d: BTB penalties vary with cache geometry", seed)
 			}
-			_ = ref
 		}
 	}
 }

@@ -95,7 +95,7 @@ func (s *recyclingSource) checkReleased(t *testing.T, name string, bound int) {
 // (wrong-path pollution, an attached probe, a decoupled FDIP frontend).
 // fdip is the decoupled engine's index: its reference replays the same
 // chunking, since its lookahead horizon is the replay block.
-func releaseEngines() (engines []Engine, fdip int) {
+func releaseEngines() (engines []*Frontend, fdip int) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(16*1024, 32, 2)
 	g3 := cache.MustGeometry(4*1024, 16, 2)
@@ -112,7 +112,7 @@ func releaseEngines() (engines []Engine, fdip int) {
 	prefetched.SetFTQDepth(8)
 	prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
 
-	engines = []Engine{
+	engines = []*Frontend{
 		NewNLSTableEngine(g1, 512, gshare(), 32), // grouped, drives the direction annotation
 		NewJohnsonEngine(g1),
 		NewBTBEngine(g1, bcfg, gshare(), 32), // echo leader

@@ -24,13 +24,13 @@ func testTAGE() *pht.TAGE {
 // feeds WrongPath excursions into the history. Run for the decoupled
 // engines on both the NLS and BTB sides.
 func TestTAGEFrontendStepBlockEquivalence(t *testing.T) {
-	mk := []func() Engine{
-		func() Engine { return NewNLSTableEngine(smallGeom(), 256, testTAGE(), 8) },
-		func() Engine { return NewNLSCacheEngine(smallGeom(), 2, testTAGE(), 8) },
-		func() Engine {
+	mk := []func() *Frontend{
+		func() *Frontend { return NewNLSTableEngine(smallGeom(), 256, testTAGE(), 8) },
+		func() *Frontend { return NewNLSCacheEngine(smallGeom(), 2, testTAGE(), 8) },
+		func() *Frontend {
 			return NewBTBEngine(smallGeom(), btb.Config{Entries: 32, Assoc: 2}, testTAGE(), 8)
 		},
-		func() Engine {
+		func() *Frontend {
 			return NewHybridEngine(smallGeom(), 128, btb.Config{Entries: 16, Assoc: 1}, testTAGE(), 8)
 		},
 	}
@@ -39,12 +39,12 @@ func TestTAGEFrontendStepBlockEquivalence(t *testing.T) {
 			tr := randomTrace(seed, 400)
 			for _, f := range mk {
 				stepped := f()
-				stepped.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(pollute)
+				stepped.SetWrongPathPollution(pollute)
 				for _, r := range tr.Records {
 					stepped.Step(r)
 				}
 				blocked := f()
-				blocked.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(pollute)
+				blocked.SetWrongPathPollution(pollute)
 				blocked.StepBlock(tr.Records)
 				if *stepped.Counters() != *blocked.Counters() {
 					t.Fatalf("seed %d %s pollution=%v: StepBlock diverges from Step:\n  step  %+v\n  block %+v",
@@ -62,7 +62,7 @@ func TestTAGEFrontendStepBlockEquivalence(t *testing.T) {
 func TestTAGEFrontendInvariantsAndDeterminism(t *testing.T) {
 	for seed := int64(800); seed < 815; seed++ {
 		tr := randomTrace(seed, 500)
-		mk := func() Engine { return NewNLSTableEngine(smallGeom(), 256, testTAGE(), 8) }
+		mk := func() *Frontend { return NewNLSTableEngine(smallGeom(), 256, testTAGE(), 8) }
 		a := mk()
 		ma := Run(a, tr)
 		if ma.Misfetches+ma.Mispredicts > ma.Breaks {

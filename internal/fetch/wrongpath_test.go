@@ -10,7 +10,7 @@ import (
 
 // nlsUnderTest returns an NLS-table engine plus its predictor, for driving
 // the TargetPredictor protocol directly in scripted scenarios.
-func nlsUnderTest() (*NLSEngine, *nlsPredictor[tableStore]) {
+func nlsUnderTest() (*Frontend, *nlsPredictor[tableStore]) {
 	e := NewNLSTableEngine(smallGeom(), 256, pht.NewGShare(512, 0), 8)
 	return e, e.bpu.tp.(*nlsPredictor[tableStore])
 }

@@ -125,9 +125,9 @@ func TestAttributionGolden(t *testing.T) {
 	}
 	p := metrics.Default()
 
-	run := func(e fetch.Engine, name string) Report {
+	run := func(e *fetch.Frontend, name string) Report {
 		a := NewAttribution()
-		e.(fetch.ProbeAttacher).AttachProbe(a)
+		e.AttachProbe(a)
 		m := fetch.Run(e, tr)
 		r := a.Report(name, "espresso-like", 5, p)
 		// The probe contract: the attribution's totals restate the

@@ -122,31 +122,19 @@ func NewSimRecorder(opts SimRecorderOptions) *SimRecorder {
 	return r
 }
 
-// Attach wires the recorder to a Frontend-based engine: the break probe
-// always; the prefetcher wrap, FTQ occupancy source, and cache lifecycle
-// observer when the engine supports them. Attach before the run starts and
+// Attach wires the recorder to an engine: the break probe, the prefetcher
+// wrap, the FTQ occupancy source, and, when the i-cache models
+// prefetching, its lifecycle observer. Attach before the run starts and
 // attach each recorder to exactly one engine.
-func (r *SimRecorder) Attach(e fetch.Engine) error {
-	pa, ok := e.(fetch.ProbeAttacher)
-	if !ok {
-		return fmt.Errorf("telemetry: engine %T supports no probe", e)
+func (r *SimRecorder) Attach(e *fetch.Frontend) {
+	e.AttachProbe(r)
+	r.icache = e.ICache()
+	if r.icache.PrefetchEnabled() {
+		r.icache.SetPrefetchObserver(r.onPrefetchEvent)
 	}
-	pa.AttachProbe(r)
-
-	if pfa, ok := e.(fetch.PrefetchAttacher); ok {
-		r.icache = pfa.ICache()
-		if r.icache.PrefetchEnabled() {
-			r.icache.SetPrefetchObserver(r.onPrefetchEvent)
-		}
-		if pg, ok := e.(interface{ Prefetcher() fetch.Prefetcher }); ok {
-			r.inner = pg.Prefetcher()
-		}
-		pfa.AttachPrefetcher(r)
-	}
-	if fl, ok := e.(interface{ FTQLen() int }); ok {
-		r.ftqLen = fl.FTQLen
-	}
-	return nil
+	r.inner = e.Prefetcher()
+	e.AttachPrefetcher(r)
+	r.ftqLen = e.FTQLen
 }
 
 // now returns the sim-time timestamp: the i-cache access clock.
