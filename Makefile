@@ -121,8 +121,15 @@ grid-golden:
 # The probe pipeline's golden gate: attribution totals restate the engine
 # counters exactly, and the eviction-loss cause appears only for the
 # line-coupled NLS organization (pinned mixes on a fixed workload seed).
+# The reference differentials pin the grouped probed path: every
+# attribution and h2p report of one run over every figure equals
+# per-record replay with a probe attached, probed engines broadcast beside
+# unprobed ones deliver the per-record event stream at workers 1, 2 and 4,
+# and a probed engine is never echoed.
 attribution-golden:
 	$(GO) test -run 'TestAttributionGolden' ./internal/obs
+	$(GO) test -run 'TestProbedReportsMatchReference' ./internal/experiments
+	$(GO) test -run 'TestBroadcastProbedMatchesReference|TestProbedEngineNeverEchoed' ./internal/fetch
 
 # The direction seam's golden gate: exact dir-wrong totals for the
 # equal-cost gshare vs TAGE-lite pair on a fixed workload seed, plus the

@@ -16,9 +16,9 @@
 // from the content-addressed store under -store, and replays each
 // program's trace exactly once for all remaining cells. -only restricts
 // the run to one figure; -force re-simulates even stored cells; -store ""
-// disables the store entirely. The attribution figure is special: it
-// replays probe-attached engines itself (the store holds counters, not
-// event streams).
+// disables the store entirely. The attribution and h2p figures probe their
+// cells: probe-attached engines join that one replay on every run (the
+// store holds counters, not event streams).
 //
 // With -json, the machine-readable report — the rows behind each rendered
 // table plus the run's sweep-throughput stats — is the ONLY thing printed

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/fetch"
 	"repro/internal/obs"
 )
 
@@ -33,67 +29,17 @@ func AttributionGrid() Grid {
 	return Grid{Name: "attribution", Arms: arms}
 }
 
-// RunAttribution replays each program once through probe-attached engines
-// for every cell of the grid and returns one attribution report per cell,
-// in cell order (program-major, arm-major). Unlike RunGrids, results never
-// come from or go to the store: attribution is an event-stream product, not
-// a counter row, and the store only holds counters. Traces do come from
-// the corpus under CorpusDir, attached as RunGrids attaches it. The replay
-// runs on the executor's program pool (forPrograms), and engines are owned
-// by exactly one broadcast worker, so the per-engine Attribution
-// collectors need no locking. Its replays, records and wall time add to the
-// Runner's SweepStats, so a run manifest counts every program replay.
+// RunAttribution runs g as a probed grid (see Figure.Probed) and returns
+// one attribution report per cell, in cell order (program-major,
+// arm-major), with topN offenders each (all of them for topN <= 0). It is
+// Executor.Run of a figure that only probes g, and it replaces the
+// Runner's SweepStats like any run; nothing is read from or written to the
+// store.
 func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
-	start := time.Now()
-	r := x.R
-	cfg := r.Cfg
-	if _, err := x.attachCorpus(); err != nil {
-		return nil, err
-	}
-	cells := g.cells(cfg.Programs)
-	cpp := g.cellsPerProgram()
-	reports := make([]obs.Report, len(cells))
-
-	progs := make([]int, len(cfg.Programs))
-	for i := range progs {
-		progs[i] = i
-	}
-	err := forPrograms(progs, func(i, perProg int) error {
-		progCells := cells[i*cpp : (i+1)*cpp]
-		var n int64
-		_, err := r.replayProgram(i, func(src replaySource) (int64, error) {
-			engines := make([]*fetch.Frontend, len(progCells))
-			atts := make([]*obs.Attribution, len(progCells))
-			for j, c := range progCells {
-				e, err := c.Spec.Build()
-				if err != nil {
-					return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
-				}
-				atts[j] = obs.NewAttribution()
-				e.AttachProbe(atts[j])
-				engines[j] = e
-			}
-			n = fetch.BroadcastWorkers(src.Chunks, perProg, engines...)
-			// reports slots are disjoint per program; no lock needed.
-			for j, c := range progCells {
-				reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)
-			}
-			return n, nil
-		})
-		if err != nil {
-			return err
-		}
-		r.statsMu.Lock()
-		r.stats.Records += n
-		r.stats.Replays++
-		r.statsMu.Unlock()
-		return nil
-	})
-	r.statsMu.Lock()
-	r.stats.Elapsed += time.Since(start)
-	r.statsMu.Unlock()
+	f := Figure{Name: g.Name, Probed: &g}
+	rs, err := x.Run(f)
 	if err != nil {
 		return nil, err
 	}
-	return reports, nil
+	return rs.Context(f).Reports(topN), nil
 }

@@ -9,16 +9,17 @@ import (
 	"repro/internal/fetch"
 	"repro/internal/metrics"
 	"repro/internal/multiissue"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // Executor turns grids into results. It is the only code in the pipeline
 // that simulates: it gathers every requested cell across all grids of a
-// run, serves unchanged cells from the Store, partitions the rest by
-// program, and replays each program's trace exactly once through
-// fetch.Broadcast for all of that program's pending cells — so a full
-// `nlstables` regeneration reads each trace one time no matter how many
-// figures request overlapping cells.
+// run, serves unchanged counter cells from the Store, partitions the rest
+// and every probed cell by program, and replays each program's trace
+// exactly once through fetch.Broadcast for all of that program's pending
+// cells — so a full `nlstables` regeneration reads each trace one time no
+// matter how many figures request overlapping cells.
 type Executor struct {
 	// R supplies the configuration and the per-program trace streams.
 	R *Runner
@@ -75,19 +76,21 @@ type ProgramInfo struct {
 }
 
 // ResultSet holds a run's outcome: every unique cell's counters (by store
-// key) and every program's ProgramInfo, plus accounting for the tests and
-// the CLIs.
+// key), every probed cell's attribution counts (by store key) and every
+// program's ProgramInfo, plus accounting for the tests and the CLIs.
 type ResultSet struct {
-	cfg   Config
-	cells map[string]metrics.Counters
-	infos map[string]*ProgramInfo
-	// keyed holds the run's grids with the cell keys derived at gather,
-	// which Rows reads back instead of deriving them again.
-	keyed []KeyedGrid
+	cfg    Config
+	cells  map[string]metrics.Counters
+	probes map[string]obs.Table
+	infos  map[string]*ProgramInfo
+	// keyed and probed hold the run's counter and probed grids with the
+	// cell keys derived at gather, which Rows and Context read back
+	// instead of deriving them again.
+	keyed, probed []KeyedGrid
 
-	// Loaded counts cells served from the store, Simulated cells computed
-	// this run, Replays program traces actually replayed (0 on a fully
-	// warm run), and Deduped cell requests that were satisfied by another
+	// Loaded counts counter cells served from the store, Simulated counter
+	// cells computed this run, Replays program traces actually replayed,
+	// and Deduped counter cell requests that were satisfied by another
 	// grid's identical cell (same content key) within the same run.
 	Loaded, Simulated, Replays, Deduped int
 
@@ -117,10 +120,7 @@ type CellTiming struct {
 // it under their own labels. A grid the run gathered reuses the keys
 // derived then; any other grid is keyed afresh.
 func (rs *ResultSet) Rows(g Grid) []Row {
-	kg, ok := rs.gathered(g)
-	if !ok {
-		kg = g.Keyed(rs.cfg)
-	}
+	kg := rs.keyedFrom(rs.keyed, g)
 	rows := make([]Row, len(kg.Cells))
 	for i, c := range kg.Cells {
 		rows[i] = Row{Program: c.Prog.Name, Arch: c.Arm, Spec: c.Spec, M: rs.cells[kg.Keys[i]]}
@@ -128,15 +128,34 @@ func (rs *ResultSet) Rows(g Grid) []Row {
 	return rows
 }
 
-// gathered returns the run's keyed form of g, if g is one of the grids the
-// run gathered.
-func (rs *ResultSet) gathered(g Grid) (KeyedGrid, bool) {
-	for _, kg := range rs.keyed {
+// probedCell is one cell of a probed grid and the counts its probe
+// collected.
+type probedCell struct {
+	Cell
+	tab obs.Table
+}
+
+// probedCells pairs every cell of g with its counts in the run, empty for
+// a cell the run did not probe.
+func (rs *ResultSet) probedCells(g Grid) []probedCell {
+	kg := rs.keyedFrom(rs.probed, g)
+	out := make([]probedCell, len(kg.Cells))
+	for i, c := range kg.Cells {
+		out[i] = probedCell{Cell: c, tab: rs.probes[kg.Keys[i]]}
+	}
+	return out
+}
+
+// keyedFrom returns the keyed form of g the run derived at gather, if g is
+// one of grids (the run's counter or probed grids), and keys g afresh
+// otherwise.
+func (rs *ResultSet) keyedFrom(grids []KeyedGrid, g Grid) KeyedGrid {
+	for _, kg := range grids {
 		if reflect.DeepEqual(kg.Grid, g) {
-			return kg, true
+			return kg
 		}
 	}
-	return KeyedGrid{}, false
+	return g.Keyed(rs.cfg)
 }
 
 // Info returns a program's replay-derived info, or nil when the run did
@@ -147,6 +166,9 @@ func (rs *ResultSet) Info(program string) *ProgramInfo { return rs.infos[program
 // its renderer needs.
 func (rs *ResultSet) Context(f Figure) RenderContext {
 	ctx := RenderContext{Cfg: rs.cfg, Grid: f.Grid, Rows: rs.Rows(f.Grid)}
+	if f.Probed != nil {
+		ctx.probes = rs.probedCells(*f.Probed)
+	}
 	if f.NeedsInfo {
 		ctx.Infos = make([]*ProgramInfo, len(rs.cfg.Programs))
 		for i, p := range rs.cfg.Programs {
@@ -156,25 +178,30 @@ func (rs *ResultSet) Context(f Figure) RenderContext {
 	return ctx
 }
 
-// Run executes the grids of the given figures in one pass (shared cells
-// simulated once) and returns the result set; render each figure with
-// Figure.Render(rs.Context(f)).
+// Run executes the counter and probed grids of the given figures in one
+// pass (shared cells simulated once, each program's trace read at most
+// once) and returns the result set; render each figure with
+// Executor.RenderFigure.
 func (x *Executor) Run(figs ...Figure) (*ResultSet, error) {
-	grids := make([]Grid, len(figs))
+	start := time.Now() // keying is part of the gather stage
+	var grids, probed []KeyedGrid
 	needInfo := false
-	for i, f := range figs {
-		grids[i] = f.Grid
+	for _, f := range figs {
+		grids = append(grids, f.Grid.Keyed(x.R.Cfg))
+		if f.Probed != nil {
+			probed = append(probed, f.Probed.Keyed(x.R.Cfg))
+		}
 		needInfo = needInfo || f.NeedsInfo
 	}
-	return x.RunGrids(needInfo, grids...)
+	return x.run(start, needInfo, grids, probed)
 }
 
-// progWork is one program's share of a run: the cells not served by the
-// store, and whether the replay must also collect ProgramInfo.
+// progWork is one program's share of a run: the counter cells not served
+// by the store, the probed cells, and whether to collect ProgramInfo.
 type progWork struct {
-	cells    []Cell
-	keys     []string
-	needInfo bool
+	cells, probed []Cell
+	keys, pkeys   []string
+	needInfo      bool
 }
 
 // RunGrids executes grids directly (Run without Figure metadata); needInfo
@@ -185,25 +212,28 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 	for i, g := range grids {
 		keyed[i] = g.Keyed(x.R.Cfg)
 	}
-	return x.run(start, needInfo, keyed)
+	return x.run(start, needInfo, keyed, nil)
 }
 
 // RunKeyed is RunGrids over grids already keyed under the executor's
 // Config (Grid.Keyed), for callers that derived the keys for their own use
 // first.
 func (x *Executor) RunKeyed(needInfo bool, grids ...KeyedGrid) (*ResultSet, error) {
-	return x.run(time.Now(), needInfo, grids)
+	return x.run(time.Now(), needInfo, grids, nil)
 }
 
-// run executes keyed grids; gatherStart opens the gather stage span.
-func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) (*ResultSet, error) {
+// run executes keyed counter grids and probed grids (never stored);
+// gatherStart opens the gather stage span.
+func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []KeyedGrid) (*ResultSet, error) {
 	r := x.R
 	cfg := r.Cfg
 	rs := &ResultSet{
-		cfg:   cfg,
-		cells: make(map[string]metrics.Counters),
-		infos: make(map[string]*ProgramInfo),
-		keyed: grids,
+		cfg:    cfg,
+		cells:  make(map[string]metrics.Counters),
+		probes: make(map[string]obs.Table),
+		infos:  make(map[string]*ProgramInfo),
+		keyed:  grids,
+		probed: probed,
 	}
 
 	progIdx := make(map[string]int, len(cfg.Programs))
@@ -245,6 +275,17 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 			work[i].keys = append(work[i].keys, k)
 		}
 	}
+	probedSeen := make(map[string]bool)
+	for _, g := range probed {
+		for ci, c := range g.Cells {
+			if k := g.Keys[ci]; !probedSeen[k] {
+				probedSeen[k] = true
+				i := progIdx[c.Prog.Name]
+				work[i].probed = append(work[i].probed, c)
+				work[i].pkeys = append(work[i].pkeys, k)
+			}
+		}
+	}
 	if needInfo {
 		for i, p := range cfg.Programs {
 			if x.Store != nil && !x.Force {
@@ -271,7 +312,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 
 	var active []int
 	for i := range work {
-		if len(work[i].cells) > 0 || work[i].needInfo {
+		if len(work[i].cells) > 0 || len(work[i].probed) > 0 || work[i].needInfo {
 			active = append(active, i)
 		}
 	}
@@ -293,6 +334,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		w := work[i]
 		var (
 			engines []*fetch.Frontend
+			atts    []*obs.Attribution
 			sc      *trace.StatsCollector
 			bcs     []*multiissue.BlockCounter
 			name    string
@@ -300,13 +342,20 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		)
 		acquire, err := r.replayProgram(i, func(src replaySource) (int64, error) {
 			name = src.Name
-			engines = make([]*fetch.Frontend, len(w.cells))
-			for j, c := range w.cells {
+			// Counter engines first, then the probed ones: engines[j] is
+			// w.cells[j] for j < len(w.cells).
+			engines = make([]*fetch.Frontend, 0, len(w.cells)+len(w.probed))
+			atts = make([]*obs.Attribution, len(w.probed))
+			for j, c := range append(w.cells[:len(w.cells):len(w.cells)], w.probed...) {
 				e, err := c.Spec.Build()
 				if err != nil {
 					return 0, fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err)
 				}
-				engines[j] = e
+				if k := j - len(w.cells); k >= 0 {
+					atts[k] = obs.NewAttribution()
+					e.AttachProbe(atts[k])
+				}
+				engines = append(engines, e)
 			}
 
 			// Tee the single replay read into the statistics collectors.
@@ -377,6 +426,9 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids []KeyedGrid) 
 		mu.Lock()
 		for j := range rows {
 			rs.cells[w.keys[j]] = rows[j].M
+		}
+		for j, att := range atts {
+			rs.probes[w.pkeys[j]] = att.Table()
 		}
 		rs.Timings = append(rs.Timings, timings...)
 		rs.Simulated += len(rows)
@@ -482,19 +534,27 @@ func forPrograms(idx []int, f func(i, perProg int) error) error {
 
 // RenderContext is everything a figure renderer may consume: the resolved
 // rows of the figure's grid (program-major, arm-major, cache-minor), the
-// run configuration, and — for NeedsInfo figures — the per-program replay
-// statistics, parallel to Cfg.Programs.
+// run configuration, for NeedsInfo figures the per-program replay
+// statistics, parallel to Cfg.Programs, and for figures with a Probed grid
+// its cells' attribution counts (see Reports).
 type RenderContext struct {
-	Cfg   Config
-	Grid  Grid
-	Rows  []Row
-	Infos []*ProgramInfo
+	Cfg    Config
+	Grid   Grid
+	Rows   []Row
+	Infos  []*ProgramInfo
+	probes []probedCell
 }
 
-// ProgramRows returns the rows of program p (all arms, arm-major).
-func (c RenderContext) ProgramRows(p int) []Row {
-	cpp := c.Grid.cellsPerProgram()
-	return c.Rows[p*cpp : (p+1)*cpp]
+// Reports builds the attribution report of every cell of the figure's
+// Probed grid, in cell order, each labeled with the grid's own program and
+// arm names and keeping the topN heaviest branches under Cfg.Penalties
+// (all of them for topN <= 0).
+func (c RenderContext) Reports(topN int) []obs.Report {
+	out := make([]obs.Report, len(c.probes))
+	for i, p := range c.probes {
+		out[i] = p.tab.Report(p.Arm, p.Prog.Name, topN, c.Cfg.Penalties)
+	}
+	return out
 }
 
 // ArmRows returns the rows of one arm across all programs, program-major

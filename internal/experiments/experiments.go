@@ -63,18 +63,6 @@ func PaperCaches() []cache.Geometry {
 	return gs
 }
 
-// AllCaches returns every simulated cache configuration (§5.1 also includes
-// 2-way), for the extended sweeps.
-func AllCaches() []cache.Geometry {
-	var gs []cache.Geometry
-	for _, kb := range CacheSizesKB {
-		for _, assoc := range []int{1, 2, 4} {
-			gs = append(gs, cache.MustGeometry(kb*1024, LineBytes, assoc))
-		}
-	}
-	return gs
-}
-
 // BTBConfigs returns the paper's BTB organizations for the BEP figures
 // (128 and 256 entries, direct-mapped and 4-way).
 func BTBConfigs() []btb.Config {
@@ -150,9 +138,9 @@ type replaySource struct {
 	stream *trace.PayloadChunks
 }
 
-// source is the runner's single trace-acquisition function for replay;
-// RunGrids and RunAttribution both draw their programs through
-// replayProgram, which calls it. Either way the program arrives in
+// source is the runner's single trace-acquisition function for replay:
+// the executor draws every program, for counter and probed cells alike,
+// through replayProgram, which calls it. Either way the program arrives in
 // DefaultChunkRecords blocks, recycled once released, so replay holds
 // O(chunk) records however long the trace. With a corpus attached (a hit,
 // or the one UseCorpus just built) it streams the program's payload,
@@ -237,9 +225,11 @@ func (r Row) Cache() cache.Geometry {
 // completed (simulated or loaded), how many trace records were replayed
 // through the broadcaster (each program's trace is read once, shared by all
 // of its pending cells), how many cells the store served, how many program
-// traces were actually replayed, and the wall-clock time so far. RunGrids
-// starts a run's stats afresh; RunAttribution adds its replays, records and
-// wall time to them.
+// traces were actually replayed, and the wall-clock time so far. Every
+// executor run, RunAttribution included, starts them afresh. Cells and
+// TotalCells count counter cells only; Records and Replays count each
+// program's one replay, whether it served counter cells, probed cells or
+// both.
 type SweepStats struct {
 	Cells      int
 	TotalCells int

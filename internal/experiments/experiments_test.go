@@ -297,7 +297,4 @@ func TestBTBConfigsAndCaches(t *testing.T) {
 	if len(PaperCaches()) != 6 {
 		t.Error("expected 6 paper cache configurations")
 	}
-	if len(AllCaches()) != 9 {
-		t.Error("expected 9 extended cache configurations")
-	}
 }

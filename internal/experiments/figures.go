@@ -12,22 +12,23 @@ import (
 )
 
 // A Figure is one deliverable of the evaluation: a name (the CLI's -only
-// key), the Grid of cells it needs, whether it also needs the per-program
-// replay statistics (Table 1, fetch-block counts), and a pure renderer
-// from the resolved RenderContext to the display text plus the rows behind
-// the -json report. The registry below is the entire experiment matrix;
-// one Executor.Run over any subset simulates each distinct cell once and
-// each program's trace at most once, however many figures share them.
+// key), the Grid of counter cells it needs, the grid it probes if any,
+// whether it also needs the per-program replay statistics (Table 1,
+// fetch-block counts), and a pure renderer from the resolved
+// RenderContext to the display text plus the rows behind the -json report.
+// The registry below is the entire experiment matrix; one Executor.Run over
+// any subset simulates each distinct cell once and each program's trace at
+// most once, however many figures share them.
 type Figure struct {
 	Name      string
 	Grid      Grid
 	NeedsInfo bool
 	Render    func(RenderContext) (text string, data any)
-	// Probed, when set, replaces Render: the figure drives its own
-	// probe-attached replay against the executor instead of resolving
-	// stored grid cells (attribution is an event-stream product the
-	// counter store cannot serve). Grid stays empty for such figures.
-	Probed func(*Executor) (text string, data any, err error)
+	// Probed, when non-nil, is a grid whose engines the run replays with
+	// an obs.Attribution attached, beside the counter cells; the renderer
+	// reads them through RenderContext.Reports. The store holds counters,
+	// not event streams, so probed cells replay on every run.
+	Probed *Grid
 }
 
 // Figures returns the full registry in presentation order (the order the
@@ -63,12 +64,15 @@ func FigureByName(name string) (Figure, bool) {
 	return Figure{}, false
 }
 
-// RenderFigure renders one figure of a finished run: Probed figures replay
-// through the executor, everything else resolves against the result set.
+// RenderFigure renders one figure against the result set of a finished
+// Executor.Run that included it; a nil rs runs the figure alone first.
 // This is the uniform dispatch the CLIs use after Executor.Run.
 func (x *Executor) RenderFigure(f Figure, rs *ResultSet) (string, any, error) {
-	if f.Probed != nil {
-		return f.Probed(x)
+	if rs == nil {
+		var err error
+		if rs, err = x.Run(f); err != nil {
+			return "", nil, err
+		}
 	}
 	text, data := f.Render(rs.Context(f))
 	return text, data, nil
@@ -496,23 +500,22 @@ func hybridFigure() Figure {
 // attributionFigure compares *why* each equal-cost configuration pays its
 // penalty cycles — the per-branch cause taxonomy of the fetch probe
 // (dir-wrong, stale pointers, state lost to line eviction, RAS misses, BTB
-// conflicts, cold branches) aggregated into a cause matrix. It is the only
-// Probed figure: the executor replays the AttributionGrid with probe-attached
-// engines rather than resolving stored counter cells.
+// conflicts, cold branches) aggregated into a cause matrix. It probes the
+// AttributionGrid: the run replays those cells with probe-attached engines
+// beside every other figure's cells, and the renderer builds each cell's
+// report with the AttributionTopN offenders.
 func attributionFigure() Figure {
 	g := AttributionGrid()
 	return Figure{
-		Name: "attribution",
-		Grid: Grid{Name: "attribution"}, // no stored cells; Probed replays itself
-		Probed: func(x *Executor) (string, any, error) {
-			reports, err := x.RunAttribution(g, AttributionTopN)
-			if err != nil {
-				return "", nil, err
-			}
+		Name:   "attribution",
+		Grid:   Grid{Name: "attribution"}, // no counter cells
+		Probed: &g,
+		Render: func(ctx RenderContext) (string, any) {
+			reports := ctx.Reports(AttributionTopN)
 			text := obs.RenderCauseMatrix(
 				"Attribution: penalty-cause mix across equal-cost configs (8KB direct i-cache)",
 				reports)
-			return text, reports, nil
+			return text, reports
 		},
 	}
 }

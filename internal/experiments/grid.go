@@ -55,11 +55,6 @@ func (c Cell) Key(cfg Config) string {
 	return k.key(mustMarshal(c.Spec))
 }
 
-// Cells enumerates the grid's cells program-major without keying them.
-func (g Grid) Cells(programs []workload.Spec) []Cell {
-	return g.cells(programs)
-}
-
 // A KeyedGrid is a grid resolved under one Config: its cells in cell order
 // (program-major, arm-major, cache-minor) and each cell's store key,
 // parallel to Cells. It is what the executor gathers from and what
@@ -77,7 +72,7 @@ type KeyedGrid struct {
 // each arm point's arch.Spec are marshaled once per call, not once per
 // cell (see cellKeyer).
 func (g Grid) Keyed(cfg Config) KeyedGrid {
-	cells := g.cells(cfg.Programs)
+	cells := g.Cells(cfg.Programs)
 	points := g.cellsPerProgram()
 	specs := make([][]byte, points) // every program has the same arm points
 	k := newCellKeyer()
@@ -95,12 +90,13 @@ func (g Grid) Keyed(cfg Config) KeyedGrid {
 	return KeyedGrid{Grid: g, Cells: cells, Keys: keys}
 }
 
-// cells enumerates the grid's cells program-major (all of one program's
-// cells, arm-major, then the next program's). The order is load-bearing:
+// Cells enumerates the grid's cells program-major (all of one program's
+// cells, arm-major, then the next program's) without keying them. The
+// order is load-bearing:
 // renderers aggregate per (arm, cache) key by walking rows in this order,
 // which reproduces the per-key program-order float accumulation of the
 // pre-grid drivers bit for bit.
-func (g Grid) cells(programs []workload.Spec) []Cell {
+func (g Grid) Cells(programs []workload.Spec) []Cell {
 	cells := make([]Cell, 0, len(programs)*g.cellsPerProgram())
 	for _, p := range programs {
 		for _, a := range g.Arms {

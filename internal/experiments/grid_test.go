@@ -53,7 +53,7 @@ func TestGridGolden(t *testing.T) {
 	checked := map[string]bool{}
 	for _, f := range figs {
 		rows := cold.Rows(f.Grid)
-		for i, c := range f.Grid.cells(cfg.Programs) {
+		for i, c := range f.Grid.Cells(cfg.Programs) {
 			k := c.Key(cfg)
 			if checked[k] {
 				continue
@@ -78,14 +78,12 @@ func TestGridGolden(t *testing.T) {
 	}
 
 	// Render every figure from three sources; all must match byte for byte.
-	// Probed figures bypass the store and the result set entirely (their
-	// replay is exercised by TestRunAttribution), so they are skipped here.
+	// Probed figures read their attribution counts from the same result
+	// sets (their reports are pinned against per-record replay by
+	// TestProbedReportsMatchReference).
 	renderAll := func(rs *ResultSet) map[string]string {
 		out := map[string]string{}
 		for _, f := range figs {
-			if f.Probed != nil {
-				continue
-			}
 			text, _ := f.Render(rs.Context(f))
 			out[f.Name] = text
 		}
@@ -104,14 +102,14 @@ func TestGridGolden(t *testing.T) {
 		}
 	}
 
-	warmR := NewRunner(cfg)
-	warm, err := (&Executor{R: warmR, Store: store}).Run(figs...)
+	warm, err := (&Executor{R: NewRunner(cfg), Store: store}).Run(figs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Simulated != 0 || warm.Replays != 0 {
-		t.Errorf("warm run simulated %d cells, replayed %d traces; want 0, 0",
-			warm.Simulated, warm.Replays)
+	// Probed cells are never stored, so they alone replay each program.
+	if warm.Simulated != 0 || warm.Replays != len(cfg.Programs) {
+		t.Errorf("warm run simulated %d cells, replayed %d traces; want 0, %d",
+			warm.Simulated, warm.Replays, len(cfg.Programs))
 	}
 	if warm.Loaded != cold.Loaded+cold.Simulated {
 		t.Errorf("warm run loaded %d cells, want %d", warm.Loaded, cold.Simulated)
@@ -122,17 +120,13 @@ func TestGridGolden(t *testing.T) {
 				name, text, coldText[name])
 		}
 	}
-	// A fully warm run must not even generate traces (laziness is what
-	// makes the warm path fast).
-	if s := warmR.LastSweepStats(); s.Records != 0 {
-		t.Errorf("warm run replayed %d records, want 0", s.Records)
-	}
 }
 
-// TestExecutorReplayAccounting pins the tentpole's scheduling claim: a
+// TestExecutorReplayAccounting pins the executor's scheduling claim: a
 // full multi-figure run replays each program's trace EXACTLY once, no
-// matter how many figures and cells share it, and a warm run replays
-// nothing.
+// matter how many figures and cells share it, probed cells included; a
+// warm run replays each program once for its probed cells only, and a
+// warm run without probed figures replays nothing.
 func TestExecutorReplayAccounting(t *testing.T) {
 	cfg := gridTestConfig()
 	figs := Figures()
@@ -166,11 +160,30 @@ func TestExecutorReplayAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := warmR.LastSweepStats()
-	if warm.Replays != 0 || ws.Records != 0 {
-		t.Errorf("warm run: replays=%d records=%d, want 0, 0", warm.Replays, ws.Records)
+	if warm.Replays != len(cfg.Programs) || ws.Records != wantRecords {
+		t.Errorf("warm run: replays=%d records=%d, want %d, %d (probed cells only)",
+			warm.Replays, ws.Records, len(cfg.Programs), wantRecords)
 	}
-	if ws.Loaded != s.TotalCells {
-		t.Errorf("warm run loaded %d cells, want %d", ws.Loaded, s.TotalCells)
+	if ws.Loaded != s.TotalCells || warm.Simulated != 0 {
+		t.Errorf("warm run loaded %d cells and simulated %d, want %d, 0",
+			ws.Loaded, warm.Simulated, s.TotalCells)
+	}
+
+	// Without probed figures a warm run must not even generate traces
+	// (laziness is what makes the warm path fast).
+	var counterFigs []Figure
+	for _, f := range figs {
+		if f.Probed == nil {
+			counterFigs = append(counterFigs, f)
+		}
+	}
+	lazyR := NewRunner(cfg)
+	lazy, err := (&Executor{R: lazyR, Store: store}).Run(counterFigs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls := lazyR.LastSweepStats(); lazy.Replays != 0 || ls.Records != 0 {
+		t.Errorf("warm counter-only run: replays=%d records=%d, want 0, 0", lazy.Replays, ls.Records)
 	}
 
 	// -force bypasses the warm path and re-simulates everything.

@@ -26,21 +26,19 @@ func H2PGrid() Grid {
 
 // h2pFigure ranks the branches gshare keeps mispredicting and measures how
 // much of that dir-wrong tail the equal-cost TAGE-lite arm recovers. Like
-// the attribution figure it is Probed: the comparison is an event-stream
-// product (per-PC cause counts), not a stored counter row. Reports come
-// back in cell order — program-major, two arms per program — and each
-// ranking pairs full (untruncated) per-PC tables so the alt side of every
-// base-heavy branch is counted.
+// the attribution figure it probes its grid: the comparison is an
+// event-stream product (per-PC cause counts), not a stored counter row.
+// Reports come in cell order — program-major, two arms per program — and
+// each ranking pairs full (untruncated) per-PC tables so the alt side of
+// every base-heavy branch is counted.
 func h2pFigure() Figure {
 	g := H2PGrid()
 	return Figure{
-		Name: "h2p",
-		Grid: Grid{Name: "h2p"}, // no stored cells; Probed replays itself
-		Probed: func(x *Executor) (string, any, error) {
-			reports, err := x.RunAttribution(g, 0)
-			if err != nil {
-				return "", nil, err
-			}
+		Name:   "h2p",
+		Grid:   Grid{Name: "h2p"}, // no counter cells
+		Probed: &g,
+		Render: func(ctx RenderContext) (string, any) {
+			reports := ctx.Reports(0)
 			ranks := make([]obs.H2PRanking, len(reports)/2)
 			for p := range ranks {
 				ranks[p] = obs.RankH2P(reports[2*p], reports[2*p+1], H2PTopN)
@@ -48,7 +46,7 @@ func h2pFigure() Figure {
 			text := obs.RenderH2P(
 				"H2P: dir-wrong recovery, equal-cost gshare vs TAGE-lite (1024 NLS-table)",
 				ranks)
-			return text, ranks, nil
+			return text, ranks
 		},
 	}
 }

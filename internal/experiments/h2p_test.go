@@ -22,10 +22,10 @@ func TestH2PFigure(t *testing.T) {
 	if !ok {
 		t.Fatal("h2p figure not registered")
 	}
-	if f.Probed == nil {
-		t.Fatal("h2p figure is not Probed")
+	if f.Probed == nil || len(f.Grid.Arms) != 0 {
+		t.Fatal("h2p figure must probe its grid and declare no counter cells")
 	}
-	text, data, err := f.Probed(x)
+	text, data, err := x.RenderFigure(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

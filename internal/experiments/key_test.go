@@ -147,8 +147,8 @@ func TestRowsOfUngatheredGrid(t *testing.T) {
 	// its cells under another label is keyed afresh. Both find the run's
 	// rows.
 	again := Grid{Name: "g", Arms: []Arm{{Name: "nls", Spec: arch.NLSTable(1024), Caches: PaperCaches()[:2]}}}
-	if _, ok := rs.gathered(again); !ok {
-		t.Error("an equal grid did not match the gathered one")
+	if kg := rs.keyedFrom(rs.keyed, again); &kg.Keys[0] != &rs.keyed[0].Keys[0] {
+		t.Error("an equal grid did not reuse the gathered keys")
 	}
 	for i, row := range rs.Rows(again) {
 		if row != gathered[i] {
@@ -156,8 +156,8 @@ func TestRowsOfUngatheredGrid(t *testing.T) {
 		}
 	}
 	sub := Grid{Name: "sub", Arms: []Arm{{Name: "other", Spec: arch.NLSTable(1024), Caches: PaperCaches()[1:2]}}}
-	if _, ok := rs.gathered(sub); ok {
-		t.Fatal("a different grid matched the gathered one")
+	if kg := rs.keyedFrom(rs.keyed, sub); &kg.Keys[0] == &rs.keyed[0].Keys[0] {
+		t.Fatal("a different grid reused the gathered keys")
 	}
 	rows := rs.Rows(sub)
 	if len(rows) != 1 || rows[0].M != gathered[1].M || rows[0].Arch != "other" {

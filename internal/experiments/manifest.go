@@ -85,9 +85,9 @@ type RunManifest struct {
 	CellsLoaded    int `json:"cells_loaded"`
 	CellsSimulated int `json:"cells_simulated"`
 	CellsDeduped   int `json:"cells_deduped"`
-	// Replays counts program traces actually replayed: by the grid run
-	// (0 on a warm run) and by every probed figure, which replays each
-	// program itself.
+	// Replays counts program traces actually replayed: at most one per
+	// program, for its pending counter cells and its probed cells (0 on
+	// a warm run without probed figures).
 	Replays int `json:"trace_replays"`
 
 	// Replay throughput over the whole run.

@@ -107,18 +107,21 @@ func encodeCell(m *metrics.Counters) []byte {
 }
 
 // decodeCell decodes a cell value into m. It reports false, leaving m
-// untouched, unless buf is exactly a current-version value.
+// untouched, unless buf is exactly a current-version value. The counters
+// decode word by word into m's memory, which holds binary.Write's layout
+// because every field is a uint64 or an array of them (TestCellValueGolden
+// round-trips distinct values through every field), so decoding allocates
+// nothing.
 func decodeCell(buf []byte, m *metrics.Counters) bool {
 	head := len(cellMagic) + 4
 	if len(buf) != cellValueLen || string(buf[:len(cellMagic)]) != cellMagic ||
 		binary.LittleEndian.Uint32(buf[len(cellMagic):head]) != cellValueVersion {
 		return false
 	}
-	var c metrics.Counters
-	if binary.Read(bytes.NewReader(buf[head:]), binary.LittleEndian, &c) != nil {
-		return false
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(m)), (cellValueLen-head)/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(buf[head+8*i:])
 	}
-	*m = c
 	return true
 }
 
@@ -252,8 +255,9 @@ func (s *Store) LoadCounters(key string, m *metrics.Counters) (bool, error) {
 		*m = c
 		return true, nil
 	}
-	buf, err := s.readCell(key)
-	if err != nil || !decodeCell(buf, &c) {
+	var buf [cellValueLen + 1]byte
+	n, err := s.readCell(key, buf[:])
+	if err != nil || !decodeCell(buf[:n], &c) {
 		return false, err // missing, corrupt or old-schema cell: a miss, overwritten later
 	}
 	s.remember(key, c)
@@ -261,25 +265,25 @@ func (s *Store) LoadCounters(key string, m *metrics.Counters) (bool, error) {
 	return true, nil
 }
 
-// readCell returns the bytes of the cell file under key, nil when there is
-// none. It costs an open, one read and a close: the read asks for one byte
-// more than a current-version value, so a file of any other length comes
-// back at its own length (or cut to cellValueLen+1) and fails decodeCell.
-func (s *Store) readCell(key string) ([]byte, error) {
+// readCell reads the cell file under key into buf, the caller's buffer of
+// cellValueLen+1 bytes, and returns the byte count, 0 when there is no
+// file. It costs an open, one read and a close: the read asks for one byte
+// more than a current-version value, so a file of any other length reads
+// at its own length (or cut to cellValueLen+1) and fails decodeCell.
+func (s *Store) readCell(key string, buf []byte) (int, error) {
 	f, err := os.Open(s.path(key))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
+			return 0, nil
 		}
-		return nil, err
+		return 0, err
 	}
 	defer f.Close()
-	var buf [cellValueLen + 1]byte
-	n, err := f.Read(buf[:])
+	n, err := f.Read(buf)
 	if err != nil && err != io.EOF {
-		return nil, err
+		return 0, err
 	}
-	return buf[:n], nil
+	return n, nil
 }
 
 // SaveCounters writes m as the cell value under key, atomically replacing

@@ -3,12 +3,15 @@ package experiments
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/fetch"
+	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -27,7 +30,7 @@ func TestRunAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := g.cells(cfg.Programs)
+	cells := g.Cells(cfg.Programs)
 	if len(reports) != len(cells) {
 		t.Fatalf("got %d reports for %d cells", len(reports), len(cells))
 	}
@@ -48,6 +51,47 @@ func TestRunAttribution(t *testing.T) {
 			t.Errorf("%s/%s reports %d eviction losses; only line-coupled state can die with a line",
 				rep.Arch, rep.Program, evict)
 		}
+	}
+}
+
+// TestProbedReportsMatchReference is the reference differential for
+// probed figures: every attribution and h2p report of one Executor.Run
+// over every figure — so probed engines share each program's broadcast,
+// oracles and direction annotations with the counter cells — deep-equals
+// (per-PC tables, cause mix, totals) the report of the same spec stepped
+// one record at a time by fetch.Run with a probe attached.
+func TestProbedReportsMatchReference(t *testing.T) {
+	cfg := DefaultConfig(60_000)
+	cfg.Programs = []workload.Spec{workload.Espresso(), workload.Li()}
+	rs, err := (&Executor{R: NewRunner(cfg)}).Run(Figures()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]*trace.Trace{}
+	for _, tr := range programTraces(t, cfg) {
+		traces[tr.Name] = tr
+	}
+	var probedFigs []string
+	for _, f := range Figures() {
+		if f.Probed == nil {
+			continue
+		}
+		probedFigs = append(probedFigs, f.Name)
+		got := rs.Context(f).Reports(0)
+		for i, c := range f.Probed.Cells(cfg.Programs) {
+			e := c.Spec.MustBuild()
+			att := obs.NewAttribution()
+			e.AttachProbe(att)
+			fetch.Run(e, traces[c.Prog.Name])
+			want := att.Report(c.Arm, c.Prog.Name, 0, cfg.Penalties)
+			if want.Breaks == 0 || !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s cell %s/%s: executor report diverges from per-record reference\n got %+v\nwant %+v",
+					f.Name, c.Prog.Name, c.Arm, got[i], want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(probedFigs, []string{"attribution", "h2p"}) {
+		t.Errorf("probed figures %v, want [attribution h2p]", probedFigs)
 	}
 }
 
@@ -79,25 +123,37 @@ func TestRunAttributionMatchesCounters(t *testing.T) {
 }
 
 // TestAttributionFigureRenders drives the registered figure through the
-// CLI's dispatch path.
+// CLI's dispatch path, beside a counter figure in one run, and checks that
+// a nil result set (run the figure first) renders the same.
 func TestAttributionFigureRenders(t *testing.T) {
 	f, ok := FigureByName("attribution")
 	if !ok {
 		t.Fatal("attribution figure not registered")
 	}
-	if f.Probed == nil {
-		t.Fatal("attribution figure must be Probed")
+	if f.Probed == nil || len(f.Grid.Arms) != 0 {
+		t.Fatal("attribution figure must probe its grid and declare no counter cells")
 	}
+	fig5, _ := FigureByName("fig5")
 	cfg := DefaultConfig(40_000)
 	cfg.Programs = []workload.Spec{workload.Espresso()}
 	x := &Executor{R: NewRunner(cfg)}
-	rs, err := x.Run(f)
+	rs, err := x.Run(fig5, f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rs.Replays != 1 {
+		t.Errorf("run replayed %d traces, want 1", rs.Replays)
 	}
 	text, data, err := x.RenderFigure(f, rs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	alone, _, err := (&Executor{R: NewRunner(cfg)}).RenderFigure(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone != text {
+		t.Errorf("figure run alone renders differently:\n%s\nvs\n%s", alone, text)
 	}
 	for _, want := range []string{"Attribution", "NLS-cache 2/line", "dir-wrong"} {
 		if !strings.Contains(text, want) {

@@ -242,10 +242,10 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 // replayPlan resolves how each engine replays the drawn blocks. Eligible
 // engines (oracleEligible) sharing a cache geometry with at least one other
 // eligible engine form an oracleGroup and replay via replayEvents from the
-// group's shared oracle. Every other engine — pollution-on, probed,
-// prefetching, or alone in its geometry (an oracle for one engine is pure
-// overhead) — replays privately (member.replayPrivate). Engines are timed
-// on every path (ReplayTime).
+// group's shared oracle. Every other engine — pollution-on, prefetching,
+// or alone in its geometry (an oracle for one engine is pure overhead) —
+// replays privately (member.replayPrivate). Engines are timed on every
+// path (ReplayTime).
 func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 	// Tentatively group every eligible engine by geometry, in engine order
 	// (map only for lookup, so the plan is deterministic).

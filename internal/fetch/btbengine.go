@@ -110,11 +110,10 @@ func (p *btbPredictor) WrongPath(rec trace.Record) (isa.Addr, bool) {
 // targets plus the RAS — and Update never defers on the successor's cache
 // way, so from a cold buffer the predictor's entire evolution is a function
 // of the trace alone, identical under every cache geometry. The key pins
-// the configuration; eligibility additionally requires the cold state and
-// no attribution tracking (a probed run must observe real per-engine
-// lookups).
+// the configuration; eligibility additionally requires the cold state
+// (the frontend refuses probed engines, which must observe real lookups).
 func (p *btbPredictor) invariantKey() (string, bool) {
-	if p.track != nil || !p.buf.Cold() {
+	if !p.buf.Cold() {
 		return "", false
 	}
 	return "btb:" + p.buf.Config().String(), true

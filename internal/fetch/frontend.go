@@ -598,12 +598,12 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 // broadcast fetch oracle with the other engines of its cache geometry.
 // Sharing requires the engine's i-cache accesses to be a pure function of the
 // trace: wrong-path pollution forks the cache state per architecture
-// (different engines touch different wrong-path lines), a probed run
-// may want per-engine access behaviour observable in isolation, and a
-// decoupled (prefetching) frontend injects prefetch fills no shared oracle
-// models — all three keep the private-cache path (DESIGN.md §11, §14).
+// (different engines touch different wrong-path lines), and a decoupled
+// (prefetching) frontend injects prefetch fills no shared oracle models —
+// both keep the private-cache path (DESIGN.md §11, §14). A probe only
+// observes, so it does not count.
 func (f *Frontend) oracleEligible() bool {
-	return !f.pollution.enabled && f.probe == nil && !f.decoupled()
+	return !f.pollution.enabled && !f.decoupled()
 }
 
 // echoInvariant reports a key identifying everything this engine's break
@@ -621,14 +621,15 @@ func (f *Frontend) oracleEligible() bool {
 // predictor (asserted by its invariantKey, which also pins its config and
 // cold state), a direction predictor exposing a cold StateKey (config
 // including history width), an empty RAS, zero counters, no in-flight
-// deferred update, and oracle eligibility (no pollution, probe, or
-// prefetching — each forks per-engine state the echo would miss).
+// deferred update, oracle eligibility (no pollution or prefetching — each
+// forks per-engine state the echo would miss), and no probe: an echoed
+// engine steps nothing, so its probe would see no events.
 func (f *Frontend) echoInvariant() (string, bool) {
 	inv, ok := f.bpu.tp.(interface{ invariantKey() (string, bool) })
 	if !ok {
 		return "", false
 	}
-	if !f.oracleEligible() {
+	if !f.oracleEligible() || f.probe != nil {
 		return "", false
 	}
 	if f.m != (metrics.Counters{}) || f.pending.active || f.rstack.Depth() != 0 {
@@ -653,12 +654,11 @@ func (f *Frontend) echoInvariant() (string, bool) {
 // read a broadcast direction annotation, and whether reading one is
 // currently sound. It requires a decoupled, deterministic direction
 // predictor in its cold state (so identically keyed engines hold identical
-// state throughout the replay), no wrong-path excursions feeding it, no
-// probe observing it, and the ability to adopt the driven predictor's
-// trained state when the broadcast ends (AdoptState) so the annotation
-// stays invisible afterwards.
+// state throughout the replay), no wrong-path excursions feeding it, and
+// the ability to adopt the driven predictor's trained state when the
+// broadcast ends (AdoptState) so the annotation stays invisible afterwards.
 func (f *Frontend) dirShareKey() (string, bool) {
-	if f.bpu.traits.CoupledDirection || f.pollution.enabled || f.probe != nil {
+	if f.bpu.traits.CoupledDirection || f.pollution.enabled {
 		return "", false
 	}
 	p, ok := pht.Unwrap(f.bpu.dir).(interface {

@@ -14,8 +14,9 @@ import (
 
 // TestReplayPlanPartitioning: the broadcast planner groups exactly the
 // engines whose cache state is a pure function of the trace — pollution-on
-// engines, probed engines, and engines alone in their geometry must all
-// keep the private-cache path (DESIGN.md §11).
+// engines, prefetching engines, and engines alone in their geometry keep
+// the private-cache path, while a probe, which only observes, does not
+// change the plan (DESIGN.md §11).
 func TestReplayPlanPartitioning(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
@@ -35,16 +36,13 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	prefetched.SetFTQDepth(8)
 	prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
 
-	for _, e := range []*Frontend{eligibleA, eligibleB, lone} {
+	for _, e := range []*Frontend{eligibleA, eligibleB, probed, lone} {
 		if !e.oracleEligible() {
 			t.Fatal("clean engine reported ineligible for oracle sharing")
 		}
 	}
 	if polluted.oracleEligible() {
 		t.Error("pollution-on engine reported eligible for oracle sharing")
-	}
-	if probed.oracleEligible() {
-		t.Error("probed engine reported eligible for oracle sharing")
 	}
 	if prefetched.oracleEligible() {
 		t.Error("prefetching engine reported eligible for oracle sharing")
@@ -60,19 +58,18 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	if grp.oracle.Geometry() != g1 {
 		t.Errorf("group oracle geometry %v, want %v", grp.oracle.Geometry(), g1)
 	}
-	if len(grp.members) != 2 || grp.members[0].idx != 0 || grp.members[1].idx != 2 {
-		t.Errorf("group members %v, want engine indices [0 2]", grp.members)
+	if len(grp.members) != 3 || grp.members[0].idx != 0 || grp.members[1].idx != 2 || grp.members[2].idx != 3 {
+		t.Errorf("group members %v, want engine indices [0 2 3]", grp.members)
 	}
-	// polluted, probed, the prefetching engine, and the demoted singleton
-	// replay privately.
-	if len(private) != 4 {
-		t.Errorf("got %d private engines, want 4 (polluted, probed, singleton, prefetched)", len(private))
+	// polluted, the prefetching engine, and the demoted singleton replay
+	// privately.
+	if len(private) != 3 {
+		t.Errorf("got %d private engines, want 3 (polluted, singleton, prefetched)", len(private))
 	}
 
-	// Detaching the probe, the prefetcher (with its FTQ), and disabling
-	// pollution restores full grouping: only the singleton stays private.
+	// Detaching the prefetcher (with its FTQ) and disabling pollution
+	// restores full grouping: only the singleton stays private.
 	polluted.SetWrongPathPollution(false)
-	probed.AttachProbe(nil)
 	prefetched.AttachPrefetcher(nil)
 	prefetched.SetFTQDepth(0)
 	private, groups = replayPlan(engines)
@@ -83,8 +80,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 }
 
 // TestBroadcastMixedEligibility: a broadcast over engines mixing geometries,
-// wrong-path pollution, and attached probes — so grouped, fallback, and
-// singleton paths all run in one replay — is counter-for-counter identical
+// wrong-path pollution, prefetching, and an attached probe — so grouped
+// and private paths run in one replay — is counter-for-counter identical
 // to the per-engine Run path, at any worker count. Every engine stepped on any of those paths reports a
 // nonzero ReplayTime: a path the broadcaster forgot to time would leave
 // the counters intact and fail only here.
@@ -104,7 +101,7 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 			NewNLSTableEngine(g1, 512, pht.NewGShare(1024, 6), 32), // grouped (g1)
 			polluted,             // private: pollution forks cache state
 			NewJohnsonEngine(g1), // grouped (g1)
-			probed,               // private: probe attached
+			probed,               // grouped (g1): a probe only observes
 			NewJohnsonEngine(g2), // grouped (g2)
 			NewNLSTableEngine(g2, 512, pht.NewGShare(1024, 6), 32), // grouped (g2)
 			prefetched, // private: decoupled frontend prefetches

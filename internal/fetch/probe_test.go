@@ -1,12 +1,15 @@
 package fetch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/btb"
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/pht"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // collectProbe records the event stream for inspection.
@@ -304,4 +307,112 @@ func TestProbeCauseScenarios(t *testing.T) {
 			t.Errorf("cause = %v, want cold", c)
 		}
 	})
+}
+
+// TestBroadcastProbedMatchesReference: probed and unprobed engines of one
+// geometry broadcast together — every probed engine replays from the
+// shared oracle, and one reads the direction annotation it shares with an
+// unprobed engine — and each probe receives exactly the event stream a
+// per-record Run with the same probe delivers, at workers 1, 2 and 4.
+func TestBroadcastProbedMatchesReference(t *testing.T) {
+	g := cache.MustGeometry(8*1024, 32, 1)
+	bcfg := btb.Config{Entries: 128, Assoc: 1}
+	gshare := func() *pht.GShare { return pht.NewGShare(1024, 6) }
+	probedIdx := []int{0, 2, 3, 5}
+	mk := func() ([]*Frontend, []*collectProbe) {
+		engines := []*Frontend{
+			NewNLSTableEngine(g, 512, gshare(), 32), // probed, reads the direction annotation
+			NewNLSTableEngine(g, 512, gshare(), 32), // unprobed, same direction configuration
+			NewNLSCacheEngine(g, 2, gshare(), 32),
+			NewBTBEngine(g, bcfg, testTAGE(), 32),
+			NewJohnsonEngine(g),
+			NewCoupledBTBEngine(g, bcfg, 32),
+		}
+		probes := make([]*collectProbe, len(engines))
+		for _, i := range probedIdx {
+			probes[i] = &collectProbe{}
+			engines[i].AttachProbe(probes[i])
+		}
+		return engines, probes
+	}
+
+	// The plan this test relies on: one oracle group holding every engine,
+	// and a direction slot read by the first (probed) engine.
+	engines, _ := mk()
+	private, groups := replayPlan(engines)
+	planDirs(private, groups)
+	if len(private) != 0 || len(groups) != 1 || len(groups[0].members) != len(engines) {
+		t.Fatalf("plan: %d private engines, %d groups; want every engine in one group", len(private), len(groups))
+	}
+	if groups[0].members[0].dir < 0 {
+		t.Fatal("plan: the probed NLS-table reads no direction annotation")
+	}
+
+	tr := workload.Gcc().MustTrace(60_000)
+	chunked := trace.Chunk(tr, 1024)
+	ref, refProbes := mk()
+	for _, e := range ref {
+		Run(e, tr)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		bcast, probes := mk()
+		BroadcastWorkers(chunked.Chunks(), workers, bcast...)
+		for i, e := range bcast {
+			if *e.Counters() != *ref[i].Counters() {
+				t.Errorf("workers=%d %s: counters diverge from per-record Run", workers, e.Name())
+			}
+			if probes[i] == nil {
+				continue
+			}
+			if len(probes[i].evs) == 0 || !reflect.DeepEqual(probes[i].evs, refProbes[i].evs) {
+				t.Errorf("workers=%d %s: %d probe events differ from the %d of per-record Run",
+					workers, e.Name(), len(probes[i].evs), len(refProbes[i].evs))
+			}
+		}
+	}
+}
+
+// TestProbedEngineNeverEchoed: a probed BTB engine whose echo key equals
+// an unprobed BTB engine's on another geometry must still replay, since
+// an echoed engine steps nothing: its probe sees every break, and the
+// events restate its counters.
+func TestProbedEngineNeverEchoed(t *testing.T) {
+	g1 := cache.MustGeometry(8*1024, 32, 1)
+	g2 := cache.MustGeometry(16*1024, 32, 2)
+	bcfg := btb.Config{Entries: 128, Assoc: 1}
+	mkBTB := func(g cache.Geometry) *Frontend { return NewBTBEngine(g, bcfg, pht.NewGShare(1024, 6), 32) }
+	leader, probed := mkBTB(g1), mkBTB(g2)
+	lk, lok := leader.echoInvariant()
+	pk, pok := probed.echoInvariant()
+	if !lok || !pok || lk != pk {
+		t.Fatalf("premise: echo keys %q (%v) and %q (%v) differ", lk, lok, pk, pok)
+	}
+	cp := &collectProbe{}
+	probed.AttachProbe(cp)
+	engines := []*Frontend{
+		leader,
+		NewNLSTableEngine(g1, 512, pht.NewGShare(1024, 6), 32),
+		probed,
+		NewNLSTableEngine(g2, 512, pht.NewGShare(1024, 6), 32),
+	}
+
+	tr := workload.Li().MustTrace(60_000)
+	BroadcastWorkers(trace.Chunk(tr, 1024).Chunks(), 1, engines...)
+	m := probed.Counters()
+	if want := Run(mkBTB(g2), tr); *m != *want {
+		t.Fatalf("probed BTB counters diverge from per-record Run\n got %+v\nwant %+v", *m, *want)
+	}
+	var misfetches, mispredicts uint64
+	for _, ev := range cp.evs {
+		switch ev.Penalty {
+		case PenaltyMisfetch:
+			misfetches++
+		case PenaltyMispredict:
+			mispredicts++
+		}
+	}
+	if uint64(len(cp.evs)) != m.Breaks || misfetches != m.Misfetches || mispredicts != m.Mispredicts {
+		t.Errorf("probe saw %d breaks (%d misfetches, %d mispredicts); counters say %d (%d, %d)",
+			len(cp.evs), misfetches, mispredicts, m.Breaks, m.Misfetches, m.Mispredicts)
+	}
 }

@@ -91,8 +91,9 @@ func (s *recyclingSource) checkReleased(t *testing.T, name string, bound int) {
 // broadcaster at once: oracle groups on three geometries (two line sizes,
 // so blocks carry two run-annotation slots), BTB engines echoed
 // across geometries — including a geometry whose every member is echoed
-// away — a shared gshare direction annotation, TAGE, and the private paths
-// (wrong-path pollution, an attached probe, a decoupled FDIP frontend).
+// away — a shared gshare direction annotation, TAGE, a grouped engine with
+// an attached probe, and the private paths (wrong-path pollution, a
+// decoupled FDIP frontend).
 // fdip is the decoupled engine's index: its reference replays the same
 // chunking, since its lookahead horizon is the replay block.
 func releaseEngines() (engines []*Frontend, fdip int) {

@@ -12,6 +12,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/fetch"
@@ -117,10 +118,60 @@ type Report struct {
 // Report builds the deterministic summary: top n offenders under penalties
 // p. n <= 0 means all branches.
 func (a *Attribution) Report(arch, program string, n int, p metrics.Penalties) Report {
-	r := Report{Arch: arch, Program: program, StaticBranches: len(a.byPC)}
-	all := make([]PCStats, 0, len(a.byPC))
+	return a.Table().Report(arch, program, n, p)
+}
+
+// A Table is an Attribution's per-branch counts packed for keeping: one row
+// of varints per static branch — its PC, its kind byte, then every counter
+// in tableFields order. A gcc-like branch takes ~16 bytes this way against
+// ~150 in the collector's map, so a run can hold every probed cell's counts
+// until its figures render. The zero Table has no branches.
+type Table struct {
+	rows     []byte
+	branches int
+}
+
+// tableFields lists s's counters in the order a Table row stores them.
+func tableFields(s *PCStats) [4 + fetch.NumCauses]*uint64 {
+	f := [4 + fetch.NumCauses]*uint64{&s.Breaks, &s.Misfetches, &s.Mispredicts, &s.Polluted}
+	for c := range s.Causes {
+		f[4+c] = &s.Causes[c]
+	}
+	return f
+}
+
+// Table packs the collector's counts.
+func (a *Attribution) Table() Table {
+	t := Table{branches: len(a.byPC)}
 	for _, s := range a.byPC {
-		all = append(all, *s)
+		t.rows = binary.AppendUvarint(t.rows, uint64(s.PC))
+		t.rows = append(t.rows, byte(s.Kind))
+		for _, f := range tableFields(s) {
+			t.rows = binary.AppendUvarint(t.rows, *f)
+		}
+	}
+	return t
+}
+
+// Report builds the deterministic summary of the packed counts, equal to
+// the collector's own: top n offenders under penalties p, all branches for
+// n <= 0.
+func (t Table) Report(arch, program string, n int, p metrics.Penalties) Report {
+	r := Report{Arch: arch, Program: program, StaticBranches: t.branches}
+	all := make([]PCStats, t.branches)
+	rest := t.rows
+	next := func() uint64 {
+		v, k := binary.Uvarint(rest)
+		rest = rest[k:]
+		return v
+	}
+	for i := range all {
+		s := &all[i]
+		s.PC = isa.Addr(next())
+		s.Kind, rest = isa.Kind(rest[0]), rest[1:]
+		for _, f := range tableFields(s) {
+			*f = next()
+		}
 		r.Breaks += s.Breaks
 		r.Misfetches += s.Misfetches
 		r.Mispredicts += s.Mispredicts

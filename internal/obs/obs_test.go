@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,28 @@ func TestAttributionAccumulation(t *testing.T) {
 	}
 	if got := a.Report("a", "p", 2, p); len(got.Top) != 2 {
 		t.Fatalf("topN truncation: %d rows", len(got.Top))
+	}
+}
+
+// TestTableKeepsEveryCount: a packed Table reports exactly the per-branch
+// counts the collector held, at the extremes of every field, and the zero
+// Table reports no branches (with an empty, not nil, offender list).
+func TestTableKeepsEveryCount(t *testing.T) {
+	a := NewAttribution()
+	big := &PCStats{PC: ^isa.Addr(0), Kind: isa.Return, Breaks: ^uint64(0),
+		Misfetches: 1 << 40, Mispredicts: 1<<63 + 5, Polluted: 127}
+	for c := range big.Causes {
+		big.Causes[c] = uint64(c) << (7 * c)
+	}
+	a.byPC[big.PC] = big
+	a.byPC[0] = &PCStats{Kind: isa.CondBranch, Breaks: 1}
+	p := metrics.Default()
+	want := []PCStats{*big, {Kind: isa.CondBranch, Breaks: 1}}
+	if got := a.Table().Report("a", "p", 0, p).Top; !reflect.DeepEqual(got, want) {
+		t.Fatalf("packed rows\n got %+v\nwant %+v", got, want)
+	}
+	if r := (Table{}).Report("a", "p", 0, p); r.StaticBranches != 0 || r.Top == nil || len(r.Top) != 0 {
+		t.Fatalf("zero Table report: %+v", r)
 	}
 }
 
