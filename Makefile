@@ -21,8 +21,9 @@
 # corpus files degrading to regeneration, a streamed replay's live heap
 # bounded by chunk size rather than trace length (on a cold, corpus-
 # building run and a corpus-less run too), its allocation bounded by
-# recycled chunk buffers rather than the decoded trace, RunAttribution
-# attaching the corpus, and racing corpus builders all succeeding.
+# recycled chunk buffers rather than the decoded trace, a run of probed
+# cells alone attaching the corpus, and racing corpus builders all
+# succeeding.
 # `make prodbench` builds and tests the nested prodbench module, which the
 # root `go build ./...` skips although it imports the executor and fetch
 # APIs.
@@ -53,9 +54,11 @@ race:
 # (the main goroutine trains the driven predictor while workers replay),
 # store readers racing a writer (atomic-rename visibility + corrupt-cell
 # degradation), typed-path readers racing SaveCounters writers and a
-# corrupting writer with the decoded-counters memo on, and the sweep
-# service single-flight hammer (100 identical concurrent jobs -> exactly
-# one simulation, byte-identical bodies).
+# corrupting writer with the decoded-counters memo on, two runs sharing
+# one Runner each reporting their own run record
+# (TestStressConcurrentRunsOwnRecords), and the sweep service
+# single-flight hammer (100 identical concurrent jobs -> exactly one
+# simulation, byte-identical bodies).
 stress:
 	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters' \
 		./internal/fetch ./internal/experiments ./internal/serve
@@ -158,7 +161,9 @@ smoke:
 
 # Sweep service smoke: start nlsserve on a loopback port with a throwaway
 # store, POST a one-cell job cold and warm, assert 200 + store hit +
-# byte-identical bodies.
+# byte-identical bodies; then POST a job with ?stream=1 and assert every
+# line but the last is a progress record and the last is byte-identical
+# to the plain body.
 smoke-serve:
 	$(GO) run ./cmd/nlsserve -smoke
 
@@ -171,11 +176,12 @@ smoke-serve:
 # under 32MB, and so must a cold run that generates the 20M-instruction
 # corpus block by block and then replays it, and a corpus-less run that
 # replays straight from the generator; a 2M-instruction paper-matrix
-# replay must allocate less than an eighth of its decoded trace;
-# RunAttribution must attach the corpus under CorpusDir; and concurrent
-# runners building one corpus must all succeed and leave a valid file.
+# replay must allocate less than an eighth of its decoded trace; a run of
+# probed cells alone must attach the corpus under CorpusDir; and
+# concurrent runners building one corpus must all succeed and leave a
+# valid file.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestGeneratorReplayHeapCeiling|TestStreamedReplayAllocBounded|TestRunAttributionAttachesCorpus|TestCorpusConcurrentBuilders' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestGeneratorReplayHeapCeiling|TestStreamedReplayAllocBounded|TestProbedRunAttachesCorpus|TestCorpusConcurrentBuilders' \
 		./internal/experiments
 
 # The nested benchmark module (its own go.mod, so the root build and test

@@ -26,9 +26,11 @@
 // twice, verifies the second (warm) response is served from the store
 // byte-identical to the first (cold) one, then POSTs it once more with
 // only its penalties changed and verifies that too is served from the
-// store, under the same job key, byte-identical. It also cross-checks
-// /metricsz against /statsz — the same counters through both exposition
-// paths.
+// store, under the same job key, byte-identical. A fourth, streamed POST
+// of a two-program job must write only progress records before its final
+// line, and that line must be byte-identical to a plain POST's body. It
+// also cross-checks /metricsz against /statsz — the same counters through
+// both exposition paths.
 package main
 
 import (
@@ -163,6 +165,10 @@ const smokeJob = `{
 var smokePenaltyJob = strings.Replace(smokeJob, `"insns": 100000,`,
 	`"insns": 100000, "penalties": {"misfetch": 2, "mispredict": 7, "cache_miss": 12.5},`, 1)
 
+// smokeStreamJob is smokeJob over two programs: a cold job for the
+// streamed POST, whose replay publishes a progress record per program.
+var smokeStreamJob = strings.Replace(smokeJob, `["li"]`, `["li", "gcc"]`, 1)
+
 // runSmoke starts the service on a loopback listener with a throwaway
 // store, POSTs smokeJob cold and then warm, and asserts the contract the
 // service exists for: 200 on both, the warm response served from the
@@ -242,6 +248,10 @@ func runSmoke(workers int) error {
 		return errors.New("penalty-only response differs from the warm response")
 	}
 
+	if err := checkStream(base, post); err != nil {
+		return err
+	}
+
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		return err
@@ -254,7 +264,56 @@ func runSmoke(workers int) error {
 	if err := checkMetricsz(base); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+warm+penalty-only OK, %d-byte body byte-identical, /metricsz consistent with /statsz\n", len(cold))
+	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+warm+penalty-only OK, %d-byte body byte-identical, stream OK, /metricsz consistent with /statsz\n", len(cold))
+	return nil
+}
+
+// checkStream POSTs smokeStreamJob with ?stream=1 and asserts the ndjson
+// contract: every line but the last is a progress record — "type":
+// "progress" plus the run-manifest keys of experiments.RunRecord, nothing
+// else — and the last line is byte-identical to the body a plain POST of
+// the same job returns.
+func checkStream(base string, post func(string) (int, []byte, http.Header, error)) error {
+	resp, err := http.Post(base+"/v1/jobs?stream=1", "application/json", strings.NewReader(smokeStreamJob))
+	if err != nil {
+		return err
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("stream POST: status %d: %s", resp.StatusCode, stream)
+	}
+	lines := bytes.SplitAfter(stream, []byte("\n"))
+	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
+		lines = lines[:n-1] // the final newline
+	}
+	if len(lines) == 0 {
+		return errors.New("stream POST: empty response")
+	}
+	for i, line := range lines[:len(lines)-1] {
+		var ev struct {
+			Type string `json:"type"`
+			experiments.RunRecord
+		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ev); err != nil || ev.Type != "progress" {
+			return fmt.Errorf("stream POST: line %d is not a progress record: %q (err %v)", i+1, line, err)
+		}
+	}
+	status, plain, _, err := post(smokeStreamJob)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("plain POST of the streamed job: status %d: %s", status, plain)
+	}
+	if last := lines[len(lines)-1]; !bytes.Equal(last, plain) {
+		return fmt.Errorf("stream POST: final line differs from the plain body\n%q\nvs\n%q", last, plain)
+	}
 	return nil
 }
 

@@ -20,20 +20,22 @@
 //	nlssim -workload gcc -pht tage        # equal-cost TAGE-lite direction predictor
 //	nlssim -workload li -trace-events out.json  # sim-time pipeline trace (Perfetto)
 //
-// The run goes through the experiments pipeline as a single-cell grid:
-// the result is keyed and stored in the same content-addressed store
-// cmd/nlstables uses, so repeating a run (or re-running a figure that
-// contains the same cell) loads it instead of re-simulating. -force
-// re-simulates; -store "" disables the store. A simulated run streams the
-// workload from its generator chunk by chunk, so memory stays bounded by
-// the chunk size however large -n is.
+// The run goes through the experiments pipeline as a one-figure executor
+// run over a single-cell grid: the result is keyed and stored in the same
+// content-addressed store cmd/nlstables uses, so repeating a run (or
+// re-running a figure that contains the same cell) loads it instead of
+// re-simulating. -force re-simulates; -store "" disables the store. A
+// simulated run streams the workload from its generator chunk by chunk,
+// so memory stays bounded by the chunk size however large -n is.
 //
-// -attribute attaches the fetch frontend's probe and replays the workload
-// once more (attribution is an event-stream product the counter store
-// cannot serve), printing the per-branch cause table — or embedding it in
-// the -json object. With -json, stdout carries exactly one JSON document;
-// all diagnostics go to stderr. -cpuprofile/-memprofile write standard
-// pprof profiles.
+// -attribute and -h2p add probe-attached engines to the figure's probed
+// grid (attribution is an event-stream product the counter store cannot
+// serve), so they join the same run: whatever the flags, the workload is
+// replayed at most once. -attribute prints the per-branch cause table —
+// or embeds it in the -json object. With -json, stdout carries exactly
+// one JSON document; all diagnostics go to stderr. -trace-events replays
+// the workload once more through a recorder-attached engine.
+// -cpuprofile/-memprofile write standard pprof profiles.
 package main
 
 import (
@@ -123,24 +125,13 @@ func main() {
 		fail(err)
 	}
 
-	m, err := runCell(spec, s, *n, *storeDir, *force)
+	res, err := simulate(spec, s, engine.Name(), *n, *storeDir, *force, *attribute, *h2p)
 	if err != nil {
 		fail(err)
 	}
+	m, reports, ranks := &res.m, res.reports, res.ranks
 	p := metrics.Default()
 
-	var reports []obs.Report
-	if *attribute {
-		if reports, err = attributionReports(spec, s, *n, engine.Name()); err != nil {
-			fail(err)
-		}
-	}
-	var ranks []obs.H2PRanking
-	if *h2p {
-		if ranks, err = h2pRankings(spec, s, *n); err != nil {
-			fail(err)
-		}
-	}
 	if *traceEvents != "" {
 		if err := writeTraceEvents(spec, s, *n, *traceEvents, *traceSample, *traceMax); err != nil {
 			fail(err)
@@ -176,40 +167,27 @@ func main() {
 	check(stopProf())
 }
 
-// h2pRankings replays the workload through the selected architecture twice —
-// the paper gshare against the equal-cost TAGE-lite direction predictor
-// (DESIGN.md §13), everything else identical — and ranks the branches by
-// per-PC dir-wrong recovery. The selected spec's own PHT kind is
-// overridden on both sides: the comparison is the predictor pair, not the
-// -pht flag.
-func h2pRankings(w workload.Spec, s arch.Spec, insns int) ([]obs.H2PRanking, error) {
-	if s.PHT.Kind == "" || s.PHT.Kind == arch.PHTKindNone {
-		return nil, fmt.Errorf("-h2p needs a decoupled-PHT architecture; %q couples its direction state", s.Predictor.Kind)
-	}
-	base, alt := s, s
-	base.PHT = arch.PaperPHT()
-	alt.PHT = arch.TAGEPHT()
-	cfg := experiments.Config{
-		Insns:     insns,
-		Programs:  []workload.Spec{w},
-		Penalties: metrics.Default(),
-	}
-	x := &experiments.Executor{R: experiments.NewRunner(cfg)}
-	g := experiments.Grid{Name: "nlssim-h2p", Arms: []experiments.Arm{
-		{Name: "gshare", Spec: base},
-		{Name: "tage", Spec: alt},
-	}}
-	reports, err := x.RunAttribution(g, 0)
-	if err != nil {
-		return nil, err
-	}
-	return []obs.H2PRanking{obs.RankH2P(reports[0], reports[1], experiments.H2PTopN)}, nil
+// result is what one nlssim run reports: the cell's counters, the
+// -attribute report and the -h2p ranking when asked for, and the run's
+// accounting.
+type result struct {
+	m       metrics.Counters
+	reports []obs.Report
+	ranks   []obs.H2PRanking
+	stats   experiments.RunStats
 }
 
-// runCell runs one (workload, spec) cell through the grid pipeline — a
-// one-arm Grid whose arm keeps the spec's own cache geometry — so the
-// result round-trips the same store as the figure harness.
-func runCell(w workload.Spec, s arch.Spec, insns int, storeDir string, force bool) (*metrics.Counters, error) {
+// simulate runs one (workload, spec) cell through the grid pipeline as a
+// single executor run of one figure. Its Grid is a one-arm grid whose arm
+// keeps the spec's own cache geometry, so the counters round-trip the
+// same store as the figure harness. Its Probed grid holds the -attribute
+// arm (the spec itself, labeled name) and the -h2p pair: the selected
+// architecture under the paper gshare and under the equal-cost TAGE-lite
+// direction predictor (DESIGN.md §13), everything else identical, ranked
+// by per-PC dir-wrong recovery. The spec's own PHT kind is overridden on
+// both sides of the pair: the comparison is the predictor pair, not the
+// -pht flag. The run replays the workload at most once for all of it.
+func simulate(w workload.Spec, s arch.Spec, name string, insns int, storeDir string, force, attribute, h2p bool) (result, error) {
 	cfg := experiments.Config{
 		Insns:     insns,
 		Programs:  []workload.Spec{w},
@@ -219,24 +197,51 @@ func runCell(w workload.Spec, s arch.Spec, insns int, storeDir string, force boo
 	if storeDir != "" {
 		store, err := experiments.OpenStore(storeDir)
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
 		x.Store = store
 	}
-	g := experiments.Grid{Name: "nlssim", Arms: []experiments.Arm{{Name: "cell", Spec: s}}}
-	rs, err := x.RunGrids(false, g)
-	if err != nil {
-		return nil, err
+	f := experiments.Figure{Name: "nlssim",
+		Grid: experiments.Grid{Name: "nlssim", Arms: []experiments.Arm{{Name: "cell", Spec: s}}}}
+	var probed []experiments.Arm
+	if attribute {
+		probed = append(probed, experiments.Arm{Name: name, Spec: s})
 	}
-	m := rs.Rows(g)[0].M
-	return &m, nil
+	if h2p {
+		if s.PHT.Kind == "" || s.PHT.Kind == arch.PHTKindNone {
+			return result{}, fmt.Errorf("-h2p needs a decoupled-PHT architecture; %q couples its direction state", s.Predictor.Kind)
+		}
+		base, alt := s, s
+		base.PHT = arch.PaperPHT()
+		alt.PHT = arch.TAGEPHT()
+		probed = append(probed, experiments.Arm{Name: "gshare", Spec: base},
+			experiments.Arm{Name: "tage", Spec: alt})
+	}
+	if len(probed) > 0 {
+		f.Probed = &experiments.Grid{Name: "nlssim-probed", Arms: probed}
+	}
+	rs, err := x.Run(f)
+	if err != nil {
+		return result{}, err
+	}
+	ctx := rs.Context(f)
+	res := result{m: ctx.Rows[0].M, stats: rs.RunStats}
+	if attribute {
+		res.reports = ctx.Reports(experiments.AttributionTopN)[:1]
+	}
+	if h2p {
+		all := ctx.Reports(0)
+		pair := all[len(all)-2:]
+		res.ranks = []obs.H2PRanking{obs.RankH2P(pair[0], pair[1], experiments.H2PTopN)}
+	}
+	return res, nil
 }
 
 // writeTraceEvents replays the workload once more through a fresh engine
 // with a telemetry.SimRecorder attached and writes the sim-time trace-event
-// document (DESIGN.md §15). Like attribution, the trace is an event-stream
-// product the counter store cannot serve, so it costs its own replay; the
-// recorder's seams guarantee the counters are bit-identical either way.
+// document (DESIGN.md §15). The trace is an event-stream product the
+// counter store cannot serve, so it costs its own replay; the recorder's
+// seams guarantee the counters are bit-identical either way.
 func writeTraceEvents(w workload.Spec, s arch.Spec, insns int, path string, sample, maxEvents int) error {
 	engine, err := s.Build()
 	if err != nil {
@@ -260,23 +265,6 @@ func writeTraceEvents(w workload.Spec, s arch.Spec, insns int, path string, samp
 		return err
 	}
 	return f.Close()
-}
-
-// attributionReports replays the workload once through a probe-attached
-// engine (a one-arm grid on the spec's own geometry) and returns the
-// attribution report. The replay is separate from the metrics run: probe
-// events are not stored, and the probe contract guarantees the counters
-// are bit-identical either way.
-func attributionReports(w workload.Spec, s arch.Spec, insns int, name string) ([]obs.Report, error) {
-	cfg := experiments.Config{
-		Insns:     insns,
-		Programs:  []workload.Spec{w},
-		Penalties: metrics.Default(),
-	}
-	x := &experiments.Executor{R: experiments.NewRunner(cfg)}
-	g := experiments.Grid{Name: "nlssim-attribute",
-		Arms: []experiments.Arm{{Name: name, Spec: s}}}
-	return x.RunAttribution(g, experiments.AttributionTopN)
 }
 
 // specFromFlags assembles an ad-hoc spec for a bare predictor kind. The

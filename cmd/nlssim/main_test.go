@@ -6,6 +6,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/workload"
 )
 
 // buildBinary compiles this command into dir and returns the binary path.
@@ -67,5 +70,36 @@ func TestJSONStdoutPurity(t *testing.T) {
 	}
 	if len(out.Attribution) == 1 && len(out.Attribution[0].Causes) == 0 {
 		t.Error("attribution report carries no causes")
+	}
+}
+
+// TestAttributeH2PReplaysOnce: the counter cell, the -attribute arm and
+// the -h2p pair share one executor run, so every flag combination
+// replays the workload once — and a store-served cell with probes still
+// replays once, for the probes alone — while the probed reports restate
+// the cell's counters.
+func TestAttributeH2PReplaysOnce(t *testing.T) {
+	const insns = 30_000
+	s, _ := arch.Lookup("nls-table-1024")
+	store := t.TempDir()
+	for _, run := range []string{"cold", "warm"} {
+		res, err := simulate(workload.Li(), s, "nls", insns, store, false, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.stats.Replays != 1 || res.stats.Records != insns {
+			t.Errorf("%s run: %d replays drawing %d records, want 1 drawing %d",
+				run, res.stats.Replays, res.stats.Records, insns)
+		}
+		if want := map[string]int{"cold": 0, "warm": 1}[run]; res.stats.Loaded != want {
+			t.Errorf("%s run loaded %d cells, want %d", run, res.stats.Loaded, want)
+		}
+		if len(res.reports) != 1 || res.reports[0].Breaks != res.m.Breaks ||
+			res.reports[0].Mispredicts != res.m.Mispredicts {
+			t.Errorf("%s run: attribution %+v does not restate the counters %+v", run, res.reports, res.m)
+		}
+		if len(res.ranks) != 1 {
+			t.Errorf("%s run: %d h2p rankings, want 1", run, len(res.ranks))
+		}
 	}
 }

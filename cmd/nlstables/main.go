@@ -11,26 +11,31 @@
 //	nlstables [-n insns] [-only figure] [-force] [-progress] [-json] [-store dir]
 //	          [-manifest dir] [-cpuprofile f] [-memprofile f]
 //
-// The figures are declarative grids over one executor (see package
+// The figures are declarative grids over one executor run (see package
 // experiments): the run gathers every requested cell, loads unchanged ones
 // from the content-addressed store under -store, and replays each
-// program's trace exactly once for all remaining cells. -only restricts
+// program's trace at most once for all remaining cells. -only restricts
 // the run to one figure; -force re-simulates even stored cells; -store ""
 // disables the store entirely. The attribution and h2p figures probe their
 // cells: probe-attached engines join that one replay on every run (the
 // store holds counters, not event streams).
 //
+// The run's accounting is one record (experiments.RunStats) with three
+// views: the -progress lines, the -json report's sweep_throughput object
+// and the run manifest, the last two under the same keys.
+//
 // With -json, the machine-readable report — the rows behind each rendered
-// table plus the run's sweep-throughput stats — is the ONLY thing printed
-// to stdout (the ASCII tables move to stderr with the other diagnostics,
-// so `nlstables -json | jq` just works), and the same report is written to
+// table plus the run's record — is the ONLY thing printed to stdout (the
+// ASCII tables move to stderr with the other diagnostics, so
+// `nlstables -json | jq` just works), and the same report is written to
 // results/<exp>.json.
 //
 // Every run also writes a run manifest (schema nls-run/v1) under -manifest
-// (default results/runs/): store hits/misses, cells deduped across
-// figures, replay throughput, per-cell engine wall time, and the Go build
-// info — the telemetry record for tracking performance trajectories
-// across commits. -manifest "" disables it.
+// (default results/runs/): the run's record (store hits/misses, cells
+// deduped across figures, trace replays, replay throughput), per-stage and
+// per-cell wall time, and the Go build info — the telemetry record for
+// tracking performance trajectories across commits. -manifest "" disables
+// it.
 package main
 
 import (
@@ -46,23 +51,11 @@ import (
 )
 
 // report is the -json output: one entry per experiment run, keyed by
-// experiment name, plus the replay throughput of the run.
+// experiment name, plus the run's record under the manifest's keys.
 type report struct {
-	InsnsPerProgram int            `json:"insns_per_program"`
-	Experiments     map[string]any `json:"experiments"`
-	Sweep           sweepReport    `json:"sweep_throughput"`
-}
-
-type sweepReport struct {
-	Cells      int     `json:"cells"`
-	Records    int64   `json:"records"`
-	Seconds    float64 `json:"seconds"`
-	RecPerSec  float64 `json:"records_per_sec"`
-	MrecPerSec float64 `json:"mrec_per_sec"`
-	// Loaded counts cells served by the content-addressed store; Replays
-	// counts program traces actually replayed (0 on a fully warm run).
-	Loaded  int `json:"cells_loaded"`
-	Replays int `json:"trace_replays"`
+	InsnsPerProgram int                   `json:"insns_per_program"`
+	Experiments     map[string]any        `json:"experiments"`
+	Sweep           experiments.RunRecord `json:"sweep_throughput"`
 }
 
 func main() {
@@ -111,14 +104,14 @@ func main() {
 		figs = []experiments.Figure{f}
 	}
 
-	r := experiments.NewRunner(experiments.DefaultConfig(*n))
+	x := &experiments.Executor{R: experiments.NewRunner(experiments.DefaultConfig(*n)),
+		Force: *force, CorpusDir: *corpusDir}
 	if *progress {
-		r.Progress = func(s experiments.SweepStats) {
+		x.Progress = func(s experiments.RunStats) {
 			fmt.Fprintf(os.Stderr, "  sweep: %d/%d cells, %.1fM records replayed, %.1f Mrec/s\n",
-				s.Cells, s.TotalCells, float64(s.Records)/1e6, s.RecordsPerSec()/1e6)
+				s.Loaded+s.Simulated, s.TotalCells, float64(s.Records)/1e6, s.RecordsPerSec()/1e6)
 		}
 	}
-	x := &experiments.Executor{R: r, Force: *force, CorpusDir: *corpusDir}
 	if *storeDir != "" {
 		store, err := experiments.OpenStore(*storeDir)
 		check(err)
@@ -145,16 +138,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		s := r.LastSweepStats()
-		rep.Sweep = sweepReport{
-			Cells:      s.Cells,
-			Records:    s.Records,
-			Seconds:    s.Elapsed.Seconds(),
-			RecPerSec:  s.RecordsPerSec(),
-			MrecPerSec: s.RecordsPerSec() / 1e6,
-			Loaded:     s.Loaded,
-			Replays:    s.Replays,
-		}
+		rep.Sweep = rs.Record()
 		check(writeReport(rep, sel))
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -162,7 +146,7 @@ func main() {
 	}
 
 	if *manifestDir != "" {
-		m := experiments.NewRunManifest(x, rs, figNames, os.Args)
+		m := experiments.NewRunManifest(rs, figNames, os.Args)
 		path, err := m.Write(*manifestDir)
 		check(err)
 		fmt.Fprintf(os.Stderr, "nlstables: wrote %s\n", path)

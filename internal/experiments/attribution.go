@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/obs"
 )
 
 // AttributionTopN is the offender-table depth the attribution figure and
@@ -27,19 +26,4 @@ func AttributionGrid() Grid {
 		{Name: "512 NLS+64 BTB hybrid", Spec: arch.Hybrid(512, 64, 1), Caches: cache8K},
 	}
 	return Grid{Name: "attribution", Arms: arms}
-}
-
-// RunAttribution runs g as a probed grid (see Figure.Probed) and returns
-// one attribution report per cell, in cell order (program-major,
-// arm-major), with topN offenders each (all of them for topN <= 0). It is
-// Executor.Run of a figure that only probes g, and it replaces the
-// Runner's SweepStats like any run; nothing is read from or written to the
-// store.
-func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
-	f := Figure{Name: g.Name, Probed: &g}
-	rs, err := x.Run(f)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Context(f).Reports(topN), nil
 }

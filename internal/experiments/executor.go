@@ -37,6 +37,10 @@ type Executor struct {
 	// histograms on. It is called from the goroutine that ran RunGrids,
 	// after the replay pool has drained.
 	Observer func(StageSpan)
+	// Progress, when non-nil, is called after each program of a run
+	// finishes replaying, with a copy of the run's accounting so far.
+	// Calls are serialized; the callback must not invoke the Executor.
+	Progress func(RunStats)
 }
 
 // StageSpan is the wall time one executor stage consumed across a run,
@@ -77,7 +81,8 @@ type ProgramInfo struct {
 
 // ResultSet holds a run's outcome: every unique cell's counters (by store
 // key), every probed cell's attribution counts (by store key) and every
-// program's ProgramInfo, plus accounting for the tests and the CLIs.
+// program's ProgramInfo, plus the run's accounting (RunStats), which the
+// run manifest, the progress callback and the CLIs' reports all view.
 type ResultSet struct {
 	cfg    Config
 	cells  map[string]metrics.Counters
@@ -88,11 +93,7 @@ type ResultSet struct {
 	// instead of deriving them again.
 	keyed, probed []KeyedGrid
 
-	// Loaded counts counter cells served from the store, Simulated counter
-	// cells computed this run, Replays program traces actually replayed,
-	// and Deduped counter cell requests that were satisfied by another
-	// grid's identical cell (same content key) within the same run.
-	Loaded, Simulated, Replays, Deduped int
+	RunStats
 
 	// Timings holds the engine wall time of every simulated cell (empty
 	// for store-served cells), in completion order; it feeds the run
@@ -248,7 +249,6 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []Key
 	// Gather the unique cells of the whole run, probing the store first.
 	work := make([]progWork, len(cfg.Programs))
 	seen := make(map[string]bool)
-	total := 0
 	for _, g := range grids {
 		for ci, c := range g.Cells {
 			k := g.Keys[ci]
@@ -257,7 +257,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []Key
 				continue
 			}
 			seen[k] = true
-			total++
+			rs.TotalCells++
 			if x.Store != nil && !x.Force {
 				var m metrics.Counters
 				ok, err := x.Store.LoadCounters(k, &m)
@@ -306,10 +306,6 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []Key
 	gatherDur := time.Since(gatherStart)
 
 	start := time.Now()
-	r.statsMu.Lock()
-	r.stats = SweepStats{TotalCells: total, Cells: rs.Loaded, Loaded: rs.Loaded}
-	r.statsMu.Unlock()
-
 	var active []int
 	for i := range work {
 		if len(work[i].cells) > 0 || len(work[i].probed) > 0 || work[i].needInfo {
@@ -423,21 +419,7 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []Key
 				Stats: sc.Stats(), FetchBlocks: blocks}
 		}
 
-		mu.Lock()
-		for j := range rows {
-			rs.cells[w.keys[j]] = rows[j].M
-		}
-		for j, att := range atts {
-			rs.probes[w.pkeys[j]] = att.Table()
-		}
-		rs.Timings = append(rs.Timings, timings...)
-		rs.Simulated += len(rows)
-		if info != nil {
-			rs.infos[name] = info
-		}
-		rs.Replays++
-		mu.Unlock()
-
+		var save time.Duration
 		if x.Store != nil {
 			saveStart := time.Now()
 			for j := range rows {
@@ -450,28 +432,35 @@ func (x *Executor) run(gatherStart time.Time, needInfo bool, grids, probed []Key
 					return err
 				}
 			}
-			mu.Lock()
-			saveDur += time.Since(saveStart)
-			mu.Unlock()
+			save = time.Since(saveStart)
 		}
 
-		r.statsMu.Lock()
-		r.stats.Cells += len(w.cells)
-		r.stats.Records += n
-		r.stats.Replays++
-		r.stats.Elapsed = time.Since(start)
-		if r.Progress != nil {
-			r.Progress(r.stats) // statsMu held: calls are serialized
+		mu.Lock()
+		defer mu.Unlock()
+		saveDur += save
+		for j := range rows {
+			rs.cells[w.keys[j]] = rows[j].M
 		}
-		r.statsMu.Unlock()
+		for j, att := range atts {
+			rs.probes[w.pkeys[j]] = att.Table()
+		}
+		rs.Timings = append(rs.Timings, timings...)
+		if info != nil {
+			rs.infos[name] = info
+		}
+		rs.Simulated += len(rows)
+		rs.Replays++
+		rs.Records += n
+		rs.Elapsed = time.Since(start)
+		if x.Progress != nil {
+			x.Progress(rs.RunStats) // mu held: calls are serialized
+		}
 		return nil
 	})
-	r.statsMu.Lock()
-	r.stats.Elapsed = time.Since(start)
-	r.statsMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	rs.Elapsed = time.Since(start)
 	rs.Stages = []StageSpan{
 		{Stage: "gather", Seconds: gatherDur.Seconds()},
 		{Stage: "gen-corpus", Seconds: corpusDur.Seconds()},

@@ -97,14 +97,11 @@ func DefaultConfig(insns int) Config {
 // independently per program: a warm-store run that needs no cell of some
 // program never touches that program's trace. It never holds a whole
 // trace: every replay streams its program chunk by chunk, from the
-// attached corpus or from the workload's generator (Runner.source).
+// attached corpus or from the workload's generator (Runner.source). It
+// keeps no per-run state — a run's accounting lives in its ResultSet — so
+// concurrent runs may share one Runner.
 type Runner struct {
 	Cfg Config
-
-	// Progress, when set, is called after each program of a run finishes
-	// replaying, with a snapshot of the run so far. Calls are serialized;
-	// the callback must not invoke the Runner.
-	Progress func(SweepStats)
 
 	// corpus, when attached by UseCorpus, serves program traces by
 	// decoding instead of generating (corpus.go).
@@ -114,9 +111,6 @@ type Runner struct {
 	// validation or broke mid-replay, so the program was generated
 	// instead and later replays skip the entry.
 	regenerated []atomic.Bool
-
-	statsMu sync.Mutex
-	stats   SweepStats
 }
 
 // NewRunner builds a runner.
@@ -219,40 +213,6 @@ type Row struct {
 // Cache returns the row's cache geometry (from its spec).
 func (r Row) Cache() cache.Geometry {
 	return cache.MustGeometry(r.Spec.Cache.SizeBytes, r.Spec.Cache.LineBytes, r.Spec.Cache.Assoc)
-}
-
-// SweepStats reports the progress and throughput of a run: how many cells
-// completed (simulated or loaded), how many trace records were replayed
-// through the broadcaster (each program's trace is read once, shared by all
-// of its pending cells), how many cells the store served, how many program
-// traces were actually replayed, and the wall-clock time so far. Every
-// executor run, RunAttribution included, starts them afresh. Cells and
-// TotalCells count counter cells only; Records and Replays count each
-// program's one replay, whether it served counter cells, probed cells or
-// both.
-type SweepStats struct {
-	Cells      int
-	TotalCells int
-	Records    int64
-	Loaded     int
-	Replays    int
-	Elapsed    time.Duration
-}
-
-// RecordsPerSec returns the replay throughput in records per second.
-func (s SweepStats) RecordsPerSec() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Records) / s.Elapsed.Seconds()
-}
-
-// LastSweepStats returns the stats of the most recent run (final state if
-// it finished, a snapshot if one is running).
-func (r *Runner) LastSweepStats() SweepStats {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	return r.stats
 }
 
 func maxParallel() int {

@@ -135,38 +135,34 @@ func TestExecutorReplayAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(cfg)
-	rs, err := (&Executor{R: r, Store: store}).Run(figs...)
+	rs, err := (&Executor{R: NewRunner(cfg), Store: store}).Run(figs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.LastSweepStats()
-	if s.Replays != len(cfg.Programs) || rs.Replays != len(cfg.Programs) {
-		t.Errorf("cold run replayed %d/%d traces, want exactly %d (one per program)",
-			s.Replays, rs.Replays, len(cfg.Programs))
+	if rs.Replays != len(cfg.Programs) {
+		t.Errorf("cold run replayed %d traces, want exactly %d (one per program)",
+			rs.Replays, len(cfg.Programs))
 	}
 	wantRecords := int64(len(cfg.Programs)) * int64(cfg.Insns)
-	if s.Records != wantRecords {
+	if rs.Records != wantRecords {
 		t.Errorf("cold run replayed %d records, want %d (each trace read once)",
-			s.Records, wantRecords)
+			rs.Records, wantRecords)
 	}
-	if s.Cells != s.TotalCells || s.Cells != rs.Simulated {
-		t.Errorf("cell accounting: Cells=%d TotalCells=%d Simulated=%d", s.Cells, s.TotalCells, rs.Simulated)
+	if rs.Loaded != 0 || rs.Simulated != rs.TotalCells {
+		t.Errorf("cell accounting: Loaded=%d Simulated=%d TotalCells=%d", rs.Loaded, rs.Simulated, rs.TotalCells)
 	}
 
-	warmR := NewRunner(cfg)
-	warm, err := (&Executor{R: warmR, Store: store}).Run(figs...)
+	warm, err := (&Executor{R: NewRunner(cfg), Store: store}).Run(figs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := warmR.LastSweepStats()
-	if warm.Replays != len(cfg.Programs) || ws.Records != wantRecords {
+	if warm.Replays != len(cfg.Programs) || warm.Records != wantRecords {
 		t.Errorf("warm run: replays=%d records=%d, want %d, %d (probed cells only)",
-			warm.Replays, ws.Records, len(cfg.Programs), wantRecords)
+			warm.Replays, warm.Records, len(cfg.Programs), wantRecords)
 	}
-	if ws.Loaded != s.TotalCells || warm.Simulated != 0 {
+	if warm.Loaded != rs.TotalCells || warm.Simulated != 0 {
 		t.Errorf("warm run loaded %d cells and simulated %d, want %d, 0",
-			ws.Loaded, warm.Simulated, s.TotalCells)
+			warm.Loaded, warm.Simulated, rs.TotalCells)
 	}
 
 	// Without probed figures a warm run must not even generate traces
@@ -177,18 +173,16 @@ func TestExecutorReplayAccounting(t *testing.T) {
 			counterFigs = append(counterFigs, f)
 		}
 	}
-	lazyR := NewRunner(cfg)
-	lazy, err := (&Executor{R: lazyR, Store: store}).Run(counterFigs...)
+	lazy, err := (&Executor{R: NewRunner(cfg), Store: store}).Run(counterFigs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls := lazyR.LastSweepStats(); lazy.Replays != 0 || ls.Records != 0 {
-		t.Errorf("warm counter-only run: replays=%d records=%d, want 0, 0", lazy.Replays, ls.Records)
+	if lazy.Replays != 0 || lazy.Records != 0 {
+		t.Errorf("warm counter-only run: replays=%d records=%d, want 0, 0", lazy.Replays, lazy.Records)
 	}
 
 	// -force bypasses the warm path and re-simulates everything.
-	forceR := NewRunner(cfg)
-	forced, err := (&Executor{R: forceR, Store: store, Force: true}).Run(figs...)
+	forced, err := (&Executor{R: NewRunner(cfg), Store: store, Force: true}).Run(figs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,12 +65,56 @@ func ReadBuildEnv() BuildEnv {
 	return env
 }
 
+// RunStats is a run's accounting, the one record of what a run did: how
+// many unique counter cells it gathered (TotalCells), how many of them the
+// store served (Loaded) and how many were simulated (Simulated), how many
+// requests another grid's identical cell satisfied (Deduped), how many
+// program traces were replayed (Replays: at most one per program, for its
+// pending counter cells and its probed cells alike) and how many trace
+// records that drew (Records), and the wall time since the replay began
+// (Elapsed). Executor.run fills it in the ResultSet and hands a copy to
+// Executor.Progress after each program; Record is its wire form.
+type RunStats struct {
+	TotalCells int           `json:"total_cells"`
+	Loaded     int           `json:"cells_loaded"`
+	Simulated  int           `json:"cells_simulated"`
+	Deduped    int           `json:"cells_deduped"`
+	Replays    int           `json:"trace_replays"`
+	Records    int64         `json:"records_replayed"`
+	Elapsed    time.Duration `json:"-"`
+}
+
+// RecordsPerSec returns the replay throughput in records per second, 0
+// before any wall time has accumulated.
+func (s RunStats) RecordsPerSec() float64 {
+	if s.Elapsed <= 0 {
+		return 0
+	}
+	return float64(s.Records) / s.Elapsed.Seconds()
+}
+
+// RunRecord is RunStats on the wire, with the elapsed time in seconds and
+// the replay throughput: the keys of the run manifest, which nlstables'
+// -json sweep_throughput object and nlsserve's streamed progress lines
+// share.
+type RunRecord struct {
+	RunStats
+	Seconds   float64 `json:"seconds"`
+	RecPerSec float64 `json:"records_per_sec"`
+}
+
+// Record returns the wire form of s.
+func (s RunStats) Record() RunRecord {
+	return RunRecord{RunStats: s, Seconds: s.Elapsed.Seconds(), RecPerSec: s.RecordsPerSec()}
+}
+
 // RunManifest is the telemetry record of one executor run: what was asked
-// for, what the store served vs what was simulated, how fast the replay
-// went, where the wall time of each simulated cell was spent, and which
-// toolchain built the binary. nlstables writes one per run under
-// results/runs/ so result and performance trajectories can be tracked
-// across commits without scraping the report text.
+// for, the run's accounting (what the store served vs what was simulated,
+// how fast the replay went), where the wall time of each stage and each
+// simulated cell was spent, and which toolchain built the binary.
+// nlstables writes one per run under results/runs/ so result and
+// performance trajectories can be tracked across commits without scraping
+// the report text.
 type RunManifest struct {
 	Schema          string    `json:"schema"`
 	CreatedAt       time.Time `json:"created_at"`
@@ -79,21 +123,7 @@ type RunManifest struct {
 	Figures         []string  `json:"figures,omitempty"`
 	Build           BuildEnv  `json:"build"`
 
-	// Store accounting: Loaded cells were served by the content-addressed
-	// store (hits), Simulated were replayed this run (misses), Deduped
-	// were requested by more than one grid and gathered once.
-	CellsLoaded    int `json:"cells_loaded"`
-	CellsSimulated int `json:"cells_simulated"`
-	CellsDeduped   int `json:"cells_deduped"`
-	// Replays counts program traces actually replayed: at most one per
-	// program, for its pending counter cells and its probed cells (0 on
-	// a warm run without probed figures).
-	Replays int `json:"trace_replays"`
-
-	// Replay throughput over the whole run.
-	Records   int64   `json:"records_replayed"`
-	Seconds   float64 `json:"seconds"`
-	RecPerSec float64 `json:"records_per_sec"`
+	RunRecord
 
 	// Stages is the run's per-executor-stage wall time (gather,
 	// gen-corpus, trace-gen, replay, store-save); Cells is the per-cell
@@ -102,25 +132,18 @@ type RunManifest struct {
 	Cells  []CellTiming `json:"cells,omitempty"`
 }
 
-// NewRunManifest assembles the manifest of a finished run from the
-// executor's sweep statistics and the result set's accounting. figures
-// names what was rendered; command is the CLI invocation (os.Args).
-func NewRunManifest(x *Executor, rs *ResultSet, figures, command []string) RunManifest {
-	s := x.R.LastSweepStats()
+// NewRunManifest assembles the manifest of a finished run from its result
+// set alone. figures names what was rendered; command is the CLI
+// invocation (os.Args).
+func NewRunManifest(rs *ResultSet, figures, command []string) RunManifest {
 	return RunManifest{
 		Schema:          ManifestSchema,
 		CreatedAt:       time.Now(),
 		Command:         command,
-		InsnsPerProgram: x.R.Cfg.Insns,
+		InsnsPerProgram: rs.cfg.Insns,
 		Figures:         figures,
 		Build:           ReadBuildEnv(),
-		CellsLoaded:     rs.Loaded,
-		CellsSimulated:  rs.Simulated,
-		CellsDeduped:    rs.Deduped,
-		Replays:         s.Replays,
-		Records:         s.Records,
-		Seconds:         s.Elapsed.Seconds(),
-		RecPerSec:       s.RecordsPerSec(),
+		RunRecord:       rs.Record(),
 		Stages:          rs.Stages,
 		Cells:           rs.Timings,
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,18 +19,53 @@ import (
 func TestRecordsPerSecGuardsZeroElapsed(t *testing.T) {
 	cases := []struct {
 		name string
-		s    SweepStats
+		s    RunStats
 		want float64
 	}{
-		{"zero elapsed", SweepStats{Records: 1000}, 0},
-		{"negative elapsed", SweepStats{Records: 1000, Elapsed: -time.Second}, 0},
-		{"zero records", SweepStats{Elapsed: time.Second}, 0},
-		{"normal", SweepStats{Records: 3000, Elapsed: 2 * time.Second}, 1500},
+		{"zero elapsed", RunStats{Records: 1000}, 0},
+		{"negative elapsed", RunStats{Records: 1000, Elapsed: -time.Second}, 0},
+		{"zero records", RunStats{Elapsed: time.Second}, 0},
+		{"normal", RunStats{Records: 3000, Elapsed: 2 * time.Second}, 1500},
 	}
 	for _, c := range cases {
 		if got := c.s.RecordsPerSec(); got != c.want {
 			t.Errorf("%s: RecordsPerSec() = %g, want %g", c.name, got, c.want)
 		}
+		if got := c.s.Record().RecPerSec; got != c.want {
+			t.Errorf("%s: Record().RecPerSec = %g, want %g", c.name, got, c.want)
+		}
+	}
+}
+
+// TestManifestKeys pins the manifest's JSON vocabulary: every nls-run/v1
+// key, which the -json report's sweep_throughput object and the served
+// progress stream share through RunRecord. A rename fails here.
+func TestManifestKeys(t *testing.T) {
+	m := RunManifest{
+		Command: []string{"test"}, Figures: []string{"fig"},
+		Stages: []StageSpan{{Stage: "replay"}}, Cells: []CellTiming{{}},
+	}
+	buf, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range doc {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{
+		"build", "cells", "cells_deduped", "cells_loaded", "cells_simulated",
+		"command", "created_at", "figures", "insns_per_program",
+		"records_per_sec", "records_replayed", "schema", "seconds", "stages",
+		"total_cells", "trace_replays",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("manifest keys\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -74,7 +110,7 @@ func TestManifestCarriesStageSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewRunManifest(x, rs, []string{"manifest-stages"}, []string{"test"})
+	m := NewRunManifest(rs, []string{"manifest-stages"}, []string{"test"})
 	if len(m.Stages) != 5 {
 		t.Fatalf("manifest has %d stages, want 5: %+v", len(m.Stages), m.Stages)
 	}
@@ -112,8 +148,8 @@ func TestManifestCarriesStageSpans(t *testing.T) {
 // TestManifestCountsOneReplayPerProgram: probed figures join the run's
 // single replay per program. A cold Run(Figures()...) and a warm one, whose
 // counter cells all come from the store, each replay every program exactly
-// once — the warm one for the probed cells alone — and the manifest reads
-// the count and the records from the Runner's stats.
+// once — the warm one for the probed cells alone — and the manifest is the
+// result set's record.
 func TestManifestCountsOneReplayPerProgram(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -131,18 +167,16 @@ func TestManifestCountsOneReplayPerProgram(t *testing.T) {
 		if run == "warm" && rs.Simulated != 0 {
 			t.Errorf("warm run simulated %d counter cells, want 0", rs.Simulated)
 		}
-		s := x.R.LastSweepStats()
-		if rs.Replays != len(cfg.Programs) || s.Replays != len(cfg.Programs) || s.Records != wantRecords {
-			t.Errorf("%s run: rs.Replays=%d stats replays=%d records=%d, want %d, %d, %d",
-				run, rs.Replays, s.Replays, s.Records, len(cfg.Programs), len(cfg.Programs), wantRecords)
+		if rs.Replays != len(cfg.Programs) || rs.Records != wantRecords {
+			t.Errorf("%s run: replays=%d records=%d, want %d, %d",
+				run, rs.Replays, rs.Records, len(cfg.Programs), wantRecords)
 		}
-		if s.Elapsed <= 0 {
-			t.Errorf("%s run elapsed = %v, want > 0", run, s.Elapsed)
+		if rs.Elapsed <= 0 {
+			t.Errorf("%s run elapsed = %v, want > 0", run, rs.Elapsed)
 		}
-		m := NewRunManifest(x, rs, []string{"all"}, []string{"test"})
-		if m.Replays != len(cfg.Programs) || m.Records != wantRecords {
-			t.Errorf("%s manifest: trace_replays=%d records_replayed=%d, want %d, %d",
-				run, m.Replays, m.Records, len(cfg.Programs), wantRecords)
+		m := NewRunManifest(rs, []string{"all"}, []string{"test"})
+		if m.RunStats != rs.RunStats || m.Seconds != rs.Elapsed.Seconds() || m.InsnsPerProgram != cfg.Insns {
+			t.Errorf("%s manifest %+v does not restate the run record %+v", run, m.RunRecord, rs.RunStats)
 		}
 	}
 }

@@ -103,11 +103,7 @@ func streamJobs() []streamJob {
 			return mustJSON(t, rs.Rows(mixed))
 		}},
 		{"attribution", func(t *testing.T, x *Executor) []byte {
-			reports, err := x.RunAttribution(AttributionGrid(), AttributionTopN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mustJSON(t, reports)
+			return mustJSON(t, probedReports(t, x, AttributionGrid(), AttributionTopN))
 		}},
 	}
 }
@@ -203,16 +199,10 @@ func checkFallback(t *testing.T, cfg Config, dir, damaged string) {
 		t.Errorf("regenerated %v, want exactly [%s]", regen, damaged)
 	}
 
-	wantAtt, err := (&Executor{R: NewRunner(cfg)}).RunAttribution(AttributionGrid(), AttributionTopN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantAtt := probedReports(t, &Executor{R: NewRunner(cfg)}, AttributionGrid(), AttributionTopN)
 	xa := &Executor{R: NewRunner(cfg), CorpusDir: dir}
-	gotAtt, err := xa.RunAttribution(AttributionGrid(), AttributionTopN)
 	defer xa.R.CloseCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotAtt := probedReports(t, xa, AttributionGrid(), AttributionTopN)
 	if regen := regeneratedPrograms(xa.R); len(regen) != 1 || regen[0] != damaged {
 		t.Errorf("attribution regenerated %v, want exactly [%s]", regen, damaged)
 	}
@@ -432,21 +422,19 @@ func TestGeneratorReplayHeapCeiling(t *testing.T) {
 	runHeapCeiling(t, &Executor{R: NewRunner(cfg)})
 }
 
-// TestRunAttributionAttachesCorpus: RunAttribution attaches the corpus
-// under CorpusDir as RunGrids does, so a probed figure on a warm store —
-// where RunGrids simulates nothing and attaches nothing — still decodes
-// its traces instead of generating them.
-func TestRunAttributionAttachesCorpus(t *testing.T) {
+// TestProbedRunAttachesCorpus: a run with probed cells only attaches the
+// corpus under CorpusDir as a counter run does, so a probed figure on a
+// warm store — where the counter cells need no trace — still decodes its
+// traces instead of generating them.
+func TestProbedRunAttachesCorpus(t *testing.T) {
 	cfg := corpusTestConfig()
 	dir := t.TempDir()
 	buildTestCorpus(t, cfg, dir)
 	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
-	if _, err := x.RunAttribution(AttributionGrid(), AttributionTopN); err != nil {
-		t.Fatal(err)
-	}
 	defer x.R.CloseCorpus()
+	probedReports(t, x, AttributionGrid(), AttributionTopN)
 	if x.R.attachedCorpus() == nil {
-		t.Fatal("RunAttribution left the corpus under CorpusDir unattached")
+		t.Fatal("a probed-only run left the corpus under CorpusDir unattached")
 	}
 	if regen := regeneratedPrograms(x.R); len(regen) > 0 {
 		t.Errorf("intact corpus entries regenerated: %v", regen)

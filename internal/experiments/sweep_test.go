@@ -172,29 +172,86 @@ func TestSweepPropertyRandomMatrix(t *testing.T) {
 	}
 }
 
-// TestSweepStats: the scheduler's counters account every cell and every
-// record exactly once per program replay.
+// TestSweepStats: the run record accounts every cell and every record
+// exactly once per program replay, and the last Progress copy is the
+// finished record but for its wall time.
 func TestSweepStats(t *testing.T) {
-	r := NewRunner(DefaultConfig(50_000))
-	var calls int
-	r.Progress = func(SweepStats) { calls++ }
+	cfg := DefaultConfig(50_000)
+	var calls []RunStats
+	x := &Executor{R: NewRunner(cfg), Progress: func(s RunStats) { calls = append(calls, s) }}
 	arms := sweepArms()
 	caches := PaperCaches()[:2]
-	runGrid(t, r, sweepGrid(arms, caches))
-	s := r.LastSweepStats()
-	wantCells := len(r.Cfg.Programs) * len(arms) * len(caches)
-	if s.Cells != wantCells || s.TotalCells != wantCells {
-		t.Errorf("cells = %d/%d, want %d", s.Cells, s.TotalCells, wantCells)
+	g := sweepGrid(arms, caches)
+	rs, err := x.RunGrids(false, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rs.RunStats
+	wantCells := len(cfg.Programs) * len(arms) * len(caches)
+	if s.Simulated != wantCells || s.TotalCells != wantCells || s.Loaded != 0 {
+		t.Errorf("cells: simulated %d, loaded %d, total %d, want %d, 0, %d",
+			s.Simulated, s.Loaded, s.TotalCells, wantCells, wantCells)
 	}
 	// Shared replay: each program's trace is read once, NOT once per cell.
-	wantRecords := int64(len(r.Cfg.Programs)) * int64(r.Cfg.Insns)
-	if s.Records != wantRecords {
-		t.Errorf("records replayed = %d, want %d (one replay per program)", s.Records, wantRecords)
+	wantRecords := int64(len(cfg.Programs)) * int64(cfg.Insns)
+	if s.Records != wantRecords || s.Replays != len(cfg.Programs) {
+		t.Errorf("replayed %d records in %d replays, want %d in %d (one replay per program)",
+			s.Records, s.Replays, wantRecords, len(cfg.Programs))
 	}
 	if s.Elapsed <= 0 || s.RecordsPerSec() <= 0 {
 		t.Errorf("elapsed/throughput not populated: %+v", s)
 	}
-	if calls != len(r.Cfg.Programs) {
-		t.Errorf("Progress called %d times, want %d", calls, len(r.Cfg.Programs))
+	if len(calls) != len(cfg.Programs) {
+		t.Fatalf("Progress called %d times, want %d", len(calls), len(cfg.Programs))
+	}
+	last := calls[len(calls)-1]
+	last.Elapsed = s.Elapsed
+	if last != s {
+		t.Errorf("last progress %+v, want the finished record %+v", last, s)
+	}
+	for i, c := range calls {
+		if c.Replays != i+1 {
+			t.Errorf("progress call %d reports %d replays, want %d", i, c.Replays, i+1)
+		}
+	}
+}
+
+// TestStressConcurrentRunsOwnRecords: two runs sharing one Runner each
+// report their own accounting — the record lives in the ResultSet, not on
+// the Runner, so neither run sees the other's replays. Run under -race by
+// `make stress`.
+func TestStressConcurrentRunsOwnRecords(t *testing.T) {
+	cfg := DefaultConfig(30_000)
+	cfg.Programs = cfg.Programs[:2]
+	r := NewRunner(cfg)
+	grids := []Grid{
+		sweepGrid(sweepArms()[:1], PaperCaches()[:1]),
+		sweepGrid(sweepArms(), PaperCaches()[:2]),
+	}
+	results := make([]*ResultSet, len(grids))
+	var wg sync.WaitGroup
+	for i, g := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := (&Executor{R: r}).RunGrids(false, g)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = rs
+		}()
+	}
+	wg.Wait()
+	wantRecords := int64(len(cfg.Programs)) * int64(cfg.Insns)
+	for i, rs := range results {
+		if rs == nil {
+			continue
+		}
+		wantCells := len(rs.Rows(grids[i]))
+		if rs.Replays != len(cfg.Programs) || rs.Records != wantRecords || rs.Simulated != wantCells {
+			t.Errorf("run %d: replays=%d records=%d simulated=%d, want %d, %d, %d",
+				i, rs.Replays, rs.Records, rs.Simulated, len(cfg.Programs), wantRecords, wantCells)
+		}
 	}
 }

@@ -15,21 +15,31 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunAttribution exercises the probed replay path end to end on a
-// small run: one report per grid cell in cell order, totals that are real
-// (every arm breaks somewhere), and the §4.1 structural claim — eviction
-// loss only for the line-coupled organizations — holding on the full
-// attribution grid, not just the two-engine golden pair in package obs.
-func TestRunAttribution(t *testing.T) {
-	cfg := DefaultConfig(60_000)
-	cfg.Programs = []workload.Spec{workload.Espresso(), workload.Gcc()}
-	x := &Executor{R: NewRunner(cfg)}
-	g := AttributionGrid()
-
-	reports, err := x.RunAttribution(g, AttributionTopN)
+// probedReports runs g as the Probed grid of a figure with no counter
+// cells and returns one report per cell, in cell order, with topN
+// offenders each (all of them for topN <= 0).
+func probedReports(t testing.TB, x *Executor, g Grid, topN int) []obs.Report {
+	t.Helper()
+	f := Figure{Name: g.Name, Probed: &g}
+	rs, err := x.Run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rs.Context(f).Reports(topN)
+}
+
+// TestProbedFigureReports exercises the probed replay path end to end on
+// a small run: one report per grid cell in cell order, totals that are
+// real (every arm breaks somewhere), and the §4.1 structural claim —
+// eviction loss only for the line-coupled organizations — holding on the
+// full attribution grid, not just the two-engine golden pair in package
+// obs.
+func TestProbedFigureReports(t *testing.T) {
+	cfg := DefaultConfig(60_000)
+	cfg.Programs = []workload.Spec{workload.Espresso(), workload.Gcc()}
+	g := AttributionGrid()
+
+	reports := probedReports(t, &Executor{R: NewRunner(cfg)}, g, AttributionTopN)
 	cells := g.Cells(cfg.Programs)
 	if len(reports) != len(cells) {
 		t.Fatalf("got %d reports for %d cells", len(reports), len(cells))
@@ -95,18 +105,15 @@ func TestProbedReportsMatchReference(t *testing.T) {
 	}
 }
 
-// TestRunAttributionMatchesCounters pins the probe contract at the
+// TestProbedReportsMatchCounters pins the probe contract at the
 // executor level: a probed replay reports exactly the counters an
 // unprobed grid run produces for the same cells.
-func TestRunAttributionMatchesCounters(t *testing.T) {
+func TestProbedReportsMatchCounters(t *testing.T) {
 	cfg := DefaultConfig(50_000)
 	cfg.Programs = []workload.Spec{workload.Li()}
 	g := AttributionGrid()
 
-	reports, err := (&Executor{R: NewRunner(cfg)}).RunAttribution(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := probedReports(t, &Executor{R: NewRunner(cfg)}, g, 0)
 	rs, err := (&Executor{R: NewRunner(cfg)}).RunGrids(false, g)
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +268,9 @@ func TestCellTimingsAndDedup(t *testing.T) {
 	}
 
 	// The manifest assembles the run's accounting and writes valid JSON.
-	m := NewRunManifest(x, rs, []string{"a", "b"}, []string{"test"})
-	if m.Schema != ManifestSchema || m.CellsSimulated != rs.Simulated ||
-		m.CellsDeduped != 1 || m.Build.GoVersion == "" {
+	m := NewRunManifest(rs, []string{"a", "b"}, []string{"test"})
+	if m.Schema != ManifestSchema || m.Simulated != rs.Simulated ||
+		m.Deduped != 1 || m.Build.GoVersion == "" {
 		t.Errorf("manifest accounting: %+v", m)
 	}
 	dir := t.TempDir()
@@ -279,7 +286,7 @@ func TestCellTimingsAndDedup(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("manifest does not round-trip: %v", err)
 	}
-	if back.Schema != ManifestSchema || back.CellsSimulated != m.CellsSimulated ||
+	if back.Schema != ManifestSchema || back.Simulated != m.Simulated ||
 		len(back.Cells) != len(m.Cells) {
 		t.Errorf("manifest round-trip mismatch: %+v vs %+v", back, m)
 	}

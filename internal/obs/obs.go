@@ -186,7 +186,9 @@ func (t Table) Report(arch, program string, n int, p metrics.Penalties) Report {
 		return all[i].PC < all[j].PC
 	})
 	if n > 0 && len(all) > n {
-		all = all[:n]
+		// Copy the top n out: a slice of all would keep every branch of
+		// the program alive for as long as the report.
+		all = append(make([]PCStats, 0, n), all[:n]...)
 	}
 	r.Top = all
 	return r

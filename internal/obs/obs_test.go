@@ -70,6 +70,10 @@ func TestTableKeepsEveryCount(t *testing.T) {
 	if got := a.Table().Report("a", "p", 0, p).Top; !reflect.DeepEqual(got, want) {
 		t.Fatalf("packed rows\n got %+v\nwant %+v", got, want)
 	}
+	// A truncated report owns its rows: it does not pin the rest.
+	if got := a.Table().Report("a", "p", 1, p).Top; !reflect.DeepEqual(got, want[:1]) || cap(got) != len(got) {
+		t.Fatalf("top-1 report: %+v with cap %d, want %+v with cap 1", got, cap(got), want[:1])
+	}
 	if r := (Table{}).Report("a", "p", 0, p); r.StaticBranches != 0 || r.Top == nil || len(r.Top) != 0 {
 		t.Fatalf("zero Table report: %+v", r)
 	}

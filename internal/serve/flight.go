@@ -6,29 +6,22 @@ import (
 	"repro/internal/experiments"
 )
 
-// Accounting is the per-flight store accounting, surfaced in response
-// headers and aggregated into /statsz. It is deliberately NOT part of the
-// response body: a warm re-request must be byte-identical to the cold
-// response, and Loaded/Simulated differ between the two.
-type Accounting struct {
-	Loaded    int
-	Simulated int
-	Deduped   int
-	Replays   int
-}
-
 // A flight is one in-progress or finished execution of a job key: the
 // single unit N identical concurrent requests share. The leader executes;
-// everyone (leader included) waits on done and then reads body/acct/err,
-// which are written exactly once before done is closed.
+// everyone (leader included) waits on done and then reads body/stats/err,
+// which are written exactly once before done is closed. stats is the
+// run's record, surfaced in response headers and folded into the
+// registry; it is deliberately NOT part of the body: a warm re-request
+// must be byte-identical to the cold response, and the store accounting
+// differs between the two.
 type flight struct {
 	key  string
 	hub  *progressHub
 	done chan struct{}
 
-	body []byte
-	acct Accounting
-	err  error
+	body  []byte
+	stats experiments.RunStats
+	err   error
 }
 
 // flightGroup is the single-flight layer: at most one inflight flight per
@@ -61,35 +54,37 @@ func (g *flightGroup) join(key string) (fl *flight, leader bool) {
 // the inflight map BEFORE done is closed, so a request arriving after
 // completion starts a fresh flight (and is served from the store) rather
 // than joining a finished one. Waiters blocked on done observe
-// body/acct/err safely (the writes happen-before close).
-func (g *flightGroup) finish(fl *flight, body []byte, acct Accounting, err error) {
+// body/stats/err safely (the writes happen-before close).
+func (g *flightGroup) finish(fl *flight, body []byte, stats experiments.RunStats, err error) {
 	g.mu.Lock()
 	delete(g.inflight, fl.key)
 	g.mu.Unlock()
-	fl.body, fl.acct, fl.err = body, acct, err
+	fl.body, fl.stats, fl.err = body, stats, err
 	fl.hub.close()
 	close(fl.done)
 }
 
-// progressHub fans one job's executor progress out to any number of
-// streaming subscribers. Channels hold one element and publish is
-// latest-wins: a slow subscriber never blocks the executor's progress
-// callback (which runs under the Runner's stats lock) and always sees the
-// most recent snapshot next.
+// progressHub fans one job's run record out to any number of streaming
+// subscribers, as Executor.Progress hands it over after each program.
+// Channels hold one element and publish is latest-wins: a slow subscriber
+// never blocks the progress callback (which the executor calls under its
+// run lock) and always sees the most recent record next. The hub closes
+// only after the run's last publish, so a subscriber that joined before
+// that publish reads the final record before its channel closes.
 type progressHub struct {
 	mu     sync.Mutex
-	subs   map[chan experiments.SweepStats]struct{}
+	subs   map[chan experiments.RunStats]struct{}
 	closed bool
 }
 
 func newProgressHub() *progressHub {
-	return &progressHub{subs: make(map[chan experiments.SweepStats]struct{})}
+	return &progressHub{subs: make(map[chan experiments.RunStats]struct{})}
 }
 
 // subscribe registers a listener; cancel unregisters it. The channel is
 // closed when the flight finishes (or immediately if it already has).
-func (h *progressHub) subscribe() (<-chan experiments.SweepStats, func()) {
-	ch := make(chan experiments.SweepStats, 1)
+func (h *progressHub) subscribe() (<-chan experiments.RunStats, func()) {
+	ch := make(chan experiments.RunStats, 1)
 	h.mu.Lock()
 	if h.closed {
 		close(ch)
@@ -107,7 +102,7 @@ func (h *progressHub) subscribe() (<-chan experiments.SweepStats, func()) {
 
 // publish delivers a snapshot to every subscriber without blocking: a full
 // channel has its stale element replaced.
-func (h *progressHub) publish(s experiments.SweepStats) {
+func (h *progressHub) publish(s experiments.RunStats) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {

@@ -32,7 +32,7 @@ func TestStressSingleFlightHammer(t *testing.T) {
 	// cannot signal this themselves.
 	var invocations atomic.Int64
 	inner := s.exec
-	s.exec = func(job *CompiledJob, progress func(experiments.SweepStats)) ([]byte, Accounting, error) {
+	s.exec = func(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
 		invocations.Add(1)
 		for s.stats.FlightsLed.Value()+s.stats.FlightsShared.Value() < clients {
 			time.Sleep(time.Millisecond)

@@ -65,10 +65,11 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// execFunc runs one compiled job and returns the response body and the
-// store accounting. It is a field (not a method call) so the stress tests
-// can count executor invocations under the hammer.
-type execFunc func(job *CompiledJob, progress func(experiments.SweepStats)) ([]byte, Accounting, error)
+// execFunc runs one compiled job, handing progress each program's copy of
+// the run record, and returns the response body and the finished record.
+// It is a field (not a method call) so the stress tests can count executor
+// invocations under the hammer.
+type execFunc func(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error)
 
 // Server is the sweep service. Create with New, expose via Handler, stop
 // with Shutdown.
@@ -150,24 +151,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // The run reuses the cell keys CompileJob derived for the flight key, so
 // a job keys each cell once. Executor stage spans feed the registry's
 // stage histograms.
-func (s *Server) runJob(job *CompiledJob, progress func(experiments.SweepStats)) ([]byte, Accounting, error) {
+func (s *Server) runJob(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
 	r := experiments.NewRunner(job.Cfg)
-	r.Progress = progress
 	defer r.CloseCorpus() // release the mapping when the job attached one
-	x := &experiments.Executor{R: r, Store: s.store, CorpusDir: s.corpusDir,
+	x := &experiments.Executor{R: r, Store: s.store, CorpusDir: s.corpusDir, Progress: progress,
 		Observer: func(sp experiments.StageSpan) { s.stats.ObserveStage(sp.Stage, sp.Seconds) }}
 	rs, err := x.RunKeyed(false, job.keyed)
 	if err != nil {
-		return nil, Accounting{}, err
+		return nil, experiments.RunStats{}, err
 	}
 	doc := Result{Schema: ResultSchema, Key: job.Key, Insns: job.Cfg.Insns, Rows: rs.Rows(job.Grid)}
 	body, err := json.Marshal(doc)
 	if err != nil {
-		return nil, Accounting{}, err
+		return nil, experiments.RunStats{}, err
 	}
-	acct := Accounting{Loaded: rs.Loaded, Simulated: rs.Simulated,
-		Deduped: rs.Deduped, Replays: rs.Replays}
-	return append(body, '\n'), acct, nil
+	return append(body, '\n'), rs.RunStats, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -223,29 +221,26 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			s.stats.InflightJobs.Add(1)
 			defer s.stats.InflightJobs.Add(-1)
 			start := time.Now()
-			body, acct, err := s.exec(job, fl.hub.publish)
+			body, st, err := s.exec(job, fl.hub.publish)
 			elapsed := time.Since(start)
 			s.stats.JobSeconds.Observe(elapsed.Seconds())
 			if err == nil {
-				s.stats.CellsLoaded.Add(int64(acct.Loaded))
-				s.stats.CellsSimulated.Add(int64(acct.Simulated))
-				s.stats.CellsDeduped.Add(int64(acct.Deduped))
-				s.stats.TraceReplays.Add(int64(acct.Replays))
+				s.stats.addRun(st)
 				s.log.Info("job done", "job", jobID, "key", fl.key,
-					"seconds", elapsed.Seconds(), "cells_loaded", acct.Loaded,
-					"cells_simulated", acct.Simulated)
+					"seconds", elapsed.Seconds(), "cells_loaded", st.Loaded,
+					"cells_simulated", st.Simulated)
 			} else {
 				s.log.Error("job failed", "job", jobID, "key", fl.key,
 					"seconds", elapsed.Seconds(), "err", err)
 			}
-			s.flights.finish(fl, body, acct, err)
+			s.flights.finish(fl, body, st, err)
 		})
 		if submitErr != nil {
 			// The flight never ran; fail every waiter (they all requested
 			// the same overloaded moment).
 			s.stats.QueuedJobs.Add(-1)
 			s.log.Warn("job shed", "job", jobID, "key", job.Key, "err", submitErr)
-			s.flights.finish(fl, nil, Accounting{}, submitErr)
+			s.flights.finish(fl, nil, experiments.RunStats{}, submitErr)
 		}
 	} else {
 		s.stats.FlightsShared.Inc()
@@ -265,7 +260,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult sends a finished flight: the shared deterministic body, with
-// the per-request accounting in headers (never in the body — see Result).
+// the flight's store accounting in headers (never in the body — see
+// Result).
 func (s *Server) writeResult(w http.ResponseWriter, fl *flight, leader bool) {
 	if fl.err != nil {
 		s.stats.JobsFailed.Inc()
@@ -285,23 +281,20 @@ func (s *Server) writeResult(w http.ResponseWriter, fl *flight, leader bool) {
 	} else {
 		h.Set("X-NLS-Flight", "shared")
 	}
-	h.Set("X-NLS-Cells-Loaded", strconv.Itoa(fl.acct.Loaded))
-	h.Set("X-NLS-Cells-Simulated", strconv.Itoa(fl.acct.Simulated))
+	h.Set("X-NLS-Cells-Loaded", strconv.Itoa(fl.stats.Loaded))
+	h.Set("X-NLS-Cells-Simulated", strconv.Itoa(fl.stats.Simulated))
 	w.Write(fl.body)
 }
 
-// progressEvent is one line of a streamed response.
+// progressEvent is one progress line of a streamed response: the run
+// record so far, under the run manifest's keys.
 type progressEvent struct {
-	Type       string  `json:"type"` // "progress"
-	Cells      int     `json:"cells"`
-	TotalCells int     `json:"total_cells"`
-	Records    int64   `json:"records"`
-	Seconds    float64 `json:"seconds"`
-	RecPerSec  float64 `json:"records_per_sec"`
+	Type string `json:"type"` // "progress"
+	experiments.RunRecord
 }
 
-// streamResult writes an ndjson stream: executor progress snapshots as
-// they arrive (latest-wins; a slow client skips intermediate snapshots,
+// streamResult writes an ndjson stream: the run record after each program
+// as it arrives (latest-wins; a slow client skips intermediate records,
 // never blocks the executor), then the flight's result document — the
 // exact bytes a plain request gets — as the final line.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, fl *flight, leader bool) {
@@ -319,32 +312,30 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, fl *flight
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	for {
+	// The hub closes ch just before done (flightGroup.finish), so draining
+	// ch first writes the final record, when this subscriber saw it,
+	// before the result.
+	for open := true; open; {
 		select {
 		case <-r.Context().Done():
 			return
 		case st, ok := <-ch:
-			if !ok {
-				ch = nil // flight finished; fall through to done
-				continue
+			if open = ok; ok {
+				enc.Encode(progressEvent{Type: "progress", RunRecord: st.Record()})
+				if flusher != nil {
+					flusher.Flush()
+				}
 			}
-			enc.Encode(progressEvent{Type: "progress", Cells: st.Cells,
-				TotalCells: st.TotalCells, Records: st.Records,
-				Seconds: st.Elapsed.Seconds(), RecPerSec: st.RecordsPerSec()})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-fl.done:
-			if fl.err != nil {
-				s.stats.JobsFailed.Inc()
-				enc.Encode(struct {
-					Type  string `json:"type"`
-					Error string `json:"error"`
-				}{"error", fl.err.Error()})
-				return
-			}
-			w.Write(fl.body)
-			return
 		}
 	}
+	<-fl.done
+	if fl.err != nil {
+		s.stats.JobsFailed.Inc()
+		enc.Encode(struct {
+			Type  string `json:"type"`
+			Error string `json:"error"`
+		}{"error", fl.err.Error()})
+		return
+	}
+	w.Write(fl.body)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,12 +223,31 @@ func TestServerStatsz(t *testing.T) {
 	}
 }
 
+// TestServerStream: a streamed cold job writes the run record after each
+// program as progress lines under the manifest's keys — the last one the
+// finished record, every cell served and each program's trace replayed
+// once — and then, as its final line, the exact Result a plain request
+// gets. The executor is held until the stream has subscribed, so the
+// stream sees the final record.
 func TestServerStream(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	resp := postJob(t, ts.URL, tinyJob+"") // warm the store? no — cold is fine for streaming
-	readAll(t, resp)
+	s, ts := newTestServer(t, Options{})
+	inner := s.exec
+	var held atomic.Bool
+	s.exec = func(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
+		for deadline := time.Now().Add(5 * time.Second); !held.Load() && time.Now().Before(deadline); {
+			s.flights.mu.Lock()
+			hub := s.flights.inflight[job.Key].hub
+			s.flights.mu.Unlock()
+			hub.mu.Lock()
+			held.Store(len(hub.subs) > 0)
+			hub.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		return inner(job, progress)
+	}
+	job := strings.Replace(tinyJob, `["li"]`, `["li", "gcc"]`, 1)
 
-	r, err := http.Post(ts.URL+"/v1/jobs?stream=1", "application/json", strings.NewReader(tinyJob))
+	r, err := http.Post(ts.URL+"/v1/jobs?stream=1", "application/json", strings.NewReader(job))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,41 +259,44 @@ func TestServerStream(t *testing.T) {
 		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
 
-	// Every line but the last is a progress event; the last line is the
-	// exact Result document a plain request returns.
-	var last []byte
+	var lines [][]byte
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lines := 0
 	for sc.Scan() {
-		lines++
-		last = append(last[:0], sc.Bytes()...)
-		var probe struct {
-			Type   string `json:"type"`
-			Schema string `json:"schema"`
-			Error  string `json:"error"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("line %d is not JSON: %q", lines, sc.Bytes())
-		}
-		if probe.Type == "error" {
-			t.Fatalf("stream reported error: %s", probe.Error)
-		}
+		lines = append(lines, append([]byte(nil), sc.Bytes()...))
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if lines == 0 {
-		t.Fatal("stream produced no lines")
+	if len(lines) < 2 {
+		t.Fatalf("stream produced %d lines, want progress then the result:\n%s", len(lines), bytes.Join(lines, []byte("\n")))
 	}
+
+	// Every line but the last is a progress record and nothing else.
+	var ev progressEvent
+	for i, line := range lines[:len(lines)-1] {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		ev = progressEvent{}
+		if err := dec.Decode(&ev); err != nil || ev.Type != "progress" {
+			t.Fatalf("line %d is not a progress record: %q (err %v)", i+1, line, err)
+		}
+	}
+	const programs, insns = 2, 20000
+	if ev.Loaded+ev.Simulated != ev.TotalCells || ev.TotalCells != programs ||
+		ev.Replays != programs || ev.Records != programs*insns {
+		t.Errorf("last progress record %+v: want every one of %d cells served and %d records in %d replays",
+			ev.RunRecord, programs, programs*insns, programs)
+	}
+
+	// The final line is the Result a plain request returns, byte-for-byte
+	// (modulo the trailing newline the scanner strips).
+	last := lines[len(lines)-1]
 	var doc Result
 	if err := json.Unmarshal(last, &doc); err != nil || doc.Schema != ResultSchema {
 		t.Fatalf("final stream line is not a Result: %q (err %v)", last, err)
 	}
-
-	// The streamed result must match a plain request byte-for-byte (modulo
-	// the trailing newline scanner strips).
-	plain := readAll(t, postJob(t, ts.URL, tinyJob))
+	plain := readAll(t, postJob(t, ts.URL, job))
 	if !bytes.Equal(append(last, '\n'), plain) {
 		t.Error("streamed result differs from plain response")
 	}
@@ -298,7 +321,7 @@ func TestServerShutdownDrainsAcceptedJobs(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Options{})
 	inner := s.exec
-	s.exec = func(job *CompiledJob, progress func(experiments.SweepStats)) ([]byte, Accounting, error) {
+	s.exec = func(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
 		<-release
 		return inner(job, progress)
 	}
@@ -408,10 +431,10 @@ func TestFlightGroupJoinFinish(t *testing.T) {
 		t.Fatal("distinct key shared a flight")
 	}
 
-	g.finish(fl, []byte("body"), Accounting{Loaded: 3}, nil)
+	g.finish(fl, []byte("body"), experiments.RunStats{Loaded: 3}, nil)
 	<-fl.done
-	if string(fl.body) != "body" || fl.acct.Loaded != 3 || fl.err != nil {
-		t.Fatalf("finished flight = %q/%+v/%v", fl.body, fl.acct, fl.err)
+	if string(fl.body) != "body" || fl.stats.Loaded != 3 || fl.err != nil {
+		t.Fatalf("finished flight = %q/%+v/%v", fl.body, fl.stats, fl.err)
 	}
 	// A post-completion join starts a fresh flight.
 	if _, leader3 := g.join("k"); !leader3 {
@@ -424,10 +447,10 @@ func TestProgressHubLatestWins(t *testing.T) {
 	ch, cancel := h.subscribe()
 	defer cancel()
 
-	h.publish(experiments.SweepStats{Cells: 1})
-	h.publish(experiments.SweepStats{Cells: 2}) // replaces the unread 1
-	if st := <-ch; st.Cells != 2 {
-		t.Fatalf("read %d, want the latest snapshot 2", st.Cells)
+	h.publish(experiments.RunStats{Replays: 1})
+	h.publish(experiments.RunStats{Replays: 2}) // replaces the unread 1
+	if st := <-ch; st.Replays != 2 {
+		t.Fatalf("read %d, want the latest snapshot 2", st.Replays)
 	}
 
 	h.close()
@@ -435,7 +458,7 @@ func TestProgressHubLatestWins(t *testing.T) {
 		t.Fatal("channel not closed by hub close")
 	}
 	// Publish and double-close after close are no-ops.
-	h.publish(experiments.SweepStats{Cells: 3})
+	h.publish(experiments.RunStats{Replays: 3})
 	h.close()
 
 	// Subscribing to a closed hub yields an already-closed channel.
@@ -471,7 +494,7 @@ func TestProgressHubConcurrent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 1000; i++ {
-		h.publish(experiments.SweepStats{Cells: i})
+		h.publish(experiments.RunStats{Replays: i})
 	}
 	close(stop)
 	wg.Wait()
@@ -482,8 +505,8 @@ func TestProgressHubConcurrent(t *testing.T) {
 // depends on: a subscriber that never reads (a stalled streaming client)
 // must not block publish — the publisher replaces the stale element and
 // moves on — and a healthy subscriber on the same hub keeps receiving
-// fresh snapshots. publish runs on the goroutine that holds the Runner's
-// stats lock, so a block here would stall the whole sweep. Run under -race
+// fresh snapshots. publish runs on the goroutine that holds the executor's
+// run lock, so a block here would stall the whole sweep. Run under -race
 // via `make stress`.
 func TestProgressHubSlowSubscriber(t *testing.T) {
 	h := newProgressHub()
@@ -501,11 +524,11 @@ func TestProgressHubSlowSubscriber(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 1; i <= publishes; i++ {
-			h.publish(experiments.SweepStats{Cells: i})
+			h.publish(experiments.RunStats{Replays: i})
 			if i%100 == 0 {
 				// Drain the healthy subscriber occasionally; it must see
 				// ever-fresher snapshots despite its stalled sibling.
-				if st := <-fast; st.Cells == 0 {
+				if st := <-fast; st.Replays == 0 {
 					t.Error("fast subscriber read a zero snapshot")
 				}
 			}
@@ -521,7 +544,7 @@ func TestProgressHubSlowSubscriber(t *testing.T) {
 	// that reached it — latest-wins replaced everything older.
 	select {
 	case st := <-slow:
-		if st.Cells == 0 {
+		if st.Replays == 0 {
 			t.Errorf("stalled subscriber saw zero snapshot %+v", st)
 		}
 	default:

@@ -1,6 +1,9 @@
 package serve
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/experiments"
+	"repro/internal/telemetry"
+)
 
 // Rejection reasons, the label values of nls_jobs_rejected_total. /statsz's
 // jobs_rejected is their sum.
@@ -22,8 +25,8 @@ var executorStages = []string{"gather", "gen-corpus", "trace-gen", "replay", "st
 // disagree. Flight counters pin the dedup claims: FlightsLed counts
 // executor submissions (one per unique inflight key), FlightsShared counts
 // requests that joined an existing flight — the thundering-herd savings.
-// Cell counters aggregate the executor's run-manifest accounting across
-// jobs, so store hit rate is CellsLoaded / (CellsLoaded + CellsSimulated).
+// Cell counters sum the run records of finished jobs (addRun), so store
+// hit rate is CellsLoaded / (CellsLoaded + CellsSimulated).
 type serverStats struct {
 	JobsReceived  *telemetry.Counter
 	JobsFailed    *telemetry.Counter
@@ -96,6 +99,14 @@ func (s *serverStats) JobsRejected() int64 {
 		n += c.Value()
 	}
 	return n
+}
+
+// addRun folds a finished run's record into the cell and replay counters.
+func (s *serverStats) addRun(st experiments.RunStats) {
+	s.CellsLoaded.Add(int64(st.Loaded))
+	s.CellsSimulated.Add(int64(st.Simulated))
+	s.CellsDeduped.Add(int64(st.Deduped))
+	s.TraceReplays.Add(int64(st.Replays))
 }
 
 // ObserveStage records one executor stage span; unknown stage names are
