@@ -3,13 +3,14 @@
 # concurrency tier covering the grid executor, the streamed trace sources,
 # and the trace generators. `make stress` is the adversarial concurrency tier:
 # randomized broadcast worker counts, store readers racing writers, and
-# the sweep service's 100-goroutine single-flight hammer, all under -race.
+# the sweep service's 100-goroutine single-flight hammers, all under -race.
 # `make grid-golden` + `make smoke` pin the grid pipeline: bit-identical
 # figures vs the per-cell oracle, and a live nlstables -only run against
 # the results store. `make attribution-golden` pins the probe's cause mix
 # on a fixed seed (§4.1's eviction-loss claim). `make smoke-serve` is the
-# sweep service's end-to-end gate: cold POST simulates, warm POST is
-# served from the store byte-identical. `make h2p-golden` pins the
+# sweep service's end-to-end gate: cold POST simulates, warm POST is a
+# memo answer of the finished flight, and a second server on the same
+# store serves it from the store, all byte-identical. `make h2p-golden` pins the
 # direction-seam acceptance criterion: the equal-cost TAGE-lite arm
 # recovers a nonzero share of the dir-wrong bucket vs the paper gshare.
 # `make prefetch-golden` pins the decoupled-frontend prefetch figure:
@@ -57,10 +58,11 @@ race:
 # corrupting writer with the decoded-counters memo on, two runs sharing
 # one Runner each reporting their own run record
 # (TestStressConcurrentRunsOwnRecords), and the sweep service
-# single-flight hammer (100 identical concurrent jobs -> exactly one
-# simulation, byte-identical bodies).
+# single-flight hammers (100 identical concurrent jobs -> exactly one
+# simulation, byte-identical bodies; in TestFlightMemoHammer half of them
+# arrive after the flight finished and are answered by it).
 stress:
-	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters' \
+	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters|FlightMemoHammer' \
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the
@@ -160,10 +162,11 @@ smoke:
 	$(GO) run ./cmd/nlstables -only fig5 -n 100000 >/dev/null
 
 # Sweep service smoke: start nlsserve on a loopback port with a throwaway
-# store, POST a one-cell job cold and warm, assert 200 + store hit +
-# byte-identical bodies; then POST a job with ?stream=1 and assert every
-# line but the last is a progress record and the last is byte-identical
-# to the plain body.
+# store, POST a one-cell job cold and warm, assert 200 + a memo answer +
+# byte-identical bodies; open a second server on the same store and assert
+# it serves the job from the store (leader, 1 loaded, 0 simulated, same
+# body); then POST a job with ?stream=1 and assert every line but the last
+# is a progress record and the last is byte-identical to the plain body.
 smoke-serve:
 	$(GO) run ./cmd/nlsserve -smoke
 

@@ -3,8 +3,8 @@
 // bounded worker pool over the shared-replay executor, and serves results
 // from the content-addressed cell store with single-flight dedup — N
 // concurrent identical requests cost one simulation, and a warm
-// re-request is byte-identical to the cold response. See DESIGN.md §12
-// and EXPERIMENTS.md "Serving sweeps".
+// re-request is answered by the finished flight, byte-identical to the
+// cold response. See DESIGN.md §12 and EXPERIMENTS.md "Serving sweeps".
 //
 // Usage:
 //
@@ -23,14 +23,16 @@
 //
 // -smoke runs the CI self-test instead of serving: it starts the server
 // on a loopback port with a temporary store, POSTs a tiny one-cell job
-// twice, verifies the second (warm) response is served from the store
-// byte-identical to the first (cold) one, then POSTs it once more with
-// only its penalties changed and verifies that too is served from the
-// store, under the same job key, byte-identical. A fourth, streamed POST
-// of a two-program job must write only progress records before its final
-// line, and that line must be byte-identical to a plain POST's body. It
-// also cross-checks /metricsz against /statsz — the same counters through
-// both exposition paths.
+// twice, verifies the second (warm) response is a memo answer of the
+// finished flight, byte-identical to the first (cold) one, then POSTs it
+// once more with only its penalties changed and verifies that too is a
+// memo answer under the same job key, byte-identical. A second server
+// opened on the same store directory must serve the job from the store:
+// a led flight, every cell loaded, none simulated, the same body. A
+// streamed POST of a two-program job must write only progress records
+// before its final line, and that line must be byte-identical to a plain
+// POST's body. It also cross-checks /metricsz against /statsz — the same
+// counters through both exposition paths.
 package main
 
 import (
@@ -169,12 +171,47 @@ var smokePenaltyJob = strings.Replace(smokeJob, `"insns": 100000,`,
 // streamed POST, whose replay publishes a progress record per program.
 var smokeStreamJob = strings.Replace(smokeJob, `["li"]`, `["li", "gcc"]`, 1)
 
+// smokeServer is one server of the self-test on a loopback listener.
+type smokeServer struct {
+	base string
+	http *http.Server
+}
+
+// startSmokeServer starts a server over the store and corpus under
+// storeDir on a loopback port.
+func startSmokeServer(storeDir string, workers int) (*smokeServer, error) {
+	srv, err := newServer(storeDir, storeDir+"/corpus", workers, 16, 0, 0, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s := &smokeServer{base: "http://" + ln.Addr().String(), http: &http.Server{Handler: srv.Handler()}}
+	go s.http.Serve(ln)
+	return s, nil
+}
+
+// post sends one job and returns the status, body and headers.
+func (s *smokeServer) post(job string) (int, []byte, http.Header, error) {
+	resp, err := http.Post(s.base+"/v1/jobs", "application/json", strings.NewReader(job))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, resp.Header, err
+}
+
 // runSmoke starts the service on a loopback listener with a throwaway
 // store, POSTs smokeJob cold and then warm, and asserts the contract the
-// service exists for: 200 on both, the warm response served from the
-// store, and the two bodies byte-identical. A third POST changes only the
-// penalties and must be served like the warm one: same X-NLS-Job, same
-// body, every cell loaded and none simulated.
+// service exists for: 200 on both, the warm response a memo answer of the
+// finished flight, and the two bodies byte-identical. A third POST
+// changes only the penalties and must be answered like the warm one: same
+// X-NLS-Job, same body, a memo answer. A second server on the same store
+// directory must then lead a flight for smokeJob that loads its one cell
+// from the store, simulates none, and returns the same body.
 func runSmoke(workers int) error {
 	storeDir, err := os.MkdirTemp("", "nlsserve-smoke-*")
 	if err != nil {
@@ -182,28 +219,12 @@ func runSmoke(workers int) error {
 	}
 	defer os.RemoveAll(storeDir)
 
-	srv, err := newServer(storeDir, storeDir+"/corpus", workers, 16, 0, 0, 0, nil)
+	srv, err := startSmokeServer(storeDir, workers)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func(job string) (int, []byte, http.Header, error) {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(job))
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, body, resp.Header, err
-	}
+	defer srv.http.Close()
+	base, post := srv.base, srv.post
 
 	status, cold, hdr, err := post(smokeJob)
 	if err != nil {
@@ -223,8 +244,8 @@ func runSmoke(workers int) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("warm POST: status %d: %s", status, warm)
 	}
-	if warmHdr.Get("X-NLS-Cells-Loaded") != "1" {
-		return fmt.Errorf("warm POST: loaded %q cells, want 1 (not served from store)", warmHdr.Get("X-NLS-Cells-Loaded"))
+	if err := checkAnswer("warm POST", warmHdr, "memo"); err != nil {
+		return err
 	}
 	if !bytes.Equal(cold, warm) {
 		return errors.New("warm response differs from cold response")
@@ -237,15 +258,35 @@ func runSmoke(workers int) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("penalty POST: status %d: %s", status, pen)
 	}
-	if hdr.Get("X-NLS-Cells-Loaded") != "1" || hdr.Get("X-NLS-Cells-Simulated") != "0" {
-		return fmt.Errorf("penalty POST: loaded %q, simulated %q cells, want 1 and 0 (penalties must not re-simulate)",
-			hdr.Get("X-NLS-Cells-Loaded"), hdr.Get("X-NLS-Cells-Simulated"))
+	if err := checkAnswer("penalty POST", hdr, "memo"); err != nil {
+		return err
 	}
 	if hdr.Get("X-NLS-Job") != warmHdr.Get("X-NLS-Job") {
 		return fmt.Errorf("penalty POST: X-NLS-Job %s, want the warm job's %s", hdr.Get("X-NLS-Job"), warmHdr.Get("X-NLS-Job"))
 	}
 	if !bytes.Equal(warm, pen) {
 		return errors.New("penalty-only response differs from the warm response")
+	}
+
+	// A second server on the same store directory has no finished flight:
+	// it leads one, served from the store files.
+	srv2, err := startSmokeServer(storeDir, workers)
+	if err != nil {
+		return err
+	}
+	defer srv2.http.Close()
+	status, stored, hdr, err := srv2.post(smokeJob)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("second server POST: status %d: %s", status, stored)
+	}
+	if err := checkAnswer("second server POST", hdr, "leader"); err != nil {
+		return err
+	}
+	if !bytes.Equal(cold, stored) {
+		return errors.New("second server's store-served response differs from the cold response")
 	}
 
 	if err := checkStream(base, post); err != nil {
@@ -264,7 +305,20 @@ func runSmoke(workers int) error {
 	if err := checkMetricsz(base); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+warm+penalty-only OK, %d-byte body byte-identical, stream OK, /metricsz consistent with /statsz\n", len(cold))
+	fmt.Fprintf(os.Stderr, "nlsserve: smoke: cold+memo+penalty-only memo+store-served OK, %d-byte body byte-identical, stream OK, /metricsz consistent with /statsz\n", len(cold))
+	return nil
+}
+
+// checkAnswer asserts the headers of an answer to smokeJob that ran no
+// simulation: the given X-NLS-Flight, its one cell loaded, none simulated.
+func checkAnswer(what string, hdr http.Header, flight string) error {
+	if got := hdr.Get("X-NLS-Flight"); got != flight {
+		return fmt.Errorf("%s: X-NLS-Flight %q, want %q", what, got, flight)
+	}
+	if hdr.Get("X-NLS-Cells-Loaded") != "1" || hdr.Get("X-NLS-Cells-Simulated") != "0" {
+		return fmt.Errorf("%s: loaded %q, simulated %q cells, want 1 and 0",
+			what, hdr.Get("X-NLS-Cells-Loaded"), hdr.Get("X-NLS-Cells-Simulated"))
+	}
 	return nil
 }
 
@@ -355,6 +409,7 @@ func checkMetricsz(base string) error {
 		"jobs_received":   "nls_jobs_received_total",
 		"flights_led":     "nls_flights_led_total",
 		"flights_shared":  "nls_flights_shared_total",
+		"jobs_memo":       "nls_jobs_memo_total",
 		"cells_loaded":    "nls_cells_loaded_total",
 		"cells_simulated": "nls_cells_simulated_total",
 		"trace_replays":   "nls_trace_replays_total",

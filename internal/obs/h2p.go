@@ -126,7 +126,9 @@ func RankH2P(base, alt Report, n int) H2PRanking {
 		return rows[i].PC < rows[j].PC
 	})
 	if n > 0 && len(rows) > n {
-		rows = rows[:n]
+		// Copy the top n out, as Table.Report does: a slice of rows would
+		// keep every ranked branch of the program alive with the ranking.
+		rows = append(make([]H2PRow, 0, n), rows[:n]...)
 	}
 	k.Rows = rows
 	return k

@@ -52,8 +52,8 @@ func TestRankH2PMechanics(t *testing.T) {
 	if k.Rows[0].Recovered() != 2 || k.Rows[2].Recovered() != -2 {
 		t.Fatalf("recovered deltas: %+v", k.Rows)
 	}
-	if got := RankH2P(base.Report("g", "p", 0, p), alt.Report("t", "p", 0, p), 2); len(got.Rows) != 2 {
-		t.Fatalf("topN truncation: %d rows", len(got.Rows))
+	if got := RankH2P(base.Report("g", "p", 0, p), alt.Report("t", "p", 0, p), 2); len(got.Rows) != 2 || cap(got.Rows) != len(got.Rows) {
+		t.Fatalf("topN truncation: %d rows with cap %d, want 2 with cap 2", len(got.Rows), cap(got.Rows))
 	}
 
 	text := RenderH2P("H2P test", []H2PRanking{k})

@@ -44,13 +44,13 @@ func warmJobDocs(tb testing.TB) [][]byte {
 	return docs
 }
 
-// BenchmarkServeWarmJob measures what a store-served job costs the
-// service in front of the engines: decoding and compiling the job, its
-// flight, the executor's store probes, and encoding the response. Every
-// iteration posts one job of the mix through Handler().ServeHTTP (cycling
-// through the mix) against a store the untimed warm-up filled, so no
-// iteration simulates. ns/op, B/op and allocs/op are per job; µs/job
-// restates ns/op.
+// BenchmarkServeWarmJob measures what a repeat job costs the service: a
+// memo answer, which reads the body, finds its digest's retained flight
+// and writes the retained body, with no decoding, no executor and no store
+// read. Every iteration posts one job of the mix through
+// Handler().ServeHTTP (cycling through the mix) to a server whose untimed
+// warm-up finished every job's flight, so every iteration is a memo
+// answer. ns/op, B/op and allocs/op are per job; µs/job restates ns/op.
 func BenchmarkServeWarmJob(b *testing.B) {
 	store, err := experiments.OpenStore(b.TempDir())
 	if err != nil {
@@ -64,8 +64,8 @@ func BenchmarkServeWarmJob(b *testing.B) {
 		serveJob(b, h, doc) // cold: simulate and fill the store
 	}
 	for _, doc := range docs {
-		if w := serveJob(b, h, doc); w.Header().Get("X-NLS-Cells-Simulated") != "0" {
-			b.Fatalf("warm job simulated %s cells", w.Header().Get("X-NLS-Cells-Simulated"))
+		if w := serveJob(b, h, doc); w.Header().Get("X-NLS-Flight") != "memo" {
+			b.Fatalf("warm job flight %q, want memo", w.Header().Get("X-NLS-Flight"))
 		}
 	}
 	b.ReportAllocs()
@@ -76,12 +76,15 @@ func BenchmarkServeWarmJob(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/job")
 }
 
-// BenchmarkServeFirstHitJob is BenchmarkServeWarmJob with every cell a
-// first hit. Each iteration posts one job of the mix to a new server over
-// a newly opened Store, whose memo is empty, on the directory an untimed
+// BenchmarkServeFirstHitJob measures a store-served job, every cell a
+// first hit: decoding and compiling the job, its flight, the executor's
+// store reads, and encoding the response. Each iteration posts one job of
+// the mix to a new server, with no finished flight, over a newly opened
+// Store, whose memo of decoded cells is empty, on the directory an untimed
 // pass filled, so every cell of the job is read and decoded from disk.
 // Opening the store and starting and stopping the server are untimed. The
-// gap to BenchmarkServeWarmJob is what the memo saves a repeat hit.
+// gap to BenchmarkServeWarmJob is what the retained flights save a repeat
+// job.
 func BenchmarkServeFirstHitJob(b *testing.B) {
 	dir := b.TempDir()
 	docs := warmJobDocs(b)
@@ -106,8 +109,9 @@ func BenchmarkServeFirstHitJob(b *testing.B) {
 		b.StartTimer()
 		w := serveJob(b, h, docs[i%len(docs)])
 		b.StopTimer()
-		if w.Header().Get("X-NLS-Cells-Simulated") != "0" {
-			b.Fatalf("first-hit job simulated %s cells", w.Header().Get("X-NLS-Cells-Simulated"))
+		if w.Header().Get("X-NLS-Flight") != "leader" || w.Header().Get("X-NLS-Cells-Simulated") != "0" {
+			b.Fatalf("first-hit job: flight %q, simulated %s cells; want a leader that simulates none",
+				w.Header().Get("X-NLS-Flight"), w.Header().Get("X-NLS-Cells-Simulated"))
 		}
 		s.Shutdown(context.Background())
 		b.StartTimer()

@@ -18,7 +18,8 @@ import (
 // goroutines POST the identical job concurrently, and the claim under test
 // is N→1 — exactly one executor invocation serves every request, all 100
 // bodies are byte-identical, and /statsz shows 1 flight led + 99 shared.
-// A warm re-request afterwards is byte-identical to the hammered response.
+// A warm re-request afterwards is a memo answer byte-identical to the
+// hammered response.
 // Run under -race via `make stress`.
 func TestStressSingleFlightHammer(t *testing.T) {
 	const clients = 100
@@ -103,17 +104,9 @@ func TestStressSingleFlightHammer(t *testing.T) {
 		}
 	}
 
-	// Warm re-request: a fresh flight served entirely from the store,
-	// byte-identical to what the hammer saw.
-	warm := postJob(t, ts.URL, tinyJob)
-	warmBody := readAll(t, warm)
-	if warm.StatusCode != http.StatusOK {
-		t.Fatalf("warm POST: %d", warm.StatusCode)
-	}
-	if got := warm.Header.Get("X-NLS-Cells-Loaded"); got != "1" {
-		t.Errorf("warm loaded = %q, want 1", got)
-	}
-	if !bytes.Equal(warmBody, bodies[0]) {
+	// Warm re-request: answered by the finished flight, byte-identical to
+	// what the hammer saw.
+	if warmBody := checkMemo(t, postJob(t, ts.URL, tinyJob), 1); !bytes.Equal(warmBody, bodies[0]) {
 		t.Error("warm response differs from the hammered response")
 	}
 }
@@ -155,5 +148,70 @@ func TestStressDistinctJobsDoNotShare(t *testing.T) {
 	}
 	if snap.FlightsLed != 2 || snap.FlightsShared != 0 {
 		t.Errorf("flights led/shared = %d/%d, want 2/0", snap.FlightsLed, snap.FlightsShared)
+	}
+}
+
+// TestFlightMemoHammer is the single-flight hammer with a late half: 50
+// goroutines POST the identical job while its flight runs, then 50 more
+// POST it at once after the flight finished. The late half is answered by
+// the retained flight: exactly one executor invocation serves all 100
+// requests, every body is byte-identical, and /statsz shows 1 flight led,
+// 49 shared and 50 memo answers. Run under -race via `make stress`.
+func TestFlightMemoHammer(t *testing.T) {
+	const half = 50
+
+	s, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 2 * half})
+	var invocations atomic.Int64
+	inner := s.exec
+	s.exec = func(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
+		invocations.Add(1)
+		for s.stats.FlightsLed.Value()+s.stats.FlightsShared.Value() < half {
+			time.Sleep(time.Millisecond)
+		}
+		return inner(job, progress)
+	}
+
+	bodies := make([][]byte, 2*half)
+	status := make([]int, 2*half)
+	flights := make([]string, 2*half)
+	post := func(from int) {
+		var wg sync.WaitGroup
+		for i := from; i < from+half; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tinyJob))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				status[i], flights[i] = resp.StatusCode, resp.Header.Get("X-NLS-Flight")
+				bodies[i], _ = io.ReadAll(resp.Body)
+			}(i)
+		}
+		wg.Wait()
+	}
+	post(0)    // during the flight
+	post(half) // after it finished
+
+	if got := invocations.Load(); got != 1 {
+		t.Fatalf("executor ran %d times for %d identical requests, want exactly 1", got, 2*half)
+	}
+	for i := range bodies {
+		if status[i] != http.StatusOK {
+			t.Fatalf("client %d: status %d: %s", i, status[i], bodies[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("client %d body differs from client 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		}
+		if i >= half && flights[i] != "memo" {
+			t.Errorf("late client %d: flight %q, want memo", i, flights[i])
+		}
+	}
+	snap := scrapeStatsz(t, ts.URL)
+	if snap.FlightsLed != 1 || snap.FlightsShared != half-1 || snap.JobsMemo != half {
+		t.Errorf("flights led/shared/memo = %d/%d/%d, want 1/%d/%d",
+			snap.FlightsLed, snap.FlightsShared, snap.JobsMemo, half-1, half)
 	}
 }

@@ -124,6 +124,12 @@ func DecodeJob(r io.Reader, lim Limits) (*CompiledJob, error) {
 	if int64(len(body)) > lim.MaxBodyBytes {
 		return nil, fmt.Errorf("serve: job document exceeds the %d-byte cap", lim.MaxBodyBytes)
 	}
+	return decodeDoc(body, lim)
+}
+
+// decodeDoc decodes and compiles one whole job document, already read and
+// within the body cap.
+func decodeDoc(body []byte, lim Limits) (*CompiledJob, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var j Job

@@ -74,24 +74,27 @@ func scrapeStatsz(t *testing.T, base string) StatsSnapshot {
 }
 
 // TestMetricszMatchesStatsz drives the server through every counter path —
-// a led flight, a store-served warm re-request, concurrent shared joiners,
-// and an invalid job — then asserts /metricsz and /statsz agree on every
-// shared counter. The endpoints read the same registry atomics, so at a
-// quiescent moment they must match exactly.
+// a led flight, a memo answer, a flight partly served from the store,
+// concurrent shared joiners, and an invalid job — then asserts /metricsz
+// and /statsz agree on every shared counter. The endpoints read the same
+// registry atomics, so at a quiescent moment they must match exactly.
 func TestMetricszMatchesStatsz(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 
 	readAll(t, postJob(t, ts.URL, tinyJob)) // cold: simulated
-	readAll(t, postJob(t, ts.URL, tinyJob)) // warm: store-served
+	readAll(t, postJob(t, ts.URL, tinyJob)) // warm: a memo answer
+	// A new key over a stored cell and a new one: one loaded, one simulated.
+	readAll(t, postJob(t, ts.URL, strings.Replace(tinyJob, `["li"]`, `["li", "gcc"]`, 1)))
 
-	// Concurrent identical requests: at least one flight shared when they
-	// overlap; either way the counters stay consistent.
+	// Concurrent identical requests of a new job: at least one flight
+	// shared when they overlap; either way the counters stay consistent.
+	other := strings.Replace(tinyJob, `"insns": 20000`, `"insns": 21000`, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			readAll(t, postJob(t, ts.URL, tinyJob))
+			readAll(t, postJob(t, ts.URL, other))
 		}()
 	}
 	wg.Wait()
@@ -110,6 +113,7 @@ func TestMetricszMatchesStatsz(t *testing.T) {
 		{"jobs_failed", snap.JobsFailed, "nls_jobs_failed_total"},
 		{"flights_led", snap.FlightsLed, "nls_flights_led_total"},
 		{"flights_shared", snap.FlightsShared, "nls_flights_shared_total"},
+		{"jobs_memo", snap.JobsMemo, "nls_jobs_memo_total"},
 		{"cells_loaded", snap.CellsLoaded, "nls_cells_loaded_total"},
 		{"cells_simulated", snap.CellsSimulated, "nls_cells_simulated_total"},
 		{"cells_deduped", snap.CellsDeduped, "nls_cells_deduped_total"},
@@ -158,6 +162,15 @@ func TestMetricszMatchesStatsz(t *testing.T) {
 		if got := prom[key]; got != float64(snap.FlightsLed) {
 			t.Errorf("%s = %g, want %d", key, got, snap.FlightsLed)
 		}
+	}
+
+	// Every accepted job either led, shared or was a memo answer; the
+	// repeat of the cold job at least was a memo answer.
+	if snap.JobsMemo < 1 {
+		t.Errorf("jobs_memo = %d, want >= 1", snap.JobsMemo)
+	}
+	if got := snap.FlightsLed + snap.FlightsShared + snap.JobsMemo; got != snap.JobsReceived-snap.JobsRejected {
+		t.Errorf("led+shared+memo = %d, want the %d accepted jobs", got, snap.JobsReceived-snap.JobsRejected)
 	}
 
 	// Derived rates: this sequence both simulated and loaded cells, so the

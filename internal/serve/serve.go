@@ -4,10 +4,12 @@
 // uses), validates them as untrusted input, schedules them on a bounded
 // worker pool, and serves results out of the content-addressed cell store
 // with single-flight deduplication — N concurrent identical requests cost
-// exactly one simulation and receive byte-identical bodies, and a warm
-// re-request is served from the store byte-identical to the cold
-// response. See DESIGN.md §12 for the architecture and EXPERIMENTS.md
-// "Serving sweeps" for the wire format.
+// exactly one simulation and receive byte-identical bodies. A finished
+// flight is retained, so a repeat request is answered by it without
+// running anything, byte-identical to the cold response; a flight the
+// memo no longer holds is served from the store, byte-identical too. See
+// DESIGN.md §12 for the architecture and EXPERIMENTS.md "Serving sweeps"
+// for the wire format.
 //
 // Every counter lives in one telemetry.Registry (DESIGN.md §15): /metricsz
 // is the registry's Prometheus exposition and /statsz is a JSON view over
@@ -27,6 +29,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -194,61 +197,38 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job, err := DecodeJob(http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes), s.limits)
+	// The body is read once, under the cap: its digest finds a repeat
+	// document's retained flight, and only a document without one is
+	// decoded and compiled.
+	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes))
 	if err != nil {
-		reason := rejectInvalid
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			reason = rejectTooLarge
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.stats.Reject(reason)
-		s.log.Warn("job rejected", "job", jobID, "reason", reason, "err", err)
-		http.Error(w, err.Error(), status)
+		s.reject(w, jobID, fmt.Errorf("serve: bad job document: %w", err))
 		return
 	}
-
-	fl, leader := s.flights.join(job.Key)
-	if leader {
-		s.stats.FlightsLed.Inc()
-		s.log.Info("flight led", "job", jobID, "key", job.Key, "insns", job.Cfg.Insns)
-		queuedAt := time.Now()
-		s.stats.QueuedJobs.Add(1)
-		submitErr := s.pool.submit(func() {
-			s.stats.QueuedJobs.Add(-1)
-			s.stats.QueueWaitSeconds.Observe(time.Since(queuedAt).Seconds())
-			s.stats.InflightJobs.Add(1)
-			defer s.stats.InflightJobs.Add(-1)
-			start := time.Now()
-			body, st, err := s.exec(job, fl.hub.publish)
-			elapsed := time.Since(start)
-			s.stats.JobSeconds.Observe(elapsed.Seconds())
-			if err == nil {
-				s.stats.addRun(st)
-				s.log.Info("job done", "job", jobID, "key", fl.key,
-					"seconds", elapsed.Seconds(), "cells_loaded", st.Loaded,
-					"cells_simulated", st.Simulated)
-			} else {
-				s.log.Error("job failed", "job", jobID, "key", fl.key,
-					"seconds", elapsed.Seconds(), "err", err)
-			}
-			s.flights.finish(fl, body, st, err)
-		})
-		if submitErr != nil {
-			// The flight never ran; fail every waiter (they all requested
-			// the same overloaded moment).
-			s.stats.QueuedJobs.Add(-1)
-			s.log.Warn("job shed", "job", jobID, "key", job.Key, "err", submitErr)
-			s.flights.finish(fl, nil, experiments.RunStats{}, submitErr)
+	digest := sha256.Sum256(doc)
+	fl, role := s.flights.recall(digest), roleMemo
+	var job *CompiledJob
+	if fl == nil {
+		if job, err = decodeDoc(doc, s.limits); err != nil {
+			s.reject(w, jobID, err)
+			return
 		}
-	} else {
+		fl, role = s.flights.join(job.Key, digest)
+	}
+
+	switch role {
+	case roleLeader:
+		s.lead(jobID, job, fl)
+	case roleShared:
 		s.stats.FlightsShared.Inc()
-		s.log.Debug("flight shared", "job", jobID, "key", job.Key)
+		s.log.Debug("flight shared", "job", jobID, "key", fl.key)
+	case roleMemo:
+		s.stats.JobsMemo.Inc()
+		s.log.Debug("flight memo", "job", jobID, "key", fl.key)
 	}
 
 	if r.URL.Query().Get("stream") != "" {
-		s.streamResult(w, r, fl, leader)
+		s.streamResult(w, r, fl, role)
 		return
 	}
 	select {
@@ -256,13 +236,66 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		return // client gone; the flight keeps running for other waiters
 	}
-	s.writeResult(w, fl, leader)
+	s.writeResult(w, fl, role)
+}
+
+// reject answers a job whose document failed to read or compile: 413 when
+// it blew the body cap, else 400.
+func (s *Server) reject(w http.ResponseWriter, jobID string, err error) {
+	reason := rejectInvalid
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		reason = rejectTooLarge
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.stats.Reject(reason)
+	s.log.Warn("job rejected", "job", jobID, "reason", reason, "err", err)
+	http.Error(w, err.Error(), status)
+}
+
+// lead submits a new flight to the worker pool, or finishes it with the
+// pool's error when the pool refuses it.
+func (s *Server) lead(jobID string, job *CompiledJob, fl *flight) {
+	s.stats.FlightsLed.Inc()
+	s.log.Info("flight led", "job", jobID, "key", job.Key, "insns", job.Cfg.Insns)
+	queuedAt := time.Now()
+	s.stats.QueuedJobs.Add(1)
+	submitErr := s.pool.submit(func() {
+		s.stats.QueuedJobs.Add(-1)
+		s.stats.QueueWaitSeconds.Observe(time.Since(queuedAt).Seconds())
+		s.stats.InflightJobs.Add(1)
+		defer s.stats.InflightJobs.Add(-1)
+		start := time.Now()
+		body, st, err := s.exec(job, fl.hub.publish)
+		elapsed := time.Since(start)
+		s.stats.JobSeconds.Observe(elapsed.Seconds())
+		if err == nil {
+			s.stats.addRun(st)
+			s.log.Info("job done", "job", jobID, "key", fl.key,
+				"seconds", elapsed.Seconds(), "cells_loaded", st.Loaded,
+				"cells_simulated", st.Simulated)
+		} else {
+			s.log.Error("job failed", "job", jobID, "key", fl.key,
+				"seconds", elapsed.Seconds(), "err", err)
+		}
+		s.flights.finish(fl, body, st, err)
+	})
+	if submitErr != nil {
+		// The flight never ran; fail every waiter (they all requested
+		// the same overloaded moment).
+		s.stats.QueuedJobs.Add(-1)
+		s.log.Warn("job shed", "job", jobID, "key", job.Key, "err", submitErr)
+		s.flights.finish(fl, nil, experiments.RunStats{}, submitErr)
+	}
 }
 
 // writeResult sends a finished flight: the shared deterministic body, with
 // the flight's store accounting in headers (never in the body — see
-// Result).
-func (s *Server) writeResult(w http.ResponseWriter, fl *flight, leader bool) {
+// Result). A memo answer ran nothing: it reports every unique cell of the
+// job loaded and none simulated, as a store-served flight of the same job
+// does.
+func (s *Server) writeResult(w http.ResponseWriter, fl *flight, role flightRole) {
 	if fl.err != nil {
 		s.stats.JobsFailed.Inc()
 		status := http.StatusInternalServerError
@@ -273,16 +306,16 @@ func (s *Server) writeResult(w http.ResponseWriter, fl *flight, leader bool) {
 		http.Error(w, fl.err.Error(), status)
 		return
 	}
+	loaded, simulated := fl.stats.Loaded, fl.stats.Simulated
+	if role == roleMemo {
+		loaded, simulated = fl.stats.TotalCells, 0
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-NLS-Job", fl.key)
-	if leader {
-		h.Set("X-NLS-Flight", "leader")
-	} else {
-		h.Set("X-NLS-Flight", "shared")
-	}
-	h.Set("X-NLS-Cells-Loaded", strconv.Itoa(fl.stats.Loaded))
-	h.Set("X-NLS-Cells-Simulated", strconv.Itoa(fl.stats.Simulated))
+	h.Set("X-NLS-Flight", string(role))
+	h.Set("X-NLS-Cells-Loaded", strconv.Itoa(loaded))
+	h.Set("X-NLS-Cells-Simulated", strconv.Itoa(simulated))
 	w.Write(fl.body)
 }
 
@@ -296,19 +329,16 @@ type progressEvent struct {
 // streamResult writes an ndjson stream: the run record after each program
 // as it arrives (latest-wins; a slow client skips intermediate records,
 // never blocks the executor), then the flight's result document — the
-// exact bytes a plain request gets — as the final line.
-func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, fl *flight, leader bool) {
+// exact bytes a plain request gets — as the final line. A finished
+// flight's hub is closed, so a memo answer streams the result line alone.
+func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, fl *flight, role flightRole) {
 	ch, cancel := fl.hub.subscribe()
 	defer cancel()
 
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-NLS-Job", fl.key)
-	if leader {
-		h.Set("X-NLS-Flight", "leader")
-	} else {
-		h.Set("X-NLS-Flight", "shared")
-	}
+	h.Set("X-NLS-Flight", string(role))
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 

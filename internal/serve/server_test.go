@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +58,62 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// reopenServer builds a fresh Server, whose flight memo is empty, over a
+// newly opened Store on s's store directory, so its first answer to a job
+// s finished is served from the store files.
+func reopenServer(t *testing.T, s *Server) (*Server, *httptest.Server) {
+	t.Helper()
+	store, err := experiments.OpenStore(s.store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTestServer(t, Options{Store: store})
+}
+
+// checkStoreServed posts job to a server over a store that holds every
+// cell of it and checks the answer: it leads a flight that loads all
+// cells and simulates none, and its body is want.
+func checkStoreServed(t *testing.T, url, job string, cells int, want []byte) {
+	t.Helper()
+	resp := postJob(t, url, job)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("store-served POST = %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-NLS-Flight"); got != "leader" {
+		t.Errorf("store-served flight = %q, want leader", got)
+	}
+	if got, want := resp.Header.Get("X-NLS-Cells-Loaded"), strconv.Itoa(cells); got != want {
+		t.Errorf("store-served loaded = %q, want %s", got, want)
+	}
+	if got := resp.Header.Get("X-NLS-Cells-Simulated"); got != "0" {
+		t.Errorf("store-served simulated = %q, want 0", got)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("store-served body differs:\ngot:  %s\nwant: %s", body, want)
+	}
+}
+
+// checkMemo checks that resp is a memo answer of a job with the given
+// unique cell count and returns its body.
+func checkMemo(t *testing.T, resp *http.Response, cells int) []byte {
+	t.Helper()
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("memo POST = %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-NLS-Flight"); got != "memo" {
+		t.Errorf("flight = %q, want memo", got)
+	}
+	if got, want := resp.Header.Get("X-NLS-Cells-Loaded"), strconv.Itoa(cells); got != want {
+		t.Errorf("memo loaded = %q, want %s", got, want)
+	}
+	if got := resp.Header.Get("X-NLS-Cells-Simulated"); got != "0" {
+		t.Errorf("memo simulated = %q, want 0", got)
+	}
+	return body
+}
+
 func postJob(t *testing.T, url, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -97,8 +156,11 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
+// TestServerJobColdThenWarm: a cold job simulates; the warm re-request is
+// answered by the retained flight, byte-identical; and a fresh server over
+// the same store serves it from the store, byte-identical too.
 func TestServerJobColdThenWarm(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 
 	cold := postJob(t, ts.URL, tinyJob)
 	coldBody := readAll(t, cold)
@@ -128,47 +190,42 @@ func TestServerJobColdThenWarm(t *testing.T) {
 	}
 
 	warm := postJob(t, ts.URL, tinyJob)
-	warmBody := readAll(t, warm)
-	if warm.StatusCode != http.StatusOK {
-		t.Fatalf("warm POST = %d: %s", warm.StatusCode, warmBody)
-	}
-	if got := warm.Header.Get("X-NLS-Cells-Loaded"); got != "1" {
-		t.Errorf("warm loaded = %q, want 1 (not served from store)", got)
-	}
-	if !bytes.Equal(coldBody, warmBody) {
+	if warmBody := checkMemo(t, warm, 1); !bytes.Equal(coldBody, warmBody) {
 		t.Errorf("warm response differs from cold:\ncold: %s\nwarm: %s", coldBody, warmBody)
 	}
+
+	_, fresh := reopenServer(t, s)
+	checkStoreServed(t, fresh.URL, tinyJob, 1, coldBody)
 }
 
 // TestServerPenaltyOnlyJob: a job that differs from a stored one only in
 // penalties is a point of a penalty sweep. Its counters are the stored
-// ones, so it is served from the store under the same flight key with a
-// byte-identical body and simulates nothing.
+// ones, so it shares the flight key: the new document is compiled once and
+// answered by the retained flight, running nothing, with a byte-identical
+// body. A fresh server over the same store serves it from the store.
 func TestServerPenaltyOnlyJob(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
+	runs := countExec(s)
 	cold := postJob(t, ts.URL, tinyJob)
 	coldBody := readAll(t, cold)
 	if cold.StatusCode != http.StatusOK {
 		t.Fatalf("cold POST = %d: %s", cold.StatusCode, coldBody)
 	}
-	pen := postJob(t, ts.URL, strings.Replace(tinyJob, `"insns": 20000,`,
-		`"insns": 20000, "penalties": {"misfetch": 3, "mispredict": 12, "cache_miss": 40},`, 1))
-	penBody := readAll(t, pen)
-	if pen.StatusCode != http.StatusOK {
-		t.Fatalf("penalty POST = %d: %s", pen.StatusCode, penBody)
-	}
+	penJob := strings.Replace(tinyJob, `"insns": 20000,`,
+		`"insns": 20000, "penalties": {"misfetch": 3, "mispredict": 12, "cache_miss": 40},`, 1)
+	pen := postJob(t, ts.URL, penJob)
 	if got, want := pen.Header.Get("X-NLS-Job"), cold.Header.Get("X-NLS-Job"); got != want {
 		t.Errorf("penalty job X-NLS-Job = %s, want %s", got, want)
 	}
-	if got := pen.Header.Get("X-NLS-Cells-Simulated"); got != "0" {
-		t.Errorf("penalty job simulated = %q, want 0", got)
-	}
-	if got := pen.Header.Get("X-NLS-Cells-Loaded"); got != "1" {
-		t.Errorf("penalty job loaded = %q, want 1", got)
-	}
-	if !bytes.Equal(coldBody, penBody) {
+	if penBody := checkMemo(t, pen, 1); !bytes.Equal(coldBody, penBody) {
 		t.Errorf("penalty job body differs:\ncold:    %s\npenalty: %s", coldBody, penBody)
 	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("executor ran %d times, want 1 (the cold job)", got)
+	}
+
+	_, fresh := reopenServer(t, s)
+	checkStoreServed(t, fresh.URL, penJob, 1, coldBody)
 }
 
 func TestServerJobRejections(t *testing.T) {
@@ -194,32 +251,41 @@ func TestServerJobRejections(t *testing.T) {
 	}
 }
 
+// TestServerStatsz: of two sequential identical requests the first leads a
+// flight and the second is a memo answer, which counts no cells; the first
+// request to a fresh server over the same store leads a flight that loads
+// its cell.
 func TestServerStatsz(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	readAll(t, postJob(t, ts.URL, tinyJob))
 	readAll(t, postJob(t, ts.URL, tinyJob))
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap StatsSnapshot
-	if err := json.Unmarshal(readAll(t, resp), &snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := scrapeStatsz(t, ts.URL)
 	if snap.Schema != StatsSchema {
 		t.Errorf("schema = %q, want %q", snap.Schema, StatsSchema)
 	}
-	if snap.JobsReceived != 2 || snap.FlightsLed != 2 {
-		t.Errorf("received/led = %d/%d, want 2/2 (sequential requests lead distinct flights)",
-			snap.JobsReceived, snap.FlightsLed)
+	if snap.JobsReceived != 2 || snap.FlightsLed != 1 || snap.JobsMemo != 1 {
+		t.Errorf("received/led/memo = %d/%d/%d, want 2/1/1 (the repeat request is a memo answer)",
+			snap.JobsReceived, snap.FlightsLed, snap.JobsMemo)
 	}
-	if snap.CellsSimulated != 1 || snap.CellsLoaded != 1 {
-		t.Errorf("simulated/loaded = %d/%d, want 1/1 (cold simulates, warm loads)",
+	if snap.CellsSimulated != 1 || snap.CellsLoaded != 0 {
+		t.Errorf("simulated/loaded = %d/%d, want 1/0 (cold simulates, the memo answer counts no cells)",
 			snap.CellsSimulated, snap.CellsLoaded)
 	}
 	if snap.Draining {
 		t.Error("draining = true on a live server")
+	}
+
+	_, fresh := reopenServer(t, s)
+	readAll(t, postJob(t, fresh.URL, tinyJob))
+	snap = scrapeStatsz(t, fresh.URL)
+	if snap.JobsReceived != 1 || snap.FlightsLed != 1 || snap.JobsMemo != 0 {
+		t.Errorf("fresh server received/led/memo = %d/%d/%d, want 1/1/0",
+			snap.JobsReceived, snap.FlightsLed, snap.JobsMemo)
+	}
+	if snap.CellsSimulated != 0 || snap.CellsLoaded != 1 {
+		t.Errorf("fresh server simulated/loaded = %d/%d, want 0/1 (served from the store)",
+			snap.CellsSimulated, snap.CellsLoaded)
 	}
 }
 
@@ -419,15 +485,20 @@ func TestPoolShutdownHonorsContext(t *testing.T) {
 
 func TestFlightGroupJoinFinish(t *testing.T) {
 	var g flightGroup
-	fl, leader := g.join("k")
-	if !leader {
-		t.Fatal("first join is not leader")
+	doc := sha256.Sum256([]byte("doc"))
+	fl, r := g.join("k", doc)
+	if r != roleLeader {
+		t.Fatalf("first join is %s, want leader", r)
 	}
-	fl2, leader2 := g.join("k")
-	if leader2 || fl2 != fl {
+	if g.recall(doc) != nil {
+		t.Fatal("recall found an unfinished flight")
+	}
+	fl2, r2 := g.join("k", sha256.Sum256([]byte("other doc")))
+	if r2 != roleShared || fl2 != fl {
 		t.Fatal("second join did not share the inflight flight")
 	}
-	if flOther, leaderOther := g.join("k2"); !leaderOther || flOther == fl {
+	flOther, rOther := g.join("k2", doc)
+	if rOther != roleLeader || flOther == fl {
 		t.Fatal("distinct key shared a flight")
 	}
 
@@ -436,9 +507,20 @@ func TestFlightGroupJoinFinish(t *testing.T) {
 	if string(fl.body) != "body" || fl.stats.Loaded != 3 || fl.err != nil {
 		t.Fatalf("finished flight = %q/%+v/%v", fl.body, fl.stats, fl.err)
 	}
-	// A post-completion join starts a fresh flight.
-	if _, leader3 := g.join("k"); !leader3 {
-		t.Fatal("join after finish did not lead a fresh flight")
+	// A post-completion join is answered by the retained flight, and so is
+	// a recall of a document that compiled to its key. doc was last joined
+	// under k2, whose flight is still inflight.
+	if fl3, r3 := g.join("k", doc); r3 != roleMemo || fl3 != fl {
+		t.Fatalf("join after finish is %s, want memo of the finished flight", r3)
+	}
+	if g.recall(doc) != fl {
+		t.Fatal("recall missed the retained flight")
+	}
+
+	// A failed flight is not retained: the next join leads a fresh one.
+	g.finish(flOther, nil, experiments.RunStats{}, errors.New("boom"))
+	if fl4, r4 := g.join("k2", doc); r4 != roleLeader || fl4 == flOther {
+		t.Fatalf("join after a failed flight is %s, want a fresh leader", r4)
 	}
 }
 

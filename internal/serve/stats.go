@@ -24,14 +24,17 @@ var executorStages = []string{"gather", "gen-corpus", "trace-gen", "replay", "st
 // (snapshot) reads the same atomics, so the two endpoints can never
 // disagree. Flight counters pin the dedup claims: FlightsLed counts
 // executor submissions (one per unique inflight key), FlightsShared counts
-// requests that joined an existing flight — the thundering-herd savings.
-// Cell counters sum the run records of finished jobs (addRun), so store
-// hit rate is CellsLoaded / (CellsLoaded + CellsSimulated).
+// requests that joined an existing flight — the thundering-herd savings —
+// and JobsMemo counts requests a retained finished flight answered. Cell
+// counters sum the run records of executor runs (addRun), which a memo
+// answer does not make, so store hit rate is CellsLoaded / (CellsLoaded +
+// CellsSimulated) over executor runs.
 type serverStats struct {
 	JobsReceived  *telemetry.Counter
 	JobsFailed    *telemetry.Counter
 	FlightsLed    *telemetry.Counter
 	FlightsShared *telemetry.Counter
+	JobsMemo      *telemetry.Counter
 
 	CellsLoaded    *telemetry.Counter
 	CellsSimulated *telemetry.Counter
@@ -57,6 +60,7 @@ func newServerStats(reg *telemetry.Registry) *serverStats {
 		JobsFailed:    reg.NewCounter("nls_jobs_failed_total", "Accepted jobs whose flight finished with an error."),
 		FlightsLed:    reg.NewCounter("nls_flights_led_total", "Unique flights submitted to the executor pool."),
 		FlightsShared: reg.NewCounter("nls_flights_shared_total", "Requests that joined an already-inflight identical flight."),
+		JobsMemo:      reg.NewCounter("nls_jobs_memo_total", "Requests answered by a retained finished flight, running nothing."),
 
 		CellsLoaded:    reg.NewCounter("nls_cells_loaded_total", "Grid cells served from the content-addressed store."),
 		CellsSimulated: reg.NewCounter("nls_cells_simulated_total", "Grid cells simulated by the executor."),
@@ -125,6 +129,7 @@ type StatsSnapshot struct {
 	JobsFailed    int64  `json:"jobs_failed"`
 	FlightsLed    int64  `json:"flights_led"`
 	FlightsShared int64  `json:"flights_shared"`
+	JobsMemo      int64  `json:"jobs_memo"`
 
 	CellsLoaded    int64 `json:"cells_loaded"`
 	CellsSimulated int64 `json:"cells_simulated"`
@@ -163,6 +168,7 @@ func (s *serverStats) snapshot() StatsSnapshot {
 		JobsFailed:      s.JobsFailed.Value(),
 		FlightsLed:      led,
 		FlightsShared:   shared,
+		JobsMemo:        s.JobsMemo.Value(),
 		CellsLoaded:     loaded,
 		CellsSimulated:  simulated,
 		CellsDeduped:    s.CellsDeduped.Value(),
