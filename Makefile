@@ -53,6 +53,9 @@ race:
 # (TestBroadcastMixedLineSizes),
 # the shared direction annotation and its end-of-broadcast state hand-off
 # (the main goroutine trains the driven predictor while workers replay),
+# the NLS-table annotation (TestBroadcastTableAnnotation*: the main
+# goroutine drives the geometry-free table while group goroutines read
+# earlier blocks; TestStressTableAnnotationPoisoned over poisoned blocks),
 # store readers racing a writer (atomic-rename visibility + corrupt-cell
 # degradation), typed-path readers racing SaveCounters writers and a
 # corrupting writer with the decoded-counters memo on, two runs sharing
@@ -62,16 +65,18 @@ race:
 # simulation, byte-identical bodies; in TestFlightMemoHammer half of them
 # arrive after the flight finished and are answered by it).
 stress:
-	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters|FlightMemoHammer' \
+	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|BroadcastTableAnnotation|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters|FlightMemoHammer' \
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the
-# corpus container reader, the results store's cell decoder, and the sweep
+# corpus container reader, the broadcast against per-record fetch.Run on
+# decoded traces, the results store's cell decoder, and the sweep
 # service's untrusted job decoder.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzChunked -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusRead -fuzztime=20s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzBroadcastMatchesRun -fuzztime=20s ./internal/fetch
 	$(GO) test -run=^$$ -fuzz=FuzzCellDecode -fuzztime=20s ./internal/experiments
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=20s ./internal/serve
 

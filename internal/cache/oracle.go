@@ -80,6 +80,27 @@ type AccessAnnotations struct {
 	// ColdMisses is the number of those misses that were compulsory
 	// (first demand touch of the line; see Cache.ColdMisses).
 	ColdMisses uint64
+	// Succ holds, for each break AnnotateSucc was asked about, in record
+	// order, index<<8 | the slot where the break's successor line
+	// (rec.Next()) resides right after the break's access: AnnHit | way,
+	// or 0 when it is not resident. A consumer asks about the breaks whose
+	// next record in the block is not their successor's fetch (the block's
+	// last record, or a non-chained record); every other break's successor
+	// slot is the next record's. Nothing touches the cache between a
+	// break's fetch and its successor's, so either slot says whether the
+	// successor's line was resident when the break was looked up.
+	Succ []uint32
+}
+
+// SuccSlot returns the Succ slot published for the break at record i.
+// It panics if AnnotateSucc was not asked about that break.
+func (a *AccessAnnotations) SuccSlot(i int) uint8 {
+	for _, p := range a.Succ {
+		if int(p>>8) == i {
+			return uint8(p)
+		}
+	}
+	panic("cache: no successor slot published for the break")
 }
 
 // Release returns the buffers to the shared pools. The annotation must
@@ -111,6 +132,18 @@ func (o *Oracle) Geometry() Geometry { return o.c.Geometry() }
 // Reset restores the oracle to its cold state.
 func (o *Oracle) Reset() { o.c.Reset() }
 
+// MirrorInto copies the oracle's resident lines into c, a cache of the
+// oracle's geometry, without firing c's replacement callback. It gives an
+// engine that read a block annotation without keeping a tag mirror the
+// tags a grouped engine's mirror would hold (see fetch's table
+// annotation).
+func (o *Oracle) MirrorInto(c *Cache) {
+	if c.geom != o.c.geom {
+		panic("cache: mirroring an oracle into a cache of another geometry")
+	}
+	copy(c.tags, o.c.tags)
+}
+
 // Annotate simulates one record block and fills ann with its access
 // outcomes and replay events, walking the block with exactly the batched
 // traversal of an engine's private replay (fetch's stepBlockRuns). runs is
@@ -119,6 +152,13 @@ func (o *Oracle) Reset() { o.c.Reset() }
 // derives it into oracle scratch. ann's buffers are grown from the trace
 // annotation pools as needed and reused across calls.
 func (o *Oracle) Annotate(recs []trace.Record, runs []uint8, ann *AccessAnnotations) {
+	o.AnnotateSucc(recs, runs, nil, ann)
+}
+
+// AnnotateSucc is Annotate that also publishes ann.Succ for the breaks at
+// the record indices succ lists, in ascending order. Every listed record
+// must be a break.
+func (o *Oracle) AnnotateSucc(recs []trace.Record, runs []uint8, succ []uint16, ann *AccessAnnotations) {
 	if len(recs) > 1<<EvtIdxBits {
 		panic("cache: record block exceeds the event index field")
 	}
@@ -136,6 +176,7 @@ func (o *Oracle) Annotate(recs []trace.Record, runs []uint8, ann *AccessAnnotati
 		ann.Events = trace.GetEvtBuf(len(recs) / 2)
 	}
 	events := ann.Events[:0]
+	out := ann.Succ[:0]
 	c := o.c
 	missBase := c.misses
 	coldBase := c.coldMisses
@@ -147,48 +188,70 @@ func (o *Oracle) Annotate(recs []trace.Record, runs []uint8, ann *AccessAnnotati
 	// break is a fresh run leader).
 	post := EvtPost
 	for i := 0; i < len(recs); {
-		r := recs[i]
-		hit, way := c.Access(r.PC)
-		s := uint8(way)
-		flags := post
-		post = 0
-		if hit {
-			s |= AnnHit
-		} else {
-			flags |= EvtFill
+		// Walk to the block's end, or through the next break succ asks
+		// about: its successor probe must see the cache right after the
+		// break's access. A break is always its own step of the walk, so
+		// the walk stops exactly past it.
+		end := len(recs)
+		if len(succ) > 0 {
+			end = int(succ[0]) + 1
 		}
-		slots[i] = s
-		i++
-		if r.IsBreak() {
-			// lastSet is r.PC's set index, fresh from the Access above.
-			events = append(events,
-				uint32(c.lastSet)<<EvtSetShift|uint32(i-1)<<EvtShift|flags|EvtBreak)
-			continue
-		}
-		if flags != 0 {
-			events = append(events, uint32(i-1)<<EvtShift|flags)
-		}
-		if n := uint64(runs[i-1]); n > 0 {
-			set, w := c.LastSlot()
-			c.AccessRun(set, w, n)
-			i += int(n)
-		}
-		for i < len(recs) && recs[i].Kind == isa.NonBranch {
-			if lhit, lway := c.Access(recs[i].PC); lhit {
-				slots[i] = uint8(lway) | AnnHit
+		for i < end {
+			r := recs[i]
+			hit, way := c.Access(r.PC)
+			s := uint8(way)
+			flags := post
+			post = 0
+			if hit {
+				s |= AnnHit
 			} else {
-				slots[i] = uint8(lway)
-				events = append(events, uint32(i)<<EvtShift|EvtFill)
+				flags |= EvtFill
 			}
+			slots[i] = s
 			i++
+			if r.IsBreak() {
+				// lastSet is r.PC's set index, fresh from the Access above.
+				events = append(events,
+					uint32(c.lastSet)<<EvtSetShift|uint32(i-1)<<EvtShift|flags|EvtBreak)
+				continue
+			}
+			if flags != 0 {
+				events = append(events, uint32(i-1)<<EvtShift|flags)
+			}
 			if n := uint64(runs[i-1]); n > 0 {
 				set, w := c.LastSlot()
 				c.AccessRun(set, w, n)
 				i += int(n)
 			}
+			for i < len(recs) && recs[i].Kind == isa.NonBranch {
+				if lhit, lway := c.Access(recs[i].PC); lhit {
+					slots[i] = uint8(lway) | AnnHit
+				} else {
+					slots[i] = uint8(lway)
+					events = append(events, uint32(i)<<EvtShift|EvtFill)
+				}
+				i++
+				if n := uint64(runs[i-1]); n > 0 {
+					set, w := c.LastSlot()
+					c.AccessRun(set, w, n)
+					i += int(n)
+				}
+			}
+		}
+		if len(succ) > 0 {
+			if i != end || !recs[end-1].IsBreak() {
+				panic("cache: AnnotateSucc asked about a record that is not a break")
+			}
+			var ss uint8
+			if w, ok := c.Probe(recs[end-1].Next()); ok {
+				ss = uint8(w) | AnnHit
+			}
+			out = append(out, uint32(end-1)<<8|uint32(ss))
+			succ = succ[1:]
 		}
 	}
 	ann.Events = events
+	ann.Succ = out
 	ann.Misses = c.misses - missBase
 	ann.ColdMisses = c.coldMisses - coldBase
 }

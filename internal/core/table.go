@@ -41,6 +41,12 @@ func (t *Table) Geometry() cache.Geometry { return t.geom }
 
 func (t *Table) index(pc isa.Addr) uint32 { return pc.Word() & t.mask }
 
+// Entries returns the table's backing entries, indexed by the low-order
+// word-address bits of the branch PC. A replay path that computes the
+// geometry-free fields once for many tables (fetch's table annotation)
+// keeps each table's ways here and rebuilds the rest when it hands off.
+func (t *Table) Entries() []Entry { return t.entries }
+
 // Lookup returns the entry for the branch at pc. Tag-less: it always
 // returns an entry, possibly one written by an aliasing branch.
 func (t *Table) Lookup(pc isa.Addr) Entry { return t.entries[t.index(pc)] }

@@ -107,7 +107,9 @@ type ResultSet struct {
 
 // CellTiming is the wall time one cell's engine spent replaying its
 // program, as the broadcaster measured it (fetch.ReplayTime): 0 for a cell
-// whose break metrics the broadcast echoed from an equal-invariant cell.
+// whose break metrics the broadcast echoed from an equal-invariant cell,
+// and the time spent reading its table annotation for an NLS-table cell
+// that read one.
 type CellTiming struct {
 	Program string  `json:"program"`
 	Arch    string  `json:"arch"`

@@ -175,8 +175,9 @@ func TestAttributionFigureRenders(t *testing.T) {
 // TestCellTimingsAndDedup checks the executor's telemetry accounting:
 // every simulated cell gets a wall-time entry, store-served cells get
 // none, and cross-grid duplicate requests are counted. Every replay path is
-// timed: a grouped or private cell reports a nonzero replay time, and only
-// a cell whose break metrics the broadcast echoed reports exactly 0.
+// timed: a grouped, table-reading or private cell reports a nonzero replay
+// time, and only a cell whose break metrics the broadcast echoed reports
+// exactly 0.
 func TestCellTimingsAndDedup(t *testing.T) {
 	cfg := Config{Insns: 40_000, Programs: []workload.Spec{workload.Li()},
 		Penalties: DefaultConfig(0).Penalties}

@@ -53,6 +53,9 @@ type member struct {
 	// dir is the slot of each block's direction annotation fr reads, or -1
 	// when fr predicts with its own predictor (see dirDriver).
 	dir int
+	// tab is the slot of each block's table annotation a table reader
+	// reads, or -1 when fr replays (see tableDriver).
+	tab int
 }
 
 // replayPrivate steps a private engine through one block on its own cache,
@@ -79,6 +82,9 @@ type oracleGroup struct {
 	// Frontend.echoInvariant): they skip replay entirely and only receive
 	// this group's per-block i-cache bulk credits.
 	echoes []*Frontend
+	// readers are the NLS-table engines of this geometry that read a
+	// table annotation instead of replaying (see planTables).
+	readers []member
 	// runs is the slot of each block's run annotation the oracle reads.
 	runs int
 	// anns recycles the group's per-block annotations.
@@ -251,7 +257,7 @@ func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 	// (map only for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		m := member{idx: i, fr: e, runs: -1, dir: -1}
+		m := member{idx: i, fr: e, runs: -1, dir: -1, tab: -1}
 		if !e.oracleEligible() {
 			private = append(private, m)
 			continue
@@ -333,15 +339,20 @@ type sharedAnn struct {
 }
 
 // sharedBlock is one block fanned out by the broadcast, with its run
-// annotation (one slot per line size, see planRuns) and its direction
-// annotation (one slot per dirDriver). Its reference count is fixed before
-// it is sent: one per group target (one for a group whose members were all
-// echoed away) plus one per worker owning private engines. The last reader
+// annotation (one slot per line size, see planRuns), its direction
+// annotation (one slot per dirDriver) and its table annotation (one slot
+// per tableDriver). Its reference count is fixed before it is sent: one
+// per group target (one for a group whose members were all echoed away or
+// read tables) plus one per worker owning private engines. The last reader
 // releases it to the source and recycles it.
 type sharedBlock struct {
 	recs []trace.Record
 	runs [][]uint8
 	dirs []dirBits
+	tabs []tableAnn
+	// succ lists, ascending, the breaks whose successor slot a table
+	// reader needs from its group oracle (cache.Oracle.AnnotateSucc).
+	succ []uint16
 	refs atomic.Int32
 }
 
@@ -361,14 +372,16 @@ type workItem struct {
 // last reader.
 //
 // The main goroutine draws each block and computes its run annotation, once
-// per line size a replaying engine or oracle needs (planRuns), and its
-// direction annotation (dirDriver). Engines keep a static round-robin worker
-// assignment (engine i → worker i mod workers); each worker drains its own
-// bounded channel. Grouped engines add one goroutine per group: it
-// annotates each block once and fans the shared annotation to exactly the
-// workers owning members of that group, refcounted so the last consumer
-// recycles it. The producer graph is acyclic (main → group oracles →
-// workers, main → workers), so the bounded channels cannot deadlock.
+// per line size a replaying engine or oracle needs (planRuns), its
+// direction annotation (dirDriver) and its table annotation (tableDriver).
+// Engines keep a static round-robin worker assignment (engine i → worker
+// i mod workers); each worker drains its own bounded channel. Grouped
+// engines add one goroutine per group: it annotates each block once, steps
+// the group's echoes and table readers, and fans the shared annotation to
+// exactly the workers owning members of that group, refcounted so the last
+// consumer recycles it. The producer graph is acyclic (main → group
+// oracles → workers, main → workers), so the bounded channels cannot
+// deadlock.
 func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) int64 {
 	if len(engines) == 0 {
 		return 0
@@ -377,6 +390,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	echoes := extractEchoes(groups)
 	lines := planRuns(private, groups)
 	drivers := planDirs(private, groups)
+	tables := planTables(groups)
 	workers = max(1, min(workers, len(engines)))
 
 	blocks := make(freeList[sharedBlock], broadcastBound)
@@ -444,16 +458,22 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 			defer gwg.Done()
 			for blk := range gin[gi] {
 				ann := g.anns.get()
-				g.oracle.Annotate(blk.recs, blk.runs[g.runs], &ann.AccessAnnotations)
-				// The group's echoes are owned by this goroutine alone
-				// (they appear in no worker's member list), so their bulk
-				// credit happens here, before the annotation is shared.
+				var succ []uint16
+				if len(g.readers) > 0 {
+					succ = blk.succ
+				}
+				g.oracle.AnnotateSucc(blk.recs, blk.runs[g.runs], succ, &ann.AccessAnnotations)
+				// The group's echoes and table readers are owned by this
+				// goroutine alone (they appear in no worker's member
+				// list), so their credit and reads happen here, before the
+				// annotation is shared.
 				for _, ef := range g.echoes {
 					ef.echoCredit(len(blk.recs), &ann.AccessAnnotations)
 				}
+				readTables(g.readers, blk, &ann.AccessAnnotations)
 				if len(targets) == 0 {
-					// Every member of this geometry was echoed away; the
-					// annotation existed only for the credit above.
+					// Every member of this geometry was echoed or reads a
+					// table; the annotation existed only for them.
 					g.anns.put(ann)
 					done(blk)
 					continue
@@ -474,12 +494,24 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 		if blk.dirs == nil {
 			blk.runs = make([][]uint8, len(lines))
 			blk.dirs = make([]dirBits, len(drivers))
+			blk.tabs = make([]tableAnn, len(tables))
+			for k := range blk.tabs {
+				blk.tabs[k].items = getItems()
+			}
 		}
 		for k, lb := range lines {
 			blk.runs[k] = trace.BlockRuns(blk.runs[k], recs, lb)
 		}
 		for k, d := range drivers {
 			d.annotate(recs, &blk.dirs[k])
+		}
+		blk.succ = blk.succ[:0]
+		for _, d := range tables {
+			d.annotate(blk)
+		}
+		if len(tables) > 1 {
+			slices.Sort(blk.succ)
+			blk.succ = slices.Compact(blk.succ)
 		}
 		blk.refs.Store(refs)
 		for gi := range gin {
@@ -507,7 +539,15 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	for _, p := range echoes {
 		p.echo.adoptBreakMetrics(p.leader)
 	}
+	for len(blocks) > 0 {
+		for _, ta := range (<-blocks).tabs {
+			putItems(ta.items)
+		}
+	}
 	for _, d := range drivers {
+		d.handOff()
+	}
+	for _, d := range tables {
 		d.handOff()
 	}
 	return n

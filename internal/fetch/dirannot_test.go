@@ -64,7 +64,8 @@ func dirShareEngines() (engines []*Frontend, preds []*countingGShare) {
 // configuration read one shared direction annotation whether they are
 // grouped on either geometry or private, at every worker count — exactly
 // one predictor (the annotation's driver) is trained during the broadcast —
-// and every counter equals the Run/RunChunks reference. Run under -race via
+// and every counter equals the Run/RunChunks reference, at workers 1, 2
+// and 4. Run under -race via
 // `make stress`: the main goroutine trains the driven predictor while a
 // worker replays its engine.
 func TestBroadcastSharesDirAnnotation(t *testing.T) {
@@ -91,7 +92,7 @@ func TestBroadcastSharesDirAnnotation(t *testing.T) {
 		t.Fatalf("plan gives %d direction annotations, want one read by all %d engines", len(drivers), len(probe))
 	}
 
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		engines, preds := dirShareEngines()
 		if n := BroadcastWorkers(chunked.Chunks(), workers, engines...); n != int64(tr.Len()) {
 			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
@@ -149,9 +150,12 @@ func handOffEngines() []*Frontend {
 // segment, every engine that replayed (all but the echoed one) continues
 // through a second segment with Step and ends with the counters of a
 // reference engine that stepped both segments record by record. This pins
-// the hand-off: each reader of a direction annotation, having adopted the
+// the hand-offs: each reader of a direction annotation, having adopted the
 // driven predictor's state (AdoptState), is exactly as if it had trained
-// its own predictor. Run under -race via `make stress`.
+// its own predictor, and each reader of a table annotation, having rebuilt
+// its table and adopted the driven return stack, pending break and the
+// group oracle's tags, is exactly as if it had replayed. Run under -race
+// via `make stress`.
 func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	const split = 30 * 1024 // a block boundary
@@ -178,6 +182,9 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	if drivers := planDirs(private, groups); len(echoes) != 1 || len(drivers) != 1 {
 		t.Fatalf("plan has %d echoes and %d direction annotations, want 1 and 1", len(echoes), len(drivers))
 	}
+	if tables := planTables(groups); len(tables) != 1 || len(tables[0].readers) != 2 {
+		t.Fatalf("plan has %d table annotations, want 1 read by both gshare NLS-tables", len(tables))
+	}
 	echoed := map[int]bool{}
 	grouped := map[int]bool{}
 	for i, e := range probe {
@@ -185,6 +192,9 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	}
 	for _, g := range groups {
 		for _, m := range g.members {
+			grouped[m.idx] = true
+		}
+		for _, m := range g.readers {
 			grouped[m.idx] = true
 		}
 	}
@@ -204,10 +214,11 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 			got, w := *e.Counters(), want[i]
 			if grouped[i] {
 				// A grouped engine replays against a tag mirror of the
-				// group oracle: its resident lines are exact (on these
-				// direct-mapped geometries LRU order is moot), but
-				// first-touch tracking stays with the oracle, so the
-				// continuation recounts its cold misses.
+				// group oracle (a table reader copies it at the hand-off):
+				// its resident lines are exact (on these direct-mapped
+				// geometries LRU order is moot), but first-touch tracking
+				// stays with the oracle, so the continuation recounts its
+				// cold misses.
 				got.ICacheColdMisses, w.ICacheColdMisses = 0, 0
 			}
 			if got != w {

@@ -31,15 +31,19 @@ import (
 // an alias of *Frontend, not an interface.
 //
 // An engine is stepped by one driver for its whole run: privately (Step,
-// StepBlock, Run, RunChunks) or as a member of a broadcast group. A grouped
-// engine replays from its geometry's shared oracle (replayEvents,
-// echoCredit) and keeps its own i-cache only as a tag mirror: fills land
-// in it, but neither first touches nor LRU order are tracked there. So an
-// engine stepped privately after a grouped broadcast would count every
-// line's first touch as a cold miss again and replace lines by stale
-// recency. No production path does so: the executor takes each engine's
-// counters once its broadcast ends and builds new engines per cell. Reset
-// restores a clean cold state either way.
+// StepBlock, Run, RunChunks) or grouped in a broadcast, where it replays
+// from its geometry's shared oracle in one of three ways: as a member
+// (replayEvents), as an echo of an equal engine on another geometry
+// (echoCredit), or, for an NLS-table, as a reader of a table annotation
+// that one driver computes for every geometry (readTable). A grouped
+// engine keeps its own i-cache only as a tag mirror: fills land in it (a
+// reader copies the oracle's tags when the broadcast ends), but neither
+// first touches nor LRU order are tracked there. So an engine stepped
+// privately after a grouped broadcast would count every line's first touch
+// as a cold miss again and replace lines by stale recency. No production
+// path does so: the executor takes each engine's counters once its
+// broadcast ends and builds new engines per cell. Reset restores a clean
+// cold state either way.
 type Engine = *Frontend
 
 // Run drives every record of a trace through the engine and returns its

@@ -186,7 +186,8 @@ type Frontend struct {
 // ReplayTime returns the wall time broadcasts spent stepping e's blocks
 // since its last Reset, whichever replay path each broadcast chose. It is
 // 0 for an engine whose break metrics a broadcast echoed from another
-// engine (it steps nothing).
+// engine (it steps nothing). An engine that read a table annotation
+// (tableDriver) is charged the time of its reads, not the driver's.
 func ReplayTime(e *Frontend) time.Duration { return e.replayTime }
 
 // newFrontend builds the architecture-independent half; bind attaches the
@@ -629,10 +630,7 @@ func (f *Frontend) echoInvariant() (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if !f.oracleEligible() || f.probe != nil {
-		return "", false
-	}
-	if f.m != (metrics.Counters{}) || f.pending.active || f.rstack.Depth() != 0 {
+	if !f.oracleEligible() || f.probe != nil || !f.coldBreaks() {
 		return "", false
 	}
 	tkey, ok := inv.invariantKey()
@@ -648,6 +646,12 @@ func (f *Frontend) echoInvariant() (string, bool) {
 		return "", false
 	}
 	return fmt.Sprintf("%s|%s|ras%d", tkey, dkey, f.rstack.Cap()), true
+}
+
+// coldBreaks reports whether the engine has stepped nothing since its last
+// Reset: zero counters, an empty return stack and no deferred update.
+func (f *Frontend) coldBreaks() bool {
+	return f.m == (metrics.Counters{}) && !f.pending.active && f.rstack.Depth() == 0
 }
 
 // dirShareKey reports the configuration key under which this engine may
@@ -737,8 +741,12 @@ func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotation
 			// of after the successor's fill is invisible: if that fill
 			// evicts the branch's line, both orders leave the coupled
 			// entry invalidated; otherwise they train identical state.
+			// Step's chaining guard applies: a next record that is not
+			// the break's successor drops the update.
 			if f.pending.active && i+1 < len(recs) {
-				f.bpu.tp.Resolve(f.pending.rec, int(slots[i+1]&cache.AnnWayMask))
+				if f.pending.rec.Next() == recs[i+1].PC {
+					f.bpu.tp.Resolve(f.pending.rec, int(slots[i+1]&cache.AnnWayMask))
+				}
 				f.pending.active = false
 			}
 		}

@@ -58,6 +58,16 @@ func (s *Stack) Top() (a isa.Addr, ok bool) {
 	return s.entries[(s.top-1+len(s.entries))%len(s.entries)], true
 }
 
+// CopyFrom makes s a copy of src, a stack of the same capacity.
+func (s *Stack) CopyFrom(src *Stack) {
+	if len(s.entries) != len(src.entries) {
+		panic("ras: copying a stack of another depth")
+	}
+	copy(s.entries, src.entries)
+	s.top, s.depth = src.top, src.depth
+	s.pushes, s.pops = src.pushes, src.pops
+}
+
 // Depth returns the number of live entries.
 func (s *Stack) Depth() int { return s.depth }
 
