@@ -178,18 +178,20 @@ smoke-serve:
 # The trace-corpus round-trip gate (DESIGN.md §16): one run writes the
 # content-keyed corpus, a fresh runner streams it from disk chunk by chunk,
 # and the rows of every executor entry point must be byte-identical to
-# generate-fresh; stale (wrong insns), corrupt, mid-stream-broken and
-# header-mismatched corpus files must degrade to regeneration, never to
-# wrong rows; a 20M-instruction streamed replay must keep its live heap
-# under 32MB, and so must a cold run that generates the 20M-instruction
-# corpus block by block and then replays it, and a corpus-less run that
-# replays straight from the generator; a 2M-instruction paper-matrix
+# generate-fresh; stale (wrong insns), corrupt, mid-stream-broken,
+# checksum-failing and header-mismatched corpus files must degrade to
+# regeneration, never to wrong rows; a 20M-instruction streamed replay
+# must keep its live heap under 32MB, and so must a cold run that
+# generates the 20M-instruction corpus block by block and then replays
+# it, and a corpus-less run that replays straight from the generator; the
+# streamed replay must also (on Linux) grow neither its file-backed nor
+# its anonymous resident memory by 4MB; a 2M-instruction paper-matrix
 # replay must allocate less than an eighth of its decoded trace; a run of
 # probed cells alone must attach the corpus under CorpusDir; and
 # concurrent runners building one corpus must all succeed and leave a
 # valid file.
 corpus-smoke:
-	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestGeneratorReplayHeapCeiling|TestStreamedReplayAllocBounded|TestProbedRunAttachesCorpus|TestCorpusConcurrentBuilders' \
+	$(GO) test -run 'TestCorpusRoundTripSmoke|TestCorpusStaleFileRebuilt|TestCorpusCorruptFileFallsBack|TestStreamedReplayMatchesGenerated|TestCorpusStreamFailureFallsBack|TestCorpusChecksumFailureFallsBack|TestCorpusHeaderCountFallsBack|TestStreamedReplayHeapCeiling|TestColdCorpusBuildHeapCeiling|TestGeneratorReplayHeapCeiling|TestStreamedReplayAllocBounded|TestProbedRunAttachesCorpus|TestCorpusConcurrentBuilders' \
 		./internal/experiments
 
 # The nested benchmark module (its own go.mod, so the root build and test

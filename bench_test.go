@@ -226,8 +226,8 @@ func runSweep(b *testing.B, r *experiments.Runner, g experiments.Grid) []experim
 
 // corpusRunner returns a runner over cfg with cfg's corpus built in a
 // temporary directory and attached. The directory is removed before
-// returning: attaching loads the corpus whole (mapped or read), so it
-// outlives its file.
+// returning: the attached corpus holds its file open, and on unix an open
+// file outlives its directory entry.
 func corpusRunner(cfg experiments.Config) (*experiments.Runner, error) {
 	dir, err := os.MkdirTemp("", "nls-bench-corpus-")
 	if err != nil {

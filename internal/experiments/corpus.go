@@ -188,9 +188,8 @@ func (r *Runner) attachedCorpus() *trace.Corpus {
 	return r.corpus
 }
 
-// CloseCorpus detaches and closes the attached corpus (releasing its
-// mapping). Close between runs only: a replay in flight streams straight
-// from the mapping.
+// CloseCorpus detaches and closes the attached corpus (closing its file).
+// Close between runs only: a replay in flight reads the open file.
 func (r *Runner) CloseCorpus() error {
 	r.corpusMu.Lock()
 	defer r.corpusMu.Unlock()

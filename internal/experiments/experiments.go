@@ -139,10 +139,11 @@ type replaySource struct {
 // O(chunk) records however long the trace. With a corpus attached (a hit,
 // or the one UseCorpus just built) it streams the program's payload,
 // decoding each block as it is drawn; before handing the stream out it
-// checks the payload checksum and that the payload header names the
-// program at Cfg.Insns records. Without a corpus, or when the entry fails
-// those checks or broke in an earlier replay, it streams the program from
-// its generator (workload.Spec.Stream).
+// checks that the payload header names the program at Cfg.Insns records
+// (the payload checksum is checked as the stream drains, see
+// replayProgram). Without a corpus, or when the entry fails those checks
+// or broke in an earlier replay, it streams the program from its
+// generator (workload.Spec.Stream).
 func (r *Runner) source(i int) (replaySource, error) {
 	var src replaySource
 	if c := r.attachedCorpus(); c != nil && !r.regenerated[i].Load() {
@@ -169,10 +170,11 @@ func (r *Runner) source(i int) (replaySource, error) {
 // replay over it; replay builds its consumers (engines, probes,
 // collectors) afresh on every call and returns how many records it drew.
 // A corpus source is confirmed after replay: the decoder must report no
-// error and replay must have drawn exactly Cfg.Insns records. If not, the
-// first replay's results are discarded — replay is called again over a
-// generator stream — so a bad corpus degrades to recomputation, never to
-// an error or a wrong row. The returned duration is the time spent
+// error (no decode or read error, and a payload checksum that matched
+// once the payload drained) and replay must have drawn exactly Cfg.Insns
+// records. If not, the first replay's results are discarded — replay is
+// called again over a generator stream — so a bad corpus degrades to
+// recomputation, never to an error or a wrong row. The returned duration is the time spent
 // acquiring (the "trace-gen" stage): opening and validating a corpus
 // stream, or building the program a generator stream walks; drawing the
 // blocks — decoding or generating them — happens inside replay.

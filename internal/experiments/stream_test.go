@@ -3,9 +3,11 @@ package experiments
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -136,11 +138,12 @@ func TestStreamedReplayMatchesGenerated(t *testing.T) {
 }
 
 // rewriteCorpusPayload edits one program's payload in the corpus file at
-// path in place (edit must keep its length), then recomputes the payload
-// CRC and the index CRC, so the file passes every checksum and fails, if
-// at all, only while decoding. It walks the nls-corpus/v1 layout
-// (trace/corpus.go) directly.
-func rewriteCorpusPayload(t *testing.T, path, program string, edit func(payload []byte)) {
+// path in place (edit must keep its length), then recomputes the index
+// CRC and, when fixCRC is set, the payload CRC, so the file opens and
+// fails, if at all, only while decoding or, without fixCRC, at the
+// payload checksum checked after the drain. It walks the nls-corpus/v1
+// layout (trace/corpus.go) directly.
+func rewriteCorpusPayload(t *testing.T, path, program string, fixCRC bool, edit func(payload []byte)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -170,7 +173,9 @@ func rewriteCorpusPayload(t *testing.T, path, program string, edit func(payload 
 		}
 		payload := data[off : off+length]
 		edit(payload)
-		binary.LittleEndian.PutUint32(idx[crcAt:], crc32.ChecksumIEEE(payload))
+		if fixCRC {
+			binary.LittleEndian.PutUint32(idx[crcAt:], crc32.ChecksumIEEE(payload))
+		}
 		binary.LittleEndian.PutUint32(footer[0:4], crc32.ChecksumIEEE(idx))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -221,7 +226,7 @@ func TestCorpusStreamFailureFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	path := buildTestCorpus(t, cfg, dir)
 	damaged := cfg.Programs[0].Name
-	rewriteCorpusPayload(t, path, damaged, func(payload []byte) {
+	rewriteCorpusPayload(t, path, damaged, true, func(payload []byte) {
 		// 0xFF is never a valid record head (kind 7) and never ends a
 		// varint, so decoding must fail wherever it enters this tail.
 		for i := len(payload) / 2; i < len(payload); i++ {
@@ -251,6 +256,67 @@ func TestCorpusStreamFailureFallsBack(t *testing.T) {
 	checkFallback(t, cfg, dir, damaged)
 }
 
+// TestCorpusChecksumFailureFallsBack: a payload edited so that it still
+// decodes, to different records, but no longer matches its checksum
+// passes every pre-replay check and replays to the end; only then does
+// the decoder report the mismatch. The program must be regenerated and
+// replayed again from fresh engines: rows equal to fresh generation.
+func TestCorpusChecksumFailureFallsBack(t *testing.T) {
+	cfg := corpusTestConfig()
+	dir := t.TempDir()
+	path := buildTestCorpus(t, cfg, dir)
+	damaged := cfg.Programs[0].Name
+	rewriteCorpusPayload(t, path, damaged, false, func(payload []byte) {
+		// Walk the NLST records to the first taken branch whose target
+		// delta is a one-byte varint, and move the target by one word.
+		p := 5
+		nameLen, n := binary.Uvarint(payload[p:])
+		p += n + int(nameLen)
+		for k := 0; k < 2; k++ { // static sites, record count
+			_, n = binary.Uvarint(payload[p:])
+			p += n
+		}
+		for p < len(payload) {
+			head := payload[p]
+			p++
+			if head&(1<<4) == 0 {
+				_, n = binary.Varint(payload[p:])
+				p += n
+			}
+			if head&(1<<3) != 0 {
+				if payload[p] < 0x80 {
+					payload[p] ^= 2
+					return
+				}
+				_, n = binary.Varint(payload[p:])
+				p += n
+			}
+		}
+		t.Fatal("no taken branch with a one-byte target delta")
+	})
+
+	// The premise: every record decodes, and the drain reports the
+	// mismatch.
+	c, err := trace.OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.ChunkSource(damaged, trace.DefaultChunkRecords)
+	if err != nil {
+		t.Fatalf("payload rejected before decoding: %v", err)
+	}
+	n := 0
+	for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+		n += len(blk)
+	}
+	if n != cfg.Insns || d.Err() == nil || !strings.Contains(d.Err().Error(), "checksum") {
+		t.Fatalf("decoded %d of %d records, err %v; want every record and a checksum mismatch", n, cfg.Insns, d.Err())
+	}
+	c.Close()
+
+	checkFallback(t, cfg, dir, damaged)
+}
+
 // TestCorpusHeaderCountFallsBack: a payload whose own header declares a
 // record count other than Cfg.Insns (the index still agrees with the
 // budget, so the corpus opens) is rejected before replay and the program
@@ -260,7 +326,7 @@ func TestCorpusHeaderCountFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	path := buildTestCorpus(t, cfg, dir)
 	damaged := cfg.Programs[1].Name
-	rewriteCorpusPayload(t, path, damaged, func(payload []byte) {
+	rewriteCorpusPayload(t, path, damaged, true, func(payload []byte) {
 		// NLST header: magic, version, name, static sites, count.
 		p := 5
 		nameLen, n := binary.Uvarint(payload[p:])
@@ -358,11 +424,39 @@ func runHeapCeiling(t *testing.T, x *Executor) {
 	}
 }
 
+// residentCeiling bounds how much a streamed run may grow the process's
+// file-backed and its anonymous resident memory.
+const residentCeiling = 4 << 20
+
+// residentBytes reads the process's file-backed and anonymous resident
+// memory (RssFile and RssAnon) from /proc/self/status; ok is false where
+// that file or those fields are missing.
+func residentBytes() (file, anon int64, ok bool) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, 0, false
+	}
+	seen := 0
+	for _, line := range strings.Split(string(b), "\n") {
+		var kb int64
+		if _, err := fmt.Sscanf(line, "RssFile: %d kB", &kb); err == nil {
+			file, seen = kb<<10, seen+1
+		} else if _, err := fmt.Sscanf(line, "RssAnon: %d kB", &kb); err == nil {
+			anon, seen = kb<<10, seen+1
+		}
+	}
+	return file, anon, seen == 2
+}
+
 // TestStreamedReplayHeapCeiling pins DESIGN.md §7's O(chunk) promise on
 // the production path: replaying one 20M-instruction program (240MB of
-// records) from the corpus through two cells must keep the live heap —
-// sampled after a forced GC every 20ms throughout RunGrids — under 32MB.
-// A whole-trace decode peaks at ~250MB here.
+// records, a ~21MB payload) from the corpus through two cells must keep
+// the live heap — sampled after a forced GC every 20ms throughout
+// RunGrids — under 32MB. A whole-trace decode peaks at ~250MB here. Where
+// /proc/self/status reports them (Linux), the run must also grow neither
+// the file-backed nor the anonymous resident memory by residentCeiling:
+// the payload is read through a bounded window, so it never becomes
+// resident in the process, as a mapped corpus would.
 func TestStreamedReplayHeapCeiling(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("20M-instruction trace generation; skipped in -short and -race runs")
@@ -373,7 +467,19 @@ func TestStreamedReplayHeapCeiling(t *testing.T) {
 	buildTestCorpus(t, cfg, dir)
 	x := &Executor{R: NewRunner(cfg), CorpusDir: dir}
 	defer x.R.CloseCorpus()
+	file0, anon0, ok := residentBytes()
 	runHeapCeiling(t, x)
+	file1, anon1, _ := residentBytes()
+	if !ok {
+		t.Log("no RssFile/RssAnon in /proc/self/status; resident ceiling not checked")
+		return
+	}
+	t.Logf("resident: RssFile %.1f -> %.1f MB, RssAnon %.1f -> %.1f MB",
+		float64(file0)/(1<<20), float64(file1)/(1<<20), float64(anon0)/(1<<20), float64(anon1)/(1<<20))
+	if file1-file0 > residentCeiling || anon1-anon0 > residentCeiling {
+		t.Errorf("a streamed run grew RssFile by %.1f MB and RssAnon by %.1f MB; ceiling %d MB each",
+			float64(file1-file0)/(1<<20), float64(anon1-anon0)/(1<<20), residentCeiling>>20)
+	}
 }
 
 // TestColdCorpusBuildHeapCeiling extends the ceiling to a first run: a

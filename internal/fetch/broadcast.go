@@ -161,22 +161,29 @@ func (f *Frontend) readDirs(blk *sharedBlock, k int) {
 // bits instead of consulting or training its own predictor.
 type dirDriver struct {
 	readers []*Frontend
+	// runs is the slot of a run annotation some reader reads, or -1 when
+	// none does (every reader decoupled).
+	runs int
 }
 
 // annotate drives the predictor through recs' breaks exactly as
 // stepBreakAt does: Predict and Resolve for a conditional, Query for any
-// other break.
-func (d *dirDriver) annotate(recs []trace.Record, out *dirBits) {
+// other break. Given the block's runs (any line size: a run's followers
+// are non-breaks under every one), it skips each non-break's same-line
+// followers; with nil runs it visits every record.
+func (d *dirDriver) annotate(recs []trace.Record, runs []uint8, out *dirBits) {
 	dir := d.readers[0].bpu.dir
 	out.bits, out.n = out.bits[:0], 0
-	for _, r := range recs {
-		switch {
+	for i := 0; i < len(recs); i++ {
+		switch r := recs[i]; {
 		case r.Kind == isa.CondBranch:
 			taken, tok := dir.Predict(r.PC)
 			dir.Resolve(r.PC, tok, r.Taken)
 			out.push(taken)
 		case r.IsBreak():
 			out.push(dir.Query(r.PC))
+		case runs != nil:
+			i += int(runs[i])
 		}
 	}
 }
@@ -195,35 +202,40 @@ func (d *dirDriver) handOff() {
 
 // planDirs gives a direction-annotation slot to every replaying engine whose
 // Frontend.dirShareKey at least one other replaying engine, grouped or
-// private, shares, and returns one driver per slot. Echoed engines replay
+// private, shares, and returns one driver per slot, each reading a run slot
+// one of its readers reads (planRuns has run). Echoed engines replay
 // nothing and read nothing.
 func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 	var all []*member
+	var runs []int // the run slot all[i] reads, -1 for none
 	for _, g := range groups {
 		for i := range g.members {
 			all = append(all, &g.members[i])
+			runs = append(runs, g.runs)
 		}
 	}
 	for i := range private {
 		all = append(all, &private[i])
+		runs = append(runs, private[i].runs)
 	}
 	var keys []string
-	byKey := make(map[string][]*member)
-	for _, m := range all {
+	byKey := make(map[string][]int)
+	for i, m := range all {
 		if key, ok := m.fr.dirShareKey(); ok {
 			if byKey[key] == nil {
 				keys = append(keys, key)
 			}
-			byKey[key] = append(byKey[key], m)
+			byKey[key] = append(byKey[key], i)
 		}
 	}
 	var drivers []*dirDriver
 	for _, key := range keys {
 		if ms := byKey[key]; len(ms) > 1 {
-			d := &dirDriver{}
-			for _, m := range ms {
-				m.dir = len(drivers)
-				d.readers = append(d.readers, m.fr)
+			d := &dirDriver{runs: -1}
+			for _, i := range ms {
+				all[i].dir = len(drivers)
+				d.readers = append(d.readers, all[i].fr)
+				d.runs = max(d.runs, runs[i])
 			}
 			drivers = append(drivers, d)
 		}
@@ -503,7 +515,11 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 			blk.runs[k] = trace.BlockRuns(blk.runs[k], recs, lb)
 		}
 		for k, d := range drivers {
-			d.annotate(recs, &blk.dirs[k])
+			var runs []uint8
+			if d.runs >= 0 {
+				runs = blk.runs[d.runs]
+			}
+			d.annotate(recs, runs, &blk.dirs[k])
 		}
 		blk.succ = blk.succ[:0]
 		for _, d := range tables {

@@ -115,6 +115,48 @@ func TestBroadcastSharesDirAnnotation(t *testing.T) {
 	}
 }
 
+// TestBroadcastDirAnnotationDecoupledOnly: when every reader of a direction
+// annotation is decoupled, no run annotation is computed, so its driver
+// walks every record of each block; the counters still equal RunChunks.
+// Where a reader reads runs, the driver skips by them.
+func TestBroadcastDirAnnotationDecoupledOnly(t *testing.T) {
+	mk := func() []*Frontend {
+		var es []*Frontend
+		for _, g := range []cache.Geometry{cache.MustGeometry(8*1024, 32, 1), cache.MustGeometry(16*1024, 64, 2)} {
+			e := NewNLSTableEngine(g, 512, pht.NewGShare(1024, 6), 32)
+			e.ICache().EnablePrefetch(8, 20)
+			e.SetFTQDepth(8)
+			e.AttachPrefetcher(NewFDIPPrefetcher(e.ICache()))
+			es = append(es, e)
+		}
+		return es
+	}
+	private, groups := replayPlan(mk())
+	if lines := planRuns(private, groups); len(lines) != 0 {
+		t.Fatalf("decoupled engines read %d run slots, want none", len(lines))
+	}
+	if ds := planDirs(private, groups); len(ds) != 1 || ds[0].runs != -1 {
+		t.Fatalf("plan: %d direction drivers, want one walking every record", len(ds))
+	}
+	probe, _ := dirShareEngines()
+	private, groups = replayPlan(probe)
+	extractEchoes(groups)
+	planRuns(private, groups)
+	if ds := planDirs(private, groups); len(ds) != 1 || ds[0].runs < 0 {
+		t.Fatal("a direction driver with grouped readers reads no run slot")
+	}
+
+	tr := workload.Gcc().MustTrace(30_000)
+	chunked := trace.Chunk(tr, 1024)
+	var want []metrics.Counters
+	for _, e := range mk() {
+		want = append(want, *RunChunks(e, chunked.Chunks()))
+	}
+	for _, workers := range []int{1, 2} {
+		checkBroadcast(t, "decoupled-only", chunked.Chunks(), workers, mk, want)
+	}
+}
+
 // handOffEngines mixes grouped engines on two direct-mapped geometries (one
 // BTB echoed across them, one TAGE engine that reads no annotation) with
 // private ones (a demoted two-way singleton, a polluted engine and a

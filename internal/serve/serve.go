@@ -156,7 +156,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // stage histograms.
 func (s *Server) runJob(job *CompiledJob, progress func(experiments.RunStats)) ([]byte, experiments.RunStats, error) {
 	r := experiments.NewRunner(job.Cfg)
-	defer r.CloseCorpus() // release the mapping when the job attached one
+	defer r.CloseCorpus() // close the corpus file when the job attached one
 	x := &experiments.Executor{R: r, Store: s.store, CorpusDir: s.corpusDir, Progress: progress,
 		Observer: func(sp experiments.StageSpan) { s.stats.ObserveStage(sp.Stage, sp.Seconds) }}
 	rs, err := x.RunKeyed(false, job.keyed)

@@ -255,60 +255,82 @@ func (w *CorpusWriter) Abort() {
 	os.Remove(w.tmp)
 }
 
-// Corpus is a read-only open corpus: the raw file bytes (memory-mapped
-// when the platform supports it, read into memory otherwise) plus the
-// decoded index.
+// Corpus is a read-only open corpus: a reader over the open file or an
+// in-memory image, plus the decoded index. It holds no payload: each
+// decoder reads its own through a bounded window (PayloadChunks).
 type Corpus struct {
-	data   []byte
-	mapped bool
+	r      io.ReaderAt
+	file   *os.File // nil for an in-memory image
+	window int      // the decoders' read window; tests shrink it
 	progs  []CorpusProgram
 	byName map[string]int
 }
 
 // OpenCorpus opens and validates a corpus file: magic, footer, index
-// checksum, and every index bound. Payload checksums are verified lazily,
-// by Trace.
+// checksum, and every index bound. A payload's checksum is verified as it
+// is decoded (PayloadChunks). The file stays open until Close.
 func OpenCorpus(path string) (*Corpus, error) {
-	data, mapped, err := corpusLoad(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{data: data, mapped: mapped}
-	if err := c.parseIndex(); err != nil {
-		c.Close()
-		return nil, err
+	fi, err := f.Stat()
+	if err == nil {
+		c := &Corpus{r: f, file: f, window: corpusWindowBytes}
+		if err = c.parseIndex(fi.Size()); err == nil {
+			return c, nil
+		}
 	}
-	return c, nil
+	f.Close()
+	return nil, err
 }
 
 // OpenCorpusBytes opens a corpus from an in-memory image (the fuzz
 // harness's entry point; OpenCorpus validates through the same path).
 func OpenCorpusBytes(data []byte) (*Corpus, error) {
-	c := &Corpus{data: data}
-	if err := c.parseIndex(); err != nil {
+	c := &Corpus{r: bytes.NewReader(data), window: corpusWindowBytes}
+	if err := c.parseIndex(int64(len(data))); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Corpus) parseIndex() error {
-	data := c.data
-	if len(data) < len(corpusMagic)+corpusFooterLen {
-		return fmt.Errorf("%w: truncated (%d bytes)", errBadCorpus, len(data))
+// readFull reads exactly len(p) bytes at off (a short ReadAt returns an
+// error).
+func readFull(r io.ReaderAt, p []byte, off int64) error {
+	if n, err := r.ReadAt(p, off); n < len(p) {
+		return err
 	}
-	if string(data[:len(corpusMagic)]) != corpusMagic {
+	return nil
+}
+
+func (c *Corpus) parseIndex(size int64) error {
+	if size < int64(len(corpusMagic)+corpusFooterLen) {
+		return fmt.Errorf("%w: truncated (%d bytes)", errBadCorpus, size)
+	}
+	var magic [len(corpusMagic)]byte
+	var footer [corpusFooterLen]byte
+	if err := readFull(c.r, magic[:], 0); err != nil {
+		return err
+	}
+	if err := readFull(c.r, footer[:], size-int64(corpusFooterLen)); err != nil {
+		return err
+	}
+	if string(magic[:]) != corpusMagic {
 		return fmt.Errorf("%w: bad magic", errBadCorpus)
 	}
-	footer := data[len(data)-corpusFooterLen:]
 	if string(footer[12:]) != corpusTail {
 		return fmt.Errorf("%w: bad tail magic", errBadCorpus)
 	}
 	idxOff := binary.LittleEndian.Uint64(footer[4:12])
-	idxEnd := uint64(len(data) - corpusFooterLen)
+	idxEnd := uint64(size) - uint64(corpusFooterLen)
 	if idxOff < uint64(len(corpusMagic)) || idxOff > idxEnd {
 		return fmt.Errorf("%w: index offset %d out of range", errBadCorpus, idxOff)
 	}
-	idx := data[idxOff:idxEnd]
+	idx := make([]byte, idxEnd-idxOff)
+	if err := readFull(c.r, idx, int64(idxOff)); err != nil {
+		return err
+	}
 	if crc32.ChecksumIEEE(idx) != binary.LittleEndian.Uint32(footer[0:4]) {
 		return fmt.Errorf("%w: index checksum mismatch", errBadCorpus)
 	}
@@ -377,11 +399,11 @@ func (c *Corpus) parseIndex() error {
 // Programs lists the corpus's index entries.
 func (c *Corpus) Programs() []CorpusProgram { return c.progs }
 
-// Trace decodes the named program's whole payload, verifying its checksum
-// first, into a record slice pre-sized from the index's record count
-// (which parseIndex bounded by the payload length). It is for callers that
-// need the materialized trace; a replay streams through ChunkSource
-// instead.
+// Trace decodes the named program's whole payload into a record slice
+// pre-sized from the index's record count (which parseIndex bounded by the
+// payload length), failing if the payload's checksum, verified as it
+// drains, does not match. It is for callers that need the materialized
+// trace; a replay streams through ChunkSource instead.
 func (c *Corpus) Trace(name string) (*Trace, error) {
 	d, err := c.ChunkSource(name, DefaultChunkRecords)
 	if err != nil {
@@ -391,64 +413,44 @@ func (c *Corpus) Trace(name string) (*Trace, error) {
 	if d.Name != e.Name || d.Len() != e.Records {
 		return nil, fmt.Errorf("%w: program %q payload disagrees with index", errBadCorpus, name)
 	}
-	t := &Trace{Name: d.Name, StaticCondSites: d.StaticCondSites}
-	t.Records = d.drain(make([]Record, 0, e.Records))
-	if err := d.Err(); err != nil {
+	t, err := d.materialize(e.Records)
+	if err != nil {
 		return nil, fmt.Errorf("trace: corpus program %q: %w", name, err)
 	}
 	return t, nil
 }
 
 // ChunkSource returns a sequential decoder over the named program's
-// payload, verifying its checksum first and yielding chunks of at most
-// chunkSize records directly off the (mapped or loaded) corpus bytes
-// without materializing the whole trace. A returned chunk stays valid
-// across further NextChunk calls (the broadcast fan-out requires it)
-// until the caller releases it, after which its storage may carry a later
-// chunk. The decoder's Name and Len come from the payload's own header; a
-// caller that needs them to agree with the index or an expected budget
-// checks them before replay, and checks Err after it.
+// payload, yielding chunks of at most chunkSize records read through a
+// bounded window. A returned chunk stays valid across further NextChunk
+// calls (the broadcast fan-out requires it) until the caller releases it,
+// after which its storage may carry a later chunk. The decoder's Name and
+// Len come from the payload's own header, checked here; a caller that
+// needs them to agree with the index or a budget checks them before
+// replay. The payload checksum is checked only once the payload drains,
+// so a caller checks Err after replay and discards what it replayed if
+// Err is set.
 func (c *Corpus) ChunkSource(name string, chunkSize int) (*PayloadChunks, error) {
 	i, ok := c.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("trace: corpus has no program %q", name)
 	}
-	e := c.progs[i]
-	payload := c.data[e.off : e.off+e.length]
-	if crc32.ChecksumIEEE(payload) != e.crc {
-		return nil, fmt.Errorf("%w: program %q payload checksum mismatch", errBadCorpus, name)
-	}
-	d, err := newPayloadDecoder(payload, chunkSize)
+	d, err := newPayloadDecoder(c.r, c.progs[i], c.window, chunkSize)
 	if err != nil {
 		return nil, fmt.Errorf("trace: corpus program %q: %w", name, err)
 	}
 	return d, nil
 }
 
-// Close releases the mapping (or lets the loaded copy be collected).
+// Close closes the corpus file; a decoder still reading it fails. Close
+// between replays only.
 func (c *Corpus) Close() error {
-	var err error
-	if c.mapped {
-		err = corpusUnmap(c.data)
+	if c.file == nil {
+		return nil
 	}
-	c.data = nil
-	c.mapped = false
+	err := c.file.Close()
+	c.file = nil
 	return err
-}
-
-// corpusLoad reads the file, preferring a read-only memory map; the
-// sequential fallback loads it into memory.
-func corpusLoad(path string) (data []byte, mapped bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	if data, ok := corpusMmap(f); ok {
-		return data, true, nil
-	}
-	data, err = io.ReadAll(f)
-	return data, false, err
 }
 
 func putUvarint(b *bytes.Buffer, v uint64) {

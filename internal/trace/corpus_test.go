@@ -1,7 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -368,8 +373,11 @@ func TestCorpusConcurrentWriters(t *testing.T) {
 
 // FuzzCorpusRead exercises the corpus header/index parser and both decode
 // paths with arbitrary bytes: no input may panic or demand an allocation
-// not bounded by the input size, and anything accepted must decode
-// consistently between the materializing and streaming readers.
+// not bounded by the input size. Every program of an input that opens is
+// also drained through ChunkSource at a fuzzed chunk size and a window of
+// a few bytes (so varints straddle refills and the checksum is folded in
+// over many reads): the stream must fail, or agree record for record with
+// Corpus.Trace.
 func FuzzCorpusRead(f *testing.F) {
 	seedCorpus := func(traces []*Trace) []byte {
 		dir := f.TempDir()
@@ -392,43 +400,261 @@ func FuzzCorpusRead(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seedCorpus([]*Trace{corpusTrace("a", 100, 7), corpusTrace("b", 40, 8)}))
-	f.Add(seedCorpus(nil))
-	f.Add([]byte(corpusMagic))
-	f.Add([]byte(corpusTail))
-	f.Add([]byte{})
+	f.Add(seedCorpus([]*Trace{corpusTrace("a", 100, 7), corpusTrace("b", 40, 8)}), uint16(64), uint8(0))
+	f.Add(seedCorpus([]*Trace{corpusTrace("c", 300, 9)}), uint16(7), uint8(5))
+	f.Add(seedCorpus(nil), uint16(1), uint8(0))
+	f.Add([]byte(corpusMagic), uint16(0), uint8(0))
+	f.Add([]byte(corpusTail), uint16(0), uint8(0))
+	f.Add([]byte{}, uint16(0), uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, window uint8) {
 		c, err := OpenCorpusBytes(data)
 		if err != nil {
 			return // rejection is fine; panics and OOM are not
 		}
 		for _, p := range c.Programs() {
-			tr, err := c.Trace(p.Name)
+			c.window = corpusWindowBytes
+			tr, terr := c.Trace(p.Name)
+			c.window = maxRecordBytes + int(window%8)
+			src, err := c.ChunkSource(p.Name, int(chunk%1024))
 			if err != nil {
+				if terr == nil {
+					t.Fatalf("Trace accepted %q but ChunkSource rejected it: %v", p.Name, err)
+				}
 				continue
 			}
-			src, err := c.ChunkSource(p.Name, 64)
-			if err != nil {
-				t.Fatalf("Trace accepted %q but ChunkSource rejected it: %v", p.Name, err)
-			}
-			i := 0
+			var got []Record
 			for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
-				for _, r := range blk {
-					if i >= len(tr.Records) || r != tr.Records[i] {
-						t.Fatalf("program %q: streaming decode diverges at record %d", p.Name, i)
-					}
-					i++
+				got = append(got, blk...)
+				src.Release(blk)
+			}
+			switch {
+			case src.Err() != nil:
+				if terr == nil {
+					t.Fatalf("Trace accepted %q but streaming decode failed: %v", p.Name, src.Err())
 				}
-			}
-			if err := src.Err(); err != nil {
-				t.Fatalf("Trace accepted %q but streaming decode failed: %v", p.Name, err)
-			}
-			if i != len(tr.Records) {
-				t.Fatalf("program %q: streaming decode yielded %d records, want %d", p.Name, i, len(tr.Records))
+			case terr != nil:
+				// A clean stream leaves Trace only its index check to
+				// fail.
+				if src.Name == p.Name && src.Len() == p.Records {
+					t.Fatalf("program %q streams cleanly but Trace failed: %v", p.Name, terr)
+				}
+			case !slices.Equal(got, tr.Records):
+				t.Fatalf("program %q: streaming decode (%d records) diverges from Trace (%d)", p.Name, len(got), len(tr.Records))
 			}
 		}
 	})
+}
+
+// countingReaderAt counts the bytes it serves and the furthest offset
+// read.
+type countingReaderAt struct {
+	r        io.ReaderAt
+	read, hw int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.read += int64(n)
+	c.hw = max(c.hw, off+int64(n))
+	return n, err
+}
+
+// TestPayloadChunksReadWindow: a payload decoder reads its section exactly
+// once, front to back, and never more than one window past the bytes of
+// the records it has decoded; the encoder, run record by record, gives
+// those byte positions independently of the decoder.
+func TestPayloadChunksReadWindow(t *testing.T) {
+	tr := corpusTrace("window", 3000, 10)
+	path := filepath.Join(t.TempDir(), "window.nlsc")
+	writeTestCorpus(t, path, []*Trace{tr})
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cr := &countingReaderAt{r: c.r}
+	c.r = cr
+	e := c.progs[0]
+
+	var enc bytes.Buffer
+	bw := bufio.NewWriter(&enc)
+	w, err := newEncoder(bw, tr.Name, tr.StaticCondSites, tr.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int64, tr.Len()) // ends[i]: payload bytes through record i
+	for i := range tr.Records {
+		if err := w.write(tr.Records[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		ends[i] = int64(enc.Len())
+	}
+	if ends[len(ends)-1] != e.length {
+		t.Fatalf("encoder gives %d payload bytes, corpus index %d", ends[len(ends)-1], e.length)
+	}
+
+	for _, window := range []int{maxRecordBytes, 64, 1000, corpusWindowBytes} {
+		c.window = window
+		limit := int64(window)
+		cr.read, cr.hw = 0, 0
+		d, err := c.ChunkSource(tr.Name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			blk := d.NextChunk()
+			if len(blk) == 0 {
+				break
+			}
+			if blk[0] != tr.Records[i] {
+				t.Fatalf("window %d: record %d differs", window, i)
+			}
+			if ahead := cr.hw - e.off - ends[i]; ahead > limit {
+				t.Fatalf("window %d: after record %d the decoder has read %d bytes past it", window, i, ahead)
+			}
+			d.Release(blk)
+		}
+		if d.Err() != nil {
+			t.Fatalf("window %d: %v", window, d.Err())
+		}
+		if cr.read != e.length || cr.hw != e.off+e.length {
+			t.Errorf("window %d: read %d bytes up to offset %d; want the %d-byte payload once, up to %d",
+				window, cr.read, cr.hw, e.length, e.off+e.length)
+		}
+	}
+}
+
+// TestCorpusConcurrentDecoders: decoders over one open corpus file share
+// only its ReaderAt, so goroutines draining the same and different
+// programs at once, through small windows that refill often, each get
+// exactly their program's records (run under -race in CI's race smoke).
+func TestCorpusConcurrentDecoders(t *testing.T) {
+	traces := []*Trace{corpusTrace("p", 4000, 12), corpusTrace("q", 3000, 13)}
+	path := filepath.Join(t.TempDir(), "conc.nlsc")
+	writeTestCorpus(t, path, traces)
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.window = 100
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		tr := traces[g%len(traces)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, err := c.ChunkSource(tr.Name, 97)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var got []Record
+			for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+				got = append(got, blk...)
+				d.Release(blk)
+			}
+			if d.Err() != nil || !slices.Equal(got, tr.Records) {
+				t.Errorf("program %s: %d records, err %v; want its %d records", tr.Name, len(got), d.Err(), tr.Len())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestZigzagMatchesVarint: the decoder's inlined varint reader agrees with
+// binary.Varint, value, length and rejection, on short byte strings mixing
+// continuation bytes, terminators and arbitrary bytes, overlong and
+// ten-byte overflowing varints included.
+func TestZigzagMatchesVarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 200_000; i++ {
+		b := make([]byte, rng.Intn(14))
+		for j := range b {
+			switch rng.Intn(3) {
+			case 0:
+				b[j] = byte(rng.Intn(256))
+			case 1:
+				b[j] = 0x80 | byte(rng.Intn(128))
+			default:
+				b[j] = byte(rng.Intn(3))
+			}
+		}
+		want, n := binary.Varint(b)
+		got, next, ok := zigzag(b, 0)
+		if ok != (n > 0) || ok && (got != want || next != n) {
+			t.Fatalf("% x: binary.Varint %d, %d; zigzag %d, %d, %v", b, want, n, got, next, ok)
+		}
+	}
+}
+
+// TestPayloadChecksumAfterDrain: a payload whose records decode but whose
+// bytes, trailing bytes included, disagree with the expected CRC is
+// handed out and yields every record; Err reports the mismatch once the
+// payload is drained, and Corpus.Trace fails.
+func TestPayloadChecksumAfterDrain(t *testing.T) {
+	tr := corpusTrace("crc", 2000, 11)
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	// Trailing bytes longer than the decoder's 32-byte window.
+	payload := append(buf.Bytes(), bytes.Repeat([]byte("trailing"), 40)...)
+	drain := func(payload []byte, crc uint32) (n int, err error) {
+		e := CorpusProgram{length: int64(len(payload)), crc: crc}
+		d, err := newPayloadDecoder(bytes.NewReader(payload), e, 32, 100)
+		if err != nil {
+			t.Fatalf("header rejected: %v", err)
+		}
+		for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+			if d.remaining > 0 && d.Err() != nil {
+				t.Fatal("Err set before the payload was drained")
+			}
+			n += len(blk)
+		}
+		return n, d.Err()
+	}
+	if n, err := drain(payload, crc32.ChecksumIEEE(payload)); err != nil || n != tr.Len() {
+		t.Fatalf("intact payload with trailing bytes: %d records, err %v", n, err)
+	}
+	bad := bytes.Clone(payload)
+	bad[len(bad)-1] ^= 1
+	if n, err := drain(bad, crc32.ChecksumIEEE(payload)); err == nil || n != tr.Len() {
+		t.Fatalf("payload with a changed trailing byte: %d of %d records, err %v; want every record and a mismatch", n, tr.Len(), err)
+	}
+
+	// The same through a corpus whose index carries a wrong payload CRC
+	// (and a recomputed index CRC).
+	path := filepath.Join(t.TempDir(), "crc.nlsc")
+	writeTestCorpus(t, path, []*Trace{tr})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := data[len(data)-corpusFooterLen:]
+	idx := data[binary.LittleEndian.Uint64(footer[4:12]) : len(data)-corpusFooterLen]
+	idx[len(idx)-1] ^= 0x80 // the last entry's payload CRC ends the index
+	binary.LittleEndian.PutUint32(footer[0:4], crc32.ChecksumIEEE(idx))
+	c, err := OpenCorpusBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.ChunkSource(tr.Name, 0)
+	if err != nil {
+		t.Fatalf("ChunkSource rejected the payload before decoding: %v", err)
+	}
+	n := 0
+	for blk := d.NextChunk(); len(blk) > 0; blk = d.NextChunk() {
+		n += len(blk)
+	}
+	if n != tr.Len() || d.Err() == nil || !errors.Is(d.Err(), errBadCorpus) {
+		t.Fatalf("decoded %d of %d records, err %v; want every record and a checksum mismatch", n, tr.Len(), d.Err())
+	}
+	if _, err := c.Trace(tr.Name); err == nil {
+		t.Fatal("Trace accepted a payload failing its checksum")
+	}
 }
 
 // TestPayloadChunksLenAfterError: Len reports the header's declared record
@@ -445,7 +671,7 @@ func TestPayloadChunksLenAfterError(t *testing.T) {
 	for i := len(payload) / 2; i < len(payload); i++ {
 		payload[i] = 0xFF
 	}
-	d, err := newPayloadDecoder(payload, 256)
+	d, err := newPayloadDecoder(bytes.NewReader(payload), CorpusProgram{length: int64(len(payload))}, corpusWindowBytes, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-
-	"repro/internal/isa"
 )
 
 // Binary trace file format.
@@ -123,87 +123,21 @@ func (e *encoder) close() error {
 	return e.bw.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write: it reads the whole stream
+// and decodes it as a corpus payload (PayloadChunks), checked against its
+// own CRC, since a lone trace carries none. A lying record count fails
+// with EOF; the records are pre-sized by the bytes read, not the count.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic[:]) != formatMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", errBadFormat, magic)
-	}
-	ver, err := br.ReadByte()
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if ver != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", errBadFormat, ver)
-	}
-	nameLen, err := binary.ReadUvarint(br)
+	e := CorpusProgram{length: int64(len(data)), crc: crc32.ChecksumIEEE(data)}
+	d, err := newPayloadDecoder(bytes.NewReader(data), e, corpusWindowBytes, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: name too long", errBadFormat)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, err
-	}
-	static, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: string(nameBuf), StaticCondSites: int(static)}
-	// count comes from the (untrusted) stream; a record occupies at least
-	// one byte, so a lying count fails with EOF below — but only if the
-	// pre-allocation is capped rather than trusted (a 20-byte input must
-	// not demand a multi-terabyte slice).
-	prealloc := count
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	t.Records = make([]Record, 0, prealloc)
-	var prevNextWord, prevPCWord uint32
-	for i := uint64(0); i < count; i++ {
-		head, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		kind := isa.Kind(head & 0x7)
-		if !kind.Valid() {
-			return nil, fmt.Errorf("%w: record %d kind %d", errBadFormat, i, kind)
-		}
-		taken := head&(1<<3) != 0
-		seq := head&(1<<4) != 0
-		var pcWord uint32
-		if seq {
-			pcWord = prevNextWord
-		} else {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: record %d pc delta: %w", i, err)
-			}
-			pcWord = uint32(int64(prevPCWord) + d)
-		}
-		rec := Record{PC: isa.Addr(pcWord * isa.InstrBytes), Kind: kind, Taken: taken}
-		if taken {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: record %d target delta: %w", i, err)
-			}
-			rec.Target = isa.Addr(uint32(int64(pcWord)+d) * isa.InstrBytes)
-		}
-		t.Records = append(t.Records, rec)
-		prevPCWord = pcWord
-		prevNextWord = rec.Next().Word()
-	}
-	return t, nil
+	return d.materialize(int(min(d.count, uint64(len(data)))))
 }
 
 // writeUvarint and writeVarint append straight into the writer's buffer
