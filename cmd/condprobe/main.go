@@ -89,11 +89,11 @@ func main() {
 		}
 		s.execs++
 		execs++
-		if g.Predict(r.PC) != r.Taken {
+		if g.Query(r.PC) != r.Taken {
 			s.wrong++
 			wrong++
 		}
-		g.Update(r.PC, r.Taken)
+		g.Resolve(r.PC, 0, r.Taken)
 	})
 	if execs == 0 {
 		fatal(fmt.Errorf("no conditional branches executed"))

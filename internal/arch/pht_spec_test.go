@@ -3,25 +3,30 @@ package arch
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
+
+// minimalPHT is a minimal sensible spec of each PHTKinds() kind.
+func minimalPHT(kind string) PHTSpec {
+	switch kind {
+	case PHTKindTAGE:
+		return TAGEPHT()
+	case PHTKindGShare, PHTKindGAs, PHTKindBimodal, PHTKindOneBit:
+		return PHTSpec{Kind: kind, Entries: 512}
+	default: // static and none kinds carry no parameters
+		return PHTSpec{Kind: kind}
+	}
+}
 
 // TestPHTKindsCoverValidate keeps PHTKinds() (the -list/discoverability
 // surface) in lockstep with PHTSpec.Validate (the acceptance surface): every
 // listed kind must validate with a minimal sensible spec, and a kind outside
 // the list must be rejected.
 func TestPHTKindsCoverValidate(t *testing.T) {
-	minimal := func(kind string) PHTSpec {
-		switch kind {
-		case PHTKindTAGE:
-			return TAGEPHT()
-		case PHTKindGShare, PHTKindGAs, PHTKindBimodal, PHTKindOneBit:
-			return PHTSpec{Kind: kind, Entries: 512}
-		default: // static and none kinds carry no parameters
-			return PHTSpec{Kind: kind}
-		}
-	}
 	kinds := PHTKinds()
 	if len(kinds) == 0 {
 		t.Fatal("PHTKinds returned nothing")
@@ -32,7 +37,7 @@ func TestPHTKindsCoverValidate(t *testing.T) {
 			t.Errorf("PHTKinds lists %q twice", k)
 		}
 		seen[k] = true
-		s := minimal(k)
+		s := minimalPHT(k)
 		if err := s.Validate(); err != nil {
 			t.Errorf("kind %q is listed but its minimal spec fails Validate: %v", k, err)
 			continue
@@ -154,4 +159,40 @@ func TestTAGERegistryArm(t *testing.T) {
 		t.Fatalf("built predictor name %q does not identify tage", name)
 	}
 	_ = fmt.Sprintf("%v", s) // specs must be printable for -list
+}
+
+// TestPHTKindsProtocol: every PHTKinds() kind builds a predictor, "none"
+// included, and every kind without speculative state ignores the
+// protocol's read-only calls: a copy driven with Query and WrongPath calls
+// mixed in predicts exactly like a copy driven by Predict and Resolve
+// alone, and Query returns Predict's direction. TAGE's speculative history
+// is pinned by its own purity and repair tests in package pht.
+func TestPHTKindsProtocol(t *testing.T) {
+	for _, k := range PHTKinds() {
+		plain, err := minimalPHT(k).Build()
+		if err != nil || plain == nil {
+			t.Fatalf("kind %q: Build returned (%v, %v), want a predictor", k, plain, err)
+		}
+		if k == PHTKindTAGE {
+			continue
+		}
+		mixed, _ := minimalPHT(k).Build()
+		rng := rand.New(rand.NewSource(7))
+		addr := func() isa.Addr { return isa.Addr(0x1000 + uint32(rng.Intn(300))*4) }
+		for i := 0; i < 5000; i++ {
+			for j := rng.Intn(3); j > 0; j-- {
+				mixed.Query(addr())
+				mixed.WrongPath(addr())
+			}
+			pc, taken := addr(), rng.Intn(2) == 0
+			q := mixed.Query(pc)
+			want, wtok := plain.Predict(pc)
+			got, gtok := mixed.Predict(pc)
+			if got != want || q != got {
+				t.Fatalf("kind %q step %d: Predict %v (Query %v) with reads mixed in, %v without", k, i, got, q, want)
+			}
+			plain.Resolve(pc, wtok, taken)
+			mixed.Resolve(pc, gtok, taken)
+		}
+	}
 }

@@ -253,19 +253,17 @@ func (p PHTSpec) Validate() error {
 	return fmt.Errorf("arch: unknown PHT kind %q", p.Kind)
 }
 
-// Build constructs the direction predictor the spec describes — a legacy
-// pht.Predictor or a protocol-native pht.DirectionPredictor, behind the
-// pht.Directional surface every engine constructor accepts. It validates
+// Build constructs the direction predictor the spec describes. It validates
 // first: a hostile spec gets an error here, never a panic.
-func (p PHTSpec) Build() (pht.Directional, error) {
+func (p PHTSpec) Build() (pht.Predictor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	switch p.Kind {
-	case "", PHTKindNone:
-		// Coupled architectures carry no decoupled PHT; the fetch layer's
-		// AsDirection(nil) substitutes an inert static predictor.
-		return nil, nil
+	case "", PHTKindNone, PHTKindStaticNotTaken:
+		// Coupled architectures carry no decoupled PHT ("none"): the
+		// inert never-taken predictor stands in, never consulted.
+		return pht.Static{}, nil
 	case PHTKindGShare:
 		return pht.NewGShare(p.Entries, p.HistoryBits), nil
 	case PHTKindGAs:
@@ -278,8 +276,6 @@ func (p PHTSpec) Build() (pht.Directional, error) {
 		return pht.NewTAGE(p.tage())
 	case PHTKindStaticTaken:
 		return pht.Static{Taken: true}, nil
-	case PHTKindStaticNotTaken:
-		return pht.Static{}, nil
 	}
 	return nil, fmt.Errorf("arch: unknown PHT kind %q", p.Kind)
 }
@@ -400,11 +396,9 @@ func (s Spec) Build() (*fetch.Frontend, error) {
 	if depth <= 0 {
 		depth = ras.DefaultDepth
 	}
-	dir := pht.Directional(nil)
-	if !s.PHT.none() {
-		if dir, err = s.PHT.Build(); err != nil {
-			return nil, err
-		}
+	dir, err := s.PHT.Build()
+	if err != nil {
+		return nil, err
 	}
 
 	var e *fetch.Frontend

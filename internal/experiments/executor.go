@@ -75,7 +75,7 @@ type ProgramInfo struct {
 	// Stats is the program's Table-1 row.
 	Stats *trace.Stats `json:"stats"`
 	// FetchBlocks maps fetch width to the W-wide fetch-cycle count of the
-	// trace (multiissue.FetchBlocks at LineBytes lines).
+	// trace (a multiissue.BlockCounter at LineBytes lines).
 	FetchBlocks map[int]uint64 `json:"fetch_blocks"`
 }
 

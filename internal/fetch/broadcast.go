@@ -46,10 +46,6 @@ func Broadcast(src trace.ChunkSource, engines ...*Frontend) int64 {
 type member struct {
 	idx int // broadcast index: worker idx mod workers replays it
 	fr  *Frontend
-	// runs is the slot of each block's run annotation a private fr
-	// replays, or -1 when it reads none (grouped or decoupled; see
-	// planRuns).
-	runs int
 	// dir is the slot of each block's direction annotation fr reads, or -1
 	// when fr predicts with its own predictor (see dirDriver).
 	dir int
@@ -58,16 +54,12 @@ type member struct {
 	tab int
 }
 
-// replayPrivate steps a private engine through one block on its own cache,
-// via replayRuns over the block's run slot.
+// replayPrivate steps a private engine (polluted or decoupled) through one
+// block on its own cache, as StepBlock does outside a broadcast.
 func (m *member) replayPrivate(blk *sharedBlock) {
-	var runs []uint8
-	if m.runs >= 0 {
-		runs = blk.runs[m.runs]
-	}
 	m.fr.readDirs(blk, m.dir)
 	start := time.Now()
-	m.fr.replayRuns(blk.recs, runs)
+	m.fr.StepBlock(blk.recs)
 	m.fr.replayTime += time.Since(start)
 }
 
@@ -161,8 +153,8 @@ func (f *Frontend) readDirs(blk *sharedBlock, k int) {
 // bits instead of consulting or training its own predictor.
 type dirDriver struct {
 	readers []*Frontend
-	// runs is the slot of a run annotation some reader reads, or -1 when
-	// none does (every reader decoupled).
+	// runs is the run slot of some reader's group oracle, or -1 when every
+	// reader replays privately.
 	runs int
 }
 
@@ -191,23 +183,23 @@ func (d *dirDriver) annotate(recs []trace.Record, runs []uint8, out *dirBits) {
 // handOff detaches the readers and has every other reader adopt the driven
 // predictor's state, leaving each exactly as if it had trained its own.
 func (d *dirDriver) handOff() {
-	src := pht.Unwrap(d.readers[0].bpu.dir)
+	src := d.readers[0].bpu.dir
 	for i, f := range d.readers {
 		f.dirIn = nil
 		if i > 0 {
-			pht.Unwrap(f.bpu.dir).(interface{ AdoptState(pht.Predictor) bool }).AdoptState(src)
+			f.bpu.dir.(interface{ AdoptState(pht.Predictor) bool }).AdoptState(src)
 		}
 	}
 }
 
 // planDirs gives a direction-annotation slot to every replaying engine whose
 // Frontend.dirShareKey at least one other replaying engine, grouped or
-// private, shares, and returns one driver per slot, each reading a run slot
-// one of its readers reads (planRuns has run). Echoed engines replay
-// nothing and read nothing.
+// private, shares, and returns one driver per slot, each reading the run
+// slot of one of its readers' groups (planRuns has run). Echoed engines
+// replay nothing and read nothing.
 func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 	var all []*member
-	var runs []int // the run slot all[i] reads, -1 for none
+	var runs []int // the run slot all[i]'s group reads, -1 for private
 	for _, g := range groups {
 		for i := range g.members {
 			all = append(all, &g.members[i])
@@ -216,7 +208,7 @@ func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 	}
 	for i := range private {
 		all = append(all, &private[i])
-		runs = append(runs, private[i].runs)
+		runs = append(runs, -1)
 	}
 	var keys []string
 	byKey := make(map[string][]int)
@@ -258,18 +250,17 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 }
 
 // replayPlan resolves how each engine replays the drawn blocks. Eligible
-// engines (oracleEligible) sharing a cache geometry with at least one other
-// eligible engine form an oracleGroup and replay via replayEvents from the
-// group's shared oracle. Every other engine — pollution-on, prefetching,
-// or alone in its geometry (an oracle for one engine is pure overhead) —
-// replays privately (member.replayPrivate). Engines are timed on every
-// path (ReplayTime).
+// engines (oracleEligible) form one oracleGroup per cache geometry, alone
+// in it or not, and replay via replayEvents from the group's shared oracle
+// unless extractEchoes or planTables finds them a cheaper path. The
+// others — pollution-on or prefetching — replay privately
+// (member.replayPrivate). Engines are timed on every path (ReplayTime).
 func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
-	// Tentatively group every eligible engine by geometry, in engine order
-	// (map only for lookup, so the plan is deterministic).
+	// Group every eligible engine by geometry, in engine order (map only
+	// for lookup, so the plan is deterministic).
 	groupOf := make(map[cache.Geometry]*oracleGroup)
 	for i, e := range engines {
-		m := member{idx: i, fr: e, runs: -1, dir: -1, tab: -1}
+		m := member{idx: i, fr: e, dir: -1, tab: -1}
 		if !e.oracleEligible() {
 			private = append(private, m)
 			continue
@@ -286,25 +277,15 @@ func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 		}
 		g.members = append(g.members, m)
 	}
-	// Demote singleton groups: simulating an oracle plus one mirror is
-	// strictly more work than one private cache.
-	kept := groups[:0]
-	for _, g := range groups {
-		if len(g.members) < 2 {
-			private = append(private, g.members[0])
-			continue
-		}
-		kept = append(kept, g)
-	}
-	return private, kept
+	return private, groups
 }
 
-// planRuns gives every group oracle, and every private engine that replays
-// through the fused pipeline, the run-annotation slot of its line size, and
-// returns the line size of each slot. A block's runs depend only on its
-// records and the line size (trace.BlockRuns), so the broadcast computes
-// each slot once per block, however many engines and oracles read it.
-func planRuns(private []member, groups []*oracleGroup) (lines []int) {
+// planRuns gives every group oracle the run-annotation slot of its line
+// size, and returns the line size of each slot. A block's runs depend only
+// on its records and the line size (trace.BlockRuns), so the broadcast
+// computes each slot once per block, however many oracles and drivers read
+// it.
+func planRuns(groups []*oracleGroup) (lines []int) {
 	slot := func(lineBytes int) int {
 		if k := slices.Index(lines, lineBytes); k >= 0 {
 			return k
@@ -314,11 +295,6 @@ func planRuns(private []member, groups []*oracleGroup) (lines []int) {
 	}
 	for _, g := range groups {
 		g.runs = slot(g.oracle.Geometry().LineBytes())
-	}
-	for i := range private {
-		if m := &private[i]; !m.fr.decoupled() {
-			m.runs = slot(m.fr.geom.LineBytes())
-		}
 	}
 	return lines
 }
@@ -384,7 +360,7 @@ type workItem struct {
 // last reader.
 //
 // The main goroutine draws each block and computes its run annotation, once
-// per line size a replaying engine or oracle needs (planRuns), its
+// per line size a group oracle needs (planRuns), its
 // direction annotation (dirDriver) and its table annotation (tableDriver).
 // Engines keep a static round-robin worker assignment (engine i → worker
 // i mod workers); each worker drains its own bounded channel. Grouped
@@ -400,7 +376,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	}
 	private, groups := replayPlan(engines)
 	echoes := extractEchoes(groups)
-	lines := planRuns(private, groups)
+	lines := planRuns(groups)
 	drivers := planDirs(private, groups)
 	tables := planTables(groups)
 	workers = max(1, min(workers, len(engines)))

@@ -52,25 +52,30 @@ func TestBroadcastMatchesRun(t *testing.T) {
 }
 
 // TestBroadcastRunsAnnotated: engines each alone in a geometry of 32-byte
-// lines (so every one is demoted to a private replay) all read the one run
-// annotation the broadcast computes per block, and end with the per-record
-// Run counters at any worker count.
+// lines form one oracle group each, and every group oracle reads the one
+// run annotation the broadcast computes per block; a polluted engine beside
+// them replays privately through StepBlock and reads no run slot. Every
+// engine ends with the per-record Run counters at any worker count.
 func TestBroadcastRunsAnnotated(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1000)
 	mk := func() []*Frontend {
+		polluted := NewNLSCacheEngine(cache.MustGeometry(8*1024, 32, 2), 2, pht.NewGShare(1024, 6), 32)
+		polluted.SetWrongPathPollution(true)
 		return []*Frontend{
 			NewNLSTableEngine(cache.MustGeometry(8*1024, 32, 1), 512, pht.NewGShare(1024, 6), 32),
 			NewNLSCacheEngine(cache.MustGeometry(8*1024, 32, 2), 2, pht.NewGShare(1024, 6), 32),
 			NewBTBEngine(cache.MustGeometry(16*1024, 32, 1), btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32),
 			NewCoupledBTBEngine(cache.MustGeometry(16*1024, 32, 4), btb.Config{Entries: 128, Assoc: 4}, 32),
 			NewJohnsonEngine(cache.MustGeometry(4*1024, 32, 1)),
+			polluted,
 		}
 	}
 
 	private, groups := replayPlan(mk())
-	if lines := planRuns(private, groups); len(groups) != 0 || len(lines) != 1 || lines[0] != 32 {
-		t.Fatalf("plan has %d groups and run slots %v, want 0 groups and one 32-byte slot", len(groups), lines)
+	if lines := planRuns(groups); len(groups) != 5 || len(private) != 1 || len(lines) != 1 || lines[0] != 32 {
+		t.Fatalf("plan has %d groups, %d private engines and run slots %v, want 5 groups, 1 private engine and one 32-byte slot",
+			len(groups), len(private), lines)
 	}
 	for _, workers := range []int{1, 3} {
 		bcast, oracle := mk(), mk()
@@ -89,8 +94,8 @@ func TestBroadcastRunsAnnotated(t *testing.T) {
 }
 
 // mixedLineEngines builds grouped engines on 16-, 32- and 64-byte-line
-// geometries (two geometries share the 64-byte line size), plus a private
-// singleton on 32-byte lines and a polluted engine on 16-byte lines.
+// geometries (two geometries share the 64-byte line size), plus an NLS-table
+// alone in a 32-byte-line geometry and a polluted engine on 16-byte lines.
 func mixedLineEngines() []*Frontend {
 	g16 := cache.MustGeometry(4*1024, 16, 2)
 	g32 := cache.MustGeometry(8*1024, 32, 1)
@@ -111,16 +116,16 @@ func mixedLineEngines() []*Frontend {
 		NewJohnsonEngine(g64a),
 		NewNLSCacheEngine(g64b, 2, gshare(), 32),
 		NewJohnsonEngine(g64b),
-		NewNLSTableEngine(cache.MustGeometry(16*1024, 32, 4), 512, gshare(), 32), // singleton: private
+		NewNLSTableEngine(cache.MustGeometry(16*1024, 32, 4), 512, gshare(), 32), // alone: a group of one
 		polluted,
 	}
 }
 
 // TestBroadcastMixedLineSizes: one broadcast over engines of three line
 // sizes computes one run annotation per line size, shared by every group
-// oracle and private engine of that size, and leaves every engine with the
-// per-record Run counters at workers 1, 2 and 4. Run under -race via
-// `make stress`.
+// oracle of that size (the lone NLS-table's included), and leaves every
+// engine with the per-record Run counters at workers 1, 2 and 4. Run under
+// -race via `make stress`.
 func TestBroadcastMixedLineSizes(t *testing.T) {
 	tr := workload.Gcc().MustTrace(40_000)
 	chunked := trace.Chunk(tr, 1000)
@@ -128,9 +133,9 @@ func TestBroadcastMixedLineSizes(t *testing.T) {
 	probe := mixedLineEngines()
 	private, groups := replayPlan(probe)
 	extractEchoes(groups)
-	lines := planRuns(private, groups)
-	if len(groups) != 4 || len(private) != 2 {
-		t.Fatalf("plan has %d groups and %d private engines, want 4 and 2", len(groups), len(private))
+	lines := planRuns(groups)
+	if len(groups) != 5 || len(private) != 1 {
+		t.Fatalf("plan has %d groups and %d private engines, want 5 and 1 (the polluted engine)", len(groups), len(private))
 	}
 	if len(lines) != 3 {
 		t.Fatalf("run slots %v, want one per line size (16, 32, 64)", lines)
@@ -145,11 +150,6 @@ func TestBroadcastMixedLineSizes(t *testing.T) {
 	for _, g := range groups {
 		if lb := g.oracle.Geometry().LineBytes(); lines[g.runs] != lb {
 			t.Errorf("group on %v reads the %d-byte run slot", g.oracle.Geometry(), lines[g.runs])
-		}
-	}
-	for _, m := range private {
-		if m.runs < 0 || lines[m.runs] != m.fr.geom.LineBytes() {
-			t.Errorf("private engine %d on %v reads run slot %d", m.idx, m.fr.geom, m.runs)
 		}
 	}
 
@@ -172,8 +172,8 @@ func TestBroadcastMixedLineSizes(t *testing.T) {
 }
 
 // TestStepBlockRunsMatchesStepBlock: replaying every block from the
-// trace's precomputed run annotation (replayRuns) is exactly a plain Step
-// loop for every engine.
+// trace's precomputed run annotation (stepBlockRuns) is exactly a plain
+// Step loop for every engine.
 func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 	tr := workload.Groff().MustTrace(30_000)
 	chunked := trace.Chunk(tr, 1000)
@@ -182,11 +182,11 @@ func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 	bcast, oracle := broadcastEngines()
 	for i := range bcast {
 		for bi := 0; bi < chunked.NumChunks(); bi++ {
-			bcast[i].replayRuns(chunked.Block(bi), runs[bi])
+			bcast[i].stepBlockRuns(chunked.Block(bi), runs[bi])
 		}
 		want := *Run(oracle[i], tr)
 		if got := *bcast[i].Counters(); got != want {
-			t.Errorf("engine %s: replayRuns diverges from Step", bcast[i].Name())
+			t.Errorf("engine %s: stepBlockRuns diverges from Step", bcast[i].Name())
 		}
 	}
 }

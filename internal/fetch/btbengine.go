@@ -135,7 +135,7 @@ func (p *btbPredictor) Reset() {
 
 // NewBTBEngine builds the decoupled BTB architecture: a Frontend driven by
 // a btbPredictor. dir is shared-use: pass a fresh predictor per engine.
-func NewBTBEngine(g cache.Geometry, cfg btb.Config, dir pht.Directional, rasDepth int) *Frontend {
+func NewBTBEngine(g cache.Geometry, cfg btb.Config, dir pht.Predictor, rasDepth int) *Frontend {
 	f := newFrontend(g, dir, rasDepth)
 	f.bind(&btbPredictor{buf: btb.New(cfg), rstack: f.rstack}, Traits{})
 	return f

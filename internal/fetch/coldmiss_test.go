@@ -41,12 +41,17 @@ func coldGroupedEngines() []*Frontend {
 	return es
 }
 
-// coldPrivateEngines puts one NLS-cache engine alone on every paper
-// geometry, so each replays privately.
+// coldPrivateEngines puts one NLS-cache engine with a fetch-target queue
+// and no prefetcher on every paper geometry: the decoupled pipeline makes
+// each replay privately, and its demand fetches are the trace's. (A
+// polluted engine also replays privately, but its wrong-path fetches touch
+// lines the trace never executes, so no independent figure pins them.)
 func coldPrivateEngines() []*Frontend {
 	var es []*Frontend
 	for _, g := range paperCaches() {
-		es = append(es, NewNLSCacheEngine(g, 2, pht.NewGShare(1024, 6), 32))
+		e := NewNLSCacheEngine(g, 2, pht.NewGShare(1024, 6), 32)
+		e.SetFTQDepth(8)
+		es = append(es, e)
 	}
 	return es
 }

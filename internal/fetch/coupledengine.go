@@ -6,6 +6,7 @@ import (
 	"repro/internal/btb"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/pht"
 	"repro/internal/ras"
 	"repro/internal/trace"
 )
@@ -232,7 +233,7 @@ func (p *coupledBTBPredictor) Reset() {
 // NewCoupledBTBEngine builds the coupled (Pentium-style) BTB architecture:
 // a Frontend driven by a coupledBTBPredictor.
 func NewCoupledBTBEngine(g cache.Geometry, cfg btb.Config, rasDepth int) *Frontend {
-	f := newFrontend(g, noDir{}, rasDepth)
+	f := newFrontend(g, pht.Static{}, rasDepth)
 	f.bind(newCoupledBTBPredictor(cfg, f.rstack), Traits{CoupledDirection: true})
 	return f
 }

@@ -12,22 +12,26 @@ import (
 	"repro/internal/workload"
 )
 
-// countingGShare is a gshare predictor that counts the Predict and Update
-// calls made on it, so a test can see which engines' predictors a
-// broadcast trained.
+// countingGShare is a gshare predictor that counts the protocol calls made
+// on it, so a test can see which engines' predictors a broadcast trained.
 type countingGShare struct {
 	*pht.GShare
 	calls int
 }
 
-func (c *countingGShare) Predict(pc isa.Addr) bool {
+func (c *countingGShare) Predict(pc isa.Addr) (bool, pht.Token) {
 	c.calls++
 	return c.GShare.Predict(pc)
 }
 
-func (c *countingGShare) Update(pc isa.Addr, taken bool) {
+func (c *countingGShare) Query(pc isa.Addr) bool {
 	c.calls++
-	c.GShare.Update(pc, taken)
+	return c.GShare.Query(pc)
+}
+
+func (c *countingGShare) Resolve(pc isa.Addr, tok pht.Token, taken bool) {
+	c.calls++
+	c.GShare.Resolve(pc, tok, taken)
 }
 
 func (c *countingGShare) AdoptState(src pht.Predictor) bool {
@@ -132,7 +136,7 @@ func TestBroadcastDirAnnotationDecoupledOnly(t *testing.T) {
 		return es
 	}
 	private, groups := replayPlan(mk())
-	if lines := planRuns(private, groups); len(lines) != 0 {
+	if lines := planRuns(groups); len(lines) != 0 {
 		t.Fatalf("decoupled engines read %d run slots, want none", len(lines))
 	}
 	if ds := planDirs(private, groups); len(ds) != 1 || ds[0].runs != -1 {
@@ -141,7 +145,7 @@ func TestBroadcastDirAnnotationDecoupledOnly(t *testing.T) {
 	probe, _ := dirShareEngines()
 	private, groups = replayPlan(probe)
 	extractEchoes(groups)
-	planRuns(private, groups)
+	planRuns(groups)
 	if ds := planDirs(private, groups); len(ds) != 1 || ds[0].runs < 0 {
 		t.Fatal("a direction driver with grouped readers reads no run slot")
 	}
@@ -157,14 +161,16 @@ func TestBroadcastDirAnnotationDecoupledOnly(t *testing.T) {
 	}
 }
 
-// handOffEngines mixes grouped engines on two direct-mapped geometries (one
-// BTB echoed across them, one TAGE engine that reads no annotation) with
-// private ones (a demoted two-way singleton, a polluted engine and a
-// prefetching FDIP engine, the last), most on one gshare configuration.
+// handOffEngines mixes grouped engines on three direct-mapped geometries
+// (one BTB echoed across two of them, one TAGE engine that reads no
+// annotation, an NLS-cache alone in its geometry) with private ones (a
+// polluted engine and a prefetching FDIP engine, the last), most on one
+// gshare configuration.
 func handOffEngines() []*Frontend {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(16*1024, 32, 1)
 	g3 := cache.MustGeometry(16*1024, 32, 2)
+	g4 := cache.MustGeometry(32*1024, 32, 1)
 	gshare := func() *pht.GShare { return pht.NewGShare(1024, 6) }
 	bcfg := btb.Config{Entries: 128, Assoc: 1}
 
@@ -182,7 +188,7 @@ func handOffEngines() []*Frontend {
 		NewNLSTableEngine(g2, 512, gshare(), 32),
 		NewBTBEngine(g2, bcfg, gshare(), 32), // echoed
 		NewNLSTableEngine(g2, 512, testTAGE(), 32),
-		NewNLSCacheEngine(g3, 2, gshare(), 32), // singleton: private
+		NewNLSCacheEngine(g4, 2, gshare(), 32), // alone: a group of one
 		polluted,
 		fdip,
 	}

@@ -107,7 +107,7 @@ type TargetPredictor interface {
 // trace, and a wrong break flushes the queue and restarts the cursor at
 // the resolved successor — exactly the redirect a hardware FTQ takes.
 type predictStage struct {
-	dir    pht.DirectionPredictor
+	dir    pht.Predictor
 	tp     TargetPredictor
 	traits Traits
 
@@ -190,13 +190,12 @@ type Frontend struct {
 // (tableDriver) is charged the time of its reads, not the driver's.
 func ReplayTime(e *Frontend) time.Duration { return e.replayTime }
 
-// newFrontend builds the architecture-independent half; bind attaches the
-// predictor. dir may be a legacy pht.Predictor or a protocol-native
-// pht.DirectionPredictor, promoted onto the protocol the predict stage
-// drives (DESIGN.md §13).
-func newFrontend(g cache.Geometry, dir pht.Directional, rasDepth int) *Frontend {
+// newFrontend builds the architecture-independent half around the
+// direction predictor the predict stage drives (DESIGN.md §13); bind
+// attaches the target predictor.
+func newFrontend(g cache.Geometry, dir pht.Predictor, rasDepth int) *Frontend {
 	f := &Frontend{base: newBase(g, rasDepth)}
-	f.bpu.dir = pht.AsDirection(dir)
+	f.bpu.dir = dir
 	return f
 }
 
@@ -267,18 +266,6 @@ func (f *Frontend) StepBlock(recs []trace.Record) {
 	}
 	f.runs = trace.BlockRuns(f.runs, recs, f.geom.LineBytes())
 	f.stepBlockRuns(recs, f.runs)
-}
-
-// replayRuns replays one block on the engine's private cache. runs is the
-// block's run annotation for this engine's line size (trace.BlockRuns),
-// which a broadcast computes once per block for all its engines; the
-// decoupled pipeline ignores it.
-func (f *Frontend) replayRuns(recs []trace.Record, runs []uint8) {
-	if f.decoupled() {
-		f.stepBlockDecoupled(recs)
-		return
-	}
-	f.stepBlockRuns(recs, runs)
 }
 
 // stepBlockRuns is the fused pipeline's batched block replay. Run leaders
@@ -452,14 +439,12 @@ func (f *Frontend) stepBreak(rec trace.Record, way int) PenaltyClass {
 func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	f.m.Breaks++
 
-	// Direction prediction through the pht.DirectionPredictor protocol
-	// (DESIGN.md §13): a conditional branch OPENS a prediction (Predict
-	// may shift speculative history and checkpoints for the Resolve
-	// below); every other break only READS a direction — aliased
-	// tag-less NLS entries consult it for target arbitration — so Query
-	// keeps history-based predictors' speculative state untouched. For
-	// legacy predictors both map to the same Predict call the
-	// pre-protocol frontend made here, bit for bit.
+	// Direction prediction through the pht.Predictor protocol (DESIGN.md
+	// §13): a conditional branch OPENS a prediction (Predict may shift
+	// speculative history and checkpoints for the Resolve below); every
+	// other break only READS a direction — aliased tag-less NLS entries
+	// consult it for target arbitration — so Query keeps history-based
+	// predictors' speculative state untouched.
 	dirTaken := false
 	var dirTok pht.Token
 	isCond := rec.Kind == isa.CondBranch
@@ -577,11 +562,8 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	}
 
 	// Close the direction prediction opened above, after any wrong-path
-	// report so recovery wipes the poison. For legacy predictors this is
-	// the same Update call the pre-protocol frontend made inside the
-	// conditional case — nothing between the two points reads their
-	// state, so the move is invisible to them. An annotated break's
-	// predictor was trained by the broadcast's driver instead.
+	// report so recovery wipes the poison. An annotated break's predictor
+	// was trained by the broadcast's driver instead.
 	if isCond && !f.bpu.traits.CoupledDirection && f.dirIn == nil {
 		f.bpu.dir.Resolve(rec.PC, dirTok, rec.Taken)
 	}
@@ -637,7 +619,7 @@ func (f *Frontend) echoInvariant() (string, bool) {
 	if !ok {
 		return "", false
 	}
-	keyed, ok := pht.Unwrap(f.bpu.dir).(interface{ StateKey() (string, bool) })
+	keyed, ok := f.bpu.dir.(interface{ StateKey() (string, bool) })
 	if !ok {
 		return "", false
 	}
@@ -665,7 +647,7 @@ func (f *Frontend) dirShareKey() (string, bool) {
 	if f.bpu.traits.CoupledDirection || f.pollution.enabled {
 		return "", false
 	}
-	p, ok := pht.Unwrap(f.bpu.dir).(interface {
+	p, ok := f.bpu.dir.(interface {
 		StateKey() (string, bool)
 		AdoptState(pht.Predictor) bool
 	})

@@ -220,7 +220,7 @@ func (p *hybridPredictor) Reset() {
 // driven by a hybridPredictor, an NLS-table with tableEntries entries
 // backed by a BTB of cfg, sharing the frontend's decoupled PHT and RAS.
 // dir is shared-use: pass a fresh predictor per engine.
-func NewHybridEngine(g cache.Geometry, tableEntries int, cfg btb.Config, dir pht.Directional, rasDepth int) *Frontend {
+func NewHybridEngine(g cache.Geometry, tableEntries int, cfg btb.Config, dir pht.Predictor, rasDepth int) *Frontend {
 	f := newFrontend(g, dir, rasDepth)
 	f.bind(&hybridPredictor{
 		table:  core.NewTable(tableEntries, g),

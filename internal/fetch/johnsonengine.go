@@ -4,6 +4,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/pht"
 	"repro/internal/trace"
 )
 
@@ -132,21 +133,12 @@ func (p *johnsonPredictor) Reset() {
 	}
 }
 
-// noDir is a placeholder direction predictor for architectures without one.
-type noDir struct{}
-
-func (noDir) Predict(isa.Addr) bool { return false }
-func (noDir) Update(isa.Addr, bool) {}
-func (noDir) SizeBits() int         { return 0 }
-func (noDir) Name() string          { return "none" }
-func (noDir) Reset()                {}
-
 // NewJohnsonEngine builds the successor-index baseline: a Frontend driven
 // by a johnsonPredictor with no PHT and no RAS. The base PHT slot is
 // unused (Johnson has no separate direction predictor); the RAS is
 // allocated but never consulted.
 func NewJohnsonEngine(g cache.Geometry) *Frontend {
-	f := newFrontend(g, noDir{}, 1)
+	f := newFrontend(g, pht.Static{}, 1)
 	f.bind(&johnsonPredictor{
 		store:  core.NewJohnson(f.icache),
 		icache: f.icache,

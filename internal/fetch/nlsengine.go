@@ -224,7 +224,7 @@ func (p *nlsPredictor[S]) Reset() {
 
 // newNLSEngine builds the NLS fetch architecture: a Frontend driven by an
 // nlsPredictor over either NLS organization.
-func newNLSEngine[S nlsStore](g cache.Geometry, dir pht.Directional, rasDepth int, mk func(*cache.Cache) S) *Frontend {
+func newNLSEngine[S nlsStore](g cache.Geometry, dir pht.Predictor, rasDepth int, mk func(*cache.Cache) S) *Frontend {
 	f := newFrontend(g, dir, rasDepth)
 	f.bind(&nlsPredictor[S]{
 		store:  mk(f.icache),
@@ -236,7 +236,7 @@ func newNLSEngine[S nlsStore](g cache.Geometry, dir pht.Directional, rasDepth in
 
 // NewNLSTableEngine builds an NLS architecture using a tag-less NLS-table
 // with the given number of entries (§4.1).
-func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Directional, rasDepth int) *Frontend {
+func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Predictor, rasDepth int) *Frontend {
 	return newNLSEngine(g, dir, rasDepth, func(*cache.Cache) tableStore {
 		return tableStore{core.NewTable(tableEntries, g)}
 	})
@@ -244,7 +244,7 @@ func NewNLSTableEngine(g cache.Geometry, tableEntries int, dir pht.Directional, 
 
 // NewNLSCacheEngine builds an NLS architecture with predictors coupled to
 // cache lines (the NLS-cache of §4.1), perLine predictors per line.
-func NewNLSCacheEngine(g cache.Geometry, perLine int, dir pht.Directional, rasDepth int) *Frontend {
+func NewNLSCacheEngine(g cache.Geometry, perLine int, dir pht.Predictor, rasDepth int) *Frontend {
 	return newNLSEngine(g, dir, rasDepth, func(c *cache.Cache) coupledStore {
 		return coupledStore{core.NewLineCoupled(c, perLine)}
 	})

@@ -13,10 +13,10 @@ import (
 )
 
 // TestReplayPlanPartitioning: the broadcast planner groups exactly the
-// engines whose cache state is a pure function of the trace — pollution-on
-// engines, prefetching engines, and engines alone in their geometry keep
-// the private-cache path, while a probe, which only observes, does not
-// change the plan (DESIGN.md §11).
+// engines whose cache state is a pure function of the trace, one group per
+// geometry, an engine alone in its geometry included — pollution-on and
+// prefetching engines keep the private-cache path, while a probe, which
+// only observes, does not change the plan (DESIGN.md §11).
 func TestReplayPlanPartitioning(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
@@ -30,7 +30,7 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	eligibleB := NewJohnsonEngine(g1)
 	probed := mk(g1)
 	probed.AttachProbe(&collectProbe{})
-	lone := mk(g2) // eligible, but a singleton group is pure overhead
+	lone := mk(g2) // eligible: a group of one
 	prefetched := mk(g1)
 	prefetched.ICache().EnablePrefetch(8, 20)
 	prefetched.SetFTQDepth(8)
@@ -51,8 +51,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	engines := []*Frontend{eligibleA, polluted, eligibleB, probed, lone, prefetched}
 	private, groups := replayPlan(engines)
 
-	if len(groups) != 1 {
-		t.Fatalf("got %d oracle groups, want 1", len(groups))
+	if len(groups) != 2 {
+		t.Fatalf("got %d oracle groups, want 2", len(groups))
 	}
 	grp := groups[0]
 	if grp.oracle.Geometry() != g1 {
@@ -61,20 +61,22 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	if len(grp.members) != 3 || grp.members[0].idx != 0 || grp.members[1].idx != 2 || grp.members[2].idx != 3 {
 		t.Errorf("group members %v, want engine indices [0 2 3]", grp.members)
 	}
-	// polluted, the prefetching engine, and the demoted singleton replay
-	// privately.
-	if len(private) != 3 {
-		t.Errorf("got %d private engines, want 3 (polluted, singleton, prefetched)", len(private))
+	if lg := groups[1]; lg.oracle.Geometry() != g2 || len(lg.members) != 1 || lg.members[0].idx != 4 {
+		t.Errorf("lone group on %v has members %v, want engine index [4] on %v", lg.oracle.Geometry(), lg.members, g2)
+	}
+	// polluted and the prefetching engine replay privately.
+	if len(private) != 2 || private[0].idx != 1 || private[1].idx != 5 {
+		t.Errorf("private engines %v, want engine indices [1 5] (polluted, prefetched)", private)
 	}
 
 	// Detaching the prefetcher (with its FTQ) and disabling pollution
-	// restores full grouping: only the singleton stays private.
+	// groups every engine.
 	polluted.SetWrongPathPollution(false)
 	prefetched.AttachPrefetcher(nil)
 	prefetched.SetFTQDepth(0)
 	private, groups = replayPlan(engines)
-	if len(groups) != 1 || len(groups[0].members) != 5 || len(private) != 1 {
-		t.Errorf("after detach: %d groups / %d members / %d private, want 1/5/1",
+	if len(groups) != 2 || len(groups[0].members) != 5 || len(private) != 0 {
+		t.Errorf("after detach: %d groups / %d members / %d private, want 2/5/0",
 			len(groups), len(groups[0].members), len(private))
 	}
 }

@@ -140,7 +140,7 @@ func tableEngines(entries int) []*Frontend {
 func planAll(engines []*Frontend) (private []member, groups []*oracleGroup, tables []*tableDriver) {
 	private, groups = replayPlan(engines)
 	extractEchoes(groups)
-	planRuns(private, groups)
+	planRuns(groups)
 	planDirs(private, groups)
 	return private, groups, planTables(groups)
 }
@@ -209,9 +209,9 @@ func TestBroadcastTableAnnotationMixedLineSizes(t *testing.T) {
 	}
 }
 
-// tablePlanEngines mixes table readers with NLS-tables that must never
-// read: a probed one, a polluted one, a prefetching one, a singleton and
-// one whose table size no other engine shares.
+// tablePlanEngines mixes table readers, one of them alone in its geometry,
+// with NLS-tables that must never read: a probed one, a polluted one, a
+// prefetching one and one whose table size no other engine shares.
 func tablePlanEngines() (engines []*Frontend, readers map[int]bool, fdip int) {
 	g1 := cache.MustGeometry(1024, 32, 1)
 	g2 := cache.MustGeometry(1024, 32, 2)
@@ -238,16 +238,19 @@ func tablePlanEngines() (engines []*Frontend, readers map[int]bool, fdip int) {
 		NewJohnsonEngine(g3),
 		NewNLSTableEngine(g4, 512, gshare(), 32), // reader (16-byte lines)
 		NewJohnsonEngine(g4),
-		NewNLSTableEngine(cache.MustGeometry(2048, 32, 4), 512, gshare(), 32), // singleton: private
+		NewNLSTableEngine(cache.MustGeometry(2048, 32, 4), 512, gshare(), 32), // reader (32-byte lines), alone in its geometry
 		prefetched,
 	}
-	return engines, map[int]bool{0: true, 4: true, 7: true, 9: true}, len(engines) - 1
+	return engines, map[int]bool{0: true, 4: true, 7: true, 9: true, 11: true}, len(engines) - 1
 }
 
 // TestBroadcastTablePlan: the plan holds exactly one driver per key that at
-// least two grouped NLS-tables share; probed, polluted, prefetching and
-// singleton NLS-tables, and one whose key no other engine shares, never
-// read, and every engine still ends with the reference counters.
+// least two grouped NLS-tables share, an NLS-table alone in its geometry
+// included; probed, polluted and prefetching NLS-tables, and one whose key
+// no other engine shares, never read, and every engine still ends with the
+// reference counters. In the shape of Figure 5 — four BTBs beside an
+// NLS-table on one paper geometry, an NLS-table alone on each of the other
+// five — the six NLS-tables read one driver.
 func TestBroadcastTablePlan(t *testing.T) {
 	engines, readers, fdip := tablePlanEngines()
 	_, groups, tables := planAll(engines)
@@ -260,8 +263,8 @@ func TestBroadcastTablePlan(t *testing.T) {
 	}
 	got := make(map[int]bool)
 	for k, d := range tables {
-		if len(d.readers) != 2 {
-			t.Errorf("driver %d has %d readers, want 2", k, len(d.readers))
+		if want := map[int]int{32: 3, 16: 2}[d.geom.LineBytes()]; len(d.readers) != want {
+			t.Errorf("driver %d on %d-byte lines has %d readers, want %d", k, d.geom.LineBytes(), len(d.readers), want)
 		}
 		for _, r := range d.readers {
 			got[idx[r.fr]] = true
@@ -299,6 +302,29 @@ func TestBroadcastTablePlan(t *testing.T) {
 	mk := func() []*Frontend { es, _, _ := tablePlanEngines(); return es }
 	for _, workers := range []int{1, 2, 4} {
 		checkBroadcast(t, "plan set", chunked.Chunks(), workers, mk, want)
+	}
+
+	fig5 := func() []*Frontend {
+		g16 := cache.MustGeometry(16*1024, 32, 1)
+		var es []*Frontend
+		for _, cfg := range []btb.Config{{Entries: 128, Assoc: 1}, {Entries: 128, Assoc: 4}, {Entries: 256, Assoc: 1}, {Entries: 256, Assoc: 4}} {
+			es = append(es, NewBTBEngine(g16, cfg, pht.NewGShare(4096, 12), 32))
+		}
+		for _, g := range paperCaches() {
+			es = append(es, NewNLSTableEngine(g, 1024, pht.NewGShare(4096, 12), 32))
+		}
+		return es
+	}
+	private, groups, tables := planAll(fig5())
+	if len(private) != 0 || len(groups) != len(paperCaches()) {
+		t.Fatalf("fig5 shape: %d private engines and %d groups, want 0 and one per paper geometry", len(private), len(groups))
+	}
+	if len(tables) != 1 || len(tables[0].readers) != len(paperCaches()) {
+		t.Fatalf("fig5 shape: %d table drivers, want one read by all %d NLS-tables", len(tables), len(paperCaches()))
+	}
+	want = runRef(fig5, tr)
+	for _, workers := range []int{1, 2} {
+		checkBroadcast(t, "fig5 shape", chunked.Chunks(), workers, fig5, want)
 	}
 }
 

@@ -49,12 +49,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// BlockCounter counts fetch blocks incrementally, block of records by block
-// of records, so the count can be accumulated during a single streamed
-// trace replay (the grid executor feeds it from the same read that drives
-// the simulators). A fetch block may span record-block boundaries: the
-// in-progress block carries over between Add calls, so feeding a trace in
-// any chunking yields exactly FetchBlocks of the flat trace.
+// BlockCounter counts the fetch cycles a W-wide front end needs to deliver
+// a trace, assuming perfect next-block prediction (penalties are added
+// separately from the simulated engine's counters). A block ends at:
+//   - W instructions,
+//   - a taken break (the next instruction starts a new block at the
+//     target), or
+//   - a cache line boundary.
+//
+// It counts incrementally, block of records by block of records, so the
+// count can be accumulated during a single streamed trace replay (the grid
+// executor feeds it from the same read that drives the simulators). A
+// fetch block may span record-block boundaries: the in-progress block
+// carries over between Add calls, so feeding a trace in any chunking
+// yields the count of the flat trace.
 type BlockCounter struct {
 	cfg           Config
 	instrsPerLine int
@@ -95,22 +103,6 @@ func (b *BlockCounter) Blocks() uint64 { return b.blocks }
 // Width returns the configured fetch width.
 func (b *BlockCounter) Width() int { return b.cfg.Width }
 
-// FetchBlocks counts the fetch cycles a W-wide front end needs to deliver
-// the trace, assuming perfect next-block prediction (penalties are added
-// separately from the simulated engine's counters). A block ends at:
-//   - W instructions,
-//   - a taken break (the next instruction starts a new block at the
-//     target), or
-//   - a cache line boundary.
-func FetchBlocks(t *trace.Trace, cfg Config) (uint64, error) {
-	bc, err := NewBlockCounter(cfg)
-	if err != nil {
-		return 0, err
-	}
-	bc.Add(t.Records)
-	return bc.Blocks(), nil
-}
-
 // Result is the wide-fetch performance of one simulated configuration.
 type Result struct {
 	Width       int
@@ -122,19 +114,9 @@ type Result struct {
 	PenaltyShare float64
 }
 
-// Evaluate combines a trace's fetch-block count with an engine's measured
-// penalty events into wide-fetch IPC.
-func Evaluate(t *trace.Trace, m *metrics.Counters, cfg Config, p metrics.Penalties) (Result, error) {
-	blocks, err := FetchBlocks(t, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return EvaluateBlocks(blocks, m, cfg, p), nil
-}
-
-// EvaluateBlocks is Evaluate with the fetch-block count already known — the
-// pure-arithmetic half, usable when the count was accumulated during a
-// replay (BlockCounter) or loaded from the results store.
+// EvaluateBlocks combines a trace's fetch-block count, accumulated during a
+// replay (BlockCounter) or loaded from the results store, with an engine's
+// measured penalty events into wide-fetch IPC.
 func EvaluateBlocks(blocks uint64, m *metrics.Counters, cfg Config, p metrics.Penalties) Result {
 	penalty := float64(m.Misfetches)*p.Misfetch +
 		float64(m.Mispredicts)*p.Mispredict +

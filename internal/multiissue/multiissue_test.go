@@ -18,6 +18,16 @@ func seqTrace(n int) *trace.Trace {
 	return t
 }
 
+// countBlocks feeds the whole of tr to a fresh BlockCounter.
+func countBlocks(tr *trace.Trace, cfg Config) (uint64, error) {
+	bc, err := NewBlockCounter(cfg)
+	if err != nil {
+		return 0, err
+	}
+	bc.Add(tr.Records)
+	return bc.Blocks(), nil
+}
+
 func TestValidate(t *testing.T) {
 	if (Config{Width: 0}).Validate() == nil {
 		t.Error("width 0 accepted")
@@ -32,7 +42,7 @@ func TestValidate(t *testing.T) {
 
 func TestFetchBlocksWidth1EqualsInstructions(t *testing.T) {
 	tr := seqTrace(100)
-	blocks, err := FetchBlocks(tr, Config{Width: 1})
+	blocks, err := countBlocks(tr, Config{Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +54,7 @@ func TestFetchBlocksWidth1EqualsInstructions(t *testing.T) {
 func TestFetchBlocksStraightLine(t *testing.T) {
 	// 64 sequential instructions, width 4, no line constraint: 16 blocks.
 	tr := seqTrace(64)
-	blocks, err := FetchBlocks(tr, Config{Width: 4})
+	blocks, err := countBlocks(tr, Config{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +69,7 @@ func TestFetchBlocksLineBoundary(t *testing.T) {
 	// cannot do better: still line-limited.
 	tr := seqTrace(64)
 	for _, w := range []int{8, 16} {
-		blocks, err := FetchBlocks(tr, Config{Width: w, LineBytes: 32})
+		blocks, err := countBlocks(tr, Config{Width: w, LineBytes: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +90,7 @@ func TestFetchBlocksTakenBreakEndsBlock(t *testing.T) {
 		tr.Append(trace.Record{PC: pc + 8, Kind: isa.NonBranch})
 		tr.Append(trace.Record{PC: pc + 12, Kind: isa.CondBranch, Taken: true, Target: pc})
 	}
-	blocks, err := FetchBlocks(tr, Config{Width: 8})
+	blocks, err := countBlocks(tr, Config{Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestNotTakenBreakDoesNotEndBlock(t *testing.T) {
 	tr.Append(trace.Record{PC: pc, Kind: isa.CondBranch, Taken: false})
 	tr.Append(trace.Record{PC: pc + 4, Kind: isa.NonBranch})
 	tr.Append(trace.Record{PC: pc + 8, Kind: isa.NonBranch})
-	blocks, err := FetchBlocks(tr, Config{Width: 4})
+	blocks, err := countBlocks(tr, Config{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestBlocksMonotoneInWidth(t *testing.T) {
 	}
 	prev := uint64(1 << 62)
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		blocks, err := FetchBlocks(tr, Config{Width: w, LineBytes: 32})
+		blocks, err := countBlocks(tr, Config{Width: w, LineBytes: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +149,12 @@ func TestEvaluate(t *testing.T) {
 	m.Misfetches = 2
 	m.Mispredicts = 3
 	m.ICacheMisses = 1
-	res, err := Evaluate(tr, &m, Config{Width: 4}, metrics.Default())
+	cfg := Config{Width: 4}
+	blocks, err := countBlocks(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := EvaluateBlocks(blocks, &m, cfg, metrics.Default())
 	// blocks = 25; penalty = 2 + 12 + 5 = 19; cycles = 44.
 	if res.FetchBlocks != 25 {
 		t.Errorf("blocks = %d", res.FetchBlocks)
@@ -165,10 +177,12 @@ func TestPenaltyShareGrowsWithWidth(t *testing.T) {
 	m.Mispredicts = 20
 	var prev float64 = -1
 	for _, w := range []int{1, 2, 4, 8} {
-		res, err := Evaluate(tr, &m, Config{Width: w, LineBytes: 32}, metrics.Default())
+		cfg := Config{Width: w, LineBytes: 32}
+		blocks, err := countBlocks(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := EvaluateBlocks(blocks, &m, cfg, metrics.Default())
 		if res.PenaltyShare <= prev {
 			t.Errorf("width %d: penalty share %v did not grow", w, res.PenaltyShare)
 		}

@@ -33,7 +33,7 @@ func TestQuickFetchBlockBounds(t *testing.T) {
 	f := func(seed int64, widthRaw uint8) bool {
 		width := 1 + int(widthRaw%16)
 		tr := randomChained(seed, 300)
-		blocks, err := FetchBlocks(tr, Config{Width: width, LineBytes: 32})
+		blocks, err := countBlocks(tr, Config{Width: width, LineBytes: 32})
 		if err != nil {
 			return false
 		}
@@ -50,7 +50,7 @@ func TestQuickFetchBlockBounds(t *testing.T) {
 		if blocks*maxPerBlock < n {
 			return false
 		}
-		one, err := FetchBlocks(tr, Config{Width: 1})
+		one, err := countBlocks(tr, Config{Width: 1})
 		return err == nil && one == n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -64,7 +64,7 @@ func TestQuickFetchBlocksMonotone(t *testing.T) {
 		tr := randomChained(seed, 300)
 		prev := uint64(1 << 62)
 		for _, w := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
-			blocks, err := FetchBlocks(tr, Config{Width: w, LineBytes: 32})
+			blocks, err := countBlocks(tr, Config{Width: w, LineBytes: 32})
 			if err != nil || blocks > prev {
 				return false
 			}

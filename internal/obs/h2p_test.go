@@ -93,7 +93,7 @@ func TestH2PGolden(t *testing.T) {
 	g := cache.MustGeometry(arch.DefaultCacheKB*1024, arch.LineBytes, 1)
 	p := metrics.Default()
 
-	run := func(d pht.Directional, name string) Report {
+	run := func(d pht.Predictor, name string) Report {
 		e := fetch.NewNLSTableEngine(g, 1024, d, ras.DefaultDepth)
 		a := NewAttribution()
 		e.AttachProbe(a)

@@ -11,8 +11,8 @@ func benchPredictor(b *testing.B, p Predictor) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := isa.Addr(uint32(i*4) & 0xffff)
-		taken := p.Predict(pc)
-		p.Update(pc, !taken == (i%3 == 0))
+		taken, tok := p.Predict(pc)
+		p.Resolve(pc, tok, !taken == (i%3 == 0))
 	}
 }
 

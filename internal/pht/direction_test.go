@@ -7,11 +7,12 @@ import (
 	"repro/internal/isa"
 )
 
-// TestAdapterExactness: the bit-identity contract behind the protocol
-// refactor. Driving a legacy predictor through the DirectionPredictor
-// adapter — with the frontend's full call mix of Predict, Query, Resolve,
-// and WrongPath — must leave it in exactly the state the pre-protocol
-// Predict/Update call sequence produces, prediction for prediction.
+// TestAdapterExactness: the bit-identity contract the stateless predictors
+// keep now that they implement the protocol natively. Driven with the
+// frontend's full call mix of Predict, Query, Resolve and WrongPath, each
+// must leave exactly the state a plain Predict/Resolve sequence (the
+// pre-protocol Predict/Update) produces, prediction for prediction, and
+// issue only zero tokens.
 func TestAdapterExactness(t *testing.T) {
 	mk := []func() Predictor{
 		func() Predictor { return NewGShare(512, 6) },
@@ -22,88 +23,64 @@ func TestAdapterExactness(t *testing.T) {
 		func() Predictor { return Static{} },
 	}
 	for _, f := range mk {
-		legacy := f()
-		viaProto := AsDirection(f())
+		ref, proto := f(), f()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 5000; i++ {
 			pc := isa.Addr(0x1000 + uint32(rng.Intn(300))*4)
 			switch rng.Intn(4) {
 			case 0: // conditional break: predict then resolve
 				taken := rng.Intn(2) == 0
-				want := legacy.Predict(pc)
-				legacy.Update(pc, taken)
-				got, tok := viaProto.Predict(pc)
-				viaProto.Resolve(pc, tok, taken)
-				if got != want {
-					t.Fatalf("%s: step %d: adapter predicted %v, legacy %v", legacy.Name(), i, got, want)
+				want, rtok := ref.Predict(pc)
+				ref.Resolve(pc, rtok, taken)
+				got, tok := proto.Predict(pc)
+				proto.Resolve(pc, tok, taken)
+				if got != want || tok != 0 {
+					t.Fatalf("%s: step %d: predicted %v (token %d), reference %v", ref.Name(), i, got, tok, want)
 				}
 			case 1: // non-cond break: direction read only
-				want := legacy.Predict(pc)
-				if got := viaProto.Query(pc); got != want {
-					t.Fatalf("%s: step %d: Query %v, legacy Predict %v", legacy.Name(), i, got, want)
+				want, _ := ref.Predict(pc)
+				if got := proto.Query(pc); got != want {
+					t.Fatalf("%s: step %d: Query %v, reference Predict %v", ref.Name(), i, got, want)
 				}
-			case 2: // wrong-path report: invisible to legacy predictors
-				viaProto.WrongPath(pc)
+			case 2: // wrong-path report: invisible to stateless predictors
+				proto.WrongPath(pc)
 			case 3: // pure read on both sides keeps states comparable
-				if legacy.Predict(pc) != viaProto.Query(pc) {
-					t.Fatalf("%s: step %d: states diverged", legacy.Name(), i)
+				if ref.Query(pc) != proto.Query(pc) {
+					t.Fatalf("%s: step %d: states diverged", ref.Name(), i)
 				}
 			}
 		}
-		if legacy.SizeBits() != viaProto.SizeBits() || legacy.Name() != viaProto.Name() {
-			t.Fatalf("adapter changed identity: %s/%d vs %s/%d",
-				legacy.Name(), legacy.SizeBits(), viaProto.Name(), viaProto.SizeBits())
+		if ref.SizeBits() != proto.SizeBits() || ref.Name() != proto.Name() {
+			t.Fatalf("protocol calls changed identity: %s/%d vs %s/%d",
+				ref.Name(), ref.SizeBits(), proto.Name(), proto.SizeBits())
 		}
 	}
 }
 
-// TestAsDirectionPassThrough: native protocol implementations are not
-// double-wrapped, nil becomes inert, and Unwrap reaches the legacy
-// predictor through the adapter.
+// TestAsDirectionPassThrough: with one interface every predictor is used
+// as it is built. Static{} is the inert never-taken placeholder that
+// coupled-direction architectures carry, and gshare's state-sharing hooks
+// are reachable on the Predictor value itself, with no wrapper to unwrap.
 func TestAsDirectionPassThrough(t *testing.T) {
-	tg := MustTAGE(smallTAGE())
-	if AsDirection(tg) != DirectionPredictor(tg) {
-		t.Fatal("native DirectionPredictor was wrapped")
+	type keyed interface {
+		StateKey() (string, bool)
+		AdoptState(Predictor) bool
 	}
-	g := NewGShare(512, 0)
-	d := AsDirection(g)
-	if Unwrap(d) != Predictor(g) {
-		t.Fatal("Unwrap did not return the adapted predictor")
+	var g Predictor = NewGShare(512, 0)
+	if _, ok := g.(keyed); !ok {
+		t.Fatal("gshare's StateKey/AdoptState not reachable on the Predictor value")
 	}
-	if Unwrap(tg) != nil {
-		t.Fatal("Unwrap of a native predictor should be nil")
+	var tg Predictor = MustTAGE(smallTAGE())
+	if _, ok := tg.(keyed); ok {
+		t.Fatal("TAGE unexpectedly offers gshare's state-sharing hooks")
 	}
-	inert := AsDirection(nil)
+	var inert Predictor = Static{}
 	if taken, tok := inert.Predict(0x1000); taken || tok != 0 {
-		t.Fatal("nil promotes to a non-inert predictor")
+		t.Fatal("Static{} is not an inert predictor")
 	}
 	inert.Resolve(0x1000, 0, true)
 	inert.WrongPath(0x1000)
 	if inert.Query(0x1000) {
 		t.Fatal("inert predictor learned")
 	}
-}
-
-// TestCheckEntriesErrors: the validated-error seam that replaced the
-// constructor panic (a hostile spec is rejected with these errors before
-// any constructor runs).
-func TestCheckEntriesErrors(t *testing.T) {
-	for _, bad := range []int{0, -1, -8, 3, 513, 1<<62 + 1} {
-		if err := CheckEntries(bad); err == nil {
-			t.Errorf("CheckEntries(%d) accepted", bad)
-		}
-	}
-	for _, good := range []int{1, 2, 512, 1 << 20} {
-		if err := CheckEntries(good); err != nil {
-			t.Errorf("CheckEntries(%d): %v", good, err)
-		}
-	}
-	// The direct constructors still guard programming errors, now with
-	// the validated error as the panic value.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGShare(513) did not panic")
-		}
-	}()
-	NewGShare(513, 0)
 }

@@ -20,13 +20,49 @@ import (
 	"repro/internal/isa"
 )
 
-// Predictor predicts conditional-branch directions. Implementations are
-// trained with the resolved outcome after each conditional branch executes.
+// Token identifies one in-flight Predict so the matching Resolve can find
+// its checkpoint. Tokens are meaningful only to the predictor that issued
+// them; stateless predictors issue (and ignore) zero.
+type Token uint64
+
+// Predictor is the direction-prediction protocol the fetch frontend drives
+// (DESIGN.md §13), shaped like fetch.TargetPredictor: a Predict that opens
+// an in-flight prediction and hands back a token, a Resolve that closes it
+// with the architectural outcome, and a WrongPath hook through which the
+// frontend reports wrong-path fetches. Call discipline, mirroring the
+// simulator's one-break-in-flight pipeline:
+//
+//   - Predict opens an in-flight prediction for a conditional branch: it
+//     may shift the predicted outcome into speculative history and must
+//     checkpoint whatever Resolve needs to repair a wrong guess.
+//   - Query is a pure read — the prediction Predict would return, with no
+//     state opened. The frontend uses it where a direction value feeds
+//     target arbitration for breaks that never resolve a direction
+//     (aliased tag-less NLS entries consult it for non-conditionals).
+//   - Resolve closes the prediction Predict opened under tok: train on the
+//     actual outcome and repair speculative history if the guess (or a
+//     wrong-path excursion since) corrupted it. Every Predict is resolved
+//     exactly once, in order, before the next Predict for the same stream.
+//   - WrongPath reports the address of a wrong-path fetch between a
+//     Predict and its Resolve (or between breaks); predictors modelling
+//     speculative-history corruption poison their history here and repair
+//     it at the next Resolve or Predict.
+//
+// The paper-era schemes (gshare and friends) hold no speculative state:
+// their Predict is (Query, 0), Resolve trains the table and shifts the
+// resolved outcome into history, and WrongPath does nothing. TAGE-lite
+// (tage.go) uses the whole protocol.
 type Predictor interface {
-	// Predict returns true if the branch at pc is predicted taken.
-	Predict(pc isa.Addr) bool
-	// Update trains the predictor with the resolved outcome.
-	Update(pc isa.Addr, taken bool)
+	// Predict returns the predicted direction for the conditional branch
+	// at pc and a token for the matching Resolve.
+	Predict(pc isa.Addr) (taken bool, tok Token)
+	// Query returns the prediction for pc without opening any state.
+	Query(pc isa.Addr) bool
+	// Resolve trains the predictor with the resolved outcome of the
+	// prediction issued under tok.
+	Resolve(pc isa.Addr, tok Token, taken bool)
+	// WrongPath reports a wrong-path fetch at addr.
+	WrongPath(addr isa.Addr)
 	// SizeBits returns the predictor's storage cost in bits.
 	SizeBits() int
 	// Name identifies the predictor for reports.
@@ -108,13 +144,16 @@ func (g *GShare) index(pc isa.Addr) uint32 {
 }
 
 // Predict implements Predictor.
-func (g *GShare) Predict(pc isa.Addr) bool {
+func (g *GShare) Predict(pc isa.Addr) (bool, Token) { return g.Query(pc), 0 }
+
+// Query implements Predictor.
+func (g *GShare) Query(pc isa.Addr) bool {
 	return counterTaken(g.table[g.index(pc)])
 }
 
-// Update implements Predictor. The global history shifts in the outcome of
-// every conditional branch.
-func (g *GShare) Update(pc isa.Addr, taken bool) {
+// Resolve implements Predictor. The global history shifts in the resolved
+// outcome of every conditional branch.
+func (g *GShare) Resolve(pc isa.Addr, _ Token, taken bool) {
 	i := g.index(pc)
 	g.table[i] = counterUpdate(g.table[i], taken)
 	g.history = (g.history << 1) & ((1 << g.histBits) - 1)
@@ -122,6 +161,9 @@ func (g *GShare) Update(pc isa.Addr, taken bool) {
 		g.history |= 1
 	}
 }
+
+// WrongPath implements Predictor: gshare holds no speculative history.
+func (g *GShare) WrongPath(isa.Addr) {}
 
 // SizeBits implements Predictor (2 bits per counter plus the history
 // register).
@@ -193,16 +235,22 @@ func NewGAs(entries int) *GAs {
 }
 
 // Predict implements Predictor.
-func (g *GAs) Predict(isa.Addr) bool { return counterTaken(g.table[g.history]) }
+func (g *GAs) Predict(pc isa.Addr) (bool, Token) { return g.Query(pc), 0 }
 
-// Update implements Predictor.
-func (g *GAs) Update(_ isa.Addr, taken bool) {
+// Query implements Predictor.
+func (g *GAs) Query(isa.Addr) bool { return counterTaken(g.table[g.history]) }
+
+// Resolve implements Predictor.
+func (g *GAs) Resolve(_ isa.Addr, _ Token, taken bool) {
 	g.table[g.history] = counterUpdate(g.table[g.history], taken)
 	g.history = (g.history << 1) & uint32(len(g.table)-1)
 	if taken {
 		g.history |= 1
 	}
 }
+
+// WrongPath implements Predictor: GAs holds no speculative history.
+func (g *GAs) WrongPath(isa.Addr) {}
 
 // SizeBits implements Predictor.
 func (g *GAs) SizeBits() int { return 2*len(g.table) + int(g.histBits) }
@@ -234,15 +282,21 @@ func NewBimodal(entries int) *Bimodal {
 }
 
 // Predict implements Predictor.
-func (b *Bimodal) Predict(pc isa.Addr) bool {
+func (b *Bimodal) Predict(pc isa.Addr) (bool, Token) { return b.Query(pc), 0 }
+
+// Query implements Predictor.
+func (b *Bimodal) Query(pc isa.Addr) bool {
 	return counterTaken(b.table[pc.Word()&b.mask])
 }
 
-// Update implements Predictor.
-func (b *Bimodal) Update(pc isa.Addr, taken bool) {
+// Resolve implements Predictor.
+func (b *Bimodal) Resolve(pc isa.Addr, _ Token, taken bool) {
 	i := pc.Word() & b.mask
 	b.table[i] = counterUpdate(b.table[i], taken)
 }
+
+// WrongPath implements Predictor: no speculative state.
+func (b *Bimodal) WrongPath(isa.Addr) {}
 
 // SizeBits implements Predictor.
 func (b *Bimodal) SizeBits() int { return 2 * len(b.table) }
@@ -271,10 +325,16 @@ func NewOneBit(entries int) *OneBit {
 }
 
 // Predict implements Predictor.
-func (o *OneBit) Predict(pc isa.Addr) bool { return o.table[pc.Word()&o.mask] }
+func (o *OneBit) Predict(pc isa.Addr) (bool, Token) { return o.Query(pc), 0 }
 
-// Update implements Predictor.
-func (o *OneBit) Update(pc isa.Addr, taken bool) { o.table[pc.Word()&o.mask] = taken }
+// Query implements Predictor.
+func (o *OneBit) Query(pc isa.Addr) bool { return o.table[pc.Word()&o.mask] }
+
+// Resolve implements Predictor.
+func (o *OneBit) Resolve(pc isa.Addr, _ Token, taken bool) { o.table[pc.Word()&o.mask] = taken }
+
+// WrongPath implements Predictor: no speculative state.
+func (o *OneBit) WrongPath(isa.Addr) {}
 
 // SizeBits implements Predictor.
 func (o *OneBit) SizeBits() int { return len(o.table) }
@@ -295,10 +355,16 @@ type Static struct {
 }
 
 // Predict implements Predictor.
-func (s Static) Predict(isa.Addr) bool { return s.Taken }
+func (s Static) Predict(isa.Addr) (bool, Token) { return s.Taken, 0 }
 
-// Update implements Predictor (no state).
-func (s Static) Update(isa.Addr, bool) {}
+// Query implements Predictor.
+func (s Static) Query(isa.Addr) bool { return s.Taken }
+
+// Resolve implements Predictor (no state).
+func (s Static) Resolve(isa.Addr, Token, bool) {}
+
+// WrongPath implements Predictor (no state).
+func (s Static) WrongPath(isa.Addr) {}
 
 // SizeBits implements Predictor.
 func (s Static) SizeBits() int { return 0 }

@@ -7,23 +7,23 @@ import (
 	"repro/internal/isa"
 )
 
-// train runs a predictor over a repeating outcome sequence at one site and
+// train runs a predictor through the protocol at one site — Predict, then
+// Resolve with the architectural outcome, as the frontend does — and
 // returns the accuracy over the final pass.
 func train(p Predictor, pc isa.Addr, pattern []bool, passes int) float64 {
 	for i := 0; i < passes-1; i++ {
 		for _, taken := range pattern {
-			p.Predict(pc)
-			p.Update(pc, taken)
+			_, tok := p.Predict(pc)
+			p.Resolve(pc, tok, taken)
 		}
 	}
-	// Final pass: measure, still updating so the history keeps
-	// advancing as it would in the pipeline.
 	correct := 0
 	for _, taken := range pattern {
-		if p.Predict(pc) == taken {
+		pred, tok := p.Predict(pc)
+		if pred == taken {
 			correct++
 		}
-		p.Update(pc, taken)
+		p.Resolve(pc, tok, taken)
 	}
 	return float64(correct) / float64(len(pattern))
 }
@@ -73,21 +73,21 @@ func TestGAsLearnsGlobalPattern(t *testing.T) {
 func TestOneBitTracksLastOutcome(t *testing.T) {
 	o := NewOneBit(256)
 	pc := isa.Addr(0x1000)
-	o.Update(pc, true)
-	if !o.Predict(pc) {
+	o.Resolve(pc, 0, true)
+	if !o.Query(pc) {
 		t.Error("one-bit did not follow taken")
 	}
-	o.Update(pc, false)
-	if o.Predict(pc) {
+	o.Resolve(pc, 0, false)
+	if o.Query(pc) {
 		t.Error("one-bit did not follow not-taken")
 	}
 }
 
 func TestStatic(t *testing.T) {
-	if !(Static{Taken: true}).Predict(0x1000) {
+	if !(Static{Taken: true}).Query(0x1000) {
 		t.Error("static-taken predicted not-taken")
 	}
-	if (Static{}).Predict(0x1000) {
+	if (Static{}).Query(0x1000) {
 		t.Error("static-not-taken predicted taken")
 	}
 	if (Static{Taken: true}).Name() != "static-taken" || (Static{}).Name() != "static-not-taken" {
@@ -119,8 +119,8 @@ func TestCountersStayInRange(t *testing.T) {
 		for i, pc := range pcs {
 			taken := i < len(outcomes) && outcomes[i]
 			a := isa.Addr(pc) &^ 3
-			g.Update(a, taken)
-			b.Update(a, taken)
+			g.Resolve(a, 0, taken)
+			b.Resolve(a, 0, taken)
 		}
 		for _, c := range g.table {
 			if c > 3 {
@@ -168,7 +168,7 @@ func TestSizeBits(t *testing.T) {
 func TestReset(t *testing.T) {
 	g := NewGShare(256, 0)
 	for i := 0; i < 100; i++ {
-		g.Update(0x1000, true)
+		g.Resolve(0x1000, 0, true)
 	}
 	g.Reset()
 	if g.history != 0 {
@@ -196,11 +196,35 @@ func TestBadEntriesPanics(t *testing.T) {
 
 func TestPredictorsAreIndependentAcrossSites(t *testing.T) {
 	b := NewBimodal(1024)
-	b.Update(0x1004, true)
-	b.Update(0x1004, true)
+	b.Resolve(0x1004, 0, true)
+	b.Resolve(0x1004, 0, true)
 	// A different, non-aliasing address (word index 2 vs 1 mod 1024) is
 	// unaffected.
-	if b.Predict(0x1008) {
+	if b.Query(0x1008) {
 		t.Error("training leaked across non-aliasing sites")
 	}
+}
+
+// TestCheckEntriesErrors: the validated-error seam that replaced the
+// constructor panic (a hostile spec is rejected with these errors before
+// any constructor runs).
+func TestCheckEntriesErrors(t *testing.T) {
+	for _, bad := range []int{0, -1, -8, 3, 513, 1<<62 + 1} {
+		if err := CheckEntries(bad); err == nil {
+			t.Errorf("CheckEntries(%d) accepted", bad)
+		}
+	}
+	for _, good := range []int{1, 2, 512, 1 << 20} {
+		if err := CheckEntries(good); err != nil {
+			t.Errorf("CheckEntries(%d): %v", good, err)
+		}
+	}
+	// The direct constructors still guard programming errors, now with
+	// the validated error as the panic value.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGShare(513) did not panic")
+		}
+	}()
+	NewGShare(513, 0)
 }

@@ -8,15 +8,15 @@ import (
 	"repro/internal/isa"
 )
 
-// TAGE-lite: a tagged-geometric-history direction predictor implementing
-// the DirectionPredictor protocol natively (DESIGN.md §13). The shape is
-// Seznec's TAGE reduced to its load-bearing parts: a bimodal base table
-// plus a few tagged tables indexed by geometrically increasing slices of a
-// speculative global history register, provider = longest matching
-// history, allocate-on-mispredict governed by usefulness counters. What
-// the lite version drops (alternate-prediction confidence, periodic u
-// reset, randomized allocation) it drops for determinism — every
-// simulation must replay bit-identically.
+// TAGE-lite: a tagged-geometric-history direction predictor, the one
+// Predictor that uses the protocol's speculative half (DESIGN.md §13).
+// The shape is Seznec's TAGE reduced to its load-bearing parts: a bimodal
+// base table plus a few tagged tables indexed by geometrically increasing
+// slices of a speculative global history register, provider = longest
+// matching history, allocate-on-mispredict governed by usefulness
+// counters. What the lite version drops (alternate-prediction confidence,
+// periodic u reset, randomized allocation) it drops for determinism —
+// every simulation must replay bit-identically.
 //
 // Speculative state: Predict shifts the *predicted* outcome into the
 // history register and checkpoints the pre-shift history plus everything
@@ -145,9 +145,8 @@ type tageCkpt struct {
 	altTaken  bool
 }
 
-// TAGE is the TAGE-lite predictor. It implements DirectionPredictor (not
-// the legacy Predictor — its speculative history cannot round-trip through
-// a stateless Predict/Update pair).
+// TAGE is the TAGE-lite predictor. Its Predict opens speculative history
+// that only the matching Resolve repairs.
 type TAGE struct {
 	cfg     TAGEConfig
 	lens    []int
@@ -262,7 +261,7 @@ func (t *TAGE) lookup(pc isa.Addr, h uint64, ck *tageCkpt) (predTaken, altTaken 
 	return predTaken, altTaken, provider
 }
 
-// Predict implements DirectionPredictor: evaluate the tables under the
+// Predict implements Predictor: evaluate the tables under the
 // current speculative history, checkpoint, and shift the predicted outcome
 // in.
 func (t *TAGE) Predict(pc isa.Addr) (bool, Token) {
@@ -285,14 +284,14 @@ func (t *TAGE) Predict(pc isa.Addr) (bool, Token) {
 	return predTaken, tok
 }
 
-// Query implements DirectionPredictor: the prediction Predict would make
+// Query implements Predictor: the prediction Predict would make
 // for pc right now, as a pure read — no checkpoint, no history shift.
 func (t *TAGE) Query(pc isa.Addr) bool {
 	predTaken, _, _ := t.lookup(pc, t.hist, nil)
 	return predTaken
 }
 
-// Resolve implements DirectionPredictor: train on the actual outcome of
+// Resolve implements Predictor: train on the actual outcome of
 // the prediction issued under tok and repair the speculative history if
 // the predicted bit was wrong or a wrong-path excursion poisoned it.
 func (t *TAGE) Resolve(pc isa.Addr, tok Token, taken bool) {
@@ -367,7 +366,7 @@ func (t *TAGE) Resolve(pc isa.Addr, tok Token, taken bool) {
 	}
 }
 
-// WrongPath implements DirectionPredictor: a wrong-path fetch shifts a
+// WrongPath implements Predictor: a wrong-path fetch shifts a
 // bogus "outcome" derived from the fetched address into the speculative
 // history, modelling the corruption a real front end's speculative history
 // register suffers until recovery. The pre-poison history is kept so the
@@ -381,15 +380,15 @@ func (t *TAGE) WrongPath(addr isa.Addr) {
 	t.hist = t.hist<<1 | uint64(addr.Word()&1)
 }
 
-// SizeBits implements Directional.
+// SizeBits implements Predictor.
 func (t *TAGE) SizeBits() int { return t.cfg.SizeBits() }
 
-// Name implements Directional.
+// Name implements Predictor.
 func (t *TAGE) Name() string {
 	return fmt.Sprintf("tage-%dx%d+b%d", t.cfg.Tables, t.cfg.Entries, t.cfg.BaseEntries)
 }
 
-// Reset implements Directional.
+// Reset implements Predictor.
 func (t *TAGE) Reset() {
 	for i := range t.base {
 		t.base[i] = counterInit

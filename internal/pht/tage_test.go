@@ -13,27 +13,6 @@ func smallTAGE() TAGEConfig {
 	return TAGEConfig{BaseEntries: 128, Tables: 4, Entries: 64, TagBits: 9, MinHist: 4, MaxHist: 64}
 }
 
-// trainTAGE runs the predictor through the protocol at one site — Predict,
-// then Resolve with the architectural outcome, as the frontend does — and
-// returns the accuracy over the final pass.
-func trainTAGE(p DirectionPredictor, pc isa.Addr, pattern []bool, passes int) float64 {
-	for i := 0; i < passes-1; i++ {
-		for _, taken := range pattern {
-			_, tok := p.Predict(pc)
-			p.Resolve(pc, tok, taken)
-		}
-	}
-	correct := 0
-	for _, taken := range pattern {
-		pred, tok := p.Predict(pc)
-		if pred == taken {
-			correct++
-		}
-		p.Resolve(pc, tok, taken)
-	}
-	return float64(correct) / float64(len(pattern))
-}
-
 func TestTAGEConfigValidate(t *testing.T) {
 	if err := smallTAGE().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -103,7 +82,7 @@ func TestTAGELearnsLongLoopExit(t *testing.T) {
 		pat[i] = i != 23
 	}
 	tg := MustTAGE(smallTAGE())
-	if acc := trainTAGE(tg, 0x1000, pat, 80); acc != 1 {
+	if acc := train(tg, 0x1000, pat, 80); acc != 1 {
 		t.Errorf("TAGE accuracy on trip-24 loop = %v, want 1", acc)
 	}
 	g := NewGShare(4096, 6)

@@ -39,16 +39,15 @@ type ChunkSource interface {
 }
 
 // Chunked is an instruction trace stored as fixed-size blocks of records.
-// All blocks hold exactly chunkSize records except the last, which may be
-// shorter.
+// All blocks hold exactly the size given to Chunk except the last, which
+// may be shorter.
 type Chunked struct {
 	Name string
 	// StaticCondSites mirrors Trace.StaticCondSites.
 	StaticCondSites int
 
-	chunkSize int
-	blocks    [][]Record
-	n         int
+	blocks [][]Record
+	n      int
 
 	// Memoized per-block run annotations, keyed by line size (RunLens).
 	runsMu sync.Mutex
@@ -66,7 +65,6 @@ func Chunk(t *Trace, chunkSize int) *Chunked {
 	c := &Chunked{
 		Name:            t.Name,
 		StaticCondSites: t.StaticCondSites,
-		chunkSize:       chunkSize,
 		blocks:          make([][]Record, 0, (len(recs)+chunkSize-1)/chunkSize),
 		n:               len(recs),
 	}
@@ -86,9 +84,6 @@ func (c *Chunked) Len() int { return c.n }
 
 // NumChunks returns the number of blocks.
 func (c *Chunked) NumChunks() int { return len(c.blocks) }
-
-// ChunkSize returns the nominal records-per-block.
-func (c *Chunked) ChunkSize() int { return c.chunkSize }
 
 // Block returns the i-th block. The caller must not modify it.
 func (c *Chunked) Block(i int) []Record { return c.blocks[i] }
