@@ -50,7 +50,7 @@ race:
 
 # Adversarial concurrency tier: the randomized broadcast fan-out sweep,
 # recycled chunk buffers poisoned on release (TestStressReleasedBlockPoisoned),
-# the per-line-size run annotation shared across workers
+# the per-line-size run annotation and oracle walk shared across workers
 # (TestBroadcastMixedLineSizes),
 # the shared direction annotation and its end-of-broadcast state hand-off
 # (the main goroutine trains the driven predictor while workers replay),
@@ -70,13 +70,15 @@ stress:
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the
-# corpus container reader, the broadcast against per-record fetch.Run on
+# corpus container reader, the multi-geometry fetch oracle against
+# per-geometry cache walks, the broadcast against per-record fetch.Run on
 # decoded traces, the results store's cell decoder, and the sweep
 # service's untrusted job decoder.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzChunked -fuzztime=20s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusRead -fuzztime=20s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzOracleMatchesCache -fuzztime=20s ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzBroadcastMatchesRun -fuzztime=20s ./internal/fetch
 	$(GO) test -run=^$$ -fuzz=FuzzCellDecode -fuzztime=20s ./internal/experiments
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=20s ./internal/serve

@@ -13,15 +13,15 @@ import (
 	"repro/internal/trace"
 )
 
-// broadcastDepth is the capacity of each channel of the fan-out (per-group
-// gin, per-worker wch). It bounds the blocks one broadcast holds
+// broadcastDepth is the capacity of each channel of the fan-out (per-line-size
+// ain, per-worker wch). It bounds the blocks one broadcast holds
 // outstanding — drawn from the source and not yet released — regardless
 // of trace length, worker count or group count, which is what lets a
 // streamed sweep run in O(chunk) memory. Every outstanding block lies
 // between the oldest one still held and the newest drawn, and the main
 // goroutine cannot run further ahead of the oldest than the longest chain
-// it feeds: main (1) → gin (depth) → group goroutine (1) → wch (depth) →
-// worker (1), which is broadcastBound. Unbuffered hand-offs measured as
+// it feeds: main (1) → ain (depth) → line-size annotator (1) → wch (depth)
+// → worker (1), which is broadcastBound. Unbuffered hand-offs measured as
 // fast as buffered ones for less memory (DESIGN.md §16): on one CPU they
 // replay each block group by group while it is cache-hot, and on more the
 // stages still overlap.
@@ -63,11 +63,11 @@ func (m *member) replayPrivate(blk *sharedBlock) {
 	m.fr.replayTime += time.Since(start)
 }
 
-// oracleGroup shares one fetch oracle among the eligible engines of equal
-// geometry: the oracle simulates the group's i-cache once per block and
-// every member consumes the resulting annotation.
+// oracleGroup is the eligible engines of one geometry: the oracle of the
+// group's line size simulates its i-cache once per block and every member
+// consumes the resulting annotation.
 type oracleGroup struct {
-	oracle  *cache.Oracle
+	geom    cache.Geometry
 	members []member
 	// echoes are the engines of this geometry whose break metrics are
 	// echoed from an equal-invariant leader in another group (see
@@ -77,7 +77,8 @@ type oracleGroup struct {
 	// readers are the NLS-table engines of this geometry that read a
 	// table annotation instead of replaying (see planTables).
 	readers []member
-	// runs is the slot of each block's run annotation the oracle reads.
+	// runs is the slot of each block's run annotation the oracle reads:
+	// one per line size, so it also names the group's annotator.
 	runs int
 	// anns recycles the group's per-block annotations.
 	anns freeList[sharedAnn]
@@ -251,7 +252,7 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 
 // replayPlan resolves how each engine replays the drawn blocks. Eligible
 // engines (oracleEligible) form one oracleGroup per cache geometry, alone
-// in it or not, and replay via replayEvents from the group's shared oracle
+// in it or not, and replay via replayEvents from the group's annotation
 // unless extractEchoes or planTables finds them a cheaper path. The
 // others — pollution-on or prefetching — replay privately
 // (member.replayPrivate). Engines are timed on every path (ReplayTime).
@@ -269,8 +270,8 @@ func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 		g := groupOf[geom]
 		if g == nil {
 			g = &oracleGroup{
-				oracle: cache.NewOracle(geom),
-				anns:   make(freeList[sharedAnn], broadcastBound),
+				geom: geom,
+				anns: make(freeList[sharedAnn], broadcastBound),
 			}
 			groupOf[geom] = g
 			groups = append(groups, g)
@@ -280,11 +281,10 @@ func replayPlan(engines []*Frontend) (private []member, groups []*oracleGroup) {
 	return private, groups
 }
 
-// planRuns gives every group oracle the run-annotation slot of its line
-// size, and returns the line size of each slot. A block's runs depend only
-// on its records and the line size (trace.BlockRuns), so the broadcast
-// computes each slot once per block, however many oracles and drivers read
-// it.
+// planRuns gives every group the run-annotation slot of its line size, and
+// returns the line size of each slot. A block's runs depend only on its
+// records and the line size (trace.BlockRuns), so the broadcast computes
+// each slot once per block, however many groups and drivers read it.
 func planRuns(groups []*oracleGroup) (lines []int) {
 	slot := func(lineBytes int) int {
 		if k := slices.Index(lines, lineBytes); k >= 0 {
@@ -294,9 +294,36 @@ func planRuns(groups []*oracleGroup) (lines []int) {
 		return len(lines) - 1
 	}
 	for _, g := range groups {
-		g.runs = slot(g.oracle.Geometry().LineBytes())
+		g.runs = slot(g.geom.LineBytes())
 	}
 	return lines
+}
+
+// annotator walks each block once for every group of one line size: its
+// oracle simulates the groups' geometries, in group order.
+type annotator struct {
+	oracle *cache.Oracle
+	groups []int
+	// succ reports whether a group has table readers, which need the
+	// successor slots of blk.succ.
+	succ bool
+}
+
+// planAnnotators returns one annotator per run slot (planRuns), so
+// annotator k reads run slot k.
+func planAnnotators(groups []*oracleGroup, lines []int) []annotator {
+	ans := make([]annotator, len(lines))
+	geoms := make([][]cache.Geometry, len(lines))
+	for gi, g := range groups {
+		a := &ans[g.runs]
+		a.groups = append(a.groups, gi)
+		a.succ = a.succ || len(g.readers) > 0
+		geoms[g.runs] = append(geoms[g.runs], g.geom)
+	}
+	for k := range ans {
+		ans[k].oracle = cache.NewOracle(geoms[k]...)
+	}
+	return ans
 }
 
 // freeList recycles the per-block structures of one broadcast, which never
@@ -339,7 +366,7 @@ type sharedBlock struct {
 	dirs []dirBits
 	tabs []tableAnn
 	// succ lists, ascending, the breaks whose successor slot a table
-	// reader needs from its group oracle (cache.Oracle.AnnotateSucc).
+	// reader needs from its group's annotation (cache.Oracle.AnnotateSucc).
 	succ []uint16
 	refs atomic.Int32
 }
@@ -360,16 +387,18 @@ type workItem struct {
 // last reader.
 //
 // The main goroutine draws each block and computes its run annotation, once
-// per line size a group oracle needs (planRuns), its
-// direction annotation (dirDriver) and its table annotation (tableDriver).
-// Engines keep a static round-robin worker assignment (engine i → worker
-// i mod workers); each worker drains its own bounded channel. Grouped
-// engines add one goroutine per group: it annotates each block once, steps
-// the group's echoes and table readers, and fans the shared annotation to
-// exactly the workers owning members of that group, refcounted so the last
-// consumer recycles it. The producer graph is acyclic (main → group
-// oracles → workers, main → workers), so the bounded channels cannot
-// deadlock.
+// per line size a group needs (planRuns), its direction annotation
+// (dirDriver) and its table annotation (tableDriver). Engines keep a
+// static round-robin worker assignment (engine i → worker i mod workers);
+// each worker drains its own bounded channel. Grouped engines add one
+// goroutine per line size: its oracle annotates each block once for every
+// group of that line size, and for each group it steps the echoes and
+// table readers and fans the group's annotation to exactly the workers
+// owning members of that group, refcounted so the last consumer recycles
+// it. The producer graph is acyclic (main → line-size annotators →
+// workers, main → workers), so the bounded channels cannot deadlock. When
+// the broadcast ends, every grouped member and table reader takes its
+// oracle's resident lines and LRU order (cache.Oracle.MirrorInto).
 func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) int64 {
 	if len(engines) == 0 {
 		return 0
@@ -379,6 +408,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	lines := planRuns(groups)
 	drivers := planDirs(private, groups)
 	tables := planTables(groups)
+	annotators := planAnnotators(groups, lines)
 	workers = max(1, min(workers, len(engines)))
 
 	blocks := make(freeList[sharedBlock], broadcastBound)
@@ -437,41 +467,50 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 		}(w)
 	}
 
-	var gwg sync.WaitGroup
-	gin := make([]chan *sharedBlock, len(groups))
-	for gi, g := range groups {
-		gin[gi] = make(chan *sharedBlock, broadcastDepth)
-		gwg.Add(1)
-		go func(gi int, g *oracleGroup, targets []int) {
-			defer gwg.Done()
-			for blk := range gin[gi] {
-				ann := g.anns.get()
+	var awg sync.WaitGroup
+	ain := make([]chan *sharedBlock, len(annotators))
+	for k := range annotators {
+		ain[k] = make(chan *sharedBlock, broadcastDepth)
+		awg.Add(1)
+		go func(k int, a *annotator) {
+			defer awg.Done()
+			anns := make([]*sharedAnn, len(a.groups))
+			outs := make([]*cache.AccessAnnotations, len(a.groups))
+			for blk := range ain[k] {
+				for j, gi := range a.groups {
+					anns[j] = groups[gi].anns.get()
+					outs[j] = &anns[j].AccessAnnotations
+				}
 				var succ []uint16
-				if len(g.readers) > 0 {
+				if a.succ {
 					succ = blk.succ
 				}
-				g.oracle.AnnotateSucc(blk.recs, blk.runs[g.runs], succ, &ann.AccessAnnotations)
-				// The group's echoes and table readers are owned by this
-				// goroutine alone (they appear in no worker's member
-				// list), so their credit and reads happen here, before the
-				// annotation is shared.
-				for _, ef := range g.echoes {
-					ef.echoCredit(len(blk.recs), &ann.AccessAnnotations)
-				}
-				readTables(g.readers, blk, &ann.AccessAnnotations)
-				if len(targets) == 0 {
-					// Every member of this geometry was echoed or reads a
-					// table; the annotation existed only for them.
-					g.anns.put(ann)
-					done(blk)
-					continue
-				}
-				ann.refs.Store(int32(len(targets)))
-				for _, w := range targets {
-					wch[w] <- workItem{blk: blk, gid: gi, ann: ann}
+				a.oracle.AnnotateSucc(blk.recs, blk.runs[k], succ, outs...)
+				for j, gi := range a.groups {
+					g, ann, targets := groups[gi], anns[j], groupWorkers[gi]
+					// The group's echoes and table readers are owned by
+					// this goroutine alone (they appear in no worker's
+					// member list), so their credit and reads happen
+					// here, before the annotation is shared.
+					for _, ef := range g.echoes {
+						ef.echoCredit(len(blk.recs), &ann.AccessAnnotations)
+					}
+					readTables(g.readers, blk, &ann.AccessAnnotations)
+					if len(targets) == 0 {
+						// Every member of this geometry was echoed or
+						// reads a table; the annotation existed only for
+						// them.
+						g.anns.put(ann)
+						done(blk)
+						continue
+					}
+					ann.refs.Store(int32(len(targets)))
+					for _, w := range targets {
+						wch[w] <- workItem{blk: blk, gid: gi, ann: ann}
+					}
 				}
 			}
-		}(gi, g, groupWorkers[gi])
+		}(k, &annotators[k])
 	}
 
 	var n int64
@@ -506,8 +545,8 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 			blk.succ = slices.Compact(blk.succ)
 		}
 		blk.refs.Store(refs)
-		for gi := range gin {
-			gin[gi] <- blk
+		for k := range ain {
+			ain[k] <- blk
 		}
 		for w, own := range ownPrivate {
 			if len(own) > 0 {
@@ -515,17 +554,26 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 			}
 		}
 	}
-	for gi := range gin {
-		close(gin[gi])
+	for k := range ain {
+		close(ain[k])
 	}
-	gwg.Wait()
+	awg.Wait()
 	for _, ch := range wch {
 		close(ch)
 	}
 	wwg.Wait()
-	for _, g := range groups {
-		for len(g.anns) > 0 {
-			(<-g.anns).Release()
+	for _, a := range annotators {
+		for _, gi := range a.groups {
+			g := groups[gi]
+			for len(g.anns) > 0 {
+				(<-g.anns).Release()
+			}
+			for _, m := range g.members {
+				a.oracle.MirrorInto(m.fr.icache)
+			}
+			for _, m := range g.readers {
+				a.oracle.MirrorInto(m.fr.icache)
+			}
 		}
 	}
 	for _, p := range echoes {

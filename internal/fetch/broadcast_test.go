@@ -122,10 +122,10 @@ func mixedLineEngines() []*Frontend {
 }
 
 // TestBroadcastMixedLineSizes: one broadcast over engines of three line
-// sizes computes one run annotation per line size, shared by every group
-// oracle of that size (the lone NLS-table's included), and leaves every
-// engine with the per-record Run counters at workers 1, 2 and 4. Run under
-// -race via `make stress`.
+// sizes computes one run annotation and one oracle walk per line size,
+// shared by every group of that size (the lone NLS-table's included), and
+// leaves every engine with the per-record Run counters at workers 1, 2 and
+// 4. Run under -race via `make stress`.
 func TestBroadcastMixedLineSizes(t *testing.T) {
 	tr := workload.Gcc().MustTrace(40_000)
 	chunked := trace.Chunk(tr, 1000)
@@ -148,9 +148,21 @@ func TestBroadcastMixedLineSizes(t *testing.T) {
 		seen[lb] = true
 	}
 	for _, g := range groups {
-		if lb := g.oracle.Geometry().LineBytes(); lines[g.runs] != lb {
-			t.Errorf("group on %v reads the %d-byte run slot", g.oracle.Geometry(), lines[g.runs])
+		if lb := g.geom.LineBytes(); lines[g.runs] != lb {
+			t.Errorf("group on %v reads the %d-byte run slot", g.geom, lines[g.runs])
 		}
+	}
+	annotated := 0
+	for k, a := range planAnnotators(groups, lines) {
+		for _, gi := range a.groups {
+			if groups[gi].runs != k {
+				t.Errorf("the %d-byte annotator walks the group on %v", lines[k], groups[gi].geom)
+			}
+		}
+		annotated += len(a.groups)
+	}
+	if annotated != len(groups) {
+		t.Errorf("annotators walk %d groups, want one walk for each of the %d", annotated, len(groups))
 	}
 
 	want := make([]metrics.Counters, len(probe))

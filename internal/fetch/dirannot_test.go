@@ -170,7 +170,7 @@ func handOffEngines() []*Frontend {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(16*1024, 32, 1)
 	g3 := cache.MustGeometry(16*1024, 32, 2)
-	g4 := cache.MustGeometry(32*1024, 32, 1)
+	g4 := cache.MustGeometry(8*1024, 32, 4)
 	gshare := func() *pht.GShare { return pht.NewGShare(1024, 6) }
 	bcfg := btb.Config{Entries: 128, Assoc: 1}
 
@@ -188,7 +188,8 @@ func handOffEngines() []*Frontend {
 		NewNLSTableEngine(g2, 512, gshare(), 32),
 		NewBTBEngine(g2, bcfg, gshare(), 32), // echoed
 		NewNLSTableEngine(g2, 512, testTAGE(), 32),
-		NewNLSCacheEngine(g4, 2, gshare(), 32), // alone: a group of one
+		NewNLSCacheEngine(g3, 2, gshare(), 32), // alone: a group of one
+		NewNLSTableEngine(g4, 512, gshare(), 32),
 		polluted,
 		fdip,
 	}
@@ -200,10 +201,11 @@ func handOffEngines() []*Frontend {
 // reference engine that stepped both segments record by record. This pins
 // the hand-offs: each reader of a direction annotation, having adopted the
 // driven predictor's state (AdoptState), is exactly as if it had trained
-// its own predictor, and each reader of a table annotation, having rebuilt
-// its table and adopted the driven return stack, pending break and the
-// group oracle's tags, is exactly as if it had replayed. Run under -race
-// via `make stress`.
+// its own predictor; each reader of a table annotation, having rebuilt its
+// table and adopted the driven return stack and pending break, is exactly
+// as if it had replayed; and every grouped engine, having taken its
+// oracle's resident lines and LRU order, continues its i-cache exactly.
+// Run under -race via `make stress`.
 func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	const split = 30 * 1024 // a block boundary
@@ -230,8 +232,8 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 	if drivers := planDirs(private, groups); len(echoes) != 1 || len(drivers) != 1 {
 		t.Fatalf("plan has %d echoes and %d direction annotations, want 1 and 1", len(echoes), len(drivers))
 	}
-	if tables := planTables(groups); len(tables) != 1 || len(tables[0].readers) != 2 {
-		t.Fatalf("plan has %d table annotations, want 1 read by both gshare NLS-tables", len(tables))
+	if tables := planTables(groups); len(tables) != 1 || len(tables[0].readers) != 3 {
+		t.Fatalf("plan has %d table annotations, want 1 read by the three gshare NLS-tables", len(tables))
 	}
 	echoed := map[int]bool{}
 	grouped := map[int]bool{}
@@ -261,12 +263,11 @@ func TestBroadcastHandOffMatchesStep(t *testing.T) {
 			}
 			got, w := *e.Counters(), want[i]
 			if grouped[i] {
-				// A grouped engine replays against a tag mirror of the
-				// group oracle (a table reader copies it at the hand-off):
-				// its resident lines are exact (on these direct-mapped
-				// geometries LRU order is moot), but first-touch tracking
-				// stays with the oracle, so the continuation recounts its
-				// cold misses.
+				// A grouped engine takes the oracle's resident lines and
+				// LRU order at the hand-off, so the 2-way NLS-cache and
+				// the 4-way NLS-table continue exactly, but first-touch
+				// tracking stays with the oracle, so the continuation
+				// recounts its cold misses.
 				got.ICacheColdMisses, w.ICacheColdMisses = 0, 0
 			}
 			if got != w {

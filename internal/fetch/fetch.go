@@ -36,14 +36,15 @@ import (
 // (replayEvents), as an echo of an equal engine on another geometry
 // (echoCredit), or, for an NLS-table, as a reader of a table annotation
 // that one driver computes for every geometry (readTable). A grouped
-// engine keeps its own i-cache only as a tag mirror: fills land in it (a
-// reader copies the oracle's tags when the broadcast ends), but neither
-// first touches nor LRU order are tracked there. So an engine stepped
-// privately after a grouped broadcast would count every line's first touch
-// as a cold miss again and replace lines by stale recency. No production
-// path does so: the executor takes each engine's counters once its
-// broadcast ends and builds new engines per cell. Reset restores a clean
-// cold state either way.
+// engine keeps its own i-cache only as a tag mirror during the broadcast:
+// fills land in it, but neither first touches nor LRU order are tracked
+// there. When the broadcast ends, a member or reader takes the oracle's
+// resident lines and LRU order (cache.Oracle.MirrorInto), so it can go on
+// stepping privately; first touches stay with the oracle, so it would count
+// every line's first touch as a cold miss again. An echo's mirror stays
+// stale. No production path steps an engine after its broadcast: the
+// executor takes each engine's counters once its broadcast ends and builds
+// new engines per cell. Reset restores a clean cold state either way.
 type Engine = *Frontend
 
 // Run drives every record of a trace through the engine and returns its

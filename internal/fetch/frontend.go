@@ -692,9 +692,9 @@ func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 // state the private path would. LRU bookkeeping is skipped — the oracle
 // owns replacement decisions — and the access/miss counters are credited
 // in bulk per block. First touches are not recorded either: the oracle
-// counts the cold misses. The mirror is therefore exact for tags only, and
-// a replayed engine must not be stepped privately afterwards without a
-// Reset (see Engine).
+// counts the cold misses. The mirror is therefore exact for tags only
+// until the broadcast ends and copies the oracle's LRU order in (see
+// Engine).
 func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	slots := ann.Slots
 	ic := f.icache

@@ -55,14 +55,14 @@ func TestReplayPlanPartitioning(t *testing.T) {
 		t.Fatalf("got %d oracle groups, want 2", len(groups))
 	}
 	grp := groups[0]
-	if grp.oracle.Geometry() != g1 {
-		t.Errorf("group oracle geometry %v, want %v", grp.oracle.Geometry(), g1)
+	if grp.geom != g1 {
+		t.Errorf("group oracle geometry %v, want %v", grp.geom, g1)
 	}
 	if len(grp.members) != 3 || grp.members[0].idx != 0 || grp.members[1].idx != 2 || grp.members[2].idx != 3 {
 		t.Errorf("group members %v, want engine indices [0 2 3]", grp.members)
 	}
-	if lg := groups[1]; lg.oracle.Geometry() != g2 || len(lg.members) != 1 || lg.members[0].idx != 4 {
-		t.Errorf("lone group on %v has members %v, want engine index [4] on %v", lg.oracle.Geometry(), lg.members, g2)
+	if lg := groups[1]; lg.geom != g2 || len(lg.members) != 1 || lg.members[0].idx != 4 {
+		t.Errorf("lone group on %v has members %v, want engine index [4] on %v", lg.geom, lg.members, g2)
 	}
 	// polluted and the prefetching engine replay privately.
 	if len(private) != 2 || private[0].idx != 1 || private[1].idx != 5 {

@@ -105,13 +105,6 @@ type drvEntry struct {
 	off  uint8
 }
 
-// tableReader is one engine reading a driver's annotation, with the oracle
-// of its group.
-type tableReader struct {
-	fr     *Frontend
-	oracle *cache.Oracle
-}
-
 // tableDriver computes one table-annotation slot. It steps the break stream
 // of every drawn block through a geometry-free copy of the readers' table,
 // exactly as stepBreakAt and nlsPredictor would, reading the break
@@ -132,7 +125,7 @@ type tableDriver struct {
 		active bool
 		rec    trace.Record
 	}
-	readers []tableReader
+	readers []*Frontend
 }
 
 // nlsTable returns the NLS-table of an engine tableShareKey admitted.
@@ -198,7 +191,7 @@ func planTables(groups []*oracleGroup) []*tableDriver {
 		for _, c := range cs {
 			c.m.tab = d.slot
 			c.g.readers = append(c.g.readers, *c.m)
-			d.readers = append(d.readers, tableReader{c.m.fr, c.g.oracle})
+			d.readers = append(d.readers, c.m.fr)
 		}
 		drivers = append(drivers, d)
 	}
@@ -373,11 +366,10 @@ func readTables(readers []member, blk *sharedBlock, ann *cache.AccessAnnotations
 // handOff leaves every reader exactly as per-record stepping would have:
 // each table entry takes the driver's type and offset, the set of the
 // target line in the reader's geometry and the reader's own way; the
-// driven return stack and pending break are adopted; and the tag mirror is
-// copied from the group oracle, as a grouped member's mirror holds it.
+// driven return stack and pending break are adopted. The broadcast copies
+// the i-cache state from the oracle, as for every grouped member.
 func (d *tableDriver) handOff() {
-	for _, r := range d.readers {
-		f := r.fr
+	for _, f := range d.readers {
 		ents := f.nlsTable().Entries()
 		for e, de := range d.ents {
 			ents[e].Type, ents[e].Offset = de.typ, de.off
@@ -387,6 +379,5 @@ func (d *tableDriver) handOff() {
 			f.rstack.CopyFrom(d.ras)
 		}
 		f.pending = d.pending
-		r.oracle.MirrorInto(f.icache)
 	}
 }

@@ -197,8 +197,8 @@ func TestBroadcastTableAnnotationMixedLineSizes(t *testing.T) {
 			t.Errorf("driver on %d-byte lines has %d readers, want 2", d.geom.LineBytes(), len(d.readers))
 		}
 		for _, r := range d.readers {
-			if r.fr.geom.LineBytes() != d.geom.LineBytes() {
-				t.Errorf("driver on %d-byte lines read by an engine on %v", d.geom.LineBytes(), r.fr.geom)
+			if r.geom.LineBytes() != d.geom.LineBytes() {
+				t.Errorf("driver on %d-byte lines read by an engine on %v", d.geom.LineBytes(), r.geom)
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func TestBroadcastTablePlan(t *testing.T) {
 			t.Errorf("driver %d on %d-byte lines has %d readers, want %d", k, d.geom.LineBytes(), len(d.readers), want)
 		}
 		for _, r := range d.readers {
-			got[idx[r.fr]] = true
+			got[idx[r]] = true
 		}
 	}
 	for _, g := range groups {
