@@ -66,7 +66,7 @@ race:
 # simulation, byte-identical bodies; in TestFlightMemoHammer half of them
 # arrive after the flight finished and are answered by it).
 stress:
-	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|BroadcastTableAnnotation|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters|FlightMemoHammer' \
+	$(GO) test -race -run 'Stress|BroadcastMixedLineSizes|BroadcastSharesDirAnnotation|BroadcastHandOffMatchesStep|BroadcastTableAnnotation|BroadcastProbedMatchesReference|BroadcastProbedHandOff|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention|StoreTypedReadersRaceWriters|FlightMemoHammer' \
 		./internal/fetch ./internal/experiments ./internal/serve
 
 # Short fuzz passes over the trace parser, the chunked iterator, the

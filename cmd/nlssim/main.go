@@ -230,9 +230,7 @@ func simulate(w workload.Spec, s arch.Spec, name string, insns int, storeDir str
 		res.reports = ctx.Reports(experiments.AttributionTopN)[:1]
 	}
 	if h2p {
-		all := ctx.Reports(0)
-		pair := all[len(all)-2:]
-		res.ranks = []obs.H2PRanking{obs.RankH2P(pair[0], pair[1], experiments.H2PTopN)}
+		res.ranks = []obs.H2PRanking{ctx.RankH2P(len(probed)-2, len(probed)-1, experiments.H2PTopN)}
 	}
 	return res, nil
 }

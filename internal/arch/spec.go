@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/btb"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/fetch"
 	"repro/internal/pht"
 	"repro/internal/ras"
@@ -33,6 +34,14 @@ const (
 	MaxCacheBytes = 1 << 28
 	// MaxRASDepth bounds the return-stack depth.
 	MaxRASDepth = 1 << 16
+	// MaxAssoc bounds the cache associativity: the broadcast's fetch
+	// oracle keeps a way in the 7 bits of cache.AnnWayMask.
+	MaxAssoc = int(cache.AnnWayMask) + 1
+	// MaxPointerSets bounds the cache sets of an architecture whose
+	// predictor names a set: an NLS or Johnson pointer keeps it in 16
+	// bits (core.Entry.Set, core.JohnsonEntry.Set), as does a break event
+	// of the fetch oracle (cache.EvtSetShift).
+	MaxPointerSets = 1 << 16
 	// MaxPrefetchFTQDepth bounds the fetch-target queue of a decoupled
 	// (fdip) frontend.
 	MaxPrefetchFTQDepth = 1 << 10
@@ -321,6 +330,16 @@ func (s Spec) Validate() error {
 	if s.RASDepth > MaxRASDepth {
 		return fmt.Errorf("arch: ras_depth %d exceeds the %d cap", s.RASDepth, MaxRASDepth)
 	}
+	if g.Assoc() > MaxAssoc {
+		return fmt.Errorf("arch: cache assoc %d exceeds the %d cap", g.Assoc(), MaxAssoc)
+	}
+	switch s.Predictor.Kind {
+	case KindNLSTable, KindNLSCache, KindHybrid, KindJohnson:
+		if g.NumSets() > MaxPointerSets {
+			return fmt.Errorf("arch: %s pointers name at most %d sets; a %d-byte cache of %d-byte lines at assoc %d has %d",
+				s.Predictor.Kind, MaxPointerSets, g.SizeBytes(), g.LineBytes(), g.Assoc(), g.NumSets())
+		}
+	}
 	coupledDir := false
 	switch s.Predictor.Kind {
 	case KindNLSTable:
@@ -355,6 +374,10 @@ func (s Spec) Validate() error {
 				s.Predictor.Kind, s.Predictor.BTBEntries, MaxPredictorEntries)
 		}
 	case KindJohnson:
+		if g.InstrsPerLine()%core.JohnsonInstrsPerPred != 0 {
+			return fmt.Errorf("arch: %s line_bytes %d must hold a multiple of %d instructions",
+				s.Predictor.Kind, g.LineBytes(), core.JohnsonInstrsPerPred)
+		}
 		coupledDir = true
 	default:
 		return fmt.Errorf("arch: unknown predictor kind %q", s.Predictor.Kind)

@@ -39,11 +39,15 @@ type JohnsonEntry struct {
 	Way    uint8
 }
 
+// JohnsonInstrsPerPred is the number of instructions one successor index
+// covers, so a Johnson cache line must hold a multiple of it.
+const JohnsonInstrsPerPred = 4
+
 // NewJohnson attaches successor-index predictors to the cache, one per four
 // instructions as in the TFP.
 func NewJohnson(c *cache.Cache) *JohnsonCoupled {
 	g := c.Geometry()
-	const instrsPerPred = 4
+	const instrsPerPred = JohnsonInstrsPerPred
 	if g.InstrsPerLine()%instrsPerPred != 0 {
 		panic("core: line must hold a multiple of 4 instructions")
 	}

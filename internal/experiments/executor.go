@@ -548,6 +548,13 @@ func (c RenderContext) Reports(topN int) []obs.Report {
 	return out
 }
 
+// RankH2P ranks the dir-wrong branches of the Probed grid's cells base and
+// alt, two arms on one program (obs.RankH2P), keeping the top n.
+func (c RenderContext) RankH2P(base, alt, n int) obs.H2PRanking {
+	b, a := c.probes[base], c.probes[alt]
+	return obs.RankH2P(b.Prog.Name, b.Arm, a.Arm, b.tab, a.tab, n)
+}
+
 // ArmRows returns the rows of one arm across all programs, program-major
 // (cache-minor within a program).
 func (c RenderContext) ArmRows(arm int) []Row {

@@ -28,9 +28,9 @@ func H2PGrid() Grid {
 // much of that dir-wrong tail the equal-cost TAGE-lite arm recovers. Like
 // the attribution figure it probes its grid: the comparison is an
 // event-stream product (per-PC cause counts), not a stored counter row.
-// Reports come in cell order — program-major, two arms per program — and
-// each ranking pairs full (untruncated) per-PC tables so the alt side of
-// every base-heavy branch is counted.
+// Cells come in program-major order, two arms per program, and each
+// ranking pairs the two arms' full per-PC tables, so the alt side of every
+// base-heavy branch is counted.
 func h2pFigure() Figure {
 	g := H2PGrid()
 	return Figure{
@@ -38,10 +38,9 @@ func h2pFigure() Figure {
 		Grid:   Grid{Name: "h2p"}, // no counter cells
 		Probed: &g,
 		Render: func(ctx RenderContext) (string, any) {
-			reports := ctx.Reports(0)
-			ranks := make([]obs.H2PRanking, len(reports)/2)
+			ranks := make([]obs.H2PRanking, len(ctx.probes)/2)
 			for p := range ranks {
-				ranks[p] = obs.RankH2P(reports[2*p], reports[2*p+1], H2PTopN)
+				ranks[p] = ctx.RankH2P(2*p, 2*p+1, H2PTopN)
 			}
 			text := obs.RenderH2P(
 				"H2P: dir-wrong recovery, equal-cost gshare vs TAGE-lite (1024 NLS-table)",

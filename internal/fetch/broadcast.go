@@ -52,12 +52,16 @@ type member struct {
 	// tab is the slot of each block's table annotation a table reader
 	// reads, or -1 when fr replays (see tableDriver).
 	tab int
+	// sites reports that fr reads each block's site annotation (see
+	// siteDriver).
+	sites bool
 }
 
 // replayPrivate steps a private engine (polluted or decoupled) through one
 // block on its own cache, as StepBlock does outside a broadcast.
 func (m *member) replayPrivate(blk *sharedBlock) {
 	m.fr.readDirs(blk, m.dir)
+	m.fr.readSites(blk, m.sites)
 	start := time.Now()
 	m.fr.StepBlock(blk.recs)
 	m.fr.replayTime += time.Since(start)
@@ -236,6 +240,94 @@ func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 	return drivers
 }
 
+// siteDriver numbers the breaks of every drawn block for the probed
+// engines, on the main goroutine before the block is fanned out: one map
+// lookup per break for all of them, where each would otherwise number its
+// own. Its readers are the engines whose own numbering agrees with the
+// driver's table (planSites); they read the block's site annotation,
+// grouped or private, and take the driver's table when the broadcast ends.
+type siteDriver struct {
+	table   *siteTable
+	readers []*Frontend
+}
+
+// planSites returns the site driver of a broadcast, or nil when no engine
+// numbers sites (no probe ever attached). Engines number alike when they
+// hold the same table or both hold an empty one; the driver serves the
+// largest such class (the first on a tie), and starts from a copy of its
+// table, so an engine outside the broadcast sharing it sees no new ids.
+// Every other probed engine numbers its own sites as it replays.
+func planSites(private []member, groups []*oracleGroup) *siteDriver {
+	var best []*member
+	var byClass map[*siteTable][]*member
+	class := func(m *member) {
+		c := m.fr.sites
+		if c == nil {
+			return
+		}
+		if len(c.ids) == 0 {
+			c = nil // every empty table numbers alike
+		}
+		if byClass == nil {
+			byClass = make(map[*siteTable][]*member)
+		}
+		byClass[c] = append(byClass[c], m)
+		if len(byClass[c]) > len(best) {
+			best = byClass[c]
+		}
+	}
+	for _, g := range groups {
+		for i := range g.members {
+			class(&g.members[i])
+		}
+	}
+	for i := range private {
+		class(&private[i])
+	}
+	if best == nil {
+		return nil
+	}
+	d := &siteDriver{table: best[0].fr.sites.clone()}
+	for _, m := range best {
+		m.sites = true
+		d.readers = append(d.readers, m.fr)
+	}
+	return d
+}
+
+// annotate appends the site of each of recs' breaks to out[:0], in break
+// order. Given the block's runs (any line size), it skips each non-break's
+// same-line followers; with nil runs it visits every record.
+func (d *siteDriver) annotate(recs []trace.Record, runs []uint8, out []uint32) []uint32 {
+	out = out[:0]
+	for i := 0; i < len(recs); i++ {
+		switch r := recs[i]; {
+		case r.IsBreak():
+			out = append(out, d.table.id(r.PC))
+		case runs != nil:
+			i += int(runs[i])
+		}
+	}
+	return out
+}
+
+// readSites points f's site cursor at the start of blk's site annotation
+// when f reads it; otherwise f numbers its own sites.
+func (f *Frontend) readSites(blk *sharedBlock, read bool) {
+	if read {
+		f.siteIn = blk.sites
+	}
+}
+
+// handOff detaches the readers, which share the driver's table from now
+// on: the first to number a new break copies it (Frontend.nextSite).
+func (d *siteDriver) handOff() {
+	d.table.shared = true
+	for _, f := range d.readers {
+		f.sites, f.siteIn = d.table, nil
+	}
+}
+
 // replayMembers steps grouped members through one annotated block,
 // charging each member's replay time with its own share of the wall time
 // (one clock read per member).
@@ -243,6 +335,7 @@ func replayMembers(members []member, blk *sharedBlock, ann *cache.AccessAnnotati
 	start := time.Now()
 	for _, m := range members {
 		m.fr.readDirs(blk, m.dir)
+		m.fr.readSites(blk, m.sites)
 		m.fr.replayEvents(blk.recs, ann)
 		end := time.Now()
 		m.fr.replayTime += end.Sub(start)
@@ -355,16 +448,18 @@ type sharedAnn struct {
 
 // sharedBlock is one block fanned out by the broadcast, with its run
 // annotation (one slot per line size, see planRuns), its direction
-// annotation (one slot per dirDriver) and its table annotation (one slot
-// per tableDriver). Its reference count is fixed before it is sent: one
-// per group target (one for a group whose members were all echoed away or
-// read tables) plus one per worker owning private engines. The last reader
-// releases it to the source and recycles it.
+// annotation (one slot per dirDriver), its site annotation (see
+// siteDriver) and its table annotation (one slot per tableDriver). Its
+// reference count is fixed before it is sent: one per group target (one
+// for a group whose members were all echoed away or read tables) plus one
+// per worker owning private engines. The last reader releases it to the
+// source and recycles it.
 type sharedBlock struct {
-	recs []trace.Record
-	runs [][]uint8
-	dirs []dirBits
-	tabs []tableAnn
+	recs  []trace.Record
+	runs  [][]uint8
+	dirs  []dirBits
+	sites []uint32
+	tabs  []tableAnn
 	// succ lists, ascending, the breaks whose successor slot a table
 	// reader needs from its group's annotation (cache.Oracle.AnnotateSucc).
 	succ []uint16
@@ -388,9 +483,10 @@ type workItem struct {
 //
 // The main goroutine draws each block and computes its run annotation, once
 // per line size a group needs (planRuns), its direction annotation
-// (dirDriver) and its table annotation (tableDriver). Engines keep a
-// static round-robin worker assignment (engine i → worker i mod workers);
-// each worker drains its own bounded channel. Grouped engines add one
+// (dirDriver), its site annotation (siteDriver) and its table annotation
+// (tableDriver). Engines keep a static round-robin worker assignment
+// (engine i → worker i mod workers); each worker drains its own bounded
+// channel. Grouped engines add one
 // goroutine per line size: its oracle annotates each block once for every
 // group of that line size, and for each group it steps the echoes and
 // table readers and fans the group's annotation to exactly the workers
@@ -408,6 +504,7 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	lines := planRuns(groups)
 	drivers := planDirs(private, groups)
 	tables := planTables(groups)
+	sites := planSites(private, groups)
 	annotators := planAnnotators(groups, lines)
 	workers = max(1, min(workers, len(engines)))
 
@@ -536,6 +633,13 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 			}
 			d.annotate(recs, runs, &blk.dirs[k])
 		}
+		if sites != nil {
+			var runs []uint8
+			if len(lines) > 0 {
+				runs = blk.runs[0]
+			}
+			blk.sites = sites.annotate(recs, runs, blk.sites)
+		}
 		blk.succ = blk.succ[:0]
 		for _, d := range tables {
 			d.annotate(blk)
@@ -589,6 +693,9 @@ func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...*Frontend) 
 	}
 	for _, d := range tables {
 		d.handOff()
+	}
+	if sites != nil {
+		sites.handOff()
 	}
 	return n
 }

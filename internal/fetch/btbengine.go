@@ -28,8 +28,8 @@ type btbPredictor struct {
 	lastEntry btb.Entry
 	lastHit   bool
 
-	// track records which PCs ever entered the BTB, for cause attribution
-	// only (nil until a probe enables tracking).
+	// track records which sites ever entered the BTB, for cause
+	// attribution only (see causeExplainer).
 	track trainedSet
 }
 
@@ -64,7 +64,6 @@ func (p *btbPredictor) Lookup(rec trace.Record, _, _ int, dirTaken bool) Outcome
 // the BTB (§3); full addresses need no deferral.
 func (p *btbPredictor) Update(rec trace.Record) bool {
 	if rec.Taken {
-		p.track.mark(rec.PC)
 		p.buf.RecordTaken(rec.PC, rec.Target, rec.Kind)
 	}
 	return false
@@ -73,21 +72,24 @@ func (p *btbPredictor) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor (never deferred).
 func (p *btbPredictor) Resolve(trace.Record, int) {}
 
-// enableTracking implements causeExplainer.
-func (p *btbPredictor) enableTracking() {
-	if p.track == nil {
-		p.track = make(trainedSet)
+// updated implements causeExplainer: a taken break entered the BTB.
+func (p *btbPredictor) updated(rec trace.Record, site uint32) {
+	if rec.Taken {
+		p.track.mark(site)
 	}
 }
+
+// resolved implements causeExplainer (never deferred).
+func (p *btbPredictor) resolved(uint32) {}
 
 // lastCause implements causeExplainer. A BTB miss for a branch that was
 // inserted before means its entry was displaced by conflict or capacity
 // pressure (§3's tagged, set-associative organization has no other way to
 // lose an entry); the only penalized hit that reaches here is a moving
 // indirect target (direction and return errors are the frontend's).
-func (p *btbPredictor) lastCause(rec trace.Record, _ bool) Cause {
+func (p *btbPredictor) lastCause(_ trace.Record, _ bool, site uint32) Cause {
 	if !p.lastHit {
-		if p.track.has(rec.PC) {
+		if p.track.has(site) {
 			return CauseBTBConflict
 		}
 		return CauseCold
@@ -128,9 +130,7 @@ func (p *btbPredictor) SizeBits() int { return p.buf.SizeBits() }
 // Reset implements TargetPredictor.
 func (p *btbPredictor) Reset() {
 	p.buf.Reset()
-	if p.track != nil {
-		clear(p.track)
-	}
+	clear(p.track)
 }
 
 // NewBTBEngine builds the decoupled BTB architecture: a Frontend driven by

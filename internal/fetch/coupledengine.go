@@ -41,8 +41,8 @@ type coupledBTBPredictor struct {
 	// counter update and by WrongPath.
 	lastSlot int
 
-	// track records which PCs ever entered the BTB, for cause attribution
-	// only (nil until a probe enables tracking).
+	// track records which sites ever entered the BTB, for cause
+	// attribution only (see causeExplainer).
 	track trainedSet
 }
 
@@ -164,7 +164,6 @@ func (p *coupledBTBPredictor) Update(rec trace.Record) bool {
 		}
 	}
 	if rec.Taken {
-		p.track.mark(rec.PC)
 		p.insert(rec.PC, rec.Target, rec.Kind)
 	}
 	return false
@@ -173,21 +172,24 @@ func (p *coupledBTBPredictor) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor (never deferred).
 func (p *coupledBTBPredictor) Resolve(trace.Record, int) {}
 
-// enableTracking implements causeExplainer.
-func (p *coupledBTBPredictor) enableTracking() {
-	if p.track == nil {
-		p.track = make(trainedSet)
+// updated implements causeExplainer: a taken break was inserted.
+func (p *coupledBTBPredictor) updated(rec trace.Record, site uint32) {
+	if rec.Taken {
+		p.track.mark(site)
 	}
 }
+
+// resolved implements causeExplainer (never deferred).
+func (p *coupledBTBPredictor) resolved(uint32) {}
 
 // lastCause implements causeExplainer. The coupled design's defining
 // weakness shows up here: a displaced entry loses the branch's direction
 // history along with its target, so a previously-inserted branch that
 // misses classifies as conflict loss, not cold. Conditional direction
 // errors on a hit are left to the frontend's DirWrong labeling.
-func (p *coupledBTBPredictor) lastCause(rec trace.Record, _ bool) Cause {
+func (p *coupledBTBPredictor) lastCause(rec trace.Record, _ bool, site uint32) Cause {
 	if p.lastSlot < 0 {
-		if p.track.has(rec.PC) {
+		if p.track.has(site) {
 			return CauseBTBConflict
 		}
 		return CauseCold
@@ -225,9 +227,7 @@ func (p *coupledBTBPredictor) Reset() {
 	}
 	p.clock = 0
 	p.lastSlot = -1
-	if p.track != nil {
-		clear(p.track)
-	}
+	clear(p.track)
 }
 
 // NewCoupledBTBEngine builds the coupled (Pentium-style) BTB architecture:

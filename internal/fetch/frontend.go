@@ -110,6 +110,9 @@ type predictStage struct {
 	dir    pht.Predictor
 	tp     TargetPredictor
 	traits Traits
+	// explain is tp's half of cause classification, set when the first
+	// probe attaches (nil for a predictor that offers none).
+	explain causeExplainer
 
 	// ftq buffers the predicted fetch-block addresses between the BPU
 	// cursor and the fetch stage.
@@ -163,10 +166,14 @@ type Frontend struct {
 	// pending holds a break whose predictor update was deferred by
 	// TargetPredictor.Update until the successor's cache way is known;
 	// the next fetched record resolves it.
-	pending struct {
-		active bool
-		rec    trace.Record
-	}
+	pending pendingBreak
+
+	// sites numbers the static breaks once a probe has attached (nil
+	// before). siteIn, when non-nil, is the rest of the current block's
+	// site annotation (see siteDriver in broadcast.go): nextSite takes
+	// each break's site from its front instead of numbering it.
+	sites  *siteTable
+	siteIn []uint32
 
 	// dirIn, when non-nil, is the current block's direction annotation
 	// (see dirDriver in broadcast.go): stepBreakAt reads each break's
@@ -181,6 +188,28 @@ type Frontend struct {
 
 	// runs is StepBlock's scratch run annotation.
 	runs []uint8
+}
+
+// pendingBreak is a break whose predictor update waits for its successor's
+// fetch; site is its site (see siteTable), 0 while no probe has attached.
+type pendingBreak struct {
+	rec    trace.Record
+	site   uint32
+	active bool
+}
+
+// resolvePending completes the deferred update when the record at pc,
+// fetched into way, is the pending break's successor, and drops it
+// otherwise (Step's chaining guard: it only matters for malformed,
+// non-chained input). Callers check pending.active first.
+func (f *Frontend) resolvePending(pc isa.Addr, way int) {
+	if f.pending.rec.Next() == pc {
+		f.bpu.tp.Resolve(f.pending.rec, way)
+		if f.bpu.explain != nil {
+			f.bpu.explain.resolved(f.pending.site)
+		}
+	}
+	f.pending.active = false
 }
 
 // ReplayTime returns the wall time broadcasts spent stepping e's blocks
@@ -329,13 +358,9 @@ func (f *Frontend) Step(rec trace.Record) {
 	_, way := f.access(rec)
 
 	// Resolve the deferred update for the previous break: this record IS
-	// its successor, so the successor line's way is now known. (The
-	// equality guard only matters for malformed, non-chained input.)
+	// its successor, so the successor line's way is now known.
 	if f.pending.active {
-		if f.pending.rec.Next() == rec.PC {
-			f.bpu.tp.Resolve(f.pending.rec, way)
-		}
-		f.pending.active = false
+		f.resolvePending(rec.PC, way)
 	}
 
 	if !rec.IsBreak() {
@@ -406,10 +431,7 @@ func (f *Frontend) fetchOne(recs []trace.Record, i int) {
 	}
 
 	if f.pending.active {
-		if f.pending.rec.Next() == rec.PC {
-			f.bpu.tp.Resolve(f.pending.rec, way)
-		}
-		f.pending.active = false
+		f.resolvePending(rec.PC, way)
 	}
 
 	if !rec.IsBreak() {
@@ -557,8 +579,12 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 
 	// Attribution probe: emit after the break's architectural effects and
 	// before the predictors train on it (see probe.go).
-	if f.probe != nil {
-		f.emitBreak(rec, out, dirTaken, penalty)
+	var site uint32
+	if f.sites != nil {
+		site = f.nextSite(rec.PC)
+		if f.probe != nil {
+			f.emitBreak(rec, site, out, dirTaken, penalty)
+		}
 	}
 
 	// Close the direction prediction opened above, after any wrong-path
@@ -571,8 +597,10 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	// Train the target predictor; a deferred update waits for the
 	// successor's fetch to reveal its cache way.
 	if f.bpu.tp.Update(rec) {
-		f.pending.active = true
-		f.pending.rec = rec
+		f.pending = pendingBreak{active: true, rec: rec, site: site}
+	}
+	if f.bpu.explain != nil {
+		f.bpu.explain.updated(rec, site)
 	}
 	return penalty
 }
@@ -605,14 +633,15 @@ func (f *Frontend) oracleEligible() bool {
 // cold state), a direction predictor exposing a cold StateKey (config
 // including history width), an empty RAS, zero counters, no in-flight
 // deferred update, oracle eligibility (no pollution or prefetching — each
-// forks per-engine state the echo would miss), and no probe: an echoed
-// engine steps nothing, so its probe would see no events.
+// forks per-engine state the echo would miss), and no probe ever attached:
+// an echoed engine steps nothing, so its probe would see no events, and a
+// later probe would miss the sites and shadow training it stepped past.
 func (f *Frontend) echoInvariant() (string, bool) {
 	inv, ok := f.bpu.tp.(interface{ invariantKey() (string, bool) })
 	if !ok {
 		return "", false
 	}
-	if !f.oracleEligible() || f.probe != nil || !f.coldBreaks() {
+	if !f.oracleEligible() || f.sites != nil || !f.coldBreaks() {
 		return "", false
 	}
 	tkey, ok := inv.invariantKey()
@@ -708,10 +737,7 @@ func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotation
 		if ev&cache.EvtPost != 0 && f.pending.active {
 			// A break at the end of the PREVIOUS block deferred its
 			// update to this block's first record.
-			if f.pending.rec.Next() == r.PC {
-				f.bpu.tp.Resolve(f.pending.rec, way)
-			}
-			f.pending.active = false
+			f.resolvePending(r.PC, way)
 		}
 		if ev&cache.EvtBreak != 0 {
 			// The event carries the break PC's set index, computed once
@@ -726,10 +752,7 @@ func (f *Frontend) replayEvents(recs []trace.Record, ann *cache.AccessAnnotation
 			// Step's chaining guard applies: a next record that is not
 			// the break's successor drops the update.
 			if f.pending.active && i+1 < len(recs) {
-				if f.pending.rec.Next() == recs[i+1].PC {
-					f.bpu.tp.Resolve(f.pending.rec, int(slots[i+1]&cache.AnnWayMask))
-				}
-				f.pending.active = false
+				f.resolvePending(recs[i+1].PC, int(slots[i+1]&cache.AnnWayMask))
 			}
 		}
 	}

@@ -34,8 +34,8 @@ type johnsonPredictor struct {
 	// the deferred update as a residency hint.
 	lastSet, lastWay int
 
-	// track records which PCs ever wrote a successor pointer, for cause
-	// attribution only (nil until a probe enables tracking).
+	// track records which sites ever wrote a successor pointer, for
+	// cause attribution only (see causeExplainer).
 	track trainedSet
 }
 
@@ -74,16 +74,14 @@ func (p *johnsonPredictor) Update(trace.Record) bool { return true }
 // Resolve implements TargetPredictor, completing the deferred successor
 // update now that the successor's cache way is known.
 func (p *johnsonPredictor) Resolve(rec trace.Record, way int) {
-	p.track.mark(rec.PC)
 	p.store.UpdateAt(rec.PC, rec.Next(), way, p.lastSet, p.lastWay)
 }
 
-// enableTracking implements causeExplainer.
-func (p *johnsonPredictor) enableTracking() {
-	if p.track == nil {
-		p.track = make(trainedSet)
-	}
-}
+// updated implements causeExplainer: every update is deferred.
+func (p *johnsonPredictor) updated(trace.Record, uint32) {}
+
+// resolved implements causeExplainer: the successor pointer was written.
+func (p *johnsonPredictor) resolved(site uint32) { p.track.mark(site) }
 
 // lastCause implements causeExplainer. Johnson's successor pointers are
 // line-coupled, so an invalid pointer for a branch that updated one before
@@ -91,9 +89,9 @@ func (p *johnsonPredictor) enableTracking() {
 // that encoded the wrong direction is the implicit one-bit direction
 // predictor's fault (the frontend labels it DirWrong); any other followed
 // miss is a stale cache-relative pointer.
-func (p *johnsonPredictor) lastCause(rec trace.Record, dirTaken bool) Cause {
+func (p *johnsonPredictor) lastCause(rec trace.Record, dirTaken bool, site uint32) Cause {
 	if !p.lastFollowed {
-		if p.track.has(rec.PC) {
+		if p.track.has(site) {
 			return CauseEvictionLoss
 		}
 		return CauseCold
@@ -128,9 +126,7 @@ func (p *johnsonPredictor) SizeBits() int { return p.store.SizeBits() }
 // Reset implements TargetPredictor.
 func (p *johnsonPredictor) Reset() {
 	p.store.Reset()
-	if p.track != nil {
-		clear(p.track)
-	}
+	clear(p.track)
 }
 
 // NewJohnsonEngine builds the successor-index baseline: a Frontend driven

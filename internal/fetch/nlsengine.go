@@ -78,8 +78,8 @@ type nlsPredictor[S nlsStore] struct {
 	// time, so the pending update always belongs to the last lookup).
 	lastSet, lastWay int
 
-	// track records which PCs ever had NLS state written, for cause
-	// attribution only (nil until a probe enables tracking).
+	// track records which sites ever had NLS state written, for cause
+	// attribution only (see causeExplainer).
 	track trainedSet
 }
 
@@ -131,7 +131,6 @@ func (p *nlsPredictor[S]) Update(rec trace.Record) bool {
 	if rec.Taken {
 		return true
 	}
-	p.track.mark(rec.PC)
 	p.store.update(rec.PC, rec.Kind, false, 0, 0, p.lastSet, p.lastWay)
 	return false
 }
@@ -139,23 +138,26 @@ func (p *nlsPredictor[S]) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor, completing the deferred taken-branch
 // pointer update now that the target's cache way is known.
 func (p *nlsPredictor[S]) Resolve(rec trace.Record, way int) {
-	p.track.mark(rec.PC)
 	p.store.update(rec.PC, rec.Kind, true, rec.Target, way, p.lastSet, p.lastWay)
 }
 
-// enableTracking implements causeExplainer.
-func (p *nlsPredictor[S]) enableTracking() {
-	if p.track == nil {
-		p.track = make(trainedSet)
+// updated implements causeExplainer: a not-taken break wrote its entry
+// (a taken one writes it when it resolves).
+func (p *nlsPredictor[S]) updated(rec trace.Record, site uint32) {
+	if !rec.Taken {
+		p.track.mark(site)
 	}
 }
+
+// resolved implements causeExplainer.
+func (p *nlsPredictor[S]) resolved(site uint32) { p.track.mark(site) }
 
 // lastCause implements causeExplainer, explaining the last Lookup's miss
 // from the mechanism it selected. An invalid entry for a branch that was
 // trained before can only mean line-coupled state died with an evicted line
 // (the tag-less table never invalidates a written entry), which is exactly
 // the NLS-cache weakness the attribution report exists to expose.
-func (p *nlsPredictor[S]) lastCause(rec trace.Record, _ bool) Cause {
+func (p *nlsPredictor[S]) lastCause(rec trace.Record, _ bool, site uint32) Cause {
 	switch p.lastMode {
 	case modeRAS:
 		if rec.Kind == isa.Return {
@@ -168,7 +170,7 @@ func (p *nlsPredictor[S]) lastCause(rec trace.Record, _ bool) Cause {
 		return CauseStalePointer
 	case modeFallThrough:
 		if p.lastEntry.Type == core.TypeInvalid {
-			if p.track.has(rec.PC) {
+			if p.track.has(site) {
 				return CauseEvictionLoss
 			}
 			return CauseCold
@@ -217,9 +219,7 @@ func (p *nlsPredictor[S]) SizeBits() int { return p.store.sizeBits() }
 // Reset implements TargetPredictor.
 func (p *nlsPredictor[S]) Reset() {
 	p.store.reset()
-	if p.track != nil {
-		clear(p.track)
-	}
+	clear(p.track)
 }
 
 // newNLSEngine builds the NLS fetch architecture: a Frontend driven by an

@@ -1,6 +1,8 @@
 package fetch
 
 import (
+	"maps"
+
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -110,9 +112,13 @@ func (c Cause) String() string {
 // sees it: what the front end predicted, what actually happened, and — for
 // wrong fetches — why.
 type BreakEvent struct {
-	// PC and Kind identify the static branch.
+	// PC and Kind identify the static branch. Site numbers it densely:
+	// the engine's static break PCs in first-seen order since its first
+	// probe attached, so a probe may index slices by Site instead of
+	// hashing PC. It is identical on every replay path (DESIGN.md §10).
 	PC   isa.Addr
 	Kind isa.Kind
+	Site uint32
 	// Taken and Target are the architectural outcome.
 	Taken  bool
 	Target isa.Addr
@@ -140,38 +146,84 @@ type Probe interface {
 }
 
 // causeExplainer is the optional per-predictor half of cause
-// classification: lastCause explains the most recent Lookup for rec, and
-// enableTracking switches on the shadow state (ever-trained sets) that
-// separates cold misses from eviction and conflict losses. Tracking is off
-// until a probe is attached, so the unprobed hot path never touches it.
+// classification: lastCause explains the most recent Lookup for rec, the
+// break numbered site, and updated and resolved report that an Update or a
+// Resolve just made for the break numbered site, so the predictor can keep
+// the shadow "ever trained" state (trainedSet) that separates cold misses
+// from eviction and conflict losses. The Frontend calls the hooks only once
+// a probe has attached, so the unprobed hot path never touches them.
 type causeExplainer interface {
-	lastCause(rec trace.Record, dirTaken bool) Cause
-	enableTracking()
+	lastCause(rec trace.Record, dirTaken bool, site uint32) Cause
+	updated(rec trace.Record, site uint32)
+	resolved(site uint32)
 }
 
 // AttachProbe connects a probe to the frontend (nil detaches). Attach
-// before the run starts: cause tracking begins at attach time, and events
-// for breaks stepped earlier are not replayed.
+// before the run starts: cause tracking and site numbering begin when the
+// first probe attaches, and events for breaks stepped earlier are not
+// replayed. Both go on after a detach, so a later probe sees the same
+// sites and causes it would have seen attached all along.
 func (f *Frontend) AttachProbe(p Probe) {
 	f.probe = p
-	if p != nil {
-		if ce, ok := f.bpu.tp.(causeExplainer); ok {
-			ce.enableTracking()
-		}
+	if p != nil && f.sites == nil {
+		f.sites = &siteTable{ids: make(map[isa.Addr]uint32)}
+		f.bpu.explain, _ = f.bpu.tp.(causeExplainer)
 	}
+}
+
+// siteTable numbers static break PCs densely, in first-seen order. After a
+// broadcast its readers share the driver's table; shared marks it, and a
+// holder copies it before assigning a new id.
+type siteTable struct {
+	ids    map[isa.Addr]uint32
+	shared bool
+}
+
+// id returns pc's site, assigning the next one to a new pc. t must not be
+// shared.
+func (t *siteTable) id(pc isa.Addr) uint32 {
+	s, ok := t.ids[pc]
+	if !ok {
+		s = uint32(len(t.ids))
+		t.ids[pc] = s
+	}
+	return s
+}
+
+// clone returns an unshared copy of t.
+func (t *siteTable) clone() *siteTable {
+	return &siteTable{ids: maps.Clone(t.ids)}
+}
+
+// nextSite returns the site of the break at pc: the next id of the current
+// block's site annotation when a broadcast gives one (siteIn), else the
+// engine's own numbering.
+func (f *Frontend) nextSite(pc isa.Addr) uint32 {
+	if f.siteIn != nil {
+		s := f.siteIn[0]
+		f.siteIn = f.siteIn[1:]
+		return s
+	}
+	if f.sites.shared {
+		if s, ok := f.sites.ids[pc]; ok {
+			return s
+		}
+		f.sites = f.sites.clone()
+	}
+	return f.sites.id(pc)
 }
 
 // emitBreak builds and delivers the event for one resolved break. Called
 // only when a probe is attached, after the break's architectural effects
 // (RAS push/pop, pollution touches) and before the predictor trains on it —
 // so cause tracking still describes the state the prediction was made from.
-func (f *Frontend) emitBreak(rec trace.Record, out Outcome, dirTaken bool, penalty PenaltyClass) {
+func (f *Frontend) emitBreak(rec trace.Record, site uint32, out Outcome, dirTaken bool, penalty PenaltyClass) {
 	ev := BreakEvent{
-		PC: rec.PC, Kind: rec.Kind, Taken: rec.Taken, Target: rec.Target,
+		PC: rec.PC, Kind: rec.Kind, Site: site, Taken: rec.Taken, Target: rec.Target,
 		PredTaken: dirTaken, Followed: out.Followed, Penalty: penalty,
 	}
 	if penalty != PenaltyNone {
-		ev.Cause = f.classifyCause(rec, out, dirTaken, penalty)
+		ev.Cause = f.classifyCause(rec, site, out, dirTaken, penalty)
 		if wp, ok := f.bpu.tp.WrongPath(rec); ok {
 			ev.WrongPath, ev.WrongPathKnown = wp, true
 			ev.Polluted = f.pollution.enabled
@@ -187,15 +239,15 @@ func (f *Frontend) emitBreak(rec trace.Record, out Outcome, dirTaken bool, penal
 // the stack was wrong (§6's accounting), so no target predictor could have
 // saved it. Everything else defers to the predictor's own explanation, with
 // architecture-independent fallbacks for predictors that offer none.
-func (f *Frontend) classifyCause(rec trace.Record, out Outcome, dirTaken bool, penalty PenaltyClass) Cause {
+func (f *Frontend) classifyCause(rec trace.Record, site uint32, out Outcome, dirTaken bool, penalty PenaltyClass) Cause {
 	if !f.bpu.traits.CoupledDirection && rec.Kind == isa.CondBranch && dirTaken != rec.Taken {
 		return CauseDirWrong
 	}
 	if !f.bpu.traits.NoRAS && rec.Kind == isa.Return && penalty == PenaltyMispredict {
 		return CauseRASMiss
 	}
-	if ce, ok := f.bpu.tp.(causeExplainer); ok {
-		if c := ce.lastCause(rec, dirTaken); c != CauseNone {
+	if ce := f.bpu.explain; ce != nil {
+		if c := ce.lastCause(rec, dirTaken, site); c != CauseNone {
 			return c
 		}
 	}
@@ -209,20 +261,19 @@ func (f *Frontend) classifyCause(rec trace.Record, out Outcome, dirTaken bool, p
 }
 
 // trainedSet is the shadow "ever trained" state behind eviction- and
-// conflict-loss attribution: nil (and untouched) until a probe enables
-// tracking, so the unprobed hot path pays only a nil check per update.
-type trainedSet map[isa.Addr]struct{}
+// conflict-loss attribution: one bit per site, marked through the
+// causeExplainer hooks once a probe attached.
+type trainedSet []uint64
 
-func (t trainedSet) mark(pc isa.Addr) {
-	if t != nil {
-		t[pc] = struct{}{}
+func (t *trainedSet) mark(site uint32) {
+	w := int(site >> 6)
+	if w >= len(*t) {
+		*t = append(*t, make([]uint64, w+1-len(*t))...)
 	}
+	(*t)[w] |= 1 << (site & 63)
 }
 
-func (t trainedSet) has(pc isa.Addr) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t[pc]
-	return ok
+func (t trainedSet) has(site uint32) bool {
+	w := int(site >> 6)
+	return w < len(t) && t[w]>>(site&63)&1 != 0
 }

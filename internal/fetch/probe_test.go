@@ -2,6 +2,7 @@ package fetch
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/btb"
@@ -347,6 +348,9 @@ func TestBroadcastProbedMatchesReference(t *testing.T) {
 	if groups[0].members[0].dir < 0 {
 		t.Fatal("plan: the probed NLS-table reads no direction annotation")
 	}
+	if d := planSites(private, groups); d == nil || len(d.readers) != len(probedIdx) {
+		t.Fatal("plan: the probed engines do not all read the site annotation")
+	}
 
 	tr := workload.Gcc().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1024)
@@ -367,6 +371,111 @@ func TestBroadcastProbedMatchesReference(t *testing.T) {
 			if len(probes[i].evs) == 0 || !reflect.DeepEqual(probes[i].evs, refProbes[i].evs) {
 				t.Errorf("workers=%d %s: %d probe events differ from the %d of per-record Run",
 					workers, e.Name(), len(probes[i].evs), len(refProbes[i].evs))
+			}
+		}
+	}
+}
+
+// TestBroadcastProbedHandOff: probed engines go from a broadcast to Step,
+// and each probe receives the event stream of a per-record Run that
+// attaches it at the same record, sites included. The trace runs in three
+// parts. A first broadcast replays every engine from cold, two of them
+// probed: an NLS-cache in the oracle group and a polluted BTB that
+// replays privately; both read the site annotation. Two more probes
+// attach after it (late attach): one on a polluted NLS-cache, one on the
+// Johnson engine. In the second part the private engines broadcast again
+// (a private cache carries its state into a broadcast; a group's oracle
+// starts cold) while the grouped ones Step: the BTB reads the site
+// annotation from the table it took over, the late NLS-cache numbers its
+// own sites from empty, and the grouped NLS-cache meets new PCs on the
+// table it shares with the BTB. Every engine Steps through the third part.
+func TestBroadcastProbedHandOff(t *testing.T) {
+	g := cache.MustGeometry(8*1024, 32, 1)
+	bcfg := btb.Config{Entries: 128, Assoc: 1}
+	gshare := func() *pht.GShare { return pht.NewGShare(1024, 6) }
+	mk := func() []*Frontend {
+		pbtb := NewBTBEngine(g, bcfg, gshare(), 32)
+		pbtb.SetWrongPathPollution(true)
+		pnls := NewNLSCacheEngine(g, 2, gshare(), 32)
+		pnls.SetWrongPathPollution(true)
+		return []*Frontend{
+			NewNLSCacheEngine(g, 2, gshare(), 32),
+			pbtb,
+			pnls,
+			NewJohnsonEngine(g),
+			NewNLSTableEngine(g, 512, gshare(), 32), // never probed
+		}
+	}
+	const early, probed = 2, 4 // engines [:early] are probed from the start
+	private := []int{1, 2}
+	attach := func(es []*Frontend, from, to int) []*collectProbe {
+		ps := make([]*collectProbe, to-from)
+		for i := range ps {
+			ps[i] = &collectProbe{}
+			es[from+i].AttachProbe(ps[i])
+		}
+		return ps
+	}
+	step := func(es []*Frontend, recs []trace.Record) {
+		for _, r := range recs {
+			for _, e := range es {
+				e.Step(r)
+			}
+		}
+	}
+
+	tr := workload.Gcc().MustTrace(80_000)
+	recs := tr.Records
+	first, second, third := recs[:len(recs)/4], recs[len(recs)/4:len(recs)/2], recs[len(recs)/2:]
+	blocks := func(recs []trace.Record) trace.ChunkSource {
+		return trace.Chunk(&trace.Trace{Records: recs}, 1024).Chunks()
+	}
+
+	ref := mk()
+	refProbes := attach(ref, 0, early)
+	step(ref, first)
+	refProbes = append(refProbes, attach(ref, early, probed)...)
+	step(ref, recs[len(first):])
+	for i, p := range refProbes {
+		if len(p.evs) == 0 {
+			t.Fatalf("reference probe %d saw no events", i)
+		}
+		checkSites(t, p.evs)
+	}
+
+	for _, workers := range []int{1, 2} {
+		es := mk()
+		probes := attach(es, 0, early)
+		BroadcastWorkers(blocks(first), workers, es...)
+		probes = append(probes, attach(es, early, probed)...)
+		var grouped []*Frontend
+		for i, e := range es {
+			if !slices.Contains(private, i) {
+				grouped = append(grouped, e)
+			}
+		}
+		step(grouped, second)
+		if d := planSites(replayPlan([]*Frontend{es[1], es[2]})); d == nil ||
+			!slices.Equal(d.readers, []*Frontend{es[1]}) || len(d.table.ids) == 0 {
+			t.Fatal("plan: the second broadcast's site annotation is not read by the BTB alone, from its table")
+		}
+		BroadcastWorkers(blocks(second), workers, es[1], es[2])
+		step(es, third)
+		for i, e := range es {
+			got, want := *e.Counters(), *ref[i].Counters()
+			if !slices.Contains(private, i) {
+				// A grouped engine that Steps after a broadcast
+				// recounts its cold misses.
+				got.ICacheColdMisses, want.ICacheColdMisses = 0, 0
+			}
+			if got != want {
+				t.Errorf("workers=%d %s: counters diverge from per-record Run", workers, e.Name())
+			}
+		}
+		for i, p := range probes {
+			if !slices.Equal(p.evs, refProbes[i].evs) {
+				t.Errorf("workers=%d engine %d (%s): %d probe events differ from the %d of per-record Run",
+					workers, i, es[i].Name(), len(p.evs), len(refProbes[i].evs))
 			}
 		}
 	}

@@ -121,10 +121,7 @@ type tableDriver struct {
 	mask    uint32
 	ents    []drvEntry
 	ras     *ras.Stack
-	pending struct {
-		active bool
-		rec    trace.Record
-	}
+	pending pendingBreak
 	readers []*Frontend
 }
 
@@ -137,14 +134,14 @@ func (f *Frontend) nlsTable() *core.Table {
 // direction slot dir, may read a table annotation instead of replaying, and
 // whether reading one is sound. It requires an NLS-table predictor, oracle
 // eligibility (pollution and prefetching fork the cache state the checks
-// read off the group annotation), no probe (a reader steps no break, so a
-// probe would see no events), the engine's cold state, as echoInvariant
-// does, and a shared direction slot. The key holds what the driven stream
-// depends on besides the trace: table size, direction slot, return-stack
-// depth and line size.
+// read off the group annotation), no probe ever attached (a reader steps no
+// break, so a probe would see no events and no site would be numbered),
+// the engine's cold state, as echoInvariant does, and a shared direction
+// slot. The key holds what the driven stream depends on besides the trace:
+// table size, direction slot, return-stack depth and line size.
 func (f *Frontend) tableShareKey(dir int) (string, bool) {
 	p, ok := f.bpu.tp.(*nlsPredictor[tableStore])
-	if !ok || dir < 0 || f.probe != nil || p.track != nil || !f.oracleEligible() ||
+	if !ok || dir < 0 || f.sites != nil || !f.oracleEligible() ||
 		!f.coldBreaks() || f.geom.NumSets() > 1<<16 {
 		return "", false
 	}

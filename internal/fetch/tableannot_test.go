@@ -3,6 +3,7 @@ package fetch
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/btb"
@@ -453,7 +454,9 @@ func fuzzEngines() []*Frontend {
 
 // FuzzBroadcastMatchesRun decodes the fuzz bytes as an NLST trace, as
 // FuzzChunked does, and broadcasts it through fuzzEngines at a fuzzed chunk
-// size and worker count: every counter must equal per-record fetch.Run.
+// size and worker count: every counter must equal per-record fetch.Run, and
+// the probe on the NLS-cache member must receive Run's event stream, sites
+// included, numbered as checkSites requires.
 func FuzzBroadcastMatchesRun(f *testing.F) {
 	for _, tr := range []*trace.Trace{nonChainedTrace(), workload.Li().MustTrace(600)} {
 		var buf bytes.Buffer
@@ -470,7 +473,37 @@ func FuzzBroadcastMatchesRun(f *testing.F) {
 			return
 		}
 		size := 1 + int(chunk)%4096
+		var got, want collectProbe
+		probed := func(p *collectProbe) func() []*Frontend {
+			return func() []*Frontend {
+				es := fuzzEngines()
+				es[1].AttachProbe(p)
+				return es
+			}
+		}
 		checkBroadcast(t, fmt.Sprintf("chunk=%d", size), trace.Chunk(tr, size).Chunks(), 1+int(workers)%4,
-			fuzzEngines, runRef(fuzzEngines, tr))
+			probed(&got), runRef(probed(&want), tr))
+		if !slices.Equal(got.evs, want.evs) {
+			t.Errorf("chunk=%d: %d probe events differ from the %d of per-record Run", size, len(got.evs), len(want.evs))
+		}
+		checkSites(t, want.evs)
 	})
+}
+
+// checkSites checks that evs, one engine's events from its first probe on,
+// number the break PCs densely in first-seen order: a new PC takes the next
+// site, and a PC seen before keeps its site.
+func checkSites(t *testing.T, evs []BreakEvent) {
+	t.Helper()
+	sites := make(map[isa.Addr]uint32)
+	for i, ev := range evs {
+		want, ok := sites[ev.PC]
+		if !ok {
+			want = uint32(len(sites))
+			sites[ev.PC] = want
+		}
+		if ev.Site != want {
+			t.Fatalf("event %d (pc %#x): site %d, want %d", i, ev.PC, ev.Site, want)
+		}
+	}
 }

@@ -70,53 +70,31 @@ func (k H2PRanking) RecoveredShare() float64 {
 	return float64(int64(k.BaseTotal)-int64(k.AltTotal)) / float64(k.BaseTotal)
 }
 
-// RankH2P pairs two attribution reports of the same program and returns the
-// per-PC dir-wrong ranking, keeping the top n rows (n <= 0 keeps all). The
-// reports must carry full per-PC tables (Attribution.Report with n <= 0);
-// truncated reports would silently under-count the alt side of base-heavy
-// branches.
-func RankH2P(base, alt Report, n int) H2PRanking {
-	k := H2PRanking{
-		Program:  base.Program,
-		BaseArch: base.Arch,
-		AltArch:  alt.Arch,
+// RankH2P pairs the packed counts of two engines on the same program and
+// returns the per-PC dir-wrong ranking, keeping the top n rows (n <= 0
+// keeps all). Engines probed from the first record number the program's
+// breaks alike (fetch.BreakEvent.Site), so their tables list the same PCs
+// in the same order and pair row by row. RankH2P panics on tables that do
+// not pair up so, which only engines probed over different records give.
+func RankH2P(program, baseArch, altArch string, base, alt Table, n int) H2PRanking {
+	k := H2PRanking{Program: program, BaseArch: baseArch, AltArch: altArch}
+	if base.branches != alt.branches {
+		panic(fmt.Sprintf("obs: h2p tables of %s count %d and %d branches", program, base.branches, alt.branches))
 	}
-	type cell struct {
-		breaks        uint64
-		baseDW, altDW uint64
-	}
-	byPC := map[isa.Addr]*cell{}
-	get := func(pc isa.Addr) *cell {
-		c := byPC[pc]
-		if c == nil {
-			c = &cell{}
-			byPC[pc] = c
+	rows := []H2PRow{}
+	b, a := rowCursor{rest: base.rows}, rowCursor{rest: alt.rows}
+	for range base.branches {
+		bs, as := b.next(), a.next()
+		if bs.PC != as.PC {
+			panic(fmt.Sprintf("obs: h2p tables of %s pair %v with %v", program, bs.PC, as.PC))
 		}
-		return c
-	}
-	for _, s := range base.Top {
-		c := get(s.PC)
-		c.breaks = s.Breaks
-		c.baseDW = s.Causes[fetch.CauseDirWrong]
-		k.BaseTotal += c.baseDW
-	}
-	for _, s := range alt.Top {
-		c := get(s.PC)
-		if c.breaks == 0 {
-			c.breaks = s.Breaks
+		row := H2PRow{PC: bs.PC, Breaks: bs.Breaks,
+			BaseDirWrong: bs.Causes[fetch.CauseDirWrong], AltDirWrong: as.Causes[fetch.CauseDirWrong]}
+		k.BaseTotal += row.BaseDirWrong
+		k.AltTotal += row.AltDirWrong
+		if row.BaseDirWrong != 0 || row.AltDirWrong != 0 {
+			rows = append(rows, row)
 		}
-		c.altDW = s.Causes[fetch.CauseDirWrong]
-		k.AltTotal += c.altDW
-	}
-	rows := make([]H2PRow, 0, len(byPC))
-	for pc, c := range byPC {
-		if c.baseDW == 0 && c.altDW == 0 {
-			continue
-		}
-		rows = append(rows, H2PRow{
-			PC: pc, Breaks: c.breaks,
-			BaseDirWrong: c.baseDW, AltDirWrong: c.altDW,
-		})
 	}
 	k.H2PBranches = len(rows)
 	sort.Slice(rows, func(i, j int) bool {
@@ -126,8 +104,8 @@ func RankH2P(base, alt Report, n int) H2PRanking {
 		return rows[i].PC < rows[j].PC
 	})
 	if n > 0 && len(rows) > n {
-		// Copy the top n out, as Table.Report does: a slice of rows would
-		// keep every ranked branch of the program alive with the ranking.
+		// Copy the top n out: a slice of rows would keep every ranked
+		// branch of the program alive with the ranking.
 		rows = append(make([]H2PRow, 0, n), rows[:n]...)
 	}
 	k.Rows = rows

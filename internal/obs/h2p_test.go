@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/isa"
-	"repro/internal/metrics"
 	"repro/internal/pht"
 	"repro/internal/ras"
 	"repro/internal/workload"
@@ -17,27 +16,29 @@ import (
 
 // dirEv builds a dir-wrong mispredict event for RankH2P mechanics tests.
 func dirEv(pc isa.Addr) fetch.BreakEvent {
-	return fetch.BreakEvent{PC: pc, Kind: isa.CondBranch,
-		Penalty: fetch.PenaltyMispredict, Cause: fetch.CauseDirWrong}
+	return ev(pc, fetch.PenaltyMispredict, fetch.CauseDirWrong)
 }
 
 func TestRankH2PMechanics(t *testing.T) {
-	p := metrics.Default()
 	base, alt := NewAttribution(), NewAttribution()
 	// 0x1000: 3 base, 1 alt (recovered 2). 0x2000: 1 base, 0 alt.
 	// 0x3000: 0 base, 2 alt (a regression row). 0x4000: dir-clean both
-	// sides — must not appear.
+	// sides — must not appear. Both sides see every branch, in the same
+	// first-seen order, as two engines on one trace do.
+	clean := func(pc isa.Addr) fetch.BreakEvent { return ev(pc, fetch.PenaltyNone, fetch.CauseNone) }
 	for i := 0; i < 3; i++ {
 		base.Break(dirEv(0x1000))
 	}
 	alt.Break(dirEv(0x1000))
 	base.Break(dirEv(0x2000))
+	alt.Break(clean(0x2000))
+	base.Break(clean(0x3000))
 	alt.Break(dirEv(0x3000))
 	alt.Break(dirEv(0x3000))
 	base.Break(ev(0x4000, fetch.PenaltyMisfetch, fetch.CauseCold))
 	alt.Break(ev(0x4000, fetch.PenaltyMisfetch, fetch.CauseCold))
 
-	k := RankH2P(base.Report("g", "p", 0, p), alt.Report("t", "p", 0, p), 0)
+	k := RankH2P("p", "g", "t", base.Table(), alt.Table(), 0)
 	if k.BaseTotal != 4 || k.AltTotal != 3 {
 		t.Fatalf("totals: %+v", k)
 	}
@@ -52,7 +53,7 @@ func TestRankH2PMechanics(t *testing.T) {
 	if k.Rows[0].Recovered() != 2 || k.Rows[2].Recovered() != -2 {
 		t.Fatalf("recovered deltas: %+v", k.Rows)
 	}
-	if got := RankH2P(base.Report("g", "p", 0, p), alt.Report("t", "p", 0, p), 2); len(got.Rows) != 2 || cap(got.Rows) != len(got.Rows) {
+	if got := RankH2P("p", "g", "t", base.Table(), alt.Table(), 2); len(got.Rows) != 2 || cap(got.Rows) != len(got.Rows) {
 		t.Fatalf("topN truncation: %d rows with cap %d, want 2 with cap 2", len(got.Rows), cap(got.Rows))
 	}
 
@@ -80,6 +81,24 @@ func TestRankH2PMechanics(t *testing.T) {
 	}
 }
 
+// TestRankH2PUnpairedTables: tables whose rows name different PCs (two
+// engines probed over different records) are refused, not ranked.
+func TestRankH2PUnpairedTables(t *testing.T) {
+	a, b := NewAttribution(), NewAttribution()
+	a.Break(dirEv(0x1000))
+	b.Break(dirEv(0x2000))
+	for name, alt := range map[string]Table{"another branch": b.Table(), "fewer branches": {}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: RankH2P accepted tables that do not pair", name)
+				}
+			}()
+			RankH2P("p", "g", "t", a.Table(), alt, 0)
+		}()
+	}
+}
+
 // TestH2PGolden pins the tentpole's acceptance criterion on a fixed
 // workload seed: the equal-cost TAGE-lite arm recovers a nonzero share of
 // the dir-wrong cause bucket against the paper's gshare on the identical
@@ -91,23 +110,22 @@ func TestH2PGolden(t *testing.T) {
 	const n = 200_000
 	tr := workload.Espresso().MustTrace(n)
 	g := cache.MustGeometry(arch.DefaultCacheKB*1024, arch.LineBytes, 1)
-	p := metrics.Default()
 
-	run := func(d pht.Predictor, name string) Report {
+	run := func(d pht.Predictor) Table {
 		e := fetch.NewNLSTableEngine(g, 1024, d, ras.DefaultDepth)
 		a := NewAttribution()
 		e.AttachProbe(a)
 		fetch.Run(e, tr)
-		return a.Report(name, "espresso-like", 0, p)
+		return a.Table()
 	}
-	gshare := run(pht.NewGShare(arch.PHTEntries, arch.PHTHistoryBits), "gshare")
+	gshare := run(pht.NewGShare(arch.PHTEntries, arch.PHTHistoryBits))
 	tage, err := arch.TAGEPHT().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt := run(tage, "tage")
+	alt := run(tage)
 
-	k := RankH2P(gshare, alt, 8)
+	k := RankH2P("espresso-like", "gshare", "tage", gshare, alt, 8)
 	t.Logf("dir-wrong %d -> %d (recovered %.1f%%, h2p-branches=%d)",
 		k.BaseTotal, k.AltTotal, 100*k.RecoveredShare(), k.H2PBranches)
 	for _, r := range k.Rows {

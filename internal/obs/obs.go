@@ -5,14 +5,18 @@
 // eviction (§4.1, §6.1), the RAS saves returns, tag-less tables alias — and
 // attribution tables are what make those causes visible per configuration.
 //
-// An Attribution is a fetch.Probe. It only accumulates; reports are built
-// on demand by Report and rendered by the pure functions in render.go, so
-// the same collected state can feed the text table, the -json report, and
-// the golden tests.
+// An Attribution is a fetch.Probe. It only accumulates, into pages of
+// per-branch counts indexed by each event's site (fetch.BreakEvent.Site),
+// with no map on the per-break path. Table packs the counts for keeping,
+// and reports are built from it on demand by Report and rendered by the
+// pure functions in render.go, so the same collected state can feed the
+// text table, the -json report, and the golden tests.
 package obs
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fetch"
@@ -60,24 +64,39 @@ func (s *PCStats) PenaltyCycles(p metrics.Penalties) float64 {
 	return float64(s.Misfetches)*p.Misfetch + float64(s.Mispredicts)*p.Mispredict
 }
 
-// Attribution consumes one engine's probe events into per-PC tables. It is
-// engine-private, like the probe contract requires: attach one Attribution
-// per engine and merge reports afterwards if needed.
+// Attribution consumes one engine's probe events into per-branch counts,
+// indexed by the event's site (fetch.BreakEvent.Site): fixed-size pages of
+// PCStats, allocated as sites arrive and never moved, so a break costs an
+// index and no map or per-branch object. It is engine-private, like the
+// probe contract requires: attach one Attribution per engine and merge
+// reports afterwards if needed.
 type Attribution struct {
-	byPC map[isa.Addr]*PCStats
+	pages    []*[pageSize]PCStats
+	branches int
 }
+
+// pageSize is the number of sites one page of an Attribution counts.
+const pageSize = 256
 
 // NewAttribution returns an empty collector.
-func NewAttribution() *Attribution {
-	return &Attribution{byPC: make(map[isa.Addr]*PCStats)}
-}
+func NewAttribution() *Attribution { return &Attribution{} }
 
-// Break implements fetch.Probe.
+// Break implements fetch.Probe. It panics when one site names two PCs,
+// which only events from more than one engine produce.
 func (a *Attribution) Break(ev fetch.BreakEvent) {
-	s := a.byPC[ev.PC]
-	if s == nil {
-		s = &PCStats{PC: ev.PC, Kind: ev.Kind}
-		a.byPC[ev.PC] = s
+	p := int(ev.Site / pageSize)
+	if p >= len(a.pages) {
+		a.pages = append(a.pages, make([]*[pageSize]PCStats, p+1-len(a.pages))...)
+	}
+	if a.pages[p] == nil {
+		a.pages[p] = new([pageSize]PCStats)
+	}
+	s := &a.pages[p][ev.Site%pageSize]
+	if s.Breaks == 0 {
+		s.PC, s.Kind = ev.PC, ev.Kind
+		a.branches++
+	} else if s.PC != ev.PC {
+		panic(fmt.Sprintf("obs: site %d names both %v and %v; an Attribution serves one engine", ev.Site, s.PC, ev.PC))
 	}
 	s.Breaks++
 	switch ev.Penalty {
@@ -91,6 +110,20 @@ func (a *Attribution) Break(ev fetch.BreakEvent) {
 	}
 	if ev.Polluted {
 		s.Polluted++
+	}
+}
+
+// each calls fn on every branch the collector counted, in site order.
+func (a *Attribution) each(fn func(s *PCStats)) {
+	for _, pg := range a.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pg[i].Breaks != 0 {
+				fn(&pg[i])
+			}
+		}
 	}
 }
 
@@ -122,10 +155,11 @@ func (a *Attribution) Report(arch, program string, n int, p metrics.Penalties) R
 }
 
 // A Table is an Attribution's per-branch counts packed for keeping: one row
-// of varints per static branch — its PC, its kind byte, then every counter
-// in tableFields order. A gcc-like branch takes ~16 bytes this way against
-// ~150 in the collector's map, so a run can hold every probed cell's counts
-// until its figures render. The zero Table has no branches.
+// of varints per static branch, in site order — its PC, its kind byte,
+// then every counter in tableFields order. A gcc-like branch takes ~16
+// bytes this way against the collector's 104, so a run can hold every
+// probed cell's counts until its figures render. The zero Table has no
+// branches.
 type Table struct {
 	rows     []byte
 	branches int
@@ -140,56 +174,117 @@ func tableFields(s *PCStats) [4 + fetch.NumCauses]*uint64 {
 	return f
 }
 
-// Table packs the collector's counts.
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Table packs the collector's counts into a buffer sized to fit them.
 func (a *Attribution) Table() Table {
-	t := Table{branches: len(a.byPC)}
-	for _, s := range a.byPC {
+	size := 0
+	a.each(func(s *PCStats) {
+		size += uvarintLen(uint64(s.PC)) + 1
+		for _, f := range tableFields(s) {
+			size += uvarintLen(*f)
+		}
+	})
+	t := Table{rows: make([]byte, 0, size), branches: a.branches}
+	a.each(func(s *PCStats) {
 		t.rows = binary.AppendUvarint(t.rows, uint64(s.PC))
 		t.rows = append(t.rows, byte(s.Kind))
 		for _, f := range tableFields(s) {
 			t.rows = binary.AppendUvarint(t.rows, *f)
 		}
-	}
+	})
 	return t
+}
+
+// rowCursor decodes a Table's rows one at a time, in site order, into one
+// scratch PCStats that a caller must copy to keep.
+type rowCursor struct {
+	rest []byte
+	s    PCStats
+}
+
+func (c *rowCursor) next() *PCStats {
+	uv := func() uint64 {
+		v, k := binary.Uvarint(c.rest)
+		c.rest = c.rest[k:]
+		return v
+	}
+	c.s.PC = isa.Addr(uv())
+	c.s.Kind, c.rest = isa.Kind(c.rest[0]), c.rest[1:]
+	for _, f := range tableFields(&c.s) {
+		*f = uv()
+	}
+	return &c.s
+}
+
+// each calls fn on every row of t, in site order (see rowCursor).
+func (t Table) each(fn func(s *PCStats)) {
+	c := rowCursor{rest: t.rows}
+	for range t.branches {
+		fn(c.next())
+	}
 }
 
 // Report builds the deterministic summary of the packed counts, equal to
 // the collector's own: top n offenders under penalties p, all branches for
-// n <= 0.
+// n <= 0. A bounded report keeps only its n rows while it decodes.
 func (t Table) Report(arch, program string, n int, p metrics.Penalties) Report {
 	r := Report{Arch: arch, Program: program, StaticBranches: t.branches}
-	all := make([]PCStats, t.branches)
-	rest := t.rows
-	next := func() uint64 {
-		v, k := binary.Uvarint(rest)
-		rest = rest[k:]
-		return v
-	}
-	for i := range all {
-		s := &all[i]
-		s.PC = isa.Addr(next())
-		s.Kind, rest = isa.Kind(rest[0]), rest[1:]
-		for _, f := range tableFields(s) {
-			*f = next()
+	// before orders offenders: more penalty cycles first, ties by PC.
+	before := func(a, b *PCStats) bool {
+		ca, cb := a.PenaltyCycles(p), b.PenaltyCycles(p)
+		if ca != cb {
+			return ca > cb
 		}
+		return a.PC < b.PC
+	}
+	keep := t.branches
+	if n > 0 {
+		keep = min(n, keep)
+	}
+	// top is a heap with its last-ranked row at the root once it holds
+	// keep rows, so a row that ranks before the root replaces it.
+	top := make([]PCStats, 0, keep)
+	t.each(func(s *PCStats) {
 		r.Breaks += s.Breaks
 		r.Misfetches += s.Misfetches
 		r.Mispredicts += s.Mispredicts
 		r.Causes.Add(s.Causes)
-	}
-	r.PenaltyCycles = float64(r.Misfetches)*p.Misfetch + float64(r.Mispredicts)*p.Mispredict
-	sort.Slice(all, func(i, j int) bool {
-		ci, cj := all[i].PenaltyCycles(p), all[j].PenaltyCycles(p)
-		if ci != cj {
-			return ci > cj
+		switch {
+		case len(top) < keep:
+			top = append(top, *s)
+			if len(top) == keep && keep < t.branches {
+				for i := keep/2 - 1; i >= 0; i-- {
+					siftDown(top, i, before)
+				}
+			}
+		case before(s, &top[0]):
+			top[0] = *s
+			siftDown(top, 0, before)
 		}
-		return all[i].PC < all[j].PC
 	})
-	if n > 0 && len(all) > n {
-		// Copy the top n out: a slice of all would keep every branch of
-		// the program alive for as long as the report.
-		all = append(make([]PCStats, 0, n), all[:n]...)
-	}
-	r.Top = all
+	r.PenaltyCycles = float64(r.Misfetches)*p.Misfetch + float64(r.Mispredicts)*p.Mispredict
+	sort.Slice(top, func(i, j int) bool { return before(&top[i], &top[j]) })
+	r.Top = top
 	return r
+}
+
+// siftDown restores the heap order of h below i, where every row ranks
+// before its parent.
+func siftDown(h []PCStats, i int, before func(a, b *PCStats) bool) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if k := j + 1; k < len(h) && before(&h[j], &h[k]) {
+			j = k
+		}
+		if !before(&h[i], &h[j]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

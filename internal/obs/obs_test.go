@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,8 +17,12 @@ import (
 	"repro/internal/workload"
 )
 
+// ev builds one event of the branch at pc. The tests' PCs are distinct
+// multiples of 0x1000, so pc/0x1000 numbers each branch once, as a
+// Frontend's sites do.
 func ev(pc isa.Addr, penalty fetch.PenaltyClass, cause fetch.Cause) fetch.BreakEvent {
-	return fetch.BreakEvent{PC: pc, Kind: isa.CondBranch, Penalty: penalty, Cause: cause}
+	return fetch.BreakEvent{PC: pc, Kind: isa.CondBranch, Site: uint32(pc / 0x1000),
+		Penalty: penalty, Cause: cause}
 }
 
 func TestAttributionAccumulation(t *testing.T) {
@@ -58,15 +63,17 @@ func TestAttributionAccumulation(t *testing.T) {
 // Table reports no branches (with an empty, not nil, offender list).
 func TestTableKeepsEveryCount(t *testing.T) {
 	a := NewAttribution()
-	big := &PCStats{PC: ^isa.Addr(0), Kind: isa.Return, Breaks: ^uint64(0),
+	big := PCStats{PC: ^isa.Addr(0), Kind: isa.Return, Breaks: ^uint64(0),
 		Misfetches: 1 << 40, Mispredicts: 1<<63 + 5, Polluted: 127}
 	for c := range big.Causes {
 		big.Causes[c] = uint64(c) << (7 * c)
 	}
-	a.byPC[big.PC] = big
-	a.byPC[0] = &PCStats{Kind: isa.CondBranch, Breaks: 1}
+	// The second branch's site lies on a later page than the first's.
+	a.Break(fetch.BreakEvent{PC: 0, Kind: isa.CondBranch, Site: 3 * pageSize})
+	a.Break(fetch.BreakEvent{PC: big.PC, Kind: big.Kind, Site: 7})
+	a.pages[0][7] = big
 	p := metrics.Default()
-	want := []PCStats{*big, {Kind: isa.CondBranch, Breaks: 1}}
+	want := []PCStats{big, {Kind: isa.CondBranch, Breaks: 1}}
 	if got := a.Table().Report("a", "p", 0, p).Top; !reflect.DeepEqual(got, want) {
 		t.Fatalf("packed rows\n got %+v\nwant %+v", got, want)
 	}
@@ -77,6 +84,49 @@ func TestTableKeepsEveryCount(t *testing.T) {
 	if r := (Table{}).Report("a", "p", 0, p); r.StaticBranches != 0 || r.Top == nil || len(r.Top) != 0 {
 		t.Fatalf("zero Table report: %+v", r)
 	}
+}
+
+// TestTableReportBounded: a report of the top n keeps exactly the first n
+// rows of the full ranking, for every n, on counts with many ties.
+func TestTableReportBounded(t *testing.T) {
+	a := NewAttribution()
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20000 {
+		site := rng.Uint32N(700)
+		pc := isa.Addr(site*0x40) ^ 0x12340
+		pen := fetch.PenaltyClass(rng.UintN(3))
+		a.Break(fetch.BreakEvent{PC: pc, Kind: isa.CondBranch, Site: site, Penalty: pen})
+	}
+	p := metrics.Default()
+	tab := a.Table()
+	full := tab.Report("a", "p", 0, p)
+	if full.StaticBranches != 700 || len(full.Top) != 700 {
+		t.Fatalf("full report: %d branches, %d rows", full.StaticBranches, len(full.Top))
+	}
+	for _, n := range []int{1, 2, 5, 8, 99, 699, 700, 701} {
+		r := tab.Report("a", "p", n, p)
+		want := full.Top[:min(n, len(full.Top))]
+		if !reflect.DeepEqual(r.Top, want) || cap(r.Top) != len(r.Top) {
+			t.Fatalf("top-%d report differs from the full ranking's first rows", n)
+		}
+		r.Top = full.Top
+		if !reflect.DeepEqual(r, full) {
+			t.Fatalf("top-%d report totals differ from the full report's", n)
+		}
+	}
+}
+
+// TestAttributionSiteNamesOnePC: events that give one site two PCs (two
+// engines feeding one collector) are refused, not merged.
+func TestAttributionSiteNamesOnePC(t *testing.T) {
+	a := NewAttribution()
+	a.Break(fetch.BreakEvent{PC: 0x1000, Site: 4})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second PC under site 4 was accepted")
+		}
+	}()
+	a.Break(fetch.BreakEvent{PC: 0x2000, Site: 4})
 }
 
 func TestAttributionReportDeterministic(t *testing.T) {

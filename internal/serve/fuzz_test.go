@@ -86,6 +86,11 @@ func FuzzJobDecode(f *testing.F) {
 	f.Add(withPref(`{"kind": "next-line", "degree": 4611686018427387904}`))
 	f.Add(withPref(`{"kind": "fdip", "ftq_depth": 8, "mshrs": 4611686018427387904}`))
 	f.Add(withPref(`{"kind": "fdip", "ftq_depth": 8, "latency": -20}`))
+	// Geometries an arm cannot simulate: a Johnson arm on 8-byte lines,
+	// 256 ways, and NLS pointers into 131072 sets.
+	f.Add(oneArmJob(johnsonNarrowLineSpec))
+	f.Add(oneArmJob(wideCacheSpec))
+	f.Add(oneArmJob(manySetsSpec))
 
 	lim := Limits{MaxBodyBytes: 1 << 16, MaxInsns: 1 << 20, MaxCells: 64}
 

@@ -251,6 +251,46 @@ func TestServerJobRejections(t *testing.T) {
 	}
 }
 
+// oneArmJob is a one-program job of a single arm with the given spec.
+func oneArmJob(spec string) string {
+	return `{"schema": "nls-job/v1", "insns": 20000, "programs": ["li"],
+  "grid": {"name": "envelope", "arms": [{"name": "a", "spec": ` + spec + `}]}}`
+}
+
+// Specs outside what the engines can simulate: a Johnson arm whose lines
+// hold fewer instructions than one successor index covers (core.NewJohnson
+// panics on it), a cache of more ways than the fetch oracle's 7-bit way
+// field holds, and NLS pointers into more sets than their 16-bit set field
+// holds.
+var (
+	johnsonNarrowLineSpec = `{"predictor": {"kind": "johnson"}, "cache": {"size_bytes": 8192, "line_bytes": 8, "assoc": 1}, "pht": {"kind": "none"}}`
+	wideCacheSpec         = `{"predictor": {"kind": "nls-table", "entries": 1024}, "cache": {"size_bytes": 8192, "line_bytes": 32, "assoc": 256}, "pht": {"kind": "gshare", "entries": 1024, "history_bits": 6}}`
+	manySetsSpec          = `{"predictor": {"kind": "nls-cache", "per_line": 1}, "cache": {"size_bytes": 4194304, "line_bytes": 32, "assoc": 1}, "pht": {"kind": "gshare", "entries": 1024, "history_bits": 6}}`
+)
+
+// TestServerRejectsUnsimulableSpecs: each such spec is a 400 naming the
+// offending field, and the server goes on serving. The Johnson document
+// used to panic inside an executor goroutine, ending the process.
+func TestServerRejectsUnsimulableSpecs(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ name, spec, field string }{
+		{"johnson 8-byte lines", johnsonNarrowLineSpec, "line_bytes"},
+		{"256 ways", wideCacheSpec, "assoc"},
+		{"131072 sets", manySetsSpec, "sets"},
+	} {
+		resp := postJob(t, ts.URL, oneArmJob(tc.spec))
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.field)) {
+			t.Errorf("%s: status %d (%s), want 400 naming %s", tc.name, resp.StatusCode, bytes.TrimSpace(body), tc.field)
+		}
+	}
+	if resp := postJob(t, ts.URL, tinyJob); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid job after the rejections: status %d", resp.StatusCode)
+	} else {
+		readAll(t, resp)
+	}
+}
+
 // TestServerStatsz: of two sequential identical requests the first leads a
 // flight and the second is a memo answer, which counts no cells; the first
 // request to a fresh server over the same store leads a flight that loads
