@@ -243,54 +243,37 @@ func planDirs(private []member, groups []*oracleGroup) []*dirDriver {
 // siteDriver numbers the breaks of every drawn block for the probed
 // engines, on the main goroutine before the block is fanned out: one map
 // lookup per break for all of them, where each would otherwise number its
-// own. Its readers are the engines whose own numbering agrees with the
-// driver's table (planSites); they read the block's site annotation,
+// own. Its readers are the probed engines that enter the broadcast with no
+// site numbered yet (planSites); they read the block's site annotation,
 // grouped or private, and take the driver's table when the broadcast ends.
 type siteDriver struct {
 	table   *siteTable
 	readers []*Frontend
 }
 
-// planSites returns the site driver of a broadcast, or nil when no engine
-// numbers sites (no probe ever attached). Engines number alike when they
-// hold the same table or both hold an empty one; the driver serves the
-// largest such class (the first on a tie), and starts from a copy of its
-// table, so an engine outside the broadcast sharing it sees no new ids.
-// Every other probed engine numbers its own sites as it replays.
+// planSites returns the site driver of a broadcast, or nil when no probed
+// engine enters it with an empty site table. The driver starts from an
+// empty table, so its readers number as each would alone; a probed engine
+// that numbered sites before numbers its own as it replays.
 func planSites(private []member, groups []*oracleGroup) *siteDriver {
-	var best []*member
-	var byClass map[*siteTable][]*member
-	class := func(m *member) {
-		c := m.fr.sites
-		if c == nil {
+	var d *siteDriver
+	serve := func(m *member) {
+		if t := m.fr.sites; t == nil || len(t.ids) > 0 {
 			return
 		}
-		if len(c.ids) == 0 {
-			c = nil // every empty table numbers alike
+		if d == nil {
+			d = &siteDriver{table: &siteTable{ids: make(map[isa.Addr]uint32)}}
 		}
-		if byClass == nil {
-			byClass = make(map[*siteTable][]*member)
-		}
-		byClass[c] = append(byClass[c], m)
-		if len(byClass[c]) > len(best) {
-			best = byClass[c]
-		}
+		m.sites = true
+		d.readers = append(d.readers, m.fr)
 	}
 	for _, g := range groups {
 		for i := range g.members {
-			class(&g.members[i])
+			serve(&g.members[i])
 		}
 	}
 	for i := range private {
-		class(&private[i])
-	}
-	if best == nil {
-		return nil
-	}
-	d := &siteDriver{table: best[0].fr.sites.clone()}
-	for _, m := range best {
-		m.sites = true
-		d.readers = append(d.readers, m.fr)
+		serve(&private[i])
 	}
 	return d
 }

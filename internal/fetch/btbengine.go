@@ -64,6 +64,7 @@ func (p *btbPredictor) Lookup(rec trace.Record, _, _ int, dirTaken bool) Outcome
 // the BTB (§3); full addresses need no deferral.
 func (p *btbPredictor) Update(rec trace.Record) bool {
 	if rec.Taken {
+		p.track.mark()
 		p.buf.RecordTaken(rec.PC, rec.Target, rec.Kind)
 	}
 	return false
@@ -72,15 +73,8 @@ func (p *btbPredictor) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor (never deferred).
 func (p *btbPredictor) Resolve(trace.Record, int) {}
 
-// updated implements causeExplainer: a taken break entered the BTB.
-func (p *btbPredictor) updated(rec trace.Record, site uint32) {
-	if rec.Taken {
-		p.track.mark(site)
-	}
-}
-
-// resolved implements causeExplainer (never deferred).
-func (p *btbPredictor) resolved(uint32) {}
+// trained implements causeExplainer.
+func (p *btbPredictor) trained() *trainedSet { return &p.track }
 
 // lastCause implements causeExplainer. A BTB miss for a branch that was
 // inserted before means its entry was displaced by conflict or capacity
@@ -130,7 +124,7 @@ func (p *btbPredictor) SizeBits() int { return p.buf.SizeBits() }
 // Reset implements TargetPredictor.
 func (p *btbPredictor) Reset() {
 	p.buf.Reset()
-	clear(p.track)
+	p.track.reset()
 }
 
 // NewBTBEngine builds the decoupled BTB architecture: a Frontend driven by

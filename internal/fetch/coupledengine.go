@@ -164,6 +164,7 @@ func (p *coupledBTBPredictor) Update(rec trace.Record) bool {
 		}
 	}
 	if rec.Taken {
+		p.track.mark()
 		p.insert(rec.PC, rec.Target, rec.Kind)
 	}
 	return false
@@ -172,15 +173,8 @@ func (p *coupledBTBPredictor) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor (never deferred).
 func (p *coupledBTBPredictor) Resolve(trace.Record, int) {}
 
-// updated implements causeExplainer: a taken break was inserted.
-func (p *coupledBTBPredictor) updated(rec trace.Record, site uint32) {
-	if rec.Taken {
-		p.track.mark(site)
-	}
-}
-
-// resolved implements causeExplainer (never deferred).
-func (p *coupledBTBPredictor) resolved(uint32) {}
+// trained implements causeExplainer.
+func (p *coupledBTBPredictor) trained() *trainedSet { return &p.track }
 
 // lastCause implements causeExplainer. The coupled design's defining
 // weakness shows up here: a displaced entry loses the branch's direction
@@ -227,7 +221,7 @@ func (p *coupledBTBPredictor) Reset() {
 	}
 	p.clock = 0
 	p.lastSlot = -1
-	clear(p.track)
+	p.track.reset()
 }
 
 // NewCoupledBTBEngine builds the coupled (Pentium-style) BTB architecture:

@@ -191,7 +191,8 @@ type Frontend struct {
 }
 
 // pendingBreak is a break whose predictor update waits for its successor's
-// fetch; site is its site (see siteTable), 0 while no probe has attached.
+// fetch; site is its site (see siteTable), or noSite when it was stepped
+// before the first probe attached.
 type pendingBreak struct {
 	rec    trace.Record
 	site   uint32
@@ -204,10 +205,10 @@ type pendingBreak struct {
 // non-chained input). Callers check pending.active first.
 func (f *Frontend) resolvePending(pc isa.Addr, way int) {
 	if f.pending.rec.Next() == pc {
-		f.bpu.tp.Resolve(f.pending.rec, way)
 		if f.bpu.explain != nil {
-			f.bpu.explain.resolved(f.pending.site)
+			f.trainAt(f.pending.site)
 		}
+		f.bpu.tp.Resolve(f.pending.rec, way)
 	}
 	f.pending.active = false
 }
@@ -270,7 +271,10 @@ func (f *Frontend) Name() string {
 // PredictorSizeBits returns the storage cost of the target-predictor state.
 func (f *Frontend) PredictorSizeBits() int { return f.bpu.tp.SizeBits() }
 
-// Reset restores the engine to its initial (cold) state.
+// Reset restores the engine to its initial (cold) state. Site numbering
+// is not engine state: once a probe has attached, the engine keeps its
+// sites across Reset, so a probe's counts stay keyed alike, and it stays
+// out of broadcast echo and table reading (see echoInvariant).
 func (f *Frontend) Reset() {
 	f.resetBase()
 	f.bpu.reset()
@@ -596,11 +600,11 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 
 	// Train the target predictor; a deferred update waits for the
 	// successor's fetch to reveal its cache way.
+	if f.bpu.explain != nil {
+		f.trainAt(site)
+	}
 	if f.bpu.tp.Update(rec) {
 		f.pending = pendingBreak{active: true, rec: rec, site: site}
-	}
-	if f.bpu.explain != nil {
-		f.bpu.explain.updated(rec, site)
 	}
 	return penalty
 }

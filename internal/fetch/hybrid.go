@@ -144,15 +144,12 @@ func (p *hybridPredictor) Resolve(rec trace.Record, way int) {
 	p.table.Update(rec.PC, rec.Kind, true, rec.Target, way)
 }
 
-// updated implements causeExplainer. The hybrid needs no shadow state:
+// trained implements causeExplainer. The hybrid needs no shadow state:
 // its table half is tag-less (a written entry never invalidates, so
 // eviction loss is structurally impossible), and an invalid table entry
 // implies the branch never trained — which also means its taken target never
 // entered the BTB half.
-func (p *hybridPredictor) updated(trace.Record, uint32) {}
-
-// resolved implements causeExplainer (see updated).
-func (p *hybridPredictor) resolved(uint32) {}
+func (p *hybridPredictor) trained() *trainedSet { return nil }
 
 // lastCause implements causeExplainer, explaining the last Lookup's miss
 // from the mechanism the hybrid followed. Decoupled direction errors never

@@ -74,14 +74,12 @@ func (p *johnsonPredictor) Update(trace.Record) bool { return true }
 // Resolve implements TargetPredictor, completing the deferred successor
 // update now that the successor's cache way is known.
 func (p *johnsonPredictor) Resolve(rec trace.Record, way int) {
+	p.track.mark()
 	p.store.UpdateAt(rec.PC, rec.Next(), way, p.lastSet, p.lastWay)
 }
 
-// updated implements causeExplainer: every update is deferred.
-func (p *johnsonPredictor) updated(trace.Record, uint32) {}
-
-// resolved implements causeExplainer: the successor pointer was written.
-func (p *johnsonPredictor) resolved(site uint32) { p.track.mark(site) }
+// trained implements causeExplainer.
+func (p *johnsonPredictor) trained() *trainedSet { return &p.track }
 
 // lastCause implements causeExplainer. Johnson's successor pointers are
 // line-coupled, so an invalid pointer for a branch that updated one before
@@ -126,7 +124,7 @@ func (p *johnsonPredictor) SizeBits() int { return p.store.SizeBits() }
 // Reset implements TargetPredictor.
 func (p *johnsonPredictor) Reset() {
 	p.store.Reset()
-	clear(p.track)
+	p.track.reset()
 }
 
 // NewJohnsonEngine builds the successor-index baseline: a Frontend driven

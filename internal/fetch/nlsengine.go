@@ -131,6 +131,7 @@ func (p *nlsPredictor[S]) Update(rec trace.Record) bool {
 	if rec.Taken {
 		return true
 	}
+	p.track.mark()
 	p.store.update(rec.PC, rec.Kind, false, 0, 0, p.lastSet, p.lastWay)
 	return false
 }
@@ -138,19 +139,12 @@ func (p *nlsPredictor[S]) Update(rec trace.Record) bool {
 // Resolve implements TargetPredictor, completing the deferred taken-branch
 // pointer update now that the target's cache way is known.
 func (p *nlsPredictor[S]) Resolve(rec trace.Record, way int) {
+	p.track.mark()
 	p.store.update(rec.PC, rec.Kind, true, rec.Target, way, p.lastSet, p.lastWay)
 }
 
-// updated implements causeExplainer: a not-taken break wrote its entry
-// (a taken one writes it when it resolves).
-func (p *nlsPredictor[S]) updated(rec trace.Record, site uint32) {
-	if !rec.Taken {
-		p.track.mark(site)
-	}
-}
-
-// resolved implements causeExplainer.
-func (p *nlsPredictor[S]) resolved(site uint32) { p.track.mark(site) }
+// trained implements causeExplainer.
+func (p *nlsPredictor[S]) trained() *trainedSet { return &p.track }
 
 // lastCause implements causeExplainer, explaining the last Lookup's miss
 // from the mechanism it selected. An invalid entry for a branch that was
@@ -219,7 +213,7 @@ func (p *nlsPredictor[S]) SizeBits() int { return p.store.sizeBits() }
 // Reset implements TargetPredictor.
 func (p *nlsPredictor[S]) Reset() {
 	p.store.reset()
-	clear(p.track)
+	p.track.reset()
 }
 
 // newNLSEngine builds the NLS fetch architecture: a Frontend driven by an

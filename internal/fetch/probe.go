@@ -147,27 +147,50 @@ type Probe interface {
 
 // causeExplainer is the optional per-predictor half of cause
 // classification: lastCause explains the most recent Lookup for rec, the
-// break numbered site, and updated and resolved report that an Update or a
-// Resolve just made for the break numbered site, so the predictor can keep
-// the shadow "ever trained" state (trainedSet) that separates cold misses
-// from eviction and conflict losses. The Frontend calls the hooks only once
-// a probe has attached, so the unprobed hot path never touches them.
+// break numbered site, and trained returns the predictor's shadow "ever
+// trained" state that separates cold misses from eviction and conflict
+// losses (nil when it keeps none; see trainedSet).
 type causeExplainer interface {
 	lastCause(rec trace.Record, dirTaken bool, site uint32) Cause
-	updated(rec trace.Record, site uint32)
-	resolved(site uint32)
+	trained() *trainedSet
 }
 
 // AttachProbe connects a probe to the frontend (nil detaches). Attach
 // before the run starts: cause tracking and site numbering begin when the
 // first probe attaches, and events for breaks stepped earlier are not
-// replayed. Both go on after a detach, so a later probe sees the same
-// sites and causes it would have seen attached all along.
+// replayed; a break whose update was deferred before then trains no site
+// when it resolves. Both go on after a detach, so a later probe sees the
+// same sites and causes it would have seen attached all along.
 func (f *Frontend) AttachProbe(p Probe) {
 	f.probe = p
 	if p != nil && f.sites == nil {
 		f.sites = &siteTable{ids: make(map[isa.Addr]uint32)}
 		f.bpu.explain, _ = f.bpu.tp.(causeExplainer)
+		if t := f.trainedSet(); t != nil {
+			t.on = true
+		}
+		f.pending.site = noSite
+	}
+}
+
+// noSite is the site of a break stepped before the first probe attached.
+const noSite = ^uint32(0)
+
+// trainedSet returns the target predictor's shadow state once a probe has
+// attached, else nil.
+func (f *Frontend) trainedSet() *trainedSet {
+	if f.bpu.explain == nil {
+		return nil
+	}
+	return f.bpu.explain.trained()
+}
+
+// trainAt tells the predictor's shadow state, when it keeps one, that its
+// next Update or Resolve trains the break numbered site. Callers check
+// f.bpu.explain first, so the unprobed hot path makes no call.
+func (f *Frontend) trainAt(site uint32) {
+	if t := f.bpu.explain.trained(); t != nil {
+		t.at = site
 	}
 }
 
@@ -261,19 +284,34 @@ func (f *Frontend) classifyCause(rec trace.Record, site uint32, out Outcome, dir
 }
 
 // trainedSet is the shadow "ever trained" state behind eviction- and
-// conflict-loss attribution: one bit per site, marked through the
-// causeExplainer hooks once a probe attached.
-type trainedSet []uint64
+// conflict-loss attribution: one bit per site. It is off until a probe
+// attaches, so the unprobed hot path pays only the on check in mark. From
+// then on the Frontend sets at to the site of the break that each Update
+// or Resolve trains (trainAt), and the predictor calls mark where it
+// writes that break's state.
+type trainedSet struct {
+	bits []uint64
+	at   uint32
+	on   bool
+}
 
-func (t *trainedSet) mark(site uint32) {
-	w := int(site >> 6)
-	if w >= len(*t) {
-		*t = append(*t, make([]uint64, w+1-len(*t))...)
+// mark records that the break at was trained.
+func (t *trainedSet) mark() {
+	if !t.on || t.at == noSite {
+		return
 	}
-	(*t)[w] |= 1 << (site & 63)
+	w := int(t.at >> 6)
+	if w >= len(t.bits) {
+		t.bits = append(t.bits, make([]uint64, w+1-len(t.bits))...)
+	}
+	t.bits[w] |= 1 << (t.at & 63)
 }
 
-func (t trainedSet) has(site uint32) bool {
+// has reports whether the break numbered site was ever trained.
+func (t *trainedSet) has(site uint32) bool {
 	w := int(site >> 6)
-	return w < len(t) && t[w]>>(site&63)&1 != 0
+	return w < len(t.bits) && t.bits[w]>>(site&63)&1 != 0
 }
+
+// reset forgets every trained site (tracking stays on).
+func (t *trainedSet) reset() { clear(t.bits) }

@@ -385,10 +385,10 @@ func TestBroadcastProbedMatchesReference(t *testing.T) {
 // attach after it (late attach): one on a polluted NLS-cache, one on the
 // Johnson engine. In the second part the private engines broadcast again
 // (a private cache carries its state into a broadcast; a group's oracle
-// starts cold) while the grouped ones Step: the BTB reads the site
-// annotation from the table it took over, the late NLS-cache numbers its
-// own sites from empty, and the grouped NLS-cache meets new PCs on the
-// table it shares with the BTB. Every engine Steps through the third part.
+// starts cold) while the grouped ones Step: the late NLS-cache reads the
+// site annotation from empty, the BTB numbers its own sites on the table
+// it took over, and both it and the grouped NLS-cache meet new PCs on the
+// table they share. Every engine Steps through the third part.
 func TestBroadcastProbedHandOff(t *testing.T) {
 	g := cache.MustGeometry(8*1024, 32, 1)
 	bcfg := btb.Config{Entries: 128, Assoc: 1}
@@ -456,8 +456,8 @@ func TestBroadcastProbedHandOff(t *testing.T) {
 		}
 		step(grouped, second)
 		if d := planSites(replayPlan([]*Frontend{es[1], es[2]})); d == nil ||
-			!slices.Equal(d.readers, []*Frontend{es[1]}) || len(d.table.ids) == 0 {
-			t.Fatal("plan: the second broadcast's site annotation is not read by the BTB alone, from its table")
+			!slices.Equal(d.readers, []*Frontend{es[2]}) {
+			t.Fatal("plan: the second broadcast's site annotation is not read by the late NLS-cache alone")
 		}
 		BroadcastWorkers(blocks(second), workers, es[1], es[2])
 		step(es, third)
@@ -523,5 +523,65 @@ func TestProbedEngineNeverEchoed(t *testing.T) {
 	if uint64(len(cp.evs)) != m.Breaks || misfetches != m.Misfetches || mispredicts != m.Mispredicts {
 		t.Errorf("probe saw %d breaks (%d misfetches, %d mispredicts); counters say %d (%d, %d)",
 			len(cp.evs), misfetches, mispredicts, m.Breaks, m.Misfetches, m.Mispredicts)
+	}
+}
+
+// TestResetKeepsSites pins what Reset keeps of an engine a probe attached
+// to: its site numbering, so a probe attached again names every break as
+// before, and with it the engine's exclusion from broadcast echo and table
+// reading, even with the probe detached. Predictor state, the trained
+// shadow state included, goes cold, so the same trace gives the same
+// events again.
+func TestResetKeepsSites(t *testing.T) {
+	g := cache.MustGeometry(8*1024, 32, 1)
+	tr := workload.Li().MustTrace(20_000)
+	btbEng := NewBTBEngine(g, btb.Config{Entries: 64, Assoc: 1}, pht.NewGShare(1024, 6), 32)
+	table := NewNLSTableEngine(g, 512, pht.NewGShare(1024, 6), 32)
+	if _, ok := btbEng.echoInvariant(); !ok {
+		t.Fatal("premise: a fresh BTB engine is not echo-eligible")
+	}
+	if _, ok := table.tableShareKey(0); !ok {
+		t.Fatal("premise: a fresh NLS-table engine cannot read tables")
+	}
+	for _, e := range []*Frontend{btbEng, table} {
+		first := &collectProbe{}
+		e.AttachProbe(first)
+		Run(e, tr)
+		e.AttachProbe(nil)
+		e.Reset()
+		if _, ok := e.echoInvariant(); ok {
+			t.Errorf("%s: echo-eligible after Reset", e.Name())
+		}
+		if _, ok := e.tableShareKey(0); ok {
+			t.Errorf("%s: reads tables after Reset", e.Name())
+		}
+		again := &collectProbe{}
+		e.AttachProbe(again)
+		Run(e, tr)
+		if len(first.evs) == 0 || !slices.Equal(again.evs, first.evs) {
+			t.Errorf("%s: %d events after Reset differ from the %d before", e.Name(), len(again.evs), len(first.evs))
+		}
+	}
+}
+
+// TestLateAttachPendingTrainsNoSite: a probe attached while a taken
+// break's update is deferred must not credit that update, which began
+// before tracking did, to the first site numbered afterwards.
+func TestLateAttachPendingTrainsNoSite(t *testing.T) {
+	b := newTB(0x1000)
+	b.br(isa.UncondBranch, true, 0x1100)
+	b.plain(1)
+	recs := b.trace(t).Records
+	e := NewNLSTableEngine(smallGeom(), 1024, pht.Static{}, 8)
+	e.Step(recs[0])
+	if !e.pending.active {
+		t.Fatal("premise: the taken branch's update is not deferred")
+	}
+	e.AttachProbe(&collectProbe{})
+	for _, r := range recs[1:] {
+		e.Step(r)
+	}
+	if e.trainedSet().has(0) {
+		t.Error("the update deferred before the attach trained site 0")
 	}
 }
